@@ -19,15 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .code import BBCode, BivariatePoly, Monomial, _shift_index
+from .code import REGISTERS, BBCode, BivariatePoly, Monomial, _shift_index
 from .gf2 import BinVector
 
-REGISTERS = ("L", "R", "X", "Z")
 REG_OFFSET = {r: i for i, r in enumerate(REGISTERS)}
-
-
-def qubit_id(register: str, index: int, lm: int) -> int:
-    return REG_OFFSET[register] * lm + index
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +383,6 @@ def verify_sm_circuit(
     )
 
 
-def _index_mul_table(code: BBCode) -> tuple[int, int]:
-    return code.l, code.m
-
-
 def _fast_schedule_valid(
     code: BBCode, x_seq: tuple[CNOTLayer, ...], z_seq: tuple[CNOTLayer, ...]
 ) -> bool:
@@ -479,23 +470,6 @@ def _scenario_words(batch: int) -> int:
 
 
 @dataclass
-class Injection:
-    """A Pauli flip inserted right after one step, for one scenario."""
-
-    step: int  # index into circuit.steps
-    qubit: int
-    frame: str  # "X" or "Z"
-    scenario: int
-
-
-@dataclass
-class MeasFlip:
-    step: int
-    position: int  # index within the step's qubit list
-    scenario: int
-
-
-@dataclass
 class FrameResult:
     """Propagation output, packed 64 scenarios per word."""
 
@@ -505,31 +479,21 @@ class FrameResult:
     final_x_frame: np.ndarray  # (n data qubits, W): residual X error
     final_z_frame: np.ndarray  # (n data qubits, W)
 
-    def unpack_scenario(self, j: int) -> dict:
-        w, b = j // 64, np.uint64(j % 64)
-        pick = lambda a: ((a[..., w] >> b) & np.uint64(1)).astype(np.uint8)
-        return {
-            "z_check": pick(self.z_check_outcomes),
-            "x_check": pick(self.x_check_outcomes),
-            "alpha": pick(self.final_x_frame),
-            "beta": pick(self.final_z_frame),
-        }
-
 
 def propagate_frames(
     circ: ScheduledCircuit,
     batch: int,
-    injections: list[Injection] | None = None,
-    meas_flips: list[MeasFlip] | None = None,
-    injection_arrays: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
-    measflip_arrays: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
+    injections: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
+    meas_flips: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> FrameResult:
     """Propagate X/Z Pauli frames through the circuit for many scenarios.
 
-    Faults are supplied either as explicit lists or pre-grouped arrays
-    keyed by step index: ``injection_arrays[step] = (qubits, frames,
-    scenarios)`` with frames encoded 0 for X and 1 for Z, and
-    ``measflip_arrays[step] = (positions, scenarios)``.
+    Faults come grouped by step index.  ``injections[step] = (qubits,
+    frames, scenarios)`` flips frame bit ``frames[i]`` (0 for X, 1 for
+    Z) of ``qubits[i]`` in scenario ``scenarios[i]`` right after the
+    step; ``meas_flips[step] = (positions, scenarios)`` flips the
+    outcome of the step's ``positions[i]``-th measurement.  A flip
+    listed twice cancels.
     """
     lm = circ.code.lm
     W = _scenario_words(batch)
@@ -537,28 +501,8 @@ def propagate_frames(
     zf = np.zeros((4 * lm, W), dtype=np.uint64)
     zrec = np.zeros((circ.n_cycles, lm, W), dtype=np.uint64)
     xrec = np.zeros((circ.n_cycles, lm, W), dtype=np.uint64)
-
-    inj_by_step = injection_arrays or {}
-    flips_by_step = measflip_arrays or {}
-    if injections:
-        grouped: dict[int, list[Injection]] = {}
-        for inj in injections:
-            grouped.setdefault(inj.step, []).append(inj)
-        for sidx, items in grouped.items():
-            inj_by_step[sidx] = (
-                np.array([i.qubit for i in items]),
-                np.array([0 if i.frame == "X" else 1 for i in items]),
-                np.array([i.scenario for i in items]),
-            )
-    if meas_flips:
-        fgrouped: dict[int, list[MeasFlip]] = {}
-        for fl in meas_flips:
-            fgrouped.setdefault(fl.step, []).append(fl)
-        for sidx, items in fgrouped.items():
-            flips_by_step[sidx] = (
-                np.array([f.position for f in items]),
-                np.array([f.scenario for f in items]),
-            )
+    injections = injections or {}
+    meas_flips = meas_flips or {}
 
     one = np.uint64(1)
     for sidx, step in enumerate(circ.steps):
@@ -570,16 +514,16 @@ def propagate_frames(
             zf[step.qubits] = 0
         elif step.kind == "meas":
             rec = xf[step.qubits].copy() if step.basis == "Z" else zf[step.qubits].copy()
-            if sidx in flips_by_step:
-                posv, scen = flips_by_step[sidx]
+            if sidx in meas_flips:
+                posv, scen = meas_flips[sidx]
                 np.bitwise_xor.at(rec, (posv, scen // 64), one << (scen % 64).astype(np.uint64))
             if step.basis == "Z":
                 zrec[step.meas_slot] = rec
             else:
                 xrec[step.meas_slot] = rec
         # idle: nothing to apply
-        if sidx in inj_by_step:
-            qv, fv, scen = inj_by_step[sidx]
+        if sidx in injections:
+            qv, fv, scen = injections[sidx]
             masks = one << (scen % 64).astype(np.uint64)
             words = scen // 64
             xm = fv == 0
@@ -680,40 +624,32 @@ def build_automorphism_circuit(code: BBCode, kind: str, j: int, k: int) -> Autom
 def automorphism_data_permutation(circ: AutomorphismCircuit) -> np.ndarray:
     """Recover the realized data permutation by frame propagation.
 
-    Injects an X (and a Z) on each data qubit in turn, pushes the
-    frames through the move gadget, and reads off where the flip ends
-    up.  Residual frames on ancillas are discarded: the gadget leaves
-    ancillas in |0>, where they are re-initialized before any reuse.
+    Scenario q carries an X on data qubit q and scenario n + q a Z on
+    it; after the gadget, the data qubits hit by each scenario's frame
+    show where qubit q went.  Residual frames on ancillas are
+    discarded: the gadget leaves ancillas in |0>, where they are
+    re-initialized before any reuse.
 
     Returns:
         perm: array with perm[q] = destination of data qubit q, or
         raises ValueError if the circuit is not a clean permutation.
     """
-    code = circ.code
-    lm = code.lm
-    n = 2 * lm
-    for frame in ("X", "Z"):
-        injections = [Injection(step=-1, qubit=q, frame=frame, scenario=q) for q in range(n)]
-        # step -1 means before everything: emulate with a leading idle step
-        lead = Step(kind="idle", round_id=-1, cycle=0, qubits=np.arange(0))
-        probe = ScheduledCircuit(code=code, n_cycles=1, schedule=CANONICAL_SCHEDULE)
-        probe.steps = [lead] + circ.steps
-        probe.n_meas_z = probe.n_meas_x = 1
-        for inj in injections:
-            inj.step = 0
-        res = propagate_frames(probe, batch=n, injections=injections)
-        fin = res.final_x_frame if frame == "X" else res.final_z_frame
-        dense = np.zeros((n, n), dtype=np.uint8)
-        for q in range(n):
-            w, b = q // 64, np.uint64(q % 64)
-            dense[:, q] = ((fin[:, w] >> b) & np.uint64(1)).astype(np.uint8)
-        if frame == "X":
-            if not ((dense.sum(axis=0) == 1).all() and (dense.sum(axis=1) == 1).all()):
-                raise ValueError("gadget does not implement a data permutation")
-            perm = np.argmax(dense, axis=0)
-        else:
-            if not np.array_equal(np.argmax(dense, axis=0), perm):
-                raise ValueError("X and Z frames disagree on the permutation")
+    n = 2 * circ.code.lm
+    data = np.arange(n)
+    # step 0 initializes an ancilla block and leaves the data alone, so
+    # a flip injected right after it is a flip on the gadget's input
+    injections = {0: (np.tile(data, 2), np.repeat([0, 1], n), np.arange(2 * n))}
+    probe = ScheduledCircuit(code=circ.code, n_cycles=0, steps=circ.steps)
+    res = propagate_frames(probe, 2 * n, injections)
+    dense_x, dense_z = (
+        np.unpackbits(fin.view(np.uint8), axis=1, bitorder="little")[:, scen]
+        for fin, scen in ((res.final_x_frame, data), (res.final_z_frame, n + data))
+    )
+    if not ((dense_x.sum(axis=0) == 1).all() and (dense_x.sum(axis=1) == 1).all()):
+        raise ValueError("gadget does not implement a data permutation")
+    perm = np.argmax(dense_x, axis=0)
+    if not np.array_equal(np.argmax(dense_z, axis=0), perm):
+        raise ValueError("X and Z frames disagree on the permutation")
     return perm
 
 
@@ -753,13 +689,12 @@ def verify_automorphism(
             return False
 
     if basis is not None and s is not None:
-        from .gf2 import BinVector as _BV
         for alpha in (Monomial.one(code.l, code.m), s):
             sup = basis.x_bar(alpha).support_vector(code)
             moved = np.zeros(code.n, dtype=np.uint8)
             moved[perm] = sup.to_bits()
             target = basis.x_bar(s * alpha).support_vector(code)
-            diff = _BV.from_bits(moved) ^ target
+            diff = BinVector.from_bits(moved) ^ target
             if not (diff.is_zero() or code.hx.in_rowspace(diff)):
                 return False
     return True

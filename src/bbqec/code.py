@@ -221,7 +221,8 @@ def translation_table(l: int, m: int) -> np.ndarray:
     )
 
 
-# Tanner graph vertex numbering: L block, R block, X checks, Z checks.
+# Register order of Tanner-graph vertices and circuit qubits: L block,
+# R block, X checks, Z checks.
 REGISTERS = ("L", "R", "X", "Z")
 
 
@@ -365,11 +366,6 @@ class BBCode:
         return False, False
 
 
-def _poly_matrices(code_or_pair) -> tuple[BinMatrix, BinMatrix]:
-    a, b = code_or_pair
-    return a.to_matrix(), b.to_matrix()
-
-
 def build_code(
     l: int,
     m: int,
@@ -439,11 +435,6 @@ def compute_k(code: BBCode) -> int:
     if k_rank != k_kernel:
         raise CodeConstructionError(f"k formulas disagree: {k_rank} vs {k_kernel}")
     return k_rank
-
-
-def logical_operator_syndromes(code: BBCode, v: BinVector, pauli: str) -> tuple[bool, bool]:
-    """Spec alias for :meth:`BBCode.classify_vector`."""
-    return code.classify_vector(v, pauli)
 
 
 # -- Lemma machinery ------------------------------------------------------

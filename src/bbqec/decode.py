@@ -419,6 +419,10 @@ def distance_upper_bound(
     first shrunk modulo rs(HX) so BP sees a sparse extra check, and the
     solution is locally descended modulo rs(HZ) (which preserves both
     constraints).  Stops early once ``target`` is reached.
+
+    Raises:
+        ValueError: trials < 1 or a pauli other than "X" or "Z".
+        DecodingError: a trial's witness is not a logical of that type.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -442,7 +446,8 @@ def distance_upper_bound(
         eta = reduce_weight_modulo_rows(eta, kernel_mat)
         xi = minimum_weight_in_coset(kernel_mat, eta, bp=bp, osd=osd)
         xi = descend_modulo_rows(xi, dual_kernel_mat)
-        assert kernel_mat.mul_vec(xi).is_zero() and eta.dot(xi) == 1
+        if not kernel_mat.mul_vec(xi).is_zero() or eta.dot(xi) != 1:
+            raise DecodingError("distance witness is not a nontrivial logical")
         done += 1
         if collect:
             weights.append(xi.weight)
@@ -468,6 +473,10 @@ def circuit_distance_upper_bound(
     D plus a nonzero combination of rows of L; any xi in ker D with
     eta . xi = 1 is an undetectable fault set with nontrivial logical
     action, so its weight bounds the circuit distance for this type.
+
+    Raises:
+        DecodingError: a trial's witness is not in ker D or has
+            eta . xi = 0.
     """
     D: BinMatrix = side_model.matrix
     L: BinMatrix = side_model.logical
@@ -485,7 +494,8 @@ def circuit_distance_upper_bound(
         for i in np.flatnonzero(coeff_d):
             eta = eta ^ D.row(int(i))
         xi = minimum_weight_in_coset(D, eta, bp=bp, osd=osd)
-        assert D.mul_vec(xi).is_zero() and eta.dot(xi) == 1
+        if not D.mul_vec(xi).is_zero() or eta.dot(xi) != 1:
+            raise DecodingError("distance witness is not an undetectable logical fault set")
         done += 1
         if best is None or xi.weight < best.weight:
             best = xi

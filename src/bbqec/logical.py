@@ -300,7 +300,7 @@ def select_qubit_labels(
     chosen_n: list[int] = []
     chosen_m: list[int] = []
 
-    def feasible(row_mask, col_mask) -> bool:
+    def feasible(row_mask) -> bool:
         return row_mask.sum() >= half - len(chosen_n)
 
     def dfs(row_mask: np.ndarray, col_mask: np.ndarray) -> bool:
@@ -322,7 +322,7 @@ def select_qubit_labels(
                 new_col[mi] = False
                 chosen_n.append(ni)
                 chosen_m.append(int(mi))
-                if feasible(new_row, new_col) and dfs(new_row, new_col):
+                if feasible(new_row) and dfs(new_row, new_col):
                     return True
                 chosen_n.pop()
                 chosen_m.pop()
@@ -508,7 +508,6 @@ class RatioPlanEntry:
 
     @property
     def cost(self) -> int:
-        extra = 0 if self.carrier is None else self.costs[-1]
         return sum(self.costs)
 
 

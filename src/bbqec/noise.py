@@ -6,153 +6,130 @@ the gate (p/15 each), a faulty idle one of X/Y/Z (p/3), a faulty
 initialization prepares the orthogonal state and a faulty measurement
 flips its outcome (p each).
 
-The offline stage enumerates all single-fault circuits, propagates
-each one and stores (measured-syndrome, final-error-syndrome,
-logical-syndrome) triples as columns of the two per-type decoding
-matrices; identical columns merge with summed priors; measured
-syndromes are sparsified by differencing consecutive cycles of the
-same check.  The final-error block is kept raw: it plays the part of
-the appended noiseless readout cycle.
+Each single fault has an integer id.  The faults of step s hold the ids
+``offsets[s]`` to ``offsets[s + 1] - 1``, and fault
+``offsets[s] + g * n_classes + c`` is class c on operation g of that
+step: CNOT steps have 15 classes (``CNOT_CLASSES``), idle steps 3
+(``IDLE_CLASSES``), init and meas steps 1.  ``FaultTable.frame_flips``
+turns (fault id, scenario) pairs into Pauli-frame flips; enumeration,
+forced faults and sampling all go through it.
+
+The offline stage propagates every single fault in one batched run and
+stores (measured-syndrome, final-error-syndrome, logical-syndrome)
+triples as columns of the two per-type decoding matrices; identical
+columns merge with summed priors; measured syndromes are sparsified by
+differencing consecutive cycles of the same check.  The final-error
+block is kept raw: it plays the part of the appended noiseless readout
+cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .circuit import ScheduledCircuit, propagate_frames, _scenario_words
+from .circuit import ScheduledCircuit, Step, propagate_frames
 from .code import BBCode
-from .gf2 import BinMatrix, BinVector
+from .gf2 import BinMatrix
 from .logical import LogicalBasis
 
 # Pauli encoding for two-qubit fault classes: I=0, X=1, Y=2, Z=3.
-_X_PART = np.array([0, 1, 1, 0], dtype=np.uint8)
-_Z_PART = np.array([0, 0, 1, 1], dtype=np.uint8)
+_X_PART = np.array([0, 1, 1, 0], dtype=bool)
+_Z_PART = np.array([0, 0, 1, 1], dtype=bool)
 CNOT_CLASSES = [(c, t) for c in range(4) for t in range(4)][1:]  # 15, II excluded
 IDLE_CLASSES = [1, 2, 3]  # X, Y, Z
 
+# Frame bits flipped by each fault class: one row per class, one column
+# per (operand, frame) pair, frame 0 being X and 1 being Z.  A CNOT's
+# operands are its control and its target; other steps have one.
+_CNOT_FLIPS = np.array([[_X_PART[c], _Z_PART[c], _X_PART[t], _Z_PART[t]]
+                        for c, t in CNOT_CLASSES])
+_IDLE_FLIPS = np.array([[_X_PART[c], _Z_PART[c]] for c in IDLE_CLASSES])
+# a faulty init prepares |1> (an X flip) for InitZ and |-> (a Z flip) for InitX
+_INIT_FLIPS = {"Z": np.array([[True, False]]), "X": np.array([[False, True]])}
+# a faulty measurement flips its outcome and no frame bit
+_MEAS_FLIPS = np.zeros((1, 0), dtype=bool)
 
-@dataclass
-class FaultRecord:
-    index: int
-    kind: str  # "cnot" | "idle" | "init" | "meas"
-    step: int
-    cycle: int
-    prior_class: float  # 1/15, 1/3 or 1 (multiplied by p later)
-    detail: tuple
+
+def _class_flips(step: Step) -> np.ndarray:
+    """The step's flip table; its row count is the step's class count."""
+    if step.kind == "cnot":
+        return _CNOT_FLIPS
+    if step.kind == "idle":
+        return _IDLE_FLIPS
+    if step.kind == "init":
+        return _INIT_FLIPS[step.basis]
+    return _MEAS_FLIPS
 
 
 @dataclass
 class FaultTable:
-    """All single-fault circuits of one SM circuit, in a fixed order."""
+    """All single faults of one SM circuit, as flat fault ids.
+
+    Fault ``offsets[s] + g * n_classes + c`` is class c on operation g
+    of step s (class counts in the module doc), so ids run in (step,
+    operation, class) order.  ``frame_flips`` is the one place that
+    maps a fault to the frame bits it flips.
+    """
 
     circuit: ScheduledCircuit
-    records: list[FaultRecord]
-    injection_arrays: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
-    measflip_arrays: dict[int, tuple[np.ndarray, np.ndarray]]
+    offsets: np.ndarray  # (steps + 1,): first fault id of each step, then the count
+    prior_class: np.ndarray  # (count,): 1/15, 1/3 or 1 (multiplied by p later)
 
     @property
     def count(self) -> int:
-        return len(self.records)
+        return int(self.offsets[-1])
 
     def priors(self, p: float) -> np.ndarray:
-        return p * np.array([r.prior_class for r in self.records])
+        return p * self.prior_class
 
-    def injections_for(self, scenarios: list[list[int]]):
-        """Regroup the table's faults for a forced-fault propagation.
+    def frame_flips(self, faults: np.ndarray, scenarios: np.ndarray):
+        """Apply fault ``faults[i]`` in scenario ``scenarios[i]``, for every i.
 
-        ``scenarios[j]`` lists fault indices applied in scenario j; the
-        same fault may appear in several scenarios.  Returns
-        (injection_arrays, measflip_arrays) in propagate_frames form.
+        A fault may appear in several scenarios, or twice in one, where
+        the two copies cancel.  Returns ``(injections, meas_flips)`` in
+        ``propagate_frames`` form.
+
+        Raises:
+            ValueError: a fault id outside the table.
         """
-        inj: dict[int, list[tuple[int, int, int]]] = {}
-        flips: dict[int, list[tuple[int, int]]] = {}
-        by_index: dict[int, list[tuple]] = {}
-        for step, (qv, fv, sv) in self.injection_arrays.items():
-            for q, f, s in zip(qv, fv, sv):
-                by_index.setdefault(int(s), []).append(("inj", step, int(q), int(f)))
-        for step, (posv, sv) in self.measflip_arrays.items():
-            for pos, s in zip(posv, sv):
-                by_index.setdefault(int(s), []).append(("flip", step, int(pos), 0))
-        for j, faults in enumerate(scenarios):
-            for fidx in faults:
-                for tag, step, a, b in by_index.get(fidx, []):
-                    if tag == "inj":
-                        inj.setdefault(step, []).append((a, b, j))
-                    else:
-                        flips.setdefault(step, []).append((a, j))
-        inj_arrays = {
-            s: (np.array([t[0] for t in items]), np.array([t[1] for t in items]),
-                np.array([t[2] for t in items]))
-            for s, items in inj.items()
-        }
-        flip_arrays = {
-            s: (np.array([t[0] for t in items]), np.array([t[1] for t in items]))
-            for s, items in flips.items()
-        }
-        return inj_arrays, flip_arrays
+        faults = np.asarray(faults, dtype=np.int64)
+        scenarios = np.asarray(scenarios, dtype=np.int64)
+        if faults.size and not 0 <= faults.min() <= faults.max() < self.count:
+            raise ValueError(f"fault ids must lie in [0, {self.count})")
+        order = np.argsort(faults, kind="stable")
+        faults, scenarios = faults[order], scenarios[order]
+        bounds = np.searchsorted(faults, self.offsets)
+        injections: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        meas_flips: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for sidx in np.flatnonzero(bounds[1:] > bounds[:-1]):
+            step = self.circuit.steps[sidx]
+            lo, hi = bounds[sidx], bounds[sidx + 1]
+            flips = _class_flips(step)
+            gate, cls = np.divmod(faults[lo:hi] - self.offsets[sidx], len(flips))
+            scen = scenarios[lo:hi]
+            if step.kind == "meas":
+                meas_flips[int(sidx)] = (gate, scen)
+                continue
+            operands = (step.qubits, step.targets) if step.kind == "cnot" else (step.qubits,)
+            hits = flips[cls].T  # (operand, frame) pair -> which faults flip it
+            injections[int(sidx)] = (
+                np.concatenate([operands[k // 2][gate[h]] for k, h in enumerate(hits)]),
+                np.concatenate([np.full(np.count_nonzero(h), k % 2) for k, h in enumerate(hits)]),
+                np.concatenate([scen[h] for h in hits]),
+            )
+        return injections, meas_flips
 
 
 def build_fault_table(circ: ScheduledCircuit) -> FaultTable:
-    """Enumerate every admissible single-fault realization of the circuit."""
-    records: list[FaultRecord] = []
-    inj: dict[int, list[tuple[int, int, int]]] = {}
-    flips: dict[int, list[tuple[int, int]]] = {}
-    idx = 0
-
-    def add_inj(step, qubit, frame_bit):
-        inj.setdefault(step, []).append((int(qubit), int(frame_bit), idx))
-
-    for sidx, step in enumerate(circ.steps):
-        if step.kind == "cnot":
-            for g, (c, t) in enumerate(zip(step.qubits, step.targets)):
-                for pc, pt in CNOT_CLASSES:
-                    if _X_PART[pc]:
-                        add_inj(sidx, c, 0)
-                    if _Z_PART[pc]:
-                        add_inj(sidx, c, 1)
-                    if _X_PART[pt]:
-                        add_inj(sidx, t, 0)
-                    if _Z_PART[pt]:
-                        add_inj(sidx, t, 1)
-                    records.append(FaultRecord(idx, "cnot", sidx, step.cycle, 1 / 15,
-                                               (g, pc, pt)))
-                    idx += 1
-        elif step.kind == "idle":
-            for g, q in enumerate(step.qubits):
-                for cls in IDLE_CLASSES:
-                    if _X_PART[cls]:
-                        add_inj(sidx, q, 0)
-                    if _Z_PART[cls]:
-                        add_inj(sidx, q, 1)
-                    records.append(FaultRecord(idx, "idle", sidx, step.cycle, 1 / 3,
-                                               (g, cls)))
-                    idx += 1
-        elif step.kind == "init":
-            # orthogonal-state preparation: |-> for InitX, |1> for InitZ
-            frame_bit = 1 if step.basis == "X" else 0
-            for g, q in enumerate(step.qubits):
-                add_inj(sidx, q, frame_bit)
-                records.append(FaultRecord(idx, "init", sidx, step.cycle, 1.0, (g,)))
-                idx += 1
-        elif step.kind == "meas":
-            for g in range(len(step.qubits)):
-                flips.setdefault(sidx, []).append((g, idx))
-                records.append(FaultRecord(idx, "meas", sidx, step.cycle, 1.0, (g,)))
-                idx += 1
-
-    inj_arrays = {
-        s: (np.array([t[0] for t in items]), np.array([t[1] for t in items]),
-            np.array([t[2] for t in items]))
-        for s, items in inj.items()
-    }
-    flip_arrays = {
-        s: (np.array([t[0] for t in items]), np.array([t[1] for t in items]))
-        for s, items in flips.items()
-    }
-    return FaultTable(circuit=circ, records=records,
-                      injection_arrays=inj_arrays, measflip_arrays=flip_arrays)
+    """Number every admissible single fault of the circuit."""
+    n_classes = np.array([len(_class_flips(s)) for s in circ.steps])
+    sizes = n_classes * np.array([len(s.qubits) for s in circ.steps], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    return FaultTable(circuit=circ, offsets=offsets,
+                      prior_class=np.repeat(1 / n_classes, sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +196,10 @@ def propagate_with_faults(
     circ: ScheduledCircuit,
     basis: LogicalBasis,
     batch: int,
-    injection_arrays,
-    measflip_arrays,
+    injections,
+    meas_flips,
 ) -> SyndromeBundle:
-    res = propagate_frames(circ, batch, injection_arrays=injection_arrays,
-                           measflip_arrays=measflip_arrays)
+    res = propagate_frames(circ, batch, injections, meas_flips)
     code = circ.code
     x_sup = basis.x_support_matrix(code)
     z_sup = basis.z_support_matrix(code)
@@ -245,11 +221,13 @@ def propagate_with_faults(
 def enumerate_faults(
     circ: ScheduledCircuit, basis: LogicalBasis
 ) -> tuple[FaultTable, SyndromeBundle]:
-    """Propagate every single-fault circuit in one batched run."""
+    """Propagate every single-fault circuit in one batched run.
+
+    Scenario i holds fault i alone.
+    """
     table = build_fault_table(circ)
-    bundle = propagate_with_faults(
-        circ, basis, table.count, table.injection_arrays, table.measflip_arrays
-    )
+    ids = np.arange(table.count)
+    bundle = propagate_with_faults(circ, basis, table.count, *table.frame_flips(ids, ids))
     return table, bundle
 
 
@@ -432,68 +410,37 @@ def sample_circuit_noise(
     results are independent of batching and worker layout.
 
     With ``forced_faults`` the randomness is bypassed and scenario j
-    applies exactly the listed fault-table entries.
+    applies exactly the fault ids listed in ``forced_faults[j]``.
     """
+    table = fault_table or build_fault_table(circ)
     if forced_faults is not None:
-        table = fault_table or build_fault_table(circ)
-        inj, flips = table.injections_for(forced_faults)
-        batch = len(forced_faults)
-        bundle = propagate_with_faults(circ, basis, batch, inj, flips)
-        return _bundle_to_samples(bundle)
-
-    if not 0 <= p <= 1:
-        raise ValueError("p must be a probability")
-    inj: dict[int, list[tuple[int, int, int]]] = {}
-    flips: dict[int, list[tuple[int, int]]] = {}
-    for j in range(shots):
-        rng = _shot_rng(seed, first_shot + j)
-        for sidx, step in enumerate(circ.steps):
-            nq = len(step.qubits)
-            if nq == 0:
-                continue
-            faulty = np.flatnonzero(rng.random(nq) < p)
-            if faulty.size == 0:
-                continue
-            if step.kind == "cnot":
-                classes = rng.integers(0, 15, size=faulty.size)
-                for g, cidx in zip(faulty, classes):
-                    pc, pt = CNOT_CLASSES[cidx]
-                    c, t = int(step.qubits[g]), int(step.targets[g])
-                    if _X_PART[pc]:
-                        inj.setdefault(sidx, []).append((c, 0, j))
-                    if _Z_PART[pc]:
-                        inj.setdefault(sidx, []).append((c, 1, j))
-                    if _X_PART[pt]:
-                        inj.setdefault(sidx, []).append((t, 0, j))
-                    if _Z_PART[pt]:
-                        inj.setdefault(sidx, []).append((t, 1, j))
-            elif step.kind == "idle":
-                classes = rng.integers(0, 3, size=faulty.size)
-                for g, cidx in zip(faulty, classes):
-                    cls = IDLE_CLASSES[cidx]
-                    q = int(step.qubits[g])
-                    if _X_PART[cls]:
-                        inj.setdefault(sidx, []).append((q, 0, j))
-                    if _Z_PART[cls]:
-                        inj.setdefault(sidx, []).append((q, 1, j))
-            elif step.kind == "init":
-                frame_bit = 1 if step.basis == "X" else 0
-                for g in faulty:
-                    inj.setdefault(sidx, []).append((int(step.qubits[g]), frame_bit, j))
-            elif step.kind == "meas":
-                for g in faulty:
-                    flips.setdefault(sidx, []).append((int(g), j))
-
-    inj_arrays = {
-        s: (np.array([t[0] for t in v]), np.array([t[1] for t in v]),
-            np.array([t[2] for t in v]))
-        for s, v in inj.items()
-    }
-    flip_arrays = {
-        s: (np.array([t[0] for t in v]), np.array([t[1] for t in v]))
-        for s, v in flips.items()
-    }
-    bundle = propagate_with_faults(circ, basis, shots, inj_arrays, flip_arrays)
+        shots = len(forced_faults)
+        faults = np.fromiter(chain.from_iterable(forced_faults), dtype=np.int64)
+        scenarios = np.repeat(np.arange(shots), [len(f) for f in forced_faults])
+    else:
+        if not 0 <= p <= 1:
+            raise ValueError("p must be a probability")
+        # per shot and step: one uniform per operation, then, for the
+        # faulty operations of a step with several classes, the classes
+        drawn = [np.zeros(0, dtype=np.int64)]
+        drawn_in = [np.zeros(0, dtype=np.int64)]
+        for j in range(shots):
+            rng = _shot_rng(seed, first_shot + j)
+            for sidx, step in enumerate(circ.steps):
+                nq = len(step.qubits)
+                if nq == 0:
+                    continue
+                faulty = np.flatnonzero(rng.random(nq) < p)
+                if faulty.size == 0:
+                    continue
+                n_classes = len(_class_flips(step))
+                ids = table.offsets[sidx] + faulty * n_classes
+                if n_classes > 1:
+                    ids += rng.integers(0, n_classes, size=faulty.size)
+                drawn.append(ids)
+                drawn_in.append(np.full(faulty.size, j))
+        faults, scenarios = np.concatenate(drawn), np.concatenate(drawn_in)
+    bundle = propagate_with_faults(circ, basis, shots, *table.frame_flips(faults, scenarios))
     return _bundle_to_samples(bundle)
 
 

@@ -1,0 +1,135 @@
+"""Fault pipeline on bb72 with 6 cycles: enumeration, forced faults, sampling."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from bbqec.circuit import (
+    automorphism_data_permutation,
+    build_automorphism_circuit,
+    build_sm_circuit,
+    shift_permutation,
+)
+from bbqec.code import catalog_code
+from bbqec.logical import find_basis_polynomials
+from bbqec.noise import build_detector_model, dump_side_model, sample_circuit_noise
+
+P = 0.003
+FIELDS = ("x_syndromes", "z_syndromes", "logical_x", "logical_z",
+          "raw_z_checks", "raw_x_checks", "alpha", "beta")
+
+# SHA-256 of the model dumps and of a 40-shot, seed-7 batch.  They change
+# with any change to fault numbering, propagation, column merging or the
+# sampler's random stream; such a change must be deliberate and stated.
+DUMP_X_SHA = "4ad40fd4abc75fb4e8c21c02128525b9c6f149d309ff890955958c748ef272d8"
+DUMP_Z_SHA = "cdd8ce96d2c77393fd5b208dbe2378e7b5841fed3a8f5036e0e96855801c3052"
+SAMPLE_SHA = "712c1232a731a17f80c5922dc3b05916cd0e963f736e95c5b3ef8bc473acfeb0"
+
+
+def batch_digest(batch) -> str:
+    h = hashlib.sha256()
+    for name in FIELDS:
+        a = np.ascontiguousarray(getattr(batch, name), dtype=np.uint8)
+        h.update(name.encode())
+        h.update(str(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def model():
+    code = catalog_code("bb72")
+    basis = find_basis_polynomials(code)[0]
+    return build_detector_model(build_sm_circuit(code, 6), P, basis)
+
+
+def sample(model, shots, seed, p=P, **kwargs):
+    return sample_circuit_noise(model.circuit, p, shots, seed, model.basis, **kwargs)
+
+
+def forced(model, scenarios):
+    return sample(model, 0, 0, forced_faults=scenarios, fault_table=model.fault_table)
+
+
+def test_model_dump_golden(model):
+    assert model.fault_table.count == model.pre_merge_count == 42336
+    assert hashlib.sha256(dump_side_model(model.x).encode()).hexdigest() == DUMP_X_SHA
+    assert hashlib.sha256(dump_side_model(model.z).encode()).hexdigest() == DUMP_Z_SHA
+
+
+def test_sampled_batch_golden(model):
+    assert batch_digest(sample(model, 40, 7)) == SAMPLE_SHA
+
+
+def test_forced_single_faults_reproduce_provenance(model):
+    table = model.fault_table
+    faults = np.random.default_rng(0).choice(table.count, size=200, replace=False)
+    batch = forced(model, [[int(f)] for f in faults])
+    for side, syndromes, logicals in (("x", batch.x_syndromes, batch.logical_x),
+                                      ("z", batch.z_syndromes, batch.logical_z)):
+        sm = getattr(model, side)
+        column_of = np.full(table.count, -1)
+        for col, members in enumerate(sm.provenance):
+            column_of[members] = col
+        # a fault in no column merged into the dropped all-zero column
+        det = np.hstack([sm.matrix.to_dense(), np.zeros((sm.matrix.rows, 1), np.uint8)])
+        log = np.hstack([sm.logical.to_dense(), np.zeros((sm.logical.rows, 1), np.uint8)])
+        assert np.array_equal(syndromes, det[:, column_of[faults]].T)
+        assert np.array_equal(logicals, log[:, column_of[faults]].T)
+
+
+def test_forced_multi_fault_is_xor_of_singles(model):
+    rng = np.random.default_rng(1)
+    f, g = (int(x) for x in rng.choice(model.fault_table.count, size=2, replace=False))
+    scenarios = [[int(x) for x in rng.choice(model.fault_table.count, size=rng.integers(2, 5))]
+                 for _ in range(20)]
+    scenarios += [[f, f], [f, g, f], []]
+    singles_ids = sorted({x for s in scenarios for x in s})
+    singles = forced(model, [[x] for x in singles_ids])
+    multi = forced(model, scenarios)
+    row = {x: i for i, x in enumerate(singles_ids)}
+    for name in FIELDS:
+        got = getattr(multi, name)
+        one = getattr(singles, name)
+        for j, s in enumerate(scenarios):
+            want = np.zeros(got.shape[1], np.uint8)
+            for x in s:
+                want ^= one[row[x]]
+            assert np.array_equal(got[j], want), (name, s)
+    assert not any(getattr(multi, name)[-3].any() for name in FIELDS)  # [f, f] cancels
+    assert all(np.array_equal(getattr(multi, name)[-2], getattr(singles, name)[row[g]])
+               for name in FIELDS)
+
+
+def test_forced_fault_outside_table_rejected(model):
+    with pytest.raises(ValueError):
+        forced(model, [[model.fault_table.count]])
+    with pytest.raises(ValueError):
+        forced(model, [[0], [-1]])
+
+
+def test_zero_noise_flips_nothing(model):
+    batch = sample(model, 10, 3, p=0.0)
+    assert not any(getattr(batch, name).any() for name in FIELDS)
+
+
+def test_sampling_independent_of_batching(model):
+    whole = sample(model, 40, 5, p=0.01)
+    parts = [sample(model, 1, 5, p=0.01, first_shot=j) for j in range(40)]
+    for name in FIELDS:
+        assert np.array_equal(getattr(whole, name),
+                              np.vstack([getattr(b, name) for b in parts])), name
+
+
+@pytest.mark.parametrize("name", ["bb72", "bb144"])
+def test_automorphism_gadgets_realise_shifts(name):
+    code = catalog_code(name)
+    for kind in ("A", "B"):
+        for j in (1, 2, 3):
+            for k in (1, 2, 3):
+                if j == k:
+                    continue
+                circ = build_automorphism_circuit(code, kind, j, k)
+                assert np.array_equal(automorphism_data_permutation(circ),
+                                      shift_permutation(code, circ.shift)), (kind, j, k)
