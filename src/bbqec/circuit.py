@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .code import REGISTERS, BBCode, BivariatePoly, Monomial, _shift_index
-from .gf2 import BinVector
+from .gf2 import BinVector, nwords
 
 REG_OFFSET = {r: i for i, r in enumerate(REGISTERS)}
 
@@ -465,10 +465,6 @@ def enumerate_schedules(code: BBCode, cnot_depth: int = 7) -> list[Schedule]:
 # ---------------------------------------------------------------------------
 
 
-def _scenario_words(batch: int) -> int:
-    return max(1, (batch + 63) // 64)
-
-
 @dataclass
 class FrameResult:
     """Propagation output, packed 64 scenarios per word."""
@@ -496,7 +492,7 @@ def propagate_frames(
     listed twice cancels.
     """
     lm = circ.code.lm
-    W = _scenario_words(batch)
+    W = nwords(batch)
     xf = np.zeros((4 * lm, W), dtype=np.uint64)
     zf = np.zeros((4 * lm, W), dtype=np.uint64)
     zrec = np.zeros((circ.n_cycles, lm, W), dtype=np.uint64)
@@ -690,10 +686,10 @@ def verify_automorphism(
 
     if basis is not None and s is not None:
         for alpha in (Monomial.one(code.l, code.m), s):
-            sup = basis.x_bar(alpha).support_vector(code)
+            sup = basis.x_bar(alpha).support_vector()
             moved = np.zeros(code.n, dtype=np.uint8)
             moved[perm] = sup.to_bits()
-            target = basis.x_bar(s * alpha).support_vector(code)
+            target = basis.x_bar(s * alpha).support_vector()
             diff = BinVector.from_bits(moved) ^ target
             if not (diff.is_zero() or code.hx.in_rowspace(diff)):
                 return False

@@ -226,6 +226,35 @@ def translation_table(l: int, m: int) -> np.ndarray:
 REGISTERS = ("L", "R", "X", "Z")
 
 
+def graph_components(vertices, edges) -> list[list[int]]:
+    """Connected components of the graph on ``vertices`` with ``edges``.
+
+    Edges are (u, v, ...) tuples whose entries after the two endpoints
+    are ignored.  Components come ordered by their smallest vertex, each
+    listing its vertices in depth-first order from that vertex.
+    """
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v, *_ in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen: set[int] = set()
+    components = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, stack = [], [start]
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        components.append(comp)
+    return components
+
+
 @dataclass
 class TannerGraph:
     """Bipartite check/data graph with edges tagged by generating term.
@@ -252,13 +281,6 @@ class TannerGraph:
     def vertex_label(self, v: int) -> tuple[str, int]:
         return REGISTERS[v // self.lm], v % self.lm
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for u, v, _tag in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n_vertices, dtype=int)
         for u, v, _tag in self.edges:
@@ -267,22 +289,7 @@ class TannerGraph:
         return deg
 
     def connected_component_count(self) -> int:
-        adj = self.adjacency()
-        seen = np.zeros(self.n_vertices, dtype=bool)
-        count = 0
-        for start in range(self.n_vertices):
-            if seen[start]:
-                continue
-            count += 1
-            stack = [start]
-            seen[start] = True
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-        return count
+        return len(graph_components(range(self.n_vertices), self.edges))
 
 
 class CodeConstructionError(ValueError):
@@ -545,22 +552,8 @@ def _verify_wheels(
     cyc_tags = {f"{name}{i}" for i in (1, 2, 3)} | {f"{name}{i}T" for i in (1, 2, 3)}
     radial_tags = {radial_tag, radial_tag + "T"}
 
-    seen = np.zeros(4 * lm, dtype=bool)
-    components = 0
-    for start in range(4 * lm):
-        if seen[start] or start not in adj:
-            continue
-        components += 1
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w, _tag in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
+    components = graph_components(adj, edges)
+    for comp in components:
         if len(comp) != 4 * p:
             problems.append(f"component size {len(comp)} != 4p = {4 * p}")
             continue
@@ -611,7 +604,7 @@ def _verify_wheels(
     return WheelReport(
         subgraph=name,
         half_length=p,
-        component_count=components,
+        component_count=len(components),
         edge_count=len(edges),
         all_degree_3=all_deg3,
         ok=not problems,

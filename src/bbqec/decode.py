@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .code import BBCode
-from .gf2 import WORD, BinMatrix, BinVector
+from .gf2 import BinMatrix, BinVector
 
 PRIOR_FLOOR = 1e-12
 
@@ -167,10 +167,7 @@ class BPOSDDecoder:
         return q, hard, converged, iters
 
     def _syndrome_of(self, bits: np.ndarray) -> np.ndarray:
-        v = BinVector.from_bits(bits)
-        return (np.bitwise_count(self.matrix.words & v.words[None, :]).sum(axis=1) & 1).astype(
-            np.uint8
-        )
+        return self.matrix.mul_vec(BinVector.from_bits(bits)).to_bits()
 
     # -- ordered statistics --------------------------------------------------
 
@@ -189,44 +186,19 @@ class BPOSDDecoder:
             DecodingError: syndrome not in the column space.
         """
         syndrome = np.asarray(syndrome, dtype=np.uint8)
-        m, n = self.matrix.rows, self.matrix.cols
+        n = self.matrix.cols
         rel = np.maximum(q, 1 - q)
         order = np.argsort(-rel, kind="stable")
 
         dense = self.matrix.to_dense()[:, order]
-        aug = np.hstack([dense, syndrome.reshape(-1, 1)])
-        words = BinMatrix.from_dense(aug).words
-        ncols = n + 1
-
-        pivot_rows: list[int] = []
-        pivot_cols: list[int] = []
-        pr = 0
-        for c in range(n):
-            if pr >= m:
-                break
-            w, b = c // WORD, np.uint64(c % WORD)
-            col = (words[:, w] >> b) & np.uint64(1)
-            hits = np.flatnonzero(col[pr:])
-            if hits.size == 0:
-                continue
-            piv = pr + int(hits[0])
-            if piv != pr:
-                words[[pr, piv]] = words[[piv, pr]]
-            col = (words[:, w] >> b) & np.uint64(1)
-            col[pr] = 0
-            flip = np.flatnonzero(col)
-            if flip.size:
-                words[flip] ^= words[pr]
-            pivot_rows.append(pr)
-            pivot_cols.append(c)
-            pr += 1
-
+        aug = BinMatrix.from_dense(np.hstack([dense, syndrome.reshape(-1, 1)]))
+        R, pivot_cols = aug.rref(max_pivot_cols=n)
         rank = len(pivot_cols)
-        rhs = ((words[:, n // WORD] >> np.uint64(n % WORD)) & np.uint64(1)).astype(np.uint8)
+        rhs = R.col_bits(n)
         if rhs[rank:].any():
             raise DecodingError("syndrome is not in the column space of D")
 
-        red = BinMatrix(m, ncols, words).to_dense()[:rank, :n]
+        red = R.to_dense()[:rank, :n]
         base = rhs[:rank]
         pivot_cols_arr = np.array(pivot_cols, dtype=np.int64)
         nonpivot = np.setdiff1d(np.arange(n), pivot_cols_arr, assume_unique=False)
@@ -287,17 +259,6 @@ class BPOSDDecoder:
         logical = self.logical.mul_vec(xi) if self.logical is not None else None
         return DecodeOutcome(xi=xi, logical=logical, converged=converged,
                              iterations=iters, weight=w)
-
-
-def bp_marginals(matrix: BinMatrix, priors, syndrome, cfg: BPConfig | None = None):
-    """One-shot functional wrapper around :meth:`BPOSDDecoder.bp_marginals`."""
-    return BPOSDDecoder(matrix, priors, bp=cfg).bp_marginals(np.asarray(syndrome, np.uint8))
-
-
-def osd_postprocess(matrix: BinMatrix, priors, syndrome, q, cfg: OSDConfig | None = None):
-    return BPOSDDecoder(matrix, priors, osd=cfg).osd_postprocess(
-        np.asarray(syndrome, np.uint8), np.asarray(q, float)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +337,7 @@ def _random_kernel_logical(
         coeff = rng.integers(0, 2, kernel_basis.rows, dtype=np.uint8)
         if not coeff.any():
             continue
-        eta = BinVector.zeros(kernel_basis.cols)
-        for i in np.flatnonzero(coeff):
-            eta = eta ^ kernel_basis.row(int(i))
+        eta = BinMatrix.from_dense(coeff).mul_mat(kernel_basis).row(0)
         if not rowspace.in_rowspace(eta):
             return eta
     raise RuntimeError("could not sample a logical representative")
@@ -480,6 +439,7 @@ def circuit_distance_upper_bound(
     """
     D: BinMatrix = side_model.matrix
     L: BinMatrix = side_model.logical
+    LD = L.stack(D)
     rng = np.random.default_rng(seed)
     best: BinVector | None = None
     done = 0
@@ -488,11 +448,7 @@ def circuit_distance_upper_bound(
         while not coeff_l.any():
             coeff_l = rng.integers(0, 2, L.rows, dtype=np.uint8)
         coeff_d = rng.integers(0, 2, D.rows, dtype=np.uint8)
-        eta = BinVector.zeros(D.cols)
-        for i in np.flatnonzero(coeff_l):
-            eta = eta ^ L.row(int(i))
-        for i in np.flatnonzero(coeff_d):
-            eta = eta ^ D.row(int(i))
+        eta = BinMatrix.from_dense(np.concatenate([coeff_l, coeff_d])).mul_mat(LD).row(0)
         xi = minimum_weight_in_coset(D, eta, bp=bp, osd=osd)
         if not D.mul_vec(xi).is_zero() or eta.dot(xi) != 1:
             raise DecodingError("distance witness is not an undetectable logical fault set")

@@ -1,10 +1,15 @@
 """Bit-packed dense linear algebra over GF(2).
 
 Vectors and matrices are stored as little-endian ``uint64`` words, 64
-columns per word.  Elimination routines use word-wide XOR row updates,
-which is plenty fast for the matrix sizes that occur here (n up to a
-couple of thousand).  A sorted column-index-per-row sparse view is
-derived on demand for message-passing decoders.
+columns per word.  This module is the package's only home of bit
+packing (``nwords``, ``pack_bits``, ``unpack_bits``) and of Gaussian
+elimination: ``BinMatrix.rref`` is the one column-elimination loop,
+shared by rank, kernel, solve and the decoder's ordered-statistics
+step (``RowBasis`` answers incremental membership instead).  Row
+updates are word-wide XORs, which is plenty fast for the matrix sizes
+that occur here (n up to a few thousand).  A sorted
+column-index-per-row sparse view is derived on demand for
+message-passing decoders and for products with a sparse left factor.
 """
 
 from __future__ import annotations
@@ -14,22 +19,24 @@ import numpy as np
 WORD = 64
 
 
-def _nwords(nbits: int) -> int:
+def nwords(nbits: int) -> int:
+    """Words needed to hold nbits bits (at least one)."""
     return max(1, (nbits + WORD - 1) // WORD)
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
+def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a 1-D or 2-D 0/1 array into little-endian uint64 words."""
     bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8) & 1)
     r, n = bits.shape
-    w = _nwords(n)
+    w = nwords(n)
     padded = np.zeros((r, w * WORD), dtype=np.uint8)
     padded[:, :n] = bits
     packed = np.packbits(padded, axis=1, bitorder="little")
     return np.ascontiguousarray(packed).view(np.uint64).reshape(r, w)
 
 
-def _unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
+def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """Unpack the first n bits of each row of packed words into a 0/1 array."""
     words = np.atleast_2d(words)
     as_bytes = np.ascontiguousarray(words).view(np.uint8)
     bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
@@ -44,7 +51,7 @@ class BinVector:
     def __init__(self, n: int, words: np.ndarray | None = None):
         self.n = int(n)
         if words is None:
-            words = np.zeros(_nwords(self.n), dtype=np.uint64)
+            words = np.zeros(nwords(self.n), dtype=np.uint64)
         self.words = words
 
     @classmethod
@@ -54,7 +61,7 @@ class BinVector:
     @classmethod
     def from_bits(cls, bits) -> "BinVector":
         bits = np.asarray(bits, dtype=np.uint8)
-        return cls(bits.shape[0], _pack_bits(bits)[0])
+        return cls(bits.shape[0], pack_bits(bits)[0])
 
     @classmethod
     def from_support(cls, n: int, support) -> "BinVector":
@@ -70,7 +77,7 @@ class BinVector:
         return BinVector(self.n, self.words.copy())
 
     def to_bits(self) -> np.ndarray:
-        return _unpack_bits(self.words, self.n)[0]
+        return unpack_bits(self.words, self.n)[0]
 
     @property
     def weight(self) -> int:
@@ -133,7 +140,7 @@ class BinMatrix:
         self.rows = int(rows)
         self.cols = int(cols)
         if words is None:
-            words = np.zeros((self.rows, _nwords(self.cols)), dtype=np.uint64)
+            words = np.zeros((self.rows, nwords(self.cols)), dtype=np.uint64)
         self.words = words
         self._row_supports = None
 
@@ -154,7 +161,7 @@ class BinMatrix:
     def from_dense(cls, arr) -> "BinMatrix":
         arr = np.atleast_2d(np.asarray(arr, dtype=np.uint8) & 1)
         r, c = arr.shape
-        return cls(r, c, _pack_bits(arr))
+        return cls(r, c, pack_bits(arr))
 
     @classmethod
     def from_rows(cls, vectors: list[BinVector]) -> "BinMatrix":
@@ -171,7 +178,7 @@ class BinMatrix:
     # -- views ---------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
-        return _unpack_bits(self.words, self.cols)
+        return unpack_bits(self.words, self.cols)
 
     def row(self, i: int) -> BinVector:
         return BinVector(self.cols, self.words[i].copy())

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .code import (
     BBCode,
     BivariatePoly,
     Monomial,
+    graph_components,
     group_pair_ratios,
     monomial_from_index,
     translation_table,
@@ -59,11 +61,12 @@ class LogicalPauli:
     def weight(self) -> int:
         return self.l_poly.weight + self.r_poly.weight
 
-    def support_vector(self, code: BBCode) -> BinVector:
-        lm = code.lm
+    def support_vector(self) -> BinVector:
+        """Support over the 2lm data qubits, L block first."""
+        lm = self.l_poly.l * self.l_poly.m
         sup = [t.index for t in self.l_poly.terms]
         sup += [lm + t.index for t in self.r_poly.terms]
-        return BinVector.from_support(code.n, sup)
+        return BinVector.from_support(2 * lm, sup)
 
     def anticommutes_with(self, other: "LogicalPauli") -> bool:
         if self.pauli == other.pauli:
@@ -113,11 +116,15 @@ class LogicalBasis:
             self.z_bar_primed(a) for a in self.m_labels
         ]
 
-    def x_support_matrix(self, code: BBCode) -> BinMatrix:
-        return BinMatrix.from_rows([op.support_vector(code) for op in self.x_ops()])
+    @cached_property
+    def x_support_matrix(self) -> BinMatrix:
+        """The X operators' supports, one row each; built once per basis."""
+        return BinMatrix.from_rows([op.support_vector() for op in self.x_ops()])
 
-    def z_support_matrix(self, code: BBCode) -> BinMatrix:
-        return BinMatrix.from_rows([op.support_vector(code) for op in self.z_ops()])
+    @cached_property
+    def z_support_matrix(self) -> BinMatrix:
+        """The Z operators' supports, one row each; built once per basis."""
+        return BinMatrix.from_rows([op.support_vector() for op in self.z_ops()])
 
     def max_weight(self) -> int:
         return max(self.f.weight, self.g.weight + self.h.weight)
@@ -127,20 +134,16 @@ class LogicalBasis:
         xs, zs = self.x_ops(), self.z_ops()
         if len(xs) != code.k or len(zs) != code.k:
             raise BasisSearchError("operator count != k")
-        for op in xs:
-            v = op.support_vector(code)
-            if not code.hz.mul_vec(v).is_zero():
-                raise BasisSearchError("X operator fails to commute with Z checks")
-        for op in zs:
-            v = op.support_vector(code)
-            if not code.hx.mul_vec(v).is_zero():
-                raise BasisSearchError("Z operator fails to commute with X checks")
+        if code.hz.mul_mat(self.x_support_matrix.transpose()).nnz:
+            raise BasisSearchError("X operator fails to commute with Z checks")
+        if code.hx.mul_mat(self.z_support_matrix.transpose()).nnz:
+            raise BasisSearchError("Z operator fails to commute with X checks")
         for i, xop in enumerate(xs):
             for j, zop in enumerate(zs):
                 if xop.anticommutes_with(zop) != (i == j):
                     raise BasisSearchError(f"pairing defect at ({i}, {j})")
-        for mat, h in ((self.x_support_matrix(code), code.hx),
-                       (self.z_support_matrix(code), code.hz)):
+        for mat, h in ((self.x_support_matrix, code.hx),
+                       (self.z_support_matrix, code.hz)):
             if h.stack(mat).rank() != h.rank() + code.k:
                 raise BasisSearchError("operators do not span k qubits modulo stabilizer")
 
@@ -262,8 +265,8 @@ def _family_span_ok(code: BBCode, f: BivariatePoly, g: BivariatePoly, h: Bivaria
     rows = []
     for alpha in code.monomials():
         rows.append(LogicalPauli("X", f.shift(alpha), BivariatePoly.zero(code.l, code.m))
-                    .support_vector(code))
-        rows.append(LogicalPauli("X", g.shift(alpha), h.shift(alpha)).support_vector(code))
+                    .support_vector())
+        rows.append(LogicalPauli("X", g.shift(alpha), h.shift(alpha)).support_vector())
     fam = BinMatrix.from_rows(rows)
     return code.hx.stack(fam).rank() == code.hx.rank() + code.k
 
@@ -667,27 +670,14 @@ class AncillaSystem:
 
 
 def _classify_components(vertices: set[int], edges: list[tuple[int, int]]) -> PlaneComponentReport:
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    deg = dict.fromkeys(vertices, 0)
     for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen: set[int] = set()
+        deg[u] += 1
+        deg[v] += 1
     sizes, kinds = [], []
-    for start in sorted(vertices):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        ecount = sum(len(adj[u]) for u in comp) // 2
-        degs = sorted(len(adj[u]) for u in comp)
+    for comp in graph_components(vertices, edges):
+        degs = sorted(deg[u] for u in comp)
+        ecount = sum(degs) // 2
         n = len(comp)
         if n == 1:
             kind = "isolated"

@@ -32,7 +32,7 @@ import numpy as np
 
 from .circuit import ScheduledCircuit, Step, propagate_frames
 from .code import BBCode
-from .gf2 import BinMatrix
+from .gf2 import WORD, BinMatrix, nwords, pack_bits, unpack_bits
 from .logical import LogicalBasis
 
 # Pauli encoding for two-qubit fault classes: I=0, X=1, Y=2, Z=3.
@@ -144,20 +144,6 @@ def _difference_map(rec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gf2_rows_dot(matrix: BinMatrix, frames: np.ndarray) -> np.ndarray:
-    """Rows of a support matrix applied to packed scenario frames.
-
-    frames has one row per qubit; the output row c is the XOR of the
-    frame rows in check c's support.
-    """
-    W = frames.shape[1]
-    out = np.zeros((matrix.rows, W), dtype=np.uint64)
-    for i, sup in enumerate(matrix.row_supports()):
-        if sup.size:
-            out[i] = np.bitwise_xor.reduce(frames[sup], axis=0)
-    return out
-
-
 @dataclass
 class SyndromeBundle:
     """Packed per-scenario syndromes of one propagation run."""
@@ -185,12 +171,6 @@ class SyndromeBundle:
         return np.vstack([self.diff_x_checks.reshape(nc * lm, W),
                           self.final_z_error_syndrome])
 
-    def unpack_bits(self, arr: np.ndarray) -> np.ndarray:
-        """(rows, W) packed -> (rows, batch) uint8."""
-        as_bytes = np.ascontiguousarray(arr).view(np.uint8)
-        bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-        return bits[:, : self.batch]
-
 
 def propagate_with_faults(
     circ: ScheduledCircuit,
@@ -201,18 +181,20 @@ def propagate_with_faults(
 ) -> SyndromeBundle:
     res = propagate_frames(circ, batch, injections, meas_flips)
     code = circ.code
-    x_sup = basis.x_support_matrix(code)
-    z_sup = basis.z_support_matrix(code)
+
+    def syndromes(checks: BinMatrix, frames: np.ndarray) -> np.ndarray:
+        return checks.mul_mat(BinMatrix(len(frames), batch, frames)).words
+
     return SyndromeBundle(
         batch=batch,
         diff_z_checks=_difference_map(res.z_check_outcomes),
         diff_x_checks=_difference_map(res.x_check_outcomes),
         raw_z_checks=res.z_check_outcomes,
         raw_x_checks=res.x_check_outcomes,
-        final_x_error_syndrome=_gf2_rows_dot(code.hz, res.final_x_frame),
-        final_z_error_syndrome=_gf2_rows_dot(code.hx, res.final_z_frame),
-        logical_x=_gf2_rows_dot(z_sup, res.final_x_frame),
-        logical_z=_gf2_rows_dot(x_sup, res.final_z_frame),
+        final_x_error_syndrome=syndromes(code.hz, res.final_x_frame),
+        final_z_error_syndrome=syndromes(code.hx, res.final_z_frame),
+        logical_x=syndromes(basis.z_support_matrix, res.final_x_frame),
+        logical_z=syndromes(basis.x_support_matrix, res.final_z_frame),
         alpha=res.final_x_frame,
         beta=res.final_z_frame,
     )
@@ -277,20 +259,12 @@ class DetectorModel:
 def _pack_columns(detector_rows: np.ndarray, logical_rows: np.ndarray, batch: int):
     """Transpose packed scenario-major data into per-column signatures."""
     all_rows = np.vstack([detector_rows, logical_rows])
-    nrows = all_rows.shape[0]
-    sig_words = (nrows + 63) // 64
-    out = np.zeros((batch, sig_words), dtype=np.uint64)
-    chunk = 8192
+    out = np.zeros((batch, nwords(all_rows.shape[0])), dtype=np.uint64)
+    chunk = 128 * WORD  # whole words, so each slice starts at bit 0 of a word
     for lo in range(0, batch, chunk):
         hi = min(batch, lo + chunk)
-        wlo, wb = lo // 64, lo % 64
-        # unpack the scenario slice, transpose, repack as signature rows
-        src = np.ascontiguousarray(all_rows[:, wlo : (hi + 63) // 64]).view(np.uint8)
-        bits = np.unpackbits(src, axis=1, bitorder="little")[:, wb : wb + (hi - lo)]
-        cols = np.ascontiguousarray(bits.T)
-        padded = np.zeros((cols.shape[0], sig_words * 64), dtype=np.uint8)
-        padded[:, :nrows] = cols
-        out[lo:hi] = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+        bits = unpack_bits(all_rows[:, lo // WORD : nwords(hi)], hi - lo)
+        out[lo:hi] = pack_bits(bits.T)
     return out
 
 
@@ -320,9 +294,7 @@ def _side_model(
     merged_priors = merged_priors[keep]
     provenance = [provenance[i] for i in keep]
 
-    as_bytes = np.ascontiguousarray(merged).view(np.uint8)
-    col_bits = np.unpackbits(as_bytes, axis=1, bitorder="little")[:, : n_det + n_log]
-    dense = col_bits.T  # rows x merged columns
+    dense = unpack_bits(merged, n_det + n_log).T  # rows x merged columns
     return SideModel(
         error_type=error_type,
         matrix=BinMatrix.from_dense(dense[:n_det]),
@@ -445,7 +417,9 @@ def sample_circuit_noise(
 
 
 def _bundle_to_samples(bundle: SyndromeBundle) -> SampleBatch:
-    unp = bundle.unpack_bits
+    def unp(arr: np.ndarray) -> np.ndarray:
+        return unpack_bits(arr, bundle.batch)
+
     nc, lm, _ = bundle.raw_z_checks.shape
     return SampleBatch(
         shots=bundle.batch,

@@ -8,14 +8,11 @@ import pytest
 from bbqec.circuit import (
     automorphism_data_permutation,
     build_automorphism_circuit,
-    build_sm_circuit,
     shift_permutation,
 )
 from bbqec.code import catalog_code
-from bbqec.logical import find_basis_polynomials
-from bbqec.noise import build_detector_model, dump_side_model, sample_circuit_noise
+from bbqec.noise import dump_side_model, sample_circuit_noise
 
-P = 0.003
 FIELDS = ("x_syndromes", "z_syndromes", "logical_x", "logical_z",
           "raw_z_checks", "raw_x_checks", "alpha", "beta")
 
@@ -37,14 +34,8 @@ def batch_digest(batch) -> str:
     return h.hexdigest()
 
 
-@pytest.fixture(scope="module")
-def model():
-    code = catalog_code("bb72")
-    basis = find_basis_polynomials(code)[0]
-    return build_detector_model(build_sm_circuit(code, 6), P, basis)
-
-
-def sample(model, shots, seed, p=P, **kwargs):
+def sample(model, shots, seed, p=None, **kwargs):
+    p = model.p if p is None else p
     return sample_circuit_noise(model.circuit, p, shots, seed, model.basis, **kwargs)
 
 
