@@ -172,23 +172,23 @@ class BPOSDDecoder:
     # -- ordered statistics --------------------------------------------------
 
     def osd_postprocess(self, syndrome: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Solve D xi = syndrome on the most reliable information set.
+        """Solve D xi = syndrome on the most likely information set.
 
-        Columns are ranked by reliability max(q, 1-q), ties broken by
-        lower index; a greedy elimination keeps each column that is
-        independent of the more reliable ones, which maximizes the
-        information set's reliability product.  In combination-sweep
-        mode the excluded columns are then flipped singly (all) and in
-        pairs (among the ``sweep_depth`` most error-prone) and the
-        lightest solution wins.
+        Columns are ranked by BP's error probability q, most likely
+        first, ties broken by lower index (the ordering of
+        Panteleev-Kalachev, arXiv:1904.02703); the elimination keeps
+        each column that is independent of the higher-ranked ones, and
+        the order-0 solution is supported on those columns.  In
+        combination-sweep mode the excluded columns are then flipped
+        singly (all) and in pairs (among the ``sweep_depth`` most
+        likely) and the lightest solution wins.
 
         Raises:
             DecodingError: syndrome not in the column space.
         """
         syndrome = np.asarray(syndrome, dtype=np.uint8)
         n = self.matrix.cols
-        rel = np.maximum(q, 1 - q)
-        order = np.argsort(-rel, kind="stable")
+        order = np.argsort(-q, kind="stable")
 
         dense = self.matrix.to_dense()[:, order]
         aug = BinMatrix.from_dense(np.hstack([dense, syndrome.reshape(-1, 1)]))
@@ -223,9 +223,9 @@ class BPOSDDecoder:
                 best_w = float(weights[j])
                 best_piv = piv_matrix[:, j]
                 best_np = nonpivot[j : j + 1]
-            # pairs among the most error-prone excluded columns
-            by_q = nonpivot[np.argsort(-q[order][nonpivot], kind="stable")]
-            top = by_q[: self.osd_cfg.sweep_depth]
+            # pairs among the most likely excluded columns, which come
+            # first because the columns are in descending q order
+            top = nonpivot[: self.osd_cfg.sweep_depth]
             for a, b in combinations(range(len(top)), 2):
                 pattern = top[[a, b]]
                 w, piv_bits = solution_weight(pattern)

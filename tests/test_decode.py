@@ -1,11 +1,62 @@
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from bbqec import decode
 from bbqec.code import catalog_code
-from bbqec.decode import DecodingError, circuit_distance_upper_bound, distance_upper_bound
+from bbqec.decode import (
+    BPConfig,
+    BPOSDDecoder,
+    DecodingError,
+    circuit_distance_upper_bound,
+    distance_upper_bound,
+)
 from bbqec.gf2 import BinMatrix, BinVector
+
+SIDES = ("x", "z")
+
+
+@pytest.fixture(scope="module")
+def sides(model):
+    """(decoder, dense D, dense L) of each side of the bb72, 6-cycle model."""
+    out = {}
+    for side in SIDES:
+        sm = getattr(model, side)
+        dec = BPOSDDecoder(sm.matrix, sm.priors, bp=BPConfig(max_iters=100), logical=sm.logical)
+        out[side] = (dec, sm.matrix.to_dense(), sm.logical.to_dense())
+    return out
+
+
+def decode_failures(side, column_sets) -> list:
+    """Column sets whose XOR syndrome decodes to a different logical action.
+
+    Every decode must also return a solution of its syndrome.
+    """
+    dec, D, L = side
+    failed = []
+    for cols in column_sets:
+        syndrome = D[:, cols].sum(axis=1) % 2
+        out = dec.decode(syndrome)
+        assert np.array_equal(D @ out.xi.to_bits() % 2, syndrome), cols
+        if not np.array_equal(out.logical.to_bits(), L[:, cols].sum(axis=1) % 2):
+            failed.append(cols)
+    return failed
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_single_columns_decode_to_their_logical_action(sides, side):
+    cols = np.random.default_rng(11).choice(sides[side][1].shape[1], size=30, replace=False)
+    assert decode_failures(sides[side], [[int(j)] for j in cols]) == []
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_column_pairs_decode_to_their_logical_action(sides, side):
+    # ordering OSD columns by max(q, 1 - q) instead of q fails several of these
+    rng = np.random.default_rng(12)
+    n = sides[side][1].shape[1]
+    pairs = [[int(j) for j in rng.choice(n, size=2, replace=False)] for _ in range(40)]
+    assert decode_failures(sides[side], pairs) == []
 
 
 def test_distance_bounds_reject_a_witness_outside_the_kernel(monkeypatch):
