@@ -1,6 +1,11 @@
 """Logical-operator machinery on bb72."""
 
-from bbqec.logical import build_ancilla_system
+from dataclasses import replace
+
+import pytest
+
+from bbqec.code import BivariatePoly
+from bbqec.logical import BasisSearchError, build_ancilla_system
 
 # Component sizes and kinds of the two planar halves of each ancilla
 # system's base subgraph, recorded before the component search was
@@ -18,3 +23,12 @@ def test_ancilla_plane_components(model):
         system = build_ancilla_system(model.code, model.basis, target, layers=3)
         assert (system.plane_a.sizes, system.plane_a.kinds) == plane_a, target
         assert (system.plane_b.sizes, system.plane_b.kinds) == plane_b, target
+
+
+def test_validate_rejects_a_broken_basis(model):
+    code, basis = model.code, model.basis
+    basis.validate(code)
+    # X(f + 1, 0) leaves ker HZ, since f B = 0 but (f + 1) B = B
+    broken = replace(basis, f=basis.f + BivariatePoly.one(code.l, code.m))
+    with pytest.raises(BasisSearchError, match="commute"):
+        broken.validate(code)
