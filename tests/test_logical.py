@@ -8,8 +8,7 @@ from bbqec.code import BivariatePoly
 from bbqec.logical import BasisSearchError, build_ancilla_system
 
 # Component sizes and kinds of the two planar halves of each ancilla
-# system's base subgraph, recorded before the component search was
-# shared with the Tanner-graph and wheel code.
+# system's base subgraph, components ordered by their smallest vertex.
 PLANES = {
     "X": (([2] * 6 + [1] * 3, ["pair"] * 6 + ["isolated"] * 3),
           ([9, 3, 3], ["path"] * 3)),
