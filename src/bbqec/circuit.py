@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .code import REGISTERS, BBCode, BivariatePoly, Monomial, _shift_index
-from .gf2 import BinVector, nwords
+from .gf2 import BinVector, bit_masks, nwords, unpack_bits
 
 REG_OFFSET = {r: i for i, r in enumerate(REGISTERS)}
 
@@ -500,7 +500,6 @@ def propagate_frames(
     injections = injections or {}
     meas_flips = meas_flips or {}
 
-    one = np.uint64(1)
     for sidx, step in enumerate(circ.steps):
         if step.kind == "cnot":
             xf[step.targets] ^= xf[step.qubits]
@@ -512,7 +511,8 @@ def propagate_frames(
             rec = xf[step.qubits].copy() if step.basis == "Z" else zf[step.qubits].copy()
             if sidx in meas_flips:
                 posv, scen = meas_flips[sidx]
-                np.bitwise_xor.at(rec, (posv, scen // 64), one << (scen % 64).astype(np.uint64))
+                words, masks = bit_masks(scen)
+                np.bitwise_xor.at(rec, (posv, words), masks)
             if step.basis == "Z":
                 zrec[step.meas_slot] = rec
             else:
@@ -520,8 +520,7 @@ def propagate_frames(
         # idle: nothing to apply
         if sidx in injections:
             qv, fv, scen = injections[sidx]
-            masks = one << (scen % 64).astype(np.uint64)
-            words = scen // 64
+            words, masks = bit_masks(scen)
             xm = fv == 0
             if xm.any():
                 np.bitwise_xor.at(xf, (qv[xm], words[xm]), masks[xm])
@@ -638,7 +637,7 @@ def automorphism_data_permutation(circ: AutomorphismCircuit) -> np.ndarray:
     probe = ScheduledCircuit(code=circ.code, n_cycles=0, steps=circ.steps)
     res = propagate_frames(probe, 2 * n, injections)
     dense_x, dense_z = (
-        np.unpackbits(fin.view(np.uint8), axis=1, bitorder="little")[:, scen]
+        unpack_bits(fin, 2 * n)[:, scen]
         for fin, scen in ((res.final_x_frame, data), (res.final_z_frame, n + data))
     )
     if not ((dense_x.sum(axis=0) == 1).all() and (dense_x.sum(axis=1) == 1).all()):

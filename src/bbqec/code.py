@@ -409,7 +409,6 @@ def build_code(
         if require_pure_powers and not all(t.is_pure_power() for t in poly.terms):
             raise CodeConstructionError(f"{name} has mixed x/y terms")
 
-    lm = l * m
     amat, bmat = a_poly.to_matrix(), b_poly.to_matrix()
     hx = amat.hstack(bmat)
     hz = bmat.transpose().hstack(amat.transpose())
@@ -420,28 +419,27 @@ def build_code(
     rx, rz = hx.rank(), hz.rank()
     if rx != rz:
         raise CodeConstructionError("rank(HX) != rank(HZ); construction bug")
+    k = _logical_count(amat, bmat, rz)
+    return BBCode(l=l, m=m, a_poly=a_poly, b_poly=b_poly, hx=hx, hz=hz, k=k)
 
-    k_rank = 2 * lm - 2 * rz
+
+def _logical_count(amat: BinMatrix, bmat: BinMatrix, rank_hz: int) -> int:
+    """Logical qubit count, computed two independent ways.
+
+    Both n - 2*rank(HZ) and 2*dim(ker A ∩ ker B) are evaluated, with
+    n = 2*lm; a mismatch is a fatal invariant violation.
+    """
+    lm = amat.rows
+    k_rank = 2 * lm - 2 * rank_hz
     k_kernel = 2 * (lm - amat.stack(bmat).rank())
     if k_rank != k_kernel:
-        raise CodeConstructionError(
-            f"logical-count formulas disagree: {k_rank} vs {k_kernel}"
-        )
-    return BBCode(l=l, m=m, a_poly=a_poly, b_poly=b_poly, hx=hx, hz=hz, k=k_rank)
+        raise CodeConstructionError(f"logical-count formulas disagree: {k_rank} vs {k_kernel}")
+    return k_rank
 
 
 def compute_k(code: BBCode) -> int:
-    """Logical qubit count, computed two independent ways.
-
-    Both n - 2*rank(HZ) and 2*dim(ker A ∩ ker B) are evaluated; a
-    mismatch is a fatal invariant violation.
-    """
-    amat, bmat = code.a_poly.to_matrix(), code.b_poly.to_matrix()
-    k_rank = code.n - 2 * code.hz.rank()
-    k_kernel = 2 * (code.lm - amat.stack(bmat).rank())
-    if k_rank != k_kernel:
-        raise CodeConstructionError(f"k formulas disagree: {k_rank} vs {k_kernel}")
-    return k_rank
+    """Logical qubit count of a built code, cross-checked as in build_code."""
+    return _logical_count(code.a_poly.to_matrix(), code.b_poly.to_matrix(), code.hz.rank())
 
 
 # -- Lemma machinery ------------------------------------------------------
@@ -463,18 +461,35 @@ def group_pair_ratios(code: BBCode) -> list[Monomial]:
     return out
 
 
+def generator_paths(
+    generators: list[Monomial], l: int, m: int
+) -> tuple[dict[Monomial, int], dict[Monomial, list[Monomial]]]:
+    """Breadth-first search over products of the generators from 1.
+
+    Returns, for each reachable element of Z_l x Z_m, the fewest
+    generators whose product it is, and one such product (the first
+    found, generators tried in the given order).
+    """
+    start = Monomial.one(l, m)
+    dist = {start: 0}
+    path: dict[Monomial, list[Monomial]] = {start: []}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in generators:
+                h = g * s
+                if h not in dist:
+                    dist[h] = dist[g] + 1
+                    path[h] = path[g] + [s]
+                    nxt.append(h)
+        frontier = nxt
+    return dist, path
+
+
 def subgroup_closure(generators: list[Monomial], l: int, m: int) -> set[Monomial]:
     """The subgroup of Z_l x Z_m generated by the given elements."""
-    seen = {Monomial.one(l, m)}
-    frontier = [Monomial.one(l, m)]
-    while frontier:
-        g = frontier.pop()
-        for s in generators:
-            h = g * s
-            if h not in seen:
-                seen.add(h)
-                frontier.append(h)
-    return seen
+    return set(generator_paths(generators, l, m)[0])
 
 
 def connected_components(code: BBCode) -> int:

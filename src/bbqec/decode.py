@@ -4,8 +4,8 @@ The decoder treats an arbitrary binary matrix D with per-column priors
 as a classical linear code with noiseless syndromes: belief propagation
 (normalized min-sum, flooding schedule) estimates per-column posterior
 marginals, then ordered-statistics post-processing solves the syndrome
-on the most reliable information set, optionally sweeping single and
-paired flips of the excluded columns to lower the solution weight.
+on the most likely information set and sweeps single and paired flips
+of the excluded columns to lower the solution weight.
 
 The same machinery doubles as a randomized upper bound on code and
 circuit distance: minimize a solution weight subject to anticommuting
@@ -24,6 +24,7 @@ from .code import BBCode
 from .gf2 import BinMatrix, BinVector
 
 PRIOR_FLOOR = 1e-12
+MIN_SUM_SCALE = 0.625  # normalization of the check-to-variable messages
 
 
 class DecodingError(RuntimeError):
@@ -35,8 +36,6 @@ class BPConfig:
     """Min-sum belief propagation settings."""
 
     max_iters: int = 10000
-    scale: float = 0.625
-    early_exit: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -47,17 +46,14 @@ class BPConfig:
 class OSDConfig:
     """Ordered-statistics settings.
 
-    mode "order-0" solves once on the information set;
-    "combination-sweep" additionally tries every single excluded-column
-    flip and all pairs among the ``sweep_depth`` most suspect ones.
+    After solving on the information set, the combination sweep tries
+    every single excluded-column flip and all pairs among the
+    ``sweep_depth`` most likely excluded columns.
     """
 
-    mode: str = "combination-sweep"
     sweep_depth: int = 20
 
     def __post_init__(self):
-        if self.mode not in ("order-0", "combination-sweep"):
-            raise ValueError(f"unknown OSD mode {self.mode!r}")
         if self.sweep_depth < 0:
             raise ValueError("sweep_depth must be >= 0")
 
@@ -131,7 +127,6 @@ class BPOSDDecoder:
         hard = (llr_total < 0).astype(np.uint8)
         converged = False
         iters = 0
-        packed_rows = self.matrix.words
         for iters in range(1, self.bp_cfg.max_iters + 1):
             v2c = llr_total[ev] - c2v
             np.clip(v2c, -1e30, 1e30, out=v2c)
@@ -155,13 +150,12 @@ class BPOSDDecoder:
             min2[np.diff(cs) == 0] = np.inf
             out_mag = np.where(first_min, min2[ec], min1[ec])
             sign = np.where(par[ec] ^ neg, -1.0, 1.0) * syn_sign
-            c2v = self.bp_cfg.scale * sign * np.where(np.isfinite(out_mag), out_mag, 0.0)
+            c2v = MIN_SUM_SCALE * sign * np.where(np.isfinite(out_mag), out_mag, 0.0)
             llr_total = self.prior_llr + np.bincount(ev, weights=c2v, minlength=n)
             hard = (llr_total < 0).astype(np.uint8)
-            if self.bp_cfg.early_exit or iters == self.bp_cfg.max_iters:
-                if self._syndrome_of(hard).tobytes() == syndrome.tobytes():
-                    converged = True
-                    break
+            if self._syndrome_of(hard).tobytes() == syndrome.tobytes():
+                converged = True
+                break
         with np.errstate(over="ignore"):
             q = 1.0 / (1.0 + np.exp(np.clip(llr_total, -500, 500)))
         return q, hard, converged, iters
@@ -178,10 +172,10 @@ class BPOSDDecoder:
         first, ties broken by lower index (the ordering of
         Panteleev-Kalachev, arXiv:1904.02703); the elimination keeps
         each column that is independent of the higher-ranked ones, and
-        the order-0 solution is supported on those columns.  In
-        combination-sweep mode the excluded columns are then flipped
-        singly (all) and in pairs (among the ``sweep_depth`` most
-        likely) and the lightest solution wins.
+        the order-0 solution is supported on those columns.  The
+        combination sweep then flips the excluded columns singly (all)
+        and in pairs (among the ``sweep_depth`` most likely) and the
+        lightest solution wins.
 
         Raises:
             DecodingError: syndrome not in the column space.
@@ -189,10 +183,7 @@ class BPOSDDecoder:
         syndrome = np.asarray(syndrome, dtype=np.uint8)
         n = self.matrix.cols
         order = np.argsort(-q, kind="stable")
-
-        dense = self.matrix.to_dense()[:, order]
-        aug = BinMatrix.from_dense(np.hstack([dense, syndrome.reshape(-1, 1)]))
-        R, pivot_cols = aug.rref(max_pivot_cols=n)
+        R, pivot_cols = self.matrix.append_col(syndrome).rref(pivot_order=order)
         rank = len(pivot_cols)
         rhs = R.col_bits(n)
         if rhs[rank:].any():
@@ -200,31 +191,31 @@ class BPOSDDecoder:
 
         red = R.to_dense()[:rank, :n]
         base = rhs[:rank]
-        pivot_cols_arr = np.array(pivot_cols, dtype=np.int64)
-        nonpivot = np.setdiff1d(np.arange(n), pivot_cols_arr, assume_unique=False)
-        lw_perm = self.log_weights[order]
+        pivots = np.array(pivot_cols, dtype=np.int64)
+        is_pivot = np.zeros(n, dtype=bool)
+        is_pivot[pivots] = True
+        nonpivot = order[~is_pivot[order]]  # excluded columns, most likely first
+        lw = self.log_weights
+        lw_piv = lw[pivots]
 
         def solution_weight(np_pattern: np.ndarray) -> tuple[float, np.ndarray]:
             piv_bits = base.copy()
             for j in np_pattern:
                 piv_bits ^= red[:, j]
-            w = float(lw_perm[pivot_cols_arr] @ piv_bits) + float(lw_perm[np_pattern].sum())
+            w = float(lw_piv @ piv_bits) + float(lw[np_pattern].sum())
             return w, piv_bits
 
         best_w, best_piv = solution_weight(np.zeros(0, dtype=np.int64))
         best_np: np.ndarray = np.zeros(0, dtype=np.int64)
 
-        if self.osd_cfg.mode == "combination-sweep" and nonpivot.size:
-            cols_np = red[:, nonpivot]
-            piv_matrix = cols_np ^ base[:, None]
-            weights = lw_perm[pivot_cols_arr] @ piv_matrix + lw_perm[nonpivot]
+        if nonpivot.size:
+            piv_matrix = red[:, nonpivot] ^ base[:, None]
+            weights = lw_piv @ piv_matrix + lw[nonpivot]
             j = int(np.argmin(weights))
             if weights[j] < best_w:
                 best_w = float(weights[j])
                 best_piv = piv_matrix[:, j]
                 best_np = nonpivot[j : j + 1]
-            # pairs among the most likely excluded columns, which come
-            # first because the columns are in descending q order
             top = nonpivot[: self.osd_cfg.sweep_depth]
             for a, b in combinations(range(len(top)), 2):
                 pattern = top[[a, b]]
@@ -232,19 +223,15 @@ class BPOSDDecoder:
                 if w < best_w:
                     best_w, best_piv, best_np = w, piv_bits, pattern
 
-        x_perm = np.zeros(n, dtype=np.uint8)
-        x_perm[pivot_cols_arr] = best_piv
-        x_perm[best_np] = 1
         x = np.zeros(n, dtype=np.uint8)
-        x[order] = x_perm
+        x[pivots] = best_piv
+        x[best_np] = 1
         return x
 
     # -- end-to-end ---------------------------------------------------------
 
     def decode(self, syndrome) -> DecodeOutcome:
         """BP then OSD; the returned solution always satisfies D xi = s."""
-        if isinstance(syndrome, BinVector):
-            syndrome = syndrome.to_bits()
         syndrome = np.asarray(syndrome, dtype=np.uint8)
         q, hard, converged, iters = self.bp_marginals(syndrome)
         x = self.osd_postprocess(syndrome, q)
@@ -267,6 +254,8 @@ class BPOSDDecoder:
 
 _DISTANCE_BP = BPConfig(max_iters=300)
 _DISTANCE_OSD = OSDConfig(sweep_depth=30)
+_REDUCE_PASSES = 8  # sweeps of single-row moves in reduce_weight_modulo_rows
+_DESCENT_PAIRS = 400  # rows whose pairs descend_modulo_rows scans
 
 
 @dataclass
@@ -277,14 +266,14 @@ class DistanceEstimate:
     weights: list[int] = field(default_factory=list)
 
 
-def reduce_weight_modulo_rows(v: BinVector, mat: BinMatrix, passes: int = 8) -> BinVector:
+def reduce_weight_modulo_rows(v: BinVector, mat: BinMatrix) -> BinVector:
     """Greedy weight reduction of v by XORing rows of mat.
 
     Single-row moves only; used to shrink coset representatives so that
     they make useful (sparse) check nodes for belief propagation.
     """
     rows = [mat.row(i) for i in range(mat.rows)]
-    for _ in range(passes):
+    for _ in range(_REDUCE_PASSES):
         improved = False
         for r in rows:
             cand = v ^ r
@@ -296,12 +285,12 @@ def reduce_weight_modulo_rows(v: BinVector, mat: BinMatrix, passes: int = 8) -> 
     return v
 
 
-def descend_modulo_rows(v: BinVector, mat: BinMatrix, pair_budget: int = 400) -> BinVector:
+def descend_modulo_rows(v: BinVector, mat: BinMatrix) -> BinVector:
     """Local minimum of |v| under XOR with rows (and row pairs) of mat.
 
     Candidate rows are the ones overlapping the current support, which
     is where a weight drop is possible; pairs are scanned among the
-    ``pair_budget`` highest-overlap rows once singles are exhausted.
+    ``_DESCENT_PAIRS`` highest-overlap rows once singles are exhausted.
     """
     dense = mat.to_dense()
     rows = [mat.row(i) for i in range(mat.rows)]
@@ -318,8 +307,8 @@ def descend_modulo_rows(v: BinVector, mat: BinMatrix, pair_budget: int = 400) ->
         if improved:
             continue
         touching = np.flatnonzero(overlap >= 1)
-        if len(touching) > pair_budget:
-            touching = touching[np.argsort(-overlap[touching], kind="stable")][:pair_budget]
+        if len(touching) > _DESCENT_PAIRS:
+            touching = touching[np.argsort(-overlap[touching], kind="stable")][:_DESCENT_PAIRS]
         for a, b in combinations(touching.tolist(), 2):
             cand = v ^ rows[a] ^ rows[b]
             if cand.weight < v.weight:
@@ -343,31 +332,19 @@ def _random_kernel_logical(
     raise RuntimeError("could not sample a logical representative")
 
 
-def minimum_weight_in_coset(
-    kernel_mat: BinMatrix,
-    eta: BinVector,
-    bp: BPConfig | None = None,
-    osd: OSDConfig | None = None,
-) -> BinVector:
+def minimum_weight_in_coset(kernel_mat: BinMatrix, eta: BinVector) -> BinVector:
     """BP-OSD minimization of |xi| with kernel_mat xi = 0, eta . xi = 1."""
     stacked = kernel_mat.append_row(eta)
     syndrome = np.zeros(stacked.rows, dtype=np.uint8)
     syndrome[-1] = 1
     priors = np.full(stacked.cols, 0.01)
-    dec = BPOSDDecoder(stacked, priors, bp=bp or _DISTANCE_BP, osd=osd or _DISTANCE_OSD,
+    dec = BPOSDDecoder(stacked, priors, bp=_DISTANCE_BP, osd=_DISTANCE_OSD,
                        log_weights=np.ones(stacked.cols))
     return dec.decode(syndrome).xi
 
 
 def distance_upper_bound(
-    code: BBCode,
-    trials: int,
-    seed: int = 0,
-    pauli: str = "Z",
-    target: int | None = None,
-    bp: BPConfig | None = None,
-    osd: OSDConfig | None = None,
-    collect: bool = False,
+    code: BBCode, trials: int, seed: int = 0, pauli: str = "Z"
 ) -> DistanceEstimate:
     """Randomized BP-OSD upper bound on the code distance.
 
@@ -377,7 +354,7 @@ def distance_upper_bound(
     weight seen across trials bounds the distance from above.  eta is
     first shrunk modulo rs(HX) so BP sees a sparse extra check, and the
     solution is locally descended modulo rs(HZ) (which preserves both
-    constraints).  Stops early once ``target`` is reached.
+    constraints).  ``weights`` records every trial's witness weight.
 
     Raises:
         ValueError: trials < 1 or a pauli other than "X" or "Z".
@@ -399,32 +376,20 @@ def distance_upper_bound(
     rng = np.random.default_rng(seed)
     best: BinVector | None = None
     weights = []
-    done = 0
     for _ in range(trials):
         eta = _random_kernel_logical(rng, kernel_basis, kernel_mat)
         eta = reduce_weight_modulo_rows(eta, kernel_mat)
-        xi = minimum_weight_in_coset(kernel_mat, eta, bp=bp, osd=osd)
+        xi = minimum_weight_in_coset(kernel_mat, eta)
         xi = descend_modulo_rows(xi, dual_kernel_mat)
         if not kernel_mat.mul_vec(xi).is_zero() or eta.dot(xi) != 1:
             raise DecodingError("distance witness is not a nontrivial logical")
-        done += 1
-        if collect:
-            weights.append(xi.weight)
+        weights.append(xi.weight)
         if best is None or xi.weight < best.weight:
             best = xi
-        if target is not None and best.weight <= target:
-            break
-    return DistanceEstimate(best.weight if best else None, done, best, weights)
+    return DistanceEstimate(best.weight, trials, best, weights)
 
 
-def circuit_distance_upper_bound(
-    side_model,
-    trials: int,
-    seed: int = 0,
-    target: int | None = None,
-    bp: BPConfig | None = None,
-    osd: OSDConfig | None = None,
-) -> DistanceEstimate:
+def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> DistanceEstimate:
     """Randomized upper bound on the circuit-level distance of one side.
 
     ``side_model`` carries the detector matrix D and the logical-action
@@ -432,6 +397,7 @@ def circuit_distance_upper_bound(
     D plus a nonzero combination of rows of L; any xi in ker D with
     eta . xi = 1 is an undetectable fault set with nontrivial logical
     action, so its weight bounds the circuit distance for this type.
+    ``weights`` records every trial's witness weight.
 
     Raises:
         DecodingError: a trial's witness is not in ker D or has
@@ -442,22 +408,20 @@ def circuit_distance_upper_bound(
     LD = L.stack(D)
     rng = np.random.default_rng(seed)
     best: BinVector | None = None
-    done = 0
+    weights = []
     for _ in range(trials):
         coeff_l = rng.integers(0, 2, L.rows, dtype=np.uint8)
         while not coeff_l.any():
             coeff_l = rng.integers(0, 2, L.rows, dtype=np.uint8)
         coeff_d = rng.integers(0, 2, D.rows, dtype=np.uint8)
         eta = BinMatrix.from_dense(np.concatenate([coeff_l, coeff_d])).mul_mat(LD).row(0)
-        xi = minimum_weight_in_coset(D, eta, bp=bp, osd=osd)
+        xi = minimum_weight_in_coset(D, eta)
         if not D.mul_vec(xi).is_zero() or eta.dot(xi) != 1:
             raise DecodingError("distance witness is not an undetectable logical fault set")
-        done += 1
+        weights.append(xi.weight)
         if best is None or xi.weight < best.weight:
             best = xi
-        if target is not None and best.weight <= target:
-            break
-    return DistanceEstimate(best.weight if best else None, done, best)
+    return DistanceEstimate(best.weight if best else None, trials, best, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -474,23 +438,22 @@ def exact_distance_small(
     w_max: int,
     budget: float = 1e9,
     pauli: str = "Z",
-    collect_witnesses: bool = False,
-) -> int | None | tuple[int | None, list[BinVector]]:
-    """Certified minimum logical weight up to w_max, or None if none exists.
+) -> tuple[int | None, list[BinVector]]:
+    """Certified minimum logical weight up to w_max, with every witness.
 
     Enumerates, exhaustively after quotienting by the lm translation
     symmetry, all weight <= w_max vectors in the check kernel and keeps
     those outside the opposite row space.  A meet-in-the-middle split
-    over syndrome collisions keeps the search tractable.  With
-    ``collect_witnesses`` every logical representative found (not just
-    the lightest) is returned alongside the minimum.
+    over syndrome collisions keeps the search tractable.  Returns the
+    minimum (None if there is no logical of weight <= w_max) and every
+    logical representative found, not just the lightest.
 
     Raises:
         BudgetExceeded: the guard estimate exceeds ``budget``.
     """
     witnesses: list[BinVector] = []
     if w_max <= 0:
-        return (None, witnesses) if collect_witnesses else None
+        return None, witnesses
     n, lm = code.n, code.lm
     est = sum(math.comb(n, w) for w in range(w_max + 1)) / lm
     if est > budget:
@@ -500,9 +463,8 @@ def exact_distance_small(
     rs_mat = code.hz if pauli == "Z" else code.hx
     rs_basis = rs_mat.row_basis()
 
-    cols = [int.from_bytes(
-        np.packbits(kernel_mat.to_dense()[:, j], bitorder="little").tobytes(), "little")
-        for j in range(n)]
+    # column j of kernel_mat as an integer, bit i = row i
+    cols = [int.from_bytes(w.tobytes(), "little") for w in kernel_mat.transpose().words]
 
     half_hi = (w_max - 1 + 1) // 2  # extra elements alongside the anchor
     half_lo = (w_max - 1) // 2
@@ -534,8 +496,6 @@ def exact_distance_small(
                     w = len(support)
                     if w == 0 or w > w_max:
                         continue
-                    if not collect_witnesses and best is not None and w >= best:
-                        continue
                     v = BinVector.from_support(n, support)
                     if v.key() in seen:
                         continue
@@ -543,8 +503,7 @@ def exact_distance_small(
                         continue  # collision across anchor parity, impossible
                     if not rs_basis.contains(v):
                         seen.add(v.key())
-                        if collect_witnesses:
-                            witnesses.append(v)
+                        witnesses.append(v)
                         if best is None or w < best:
                             best = w
-    return (best, witnesses) if collect_witnesses else best
+    return best, witnesses

@@ -5,14 +5,19 @@ columns per word.  This module is the package's only home of bit
 packing (``nwords``, ``pack_bits``, ``unpack_bits``) and of Gaussian
 elimination: ``BinMatrix.rref`` is the one column-elimination loop,
 shared by rank, kernel, solve and the decoder's ordered-statistics
-step (``RowBasis`` answers incremental membership instead).  Row
-updates are word-wide XORs, which is plenty fast for the matrix sizes
-that occur here (n up to a few thousand).  A sorted
-column-index-per-row sparse view is derived on demand for
-message-passing decoders and for products with a sparse left factor.
+step (``RowBasis`` answers incremental membership instead).  ``rref``
+tries pivot columns in a caller-given order, left to right by default,
+so the decoder eliminates its own packed matrix in reliability order
+instead of a column-permuted copy.  Row updates are word-wide XORs,
+which is plenty fast for the matrix sizes that occur here (n up to a
+few thousand).  A sorted column-index-per-row sparse view is derived
+on demand for message-passing decoders and for products with a sparse
+left factor.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -33,6 +38,12 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     padded[:, :n] = bits
     packed = np.packbits(padded, axis=1, bitorder="little")
     return np.ascontiguousarray(packed).view(np.uint64).reshape(r, w)
+
+
+def bit_masks(idx) -> tuple[np.ndarray, np.ndarray]:
+    """Word index and one-bit mask of each bit position in idx."""
+    idx = np.asarray(idx, dtype=np.int64)
+    return idx // WORD, np.uint64(1) << (idx % WORD).astype(np.uint64)
 
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
@@ -70,7 +81,7 @@ class BinVector:
         if idx.size:
             if idx.min() < 0 or idx.max() >= n:
                 raise ValueError("support index out of range")
-            np.bitwise_xor.at(v.words, idx // WORD, np.uint64(1) << (idx % WORD).astype(np.uint64))
+            np.bitwise_xor.at(v.words, *bit_masks(idx))
         return v
 
     def copy(self) -> "BinVector":
@@ -194,7 +205,14 @@ class BinMatrix:
         return self._row_supports
 
     def transpose(self) -> "BinMatrix":
-        return BinMatrix.from_dense(self.to_dense().T)
+        """The transpose, unpacking 8192 columns at a time to bound memory."""
+        out = np.zeros((self.cols, nwords(self.rows)), dtype=np.uint64)
+        chunk = 128 * WORD  # whole words, so each slice starts at bit 0 of a word
+        for lo in range(0, self.cols, chunk):
+            hi = min(self.cols, lo + chunk)
+            bits = unpack_bits(self.words[:, lo // WORD : nwords(hi)], hi - lo)
+            out[lo:hi] = pack_bits(bits.T)
+        return BinMatrix(self.cols, self.rows, out)
 
     def copy(self) -> "BinMatrix":
         return BinMatrix(self.rows, self.cols, self.words.copy())
@@ -234,6 +252,16 @@ class BinMatrix:
             raise ValueError("row mismatch")
         return BinMatrix.from_dense(np.hstack([self.to_dense(), other.to_dense()]))
 
+    def append_col(self, bits) -> "BinMatrix":
+        """This matrix with one more column, whose entries are ``bits``."""
+        bits = np.asarray(bits, dtype=np.uint64) & np.uint64(1)
+        if bits.shape != (self.rows,):
+            raise ValueError("length mismatch")
+        words = np.zeros((self.rows, nwords(self.cols + 1)), dtype=np.uint64)
+        words[:, : self.words.shape[1]] = self.words
+        words[:, self.cols // WORD] |= bits << np.uint64(self.cols % WORD)
+        return BinMatrix(self.rows, self.cols + 1, words)
+
     def append_row(self, v: BinVector) -> "BinMatrix":
         if v.n != self.cols:
             raise ValueError("length mismatch")
@@ -255,23 +283,29 @@ class BinMatrix:
 
     # -- elimination ---------------------------------------------------
 
-    def rref(self, max_pivot_cols: int | None = None):
-        """Reduced row echelon form.
+    def rref(self, pivot_order: Iterable[int] | None = None):
+        """Reduced row echelon form, trying pivot columns in ``pivot_order``.
 
-        Pivots are chosen at the first nonzero column, lowest row index,
-        so the result is deterministic.
+        Columns are tried in the given order (default: left to right,
+        all of them); a column becomes a pivot when it has a nonzero
+        entry at or below the current row, and the lowest such row is
+        swapped up, so the result is deterministic.  The row operations
+        are those of the default elimination of the column-permuted
+        matrix, so R equals that result with its columns mapped back.
+        Columns left out of ``pivot_order`` are reduced but never pivot.
 
         Returns:
-            (R, pivot_cols): R is a new BinMatrix in RREF; pivot_cols is
-            a list of pivot column indices (length = rank when the full
-            column range is eligible).
+            (R, pivot_cols): R is a new BinMatrix in RREF; pivot_cols
+            lists the pivot columns in the order they were picked, so
+            row i of R has its pivot at pivot_cols[i] (length = rank
+            when every column is eligible).
         """
         W = self.words.copy()
         rows = self.rows
-        limit = self.cols if max_pivot_cols is None else max_pivot_cols
+        order = range(self.cols) if pivot_order is None else pivot_order
         pivot_cols: list[int] = []
         pr = 0
-        for c in range(limit):
+        for c in map(int, order):
             if pr >= rows:
                 break
             w, b = c // WORD, np.uint64(c % WORD)
@@ -316,18 +350,14 @@ class BinMatrix:
         """Some x with Mx = s, or None if the system is inconsistent."""
         if s.n != self.rows:
             raise ValueError("rhs length mismatch")
-        aug = self.hstack(BinMatrix.from_dense(s.to_bits().reshape(-1, 1)))
-        # restrict pivots to the coefficient columns
-        R, pivots = aug.rref(max_pivot_cols=self.cols)
-        Rd = R.to_dense()
-        rhs = Rd[:, self.cols]
+        # pivots only in the coefficient columns; the last column is s
+        R, pivots = self.append_col(s.to_bits()).rref(pivot_order=range(self.cols))
+        rhs = R.col_bits(self.cols)
         # inconsistent iff some zero row has rhs 1
-        for i in range(len(pivots), self.rows):
-            if rhs[i]:
-                return None
+        if rhs[len(pivots):].any():
+            return None
         x = np.zeros(self.cols, dtype=np.uint8)
-        for i, pc in enumerate(pivots):
-            x[pc] = rhs[i]
+        x[pivots] = rhs[: len(pivots)]
         return BinVector.from_bits(x)
 
     def row_basis(self) -> "RowBasis":

@@ -12,7 +12,6 @@ the product f*h, which drives the logical-qubit label selection.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,14 +21,13 @@ from .code import (
     BBCode,
     BivariatePoly,
     Monomial,
+    generator_paths,
     graph_components,
     group_pair_ratios,
     monomial_from_index,
     translation_table,
 )
 from .decode import (
-    BPConfig,
-    OSDConfig,
     _random_kernel_logical,
     descend_modulo_rows,
     minimum_weight_in_coset,
@@ -236,9 +234,7 @@ def _gh_candidates(
     d_hint = code.distance_exact or code.distance_upper
     if d_hint is not None:
         try:
-            _, witnesses = exact_distance_small(
-                code, min(d_hint + 2, 8), budget=1e9, pauli="X", collect_witnesses=True
-            )
+            _, witnesses = exact_distance_small(code, min(d_hint + 2, 8), budget=1e9, pauli="X")
             for v in witnesses:
                 consider(v)
         except BudgetExceeded:
@@ -524,26 +520,6 @@ class DualitySwapPlan:
     unreachable: list[str] = field(default_factory=list)
 
 
-def _ratio_distances(code: BBCode) -> tuple[dict[Monomial, int], dict[Monomial, list[Monomial]]]:
-    """BFS over products of available term ratios; returns dist and paths."""
-    gens = group_pair_ratios(code)
-    start = Monomial.one(code.l, code.m)
-    dist = {start: 0}
-    path: dict[Monomial, list[Monomial]] = {start: []}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = g * s
-                if h not in dist:
-                    dist[h] = dist[g] + 1
-                    path[h] = path[g] + [s]
-                    nxt.append(h)
-        frontier = nxt
-    return dist, path
-
-
 def _required_ratios(gen: Monomial, order: int, offset: int) -> list[Monomial]:
     """Ratios needed to swap i <-> -i-offset pairs of the factor <gen>."""
     seen: set[Monomial] = set()
@@ -572,7 +548,7 @@ def plan_duality_swaps(code: BBCode) -> DualitySwapPlan:
     the full end-to-end exchange costs (2*chain - 1) nearest-neighbor
     swap gadgets of CNOT depth 12 each.
     """
-    dist, path = _ratio_distances(code)
+    dist, path = generator_paths(group_pair_ratios(code), code.l, code.m)
     dec = decompose_group(code.l, code.m)
     involutions = [
         mono

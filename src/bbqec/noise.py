@@ -32,7 +32,7 @@ import numpy as np
 
 from .circuit import ScheduledCircuit, Step, propagate_frames
 from .code import BBCode
-from .gf2 import WORD, BinMatrix, nwords, pack_bits, unpack_bits
+from .gf2 import BinMatrix, unpack_bits
 from .logical import LogicalBasis
 
 # Pauli encoding for two-qubit fault classes: I=0, X=1, Y=2, Z=3.
@@ -256,18 +256,6 @@ class DetectorModel:
     fault_table: FaultTable = field(repr=False)
 
 
-def _pack_columns(detector_rows: np.ndarray, logical_rows: np.ndarray, batch: int):
-    """Transpose packed scenario-major data into per-column signatures."""
-    all_rows = np.vstack([detector_rows, logical_rows])
-    out = np.zeros((batch, nwords(all_rows.shape[0])), dtype=np.uint64)
-    chunk = 128 * WORD  # whole words, so each slice starts at bit 0 of a word
-    for lo in range(0, batch, chunk):
-        hi = min(batch, lo + chunk)
-        bits = unpack_bits(all_rows[:, lo // WORD : nwords(hi)], hi - lo)
-        out[lo:hi] = pack_bits(bits.T)
-    return out
-
-
 def _side_model(
     error_type: str,
     detector_rows: np.ndarray,
@@ -277,7 +265,11 @@ def _side_model(
     batch = len(priors)
     n_det = detector_rows.shape[0]
     n_log = logical_rows.shape[0]
-    signatures = _pack_columns(detector_rows, logical_rows, batch)
+    # one packed signature per fault, its detector and logical flips; the
+    # stacked rows are a temporary, freed before the merge below
+    signatures = BinMatrix(
+        n_det + n_log, batch, np.vstack([detector_rows, logical_rows])
+    ).transpose().words
     merged, inverse = np.unique(signatures, axis=0, return_inverse=True)
     merged_priors = np.zeros(len(merged))
     np.add.at(merged_priors, inverse, priors)

@@ -1,0 +1,56 @@
+"""Syndrome-cycle schedules of bb144 and the automorphism check of bb72."""
+
+import numpy as np
+import pytest
+
+from bbqec.circuit import (
+    CANONICAL_SCHEDULE,
+    Schedule,
+    build_automorphism_circuit,
+    enumerate_schedules,
+    shift_permutation,
+    verify_automorphism,
+    verify_sm_circuit,
+)
+from bbqec.code import catalog_code
+
+GADGETS = [(kind, j, k) for kind in ("A", "B") for j in (1, 2, 3) for k in (1, 2, 3) if j != k]
+
+
+def test_bb144_has_936_valid_schedules():
+    code = catalog_code("bb144")
+    schedules = enumerate_schedules(code)
+    assert len(schedules) == 936 == len(set(schedules))
+    assert CANONICAL_SCHEDULE in schedules
+    for schedule in schedules:
+        assert verify_sm_circuit(schedule, code).passed, schedule
+
+    # move X:A2 from round 2 to round 6 and X:A1 back: still a well formed
+    # packing (both are A layers), but the cycle no longer measures the checks
+    rounds = list(CANONICAL_SCHEDULE.rounds)
+    (xa2, za3), (xa1, za2) = rounds[1], rounds[5]
+    rounds[1], rounds[5] = (xa1, za3), (xa2, za2)
+    swapped = Schedule(tuple(rounds))
+    assert swapped.structural_problems() == []
+    assert swapped not in schedules
+    assert not verify_sm_circuit(swapped, code).passed
+
+
+@pytest.mark.parametrize("kind,j,k", GADGETS)
+def test_verify_automorphism_accepts_gadget_shifts(model, kind, j, k):
+    code, basis = model.code, model.basis
+    shift = build_automorphism_circuit(code, kind, j, k).shift
+    assert verify_automorphism(code, shift, basis=basis)
+    # the same shift with two data qubits exchanged afterwards
+    perm = shift_permutation(code, shift)
+    perm[[0, 1]] = perm[[1, 0]]
+    assert not verify_automorphism(code, shift, data_permutation=perm, basis=basis)
+    # the identity keeps both check matrices but not the claimed logical action
+    assert verify_automorphism(code, data_permutation=np.arange(code.n))
+    assert not verify_automorphism(code, shift, data_permutation=np.arange(code.n), basis=basis)
+
+
+def test_verify_automorphism_rejects_a_data_swap(model):
+    perm = np.arange(model.code.n)
+    perm[[0, 1]] = perm[[1, 0]]
+    assert not verify_automorphism(model.code, data_permutation=perm)

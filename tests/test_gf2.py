@@ -77,6 +77,43 @@ def test_solve_round_trip():
         assert m.mul_vec(x) == s
 
 
+def test_rref_pivot_order_equals_permuted_elimination():
+    rng = np.random.default_rng(21)
+    for _ in range(25):
+        rows, cols = rng.integers(1, 150, size=2)
+        dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        order = rng.permutation(cols)
+        R, pivots = BinMatrix.from_dense(dense).rref(pivot_order=order)
+        R_perm, pivots_perm = BinMatrix.from_dense(dense[:, order]).rref()
+        back = np.zeros_like(dense)
+        back[:, order] = R_perm.to_dense()
+        assert np.array_equal(R.to_dense(), back)
+        assert pivots == order[pivots_perm].tolist()
+        assert len(pivots) == rank_reference(dense)
+
+
+def test_rref_pivot_order_skips_left_out_columns():
+    rng = np.random.default_rng(23)
+    dense = rng.integers(0, 2, size=(30, 50), dtype=np.uint8)
+    order = rng.permutation(50)[:20]
+    _, pivots = BinMatrix.from_dense(dense).rref(pivot_order=order)
+    _, pivots_perm = BinMatrix.from_dense(dense[:, order]).rref()
+    assert pivots == order[pivots_perm].tolist()
+    assert set(pivots) <= set(order.tolist())
+
+
+def test_append_col_matches_dense_hstack():
+    rng = np.random.default_rng(25)
+    for cols in (0, 1, 63, 64, 65, 127, 128, 200):
+        m = random_matrix(rng, 7, cols)
+        bits = rng.integers(0, 2, 7, dtype=np.uint8)
+        grown = m.append_col(bits)
+        assert grown == m.hstack(BinMatrix.from_dense(bits.reshape(-1, 1)))
+        assert np.array_equal(grown.to_dense(), np.hstack([m.to_dense(), bits[:, None]]))
+    with pytest.raises(ValueError):
+        m.append_col(bits[:-1])
+
+
 def test_in_rowspace_rows_zero_and_rank_characterisation():
     rng = np.random.default_rng(5)
     m = random_matrix(rng, 40, 60)

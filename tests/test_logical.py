@@ -1,11 +1,17 @@
-"""Logical-operator machinery on bb72."""
+"""Logical-operator machinery on bb72, and ZX duality on bb72 and bb144."""
 
 from dataclasses import replace
 
 import pytest
 
-from bbqec.code import BivariatePoly
-from bbqec.logical import BasisSearchError, build_ancilla_system
+from bbqec.code import BivariatePoly, catalog_code
+from bbqec.logical import (
+    BasisSearchError,
+    build_ancilla_system,
+    plan_duality_swaps,
+    zx_duality_check,
+    zx_duality_permutation,
+)
 
 # Component sizes and kinds of the two planar halves of each ancilla
 # system's base subgraph, components ordered by their smallest vertex.
@@ -31,3 +37,33 @@ def test_validate_rejects_a_broken_basis(model):
     broken = replace(basis, f=basis.f + BivariatePoly.one(code.l, code.m))
     with pytest.raises(BasisSearchError, match="commute"):
         broken.validate(code)
+
+
+@pytest.mark.parametrize("name", ["bb72", "bb144"])
+def test_zx_duality_holds(name):
+    code = catalog_code(name)
+    assert zx_duality_check(code)
+    perm = zx_duality_permutation(code)
+    perm[[0, 1]] = perm[[1, 0]]
+    assert not zx_duality_check(code, perm)
+
+
+# Duality swap plans: per cyclic factor, (name, pair offset, ratios, the
+# ratios' costs and their shortest products of term ratios), then the
+# chain length and CNOT depth.
+SWAP_PLANS = {
+    "bb72": ([("q", 0, ["x2"], [2], [["x4y3", "x4y3"]]),
+              ("s", 0, ["y2"], [2], [["x3y4", "x3y4"]])], 4, 84),
+    "bb144": ([("p", 1, ["x3"], [2], [["x3y5", "y"]]),
+               ("q", 0, ["x4"], [2], [["x2y3", "x2y3"]]),
+               ("s", 0, ["y2"], [2], [["y", "y"]])], 6, 132),
+}
+
+
+@pytest.mark.parametrize("name", ["bb72", "bb144"])
+def test_duality_swap_plan(name):
+    plan = plan_duality_swaps(catalog_code(name))
+    entries = [(e.factor.name, e.pair_offset, [str(r) for r in e.ratios], e.costs,
+                [[str(g) for g in path] for path in e.expressions]) for e in plan.entries]
+    assert (entries, plan.chain_length, plan.cnot_depth) == SWAP_PLANS[name]
+    assert plan.unreachable == [] and all(e.carrier is None for e in plan.entries)
