@@ -2,7 +2,7 @@
 
 Covers code construction and structural checks, syndrome-measurement
 circuits with symbolic verification, circuit-level noise models,
-BP-OSD decoding, logical-operator machinery and Monte Carlo benchmarks.
+BP-OSD decoding and logical-operator machinery.
 """
 
 __version__ = "0.1.0"

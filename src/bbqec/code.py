@@ -353,22 +353,35 @@ class BBCode:
 
     # -- vector classification -------------------------------------------
 
+    def pauli_checks(self, pauli: str) -> tuple[BinMatrix, BinMatrix]:
+        """(kernel checks, stabilizer rows) of a Pauli type.
+
+        An X-type operator commutes with the stabilizers when it lies in
+        ker HZ and is a stabilizer when it lies in rs(HX); mirrored for
+        Z-type.
+
+        Raises:
+            ValueError: a pauli other than "X" or "Z".
+        """
+        if pauli == "X":
+            return self.hz, self.hx
+        if pauli == "Z":
+            return self.hx, self.hz
+        raise ValueError("pauli must be 'X' or 'Z'")
+
     def classify_vector(self, v: BinVector, pauli: str) -> tuple[bool, bool]:
         """Classify a Pauli support vector as (is_stabilizer, is_logical).
 
-        For an X-type operator the kernel is ker HZ and the stabilizer
-        row space is rs(HX); mirrored for Z-type.  Vectors commuting
-        with nothing in particular are (False, False).
+        A stabilizer is (True, False), any other vector that commutes
+        with the stabilizers is a logical, (False, True), and the rest
+        are (False, False); both sets come from ``pauli_checks``.
         """
         if v.n != self.n:
             raise ValueError(f"vector length {v.n}, expected {self.n}")
-        if pauli not in ("X", "Z"):
-            raise ValueError("pauli must be 'X' or 'Z'")
-        kernel_of = self.hz if pauli == "X" else self.hx
-        rowspace_of = self.hx if pauli == "X" else self.hz
-        if rowspace_of.in_rowspace(v):
+        kernel_checks, stabilizers = self.pauli_checks(pauli)
+        if stabilizers.in_rowspace(v):
             return True, False
-        if kernel_of.mul_vec(v).is_zero():
+        if kernel_checks.mul_vec(v).is_zero():
             return False, True
         return False, False
 

@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .code import BBCode
-from .gf2 import BinMatrix, BinVector
+from .gf2 import BinMatrix, BinVector, in_rref_rowspace
 
 PRIOR_FLOOR = 1e-12
 MIN_SUM_SCALE = 0.625  # normalization of the check-to-variable messages
@@ -102,6 +102,11 @@ class BPOSDDecoder:
         self.edge_var = np.concatenate(supports) if matrix.rows else np.zeros(0, dtype=np.int64)
         self.edge_check = np.repeat(np.arange(matrix.rows), np.diff(self.check_start))
         self.n_edges = len(self.edge_var)
+        # per-check reductions run over the nonempty checks only: a
+        # reduceat segment cannot be empty, nor start at n_edges
+        self.seg_start = self.check_start[:-1][np.diff(self.check_start) > 0]
+        self.edge_seg = np.repeat(np.arange(len(self.seg_start)),
+                                  np.diff(np.append(self.seg_start, self.n_edges)))
         self.prior_llr = np.log((1 - self.priors) / self.priors)
 
     # -- belief propagation ------------------------------------------------
@@ -120,8 +125,8 @@ class BPOSDDecoder:
             converged = not syndrome.any()
             return np.zeros(n), np.zeros(n, dtype=np.uint8), converged, 0
 
-        ev, ec, cs = self.edge_var, self.edge_check, self.check_start
-        syn_sign = np.where(syndrome[ec] == 1, -1.0, 1.0)
+        ev, ss, es = self.edge_var, self.seg_start, self.edge_seg
+        syn_sign = np.where(syndrome[self.edge_check] == 1, -1.0, 1.0)
         c2v = np.zeros(self.n_edges)
         llr_total = self.prior_llr.copy()
         hard = (llr_total < 0).astype(np.uint8)
@@ -133,23 +138,20 @@ class BPOSDDecoder:
             mags = np.abs(v2c)
             neg = v2c < 0
             # per-check parity of negative messages, and two smallest magnitudes
-            par = np.bitwise_xor.reduceat(neg.view(np.uint8), cs[:-1]).astype(bool)
-            par[np.diff(cs) == 0] = False
-            min1 = np.minimum.reduceat(mags, cs[:-1])
-            min1[np.diff(cs) == 0] = np.inf
-            is_min = mags == min1[ec]
+            par = np.bitwise_xor.reduceat(neg.view(np.uint8), ss).astype(bool)
+            min1 = np.minimum.reduceat(mags, ss)
+            is_min = mags == min1[es]
             # first occurrence of the minimum per check carries min2 instead
             first_min = np.zeros(self.n_edges, dtype=bool)
             idx_first = np.flatnonzero(is_min)
-            chk_first = ec[idx_first]
+            seg_first = es[idx_first]
             keep = np.ones(len(idx_first), dtype=bool)
-            keep[1:] = chk_first[1:] != chk_first[:-1]
+            keep[1:] = seg_first[1:] != seg_first[:-1]
             first_min[idx_first[keep]] = True
             mags2 = np.where(first_min, np.inf, mags)
-            min2 = np.minimum.reduceat(mags2, cs[:-1])
-            min2[np.diff(cs) == 0] = np.inf
-            out_mag = np.where(first_min, min2[ec], min1[ec])
-            sign = np.where(par[ec] ^ neg, -1.0, 1.0) * syn_sign
+            min2 = np.minimum.reduceat(mags2, ss)
+            out_mag = np.where(first_min, min2[es], min1[es])
+            sign = np.where(par[es] ^ neg, -1.0, 1.0) * syn_sign
             c2v = MIN_SUM_SCALE * sign * np.where(np.isfinite(out_mag), out_mag, 0.0)
             llr_total = self.prior_llr + np.bincount(ev, weights=c2v, minlength=n)
             hard = (llr_total < 0).astype(np.uint8)
@@ -362,12 +364,7 @@ def distance_upper_bound(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if pauli == "Z":
-        kernel_mat, dual_kernel_mat = code.hx, code.hz
-    elif pauli == "X":
-        kernel_mat, dual_kernel_mat = code.hz, code.hx
-    else:
-        raise ValueError("pauli must be 'X' or 'Z'")
+    kernel_mat, dual_kernel_mat = code.pauli_checks(pauli)
     basis = dual_kernel_mat.nullspace_basis()
     if not basis:
         return DistanceEstimate(None, 0, None)
@@ -449,8 +446,10 @@ def exact_distance_small(
     logical representative found, not just the lightest.
 
     Raises:
+        ValueError: a pauli other than "X" or "Z".
         BudgetExceeded: the guard estimate exceeds ``budget``.
     """
+    kernel_mat, rs_mat = code.pauli_checks(pauli)
     witnesses: list[BinVector] = []
     if w_max <= 0:
         return None, witnesses
@@ -459,9 +458,7 @@ def exact_distance_small(
     if est > budget:
         raise BudgetExceeded(f"enumeration estimate {est:.2e} above budget {budget:.2e}")
 
-    kernel_mat = code.hx if pauli == "Z" else code.hz
-    rs_mat = code.hz if pauli == "Z" else code.hx
-    rs_basis = rs_mat.row_basis()
+    rs_rref = rs_mat.rref()
 
     # column j of kernel_mat as an integer, bit i = row i
     cols = [int.from_bytes(w.tobytes(), "little") for w in kernel_mat.transpose().words]
@@ -501,7 +498,7 @@ def exact_distance_small(
                         continue
                     if not kernel_mat.mul_vec(v).is_zero():
                         continue  # collision across anchor parity, impossible
-                    if not rs_basis.contains(v):
+                    if not in_rref_rowspace(*rs_rref, v):
                         seen.add(v.key())
                         witnesses.append(v)
                         if best is None or w < best:

@@ -4,15 +4,14 @@ Vectors and matrices are stored as little-endian ``uint64`` words, 64
 columns per word.  This module is the package's only home of bit
 packing (``nwords``, ``pack_bits``, ``unpack_bits``) and of Gaussian
 elimination: ``BinMatrix.rref`` is the one column-elimination loop,
-shared by rank, kernel, solve and the decoder's ordered-statistics
-step (``RowBasis`` answers incremental membership instead).  ``rref``
-tries pivot columns in a caller-given order, left to right by default,
-so the decoder eliminates its own packed matrix in reliability order
-instead of a column-permuted copy.  Row updates are word-wide XORs,
-which is plenty fast for the matrix sizes that occur here (n up to a
-few thousand).  A sorted column-index-per-row sparse view is derived
-on demand for message-passing decoders and for products with a sparse
-left factor.
+shared by rank, kernel, solve, row-space membership and the decoder's
+ordered-statistics step.  ``rref`` tries pivot columns in a
+caller-given order, left to right by default, so the decoder eliminates
+its own packed matrix in reliability order instead of a column-permuted
+copy.  Row updates are word-wide XORs, which is plenty fast for the
+matrix sizes that occur here (n up to a few thousand).  A sorted
+column-index-per-row sparse view is derived on demand for
+message-passing decoders and for products with a sparse left factor.
 """
 
 from __future__ import annotations
@@ -235,9 +234,14 @@ class BinMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         out = BinMatrix(self.rows, other.cols)
-        for i, sup in enumerate(self.row_supports()):
-            if sup.size:
-                out.words[i] = np.bitwise_xor.reduce(other.words[sup], axis=0)
+        supports = self.row_supports()
+        sizes = np.array([len(sup) for sup in supports], dtype=np.int64)
+        filled = np.flatnonzero(sizes)
+        if filled.size:
+            # one XOR segment per nonempty row; empty rows stay zero
+            gathered = other.words[np.concatenate(supports)]
+            starts = (np.cumsum(sizes) - sizes)[filled]
+            out.words[filled] = np.bitwise_xor.reduceat(gathered, starts, axis=0)
         return out
 
     def stack(self, other: "BinMatrix") -> "BinMatrix":
@@ -360,12 +364,9 @@ class BinMatrix:
         x[pivots] = rhs[: len(pivots)]
         return BinVector.from_bits(x)
 
-    def row_basis(self) -> "RowBasis":
-        return RowBasis(self)
-
     def in_rowspace(self, v: BinVector) -> bool:
         """True iff v is a GF(2) combination of the rows of M."""
-        return self.row_basis().contains(v)
+        return in_rref_rowspace(*self.rref(), v)
 
     # -- text format ----------------------------------------------------
 
@@ -391,57 +392,16 @@ class BinMatrix:
         return cls.from_dense(arr)
 
 
-class RowBasis:
-    """Incremental row-space membership oracle.
+def in_rref_rowspace(R: BinMatrix, pivot_cols: list[int], v: BinVector) -> bool:
+    """True iff v lies in the row space of R, given as ``rref()`` returns it.
 
-    Keeps an internally reduced basis of the rows seen so far; reducing
-    a vector against it answers membership and can grow the basis.
+    Each pivot column of R is zero outside its pivot row, so the only
+    combination that can equal v is the XOR of the rows whose pivot bit
+    v has set.
     """
-
-    def __init__(self, m: BinMatrix | None = None, cols: int | None = None):
-        if m is not None:
-            self.cols = m.cols
-            self._rows: list[np.ndarray] = []
-            self._pivots: list[int] = []
-            for i in range(m.rows):
-                self.add(m.row(i))
-        else:
-            if cols is None:
-                raise ValueError("need a matrix or a column count")
-            self.cols = cols
-            self._rows = []
-            self._pivots = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def _reduce(self, v: BinVector) -> np.ndarray:
-        w = v.words.copy()
-        for words, p in zip(self._rows, self._pivots):
-            if (w[p // WORD] >> np.uint64(p % WORD)) & np.uint64(1):
-                w ^= words
-        return w
-
-    def contains(self, v: BinVector) -> bool:
-        if v.n != self.cols:
-            raise ValueError("length mismatch")
-        return not self._reduce(v).any()
-
-    def add(self, v: BinVector) -> bool:
-        """Add a row; returns True if it enlarged the span."""
-        w = self._reduce(v)
-        if not w.any():
-            return False
-        # pivot = first set bit
-        nz = np.flatnonzero(w)
-        first = int(nz[0])
-        word = int(w[first])
-        pivot = first * WORD + ((word & -word).bit_length() - 1)
-        # keep existing rows reduced against the new one
-        for i, (words, p) in enumerate(zip(self._rows, self._pivots)):
-            if (words[pivot // WORD] >> np.uint64(pivot % WORD)) & np.uint64(1):
-                self._rows[i] = words ^ w
-        self._rows.append(w)
-        self._pivots.append(pivot)
-        return True
+    if v.n != R.cols:
+        raise ValueError("length mismatch")
+    words, masks = bit_masks(pivot_cols)
+    picked = (v.words[words] & masks) != 0
+    combination = np.bitwise_xor.reduce(R.words[: len(pivot_cols)][picked], axis=0)
+    return bool(np.array_equal(combination, v.words))

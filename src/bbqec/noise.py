@@ -14,13 +14,14 @@ step: CNOT steps have 15 classes (``CNOT_CLASSES``), idle steps 3
 turns (fault id, scenario) pairs into Pauli-frame flips; enumeration,
 forced faults and sampling all go through it.
 
-The offline stage propagates every single fault in one batched run and
-stores (measured-syndrome, final-error-syndrome, logical-syndrome)
-triples as columns of the two per-type decoding matrices; identical
-columns merge with summed priors; measured syndromes are sparsified by
-differencing consecutive cycles of the same check.  The final-error
-block is kept raw: it plays the part of the appended noiseless readout
-cycle.
+``side_rows`` is the one step from propagated frames to each error
+type's packed detector and logical rows.  A detector row is a check's
+measured outcome XORed with the same check's previous cycle, or, in the
+final block, the check applied to the residual data error, kept raw: it
+plays the part of the appended noiseless readout cycle.  The model build
+propagates every single fault in one batched run; faults with identical
+rows merge into one column with summed priors.  The sampler propagates
+its drawn faults the same way.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .circuit import ScheduledCircuit, Step, propagate_frames
+from .circuit import FrameResult, ScheduledCircuit, Step, propagate_frames
 from .code import BBCode
 from .gf2 import BinMatrix, unpack_bits
 from .logical import LogicalBasis
@@ -133,84 +134,49 @@ def build_fault_table(circ: ScheduledCircuit) -> FaultTable:
 
 
 # ---------------------------------------------------------------------------
-# Syndrome assembly
+# Detector and logical rows of each side
 # ---------------------------------------------------------------------------
 
 
-def _difference_map(rec: np.ndarray) -> np.ndarray:
-    """Per-check XOR of consecutive cycles: (N_c, lm, W) -> same shape."""
-    out = rec.copy()
-    out[1:] ^= rec[:-1]
-    return out
+def side_rows(
+    res: FrameResult, code: BBCode, basis: LogicalBasis
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each error type's (detector rows, logical rows), packed over scenarios.
 
-
-@dataclass
-class SyndromeBundle:
-    """Packed per-scenario syndromes of one propagation run."""
-
-    batch: int
-    diff_z_checks: np.ndarray  # (N_c, lm, W): differenced MeasZ outcomes
-    diff_x_checks: np.ndarray
-    raw_z_checks: np.ndarray
-    raw_x_checks: np.ndarray
-    final_x_error_syndrome: np.ndarray  # (lm, W): HZ . alpha
-    final_z_error_syndrome: np.ndarray  # (lm, W): HX . beta
-    logical_x: np.ndarray  # (k, W): Z-basis-operator overlap with alpha
-    logical_z: np.ndarray  # (k, W)
-    alpha: np.ndarray  # (n, W) final X frame
-    beta: np.ndarray  # (n, W) final Z frame
-
-    def x_side_columns(self) -> np.ndarray:
-        """Detector+final rows of the X-error model, packed over scenarios."""
-        nc, lm, W = self.diff_z_checks.shape
-        return np.vstack([self.diff_z_checks.reshape(nc * lm, W),
-                          self.final_x_error_syndrome])
-
-    def z_side_columns(self) -> np.ndarray:
-        nc, lm, W = self.diff_x_checks.shape
-        return np.vstack([self.diff_x_checks.reshape(nc * lm, W),
-                          self.final_z_error_syndrome])
-
-
-def propagate_with_faults(
-    circ: ScheduledCircuit,
-    basis: LogicalBasis,
-    batch: int,
-    injections,
-    meas_flips,
-) -> SyndromeBundle:
-    res = propagate_frames(circ, batch, injections, meas_flips)
-    code = circ.code
-
-    def syndromes(checks: BinMatrix, frames: np.ndarray) -> np.ndarray:
-        return checks.mul_mat(BinMatrix(len(frames), batch, frames)).words
-
-    return SyndromeBundle(
-        batch=batch,
-        diff_z_checks=_difference_map(res.z_check_outcomes),
-        diff_x_checks=_difference_map(res.x_check_outcomes),
-        raw_z_checks=res.z_check_outcomes,
-        raw_x_checks=res.x_check_outcomes,
-        final_x_error_syndrome=syndromes(code.hz, res.final_x_frame),
-        final_z_error_syndrome=syndromes(code.hx, res.final_z_frame),
-        logical_x=syndromes(basis.z_support_matrix, res.final_x_frame),
-        logical_z=syndromes(basis.x_support_matrix, res.final_z_frame),
-        alpha=res.final_x_frame,
-        beta=res.final_z_frame,
-    )
+    X errors are seen by the MeasZ outcomes, each cycle XORed with the
+    previous cycle of the same check, then by HZ applied to the final X
+    frame (kept raw: the noiseless readout cycle), and they act on the
+    Z logicals.  Z errors mirror that.  This is the one place that
+    states which rows belong to which side.
+    """
+    sides = {
+        "X": (res.z_check_outcomes, code.hz, basis.z_support_matrix, res.final_x_frame),
+        "Z": (res.x_check_outcomes, code.hx, basis.x_support_matrix, res.final_z_frame),
+    }
+    rows = {}
+    for error_type, (record, checks, logicals, frame) in sides.items():
+        n_cycles, lm, W = record.shape
+        flat = record.reshape(n_cycles * lm, W)
+        frames = BinMatrix(len(frame), res.batch, frame)
+        detectors = np.empty((len(flat) + checks.rows, W), dtype=np.uint64)
+        detectors[: len(flat)] = flat
+        detectors[lm : len(flat)] ^= flat[:-lm]
+        detectors[len(flat) :] = checks.mul_mat(frames).words
+        rows[error_type] = (detectors, logicals.mul_mat(frames).words)
+    return rows
 
 
 def enumerate_faults(
     circ: ScheduledCircuit, basis: LogicalBasis
-) -> tuple[FaultTable, SyndromeBundle]:
+) -> tuple[FaultTable, dict[str, tuple[np.ndarray, np.ndarray]]]:
     """Propagate every single-fault circuit in one batched run.
 
-    Scenario i holds fault i alone.
+    Scenario i holds fault i alone; returns the table and ``side_rows``.
     """
     table = build_fault_table(circ)
     ids = np.arange(table.count)
-    bundle = propagate_with_faults(circ, basis, table.count, *table.frame_flips(ids, ids))
-    return table, bundle
+    res = propagate_frames(circ, table.count, *table.frame_flips(ids, ids))
+    return table, side_rows(res, circ.code, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +193,10 @@ class SideModel:
     logical: BinMatrix  # k x merged fault columns
     priors: np.ndarray
     provenance: list[np.ndarray] = field(repr=False)
-    n_detector_rows: int = 0
+
+    @property
+    def n_detector_rows(self) -> int:
+        return self.matrix.rows
 
     @property
     def n_columns(self) -> int:
@@ -293,20 +262,20 @@ def _side_model(
         logical=BinMatrix.from_dense(dense[n_det:]),
         priors=merged_priors,
         provenance=provenance,
-        n_detector_rows=n_det,
     )
 
 
 def build_detector_model(
     circ: ScheduledCircuit, p: float, basis: LogicalBasis
 ) -> DetectorModel:
-    """Enumerate, difference, split and merge into the two side models."""
-    table, bundle = enumerate_faults(circ, basis)
+    """Enumerate the single faults and merge each side's columns.
+
+    Each side's rows are released once its model is built.
+    """
+    table, rows = enumerate_faults(circ, basis)
     priors = table.priors(p)
-    x_side = _side_model("X", bundle.x_side_columns(),
-                         bundle.logical_x, priors)
-    z_side = _side_model("Z", bundle.z_side_columns(),
-                         bundle.logical_z, priors)
+    x_side = _side_model("X", *rows.pop("X"), priors)
+    z_side = _side_model("Z", *rows.pop("Z"), priors)
     return DetectorModel(
         code=circ.code,
         circuit=circ,
@@ -404,23 +373,22 @@ def sample_circuit_noise(
                 drawn.append(ids)
                 drawn_in.append(np.full(faulty.size, j))
         faults, scenarios = np.concatenate(drawn), np.concatenate(drawn_in)
-    bundle = propagate_with_faults(circ, basis, shots, *table.frame_flips(faults, scenarios))
-    return _bundle_to_samples(bundle)
+    res = propagate_frames(circ, shots, *table.frame_flips(faults, scenarios))
+    rows = side_rows(res, circ.code, basis)
+    (x_det, x_log), (z_det, z_log) = rows["X"], rows["Z"]
+    nc, lm, _ = res.z_check_outcomes.shape
 
+    def unp(words: np.ndarray) -> np.ndarray:
+        return unpack_bits(words, shots).T.copy()
 
-def _bundle_to_samples(bundle: SyndromeBundle) -> SampleBatch:
-    def unp(arr: np.ndarray) -> np.ndarray:
-        return unpack_bits(arr, bundle.batch)
-
-    nc, lm, _ = bundle.raw_z_checks.shape
     return SampleBatch(
-        shots=bundle.batch,
-        x_syndromes=unp(bundle.x_side_columns()).T.copy(),
-        z_syndromes=unp(bundle.z_side_columns()).T.copy(),
-        logical_x=unp(bundle.logical_x).T.copy(),
-        logical_z=unp(bundle.logical_z).T.copy(),
-        raw_z_checks=unp(bundle.raw_z_checks.reshape(nc * lm, -1)).T.copy(),
-        raw_x_checks=unp(bundle.raw_x_checks.reshape(nc * lm, -1)).T.copy(),
-        alpha=unp(bundle.alpha).T.copy(),
-        beta=unp(bundle.beta).T.copy(),
+        shots=shots,
+        x_syndromes=unp(x_det),
+        z_syndromes=unp(z_det),
+        logical_x=unp(x_log),
+        logical_z=unp(z_log),
+        raw_z_checks=unp(res.z_check_outcomes.reshape(nc * lm, -1)),
+        raw_x_checks=unp(res.x_check_outcomes.reshape(nc * lm, -1)),
+        alpha=unp(res.final_x_frame),
+        beta=unp(res.final_z_frame),
     )

@@ -179,6 +179,17 @@ def test_classify_vector():
         code.classify_vector(BinVector.zeros(3), "X")
 
 
+def test_pauli_checks_maps_each_type_and_rejects_others():
+    code = catalog_code("bb72")
+    assert code.pauli_checks("X") == (code.hz, code.hx)
+    assert code.pauli_checks("Z") == (code.hx, code.hz)
+    for bad in ("Y", "x", ""):
+        with pytest.raises(ValueError):
+            code.pauli_checks(bad)
+        with pytest.raises(ValueError):
+            code.classify_vector(BinVector.zeros(code.n), bad)
+
+
 def test_spec_round_trip():
     code = catalog_code("bb90")
     spec = code_to_spec(code)

@@ -11,6 +11,7 @@ from bbqec.decode import (
     DecodingError,
     circuit_distance_upper_bound,
     distance_upper_bound,
+    exact_distance_small,
 )
 from bbqec.gf2 import BinMatrix, BinVector
 
@@ -69,3 +70,21 @@ def test_distance_bounds_reject_a_witness_outside_the_kernel(monkeypatch):
                            logical=BinMatrix.from_dense([[0, 1, 1]]))
     with pytest.raises(DecodingError):
         circuit_distance_upper_bound(side, trials=1)
+
+
+def test_empty_last_row_of_d():
+    # a check with no edges at the end of D must not end a reduceat segment list
+    dec = BPOSDDecoder(BinMatrix.from_dense([[1, 1, 0], [0, 0, 0]]), np.full(3, 0.1),
+                       bp=BPConfig(max_iters=5))
+    out = dec.decode(np.zeros(2, dtype=np.uint8))
+    assert out.converged and out.xi.is_zero()
+    with pytest.raises(DecodingError):
+        dec.decode(np.array([0, 1], dtype=np.uint8))
+
+
+def test_distance_searches_reject_an_unknown_pauli():
+    code = catalog_code("bb72")
+    with pytest.raises(ValueError):
+        exact_distance_small(code, 1, pauli="Y")
+    with pytest.raises(ValueError):
+        distance_upper_bound(code, trials=1, pauli="Y")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbqec.gf2 import BinMatrix, BinVector, RowBasis
+from bbqec.gf2 import BinMatrix, BinVector
 
 
 def rank_reference(a: np.ndarray) -> int:
@@ -120,19 +120,11 @@ def test_in_rowspace_rows_zero_and_rank_characterisation():
     assert m.in_rowspace(BinVector.zeros(60))
     for i in range(m.rows):
         assert m.in_rowspace(m.row(i))
+    assert m.in_rowspace(m.row(0) ^ m.row(7) ^ m.row(19))
     for _ in range(20):
         v = BinVector.from_bits(rng.integers(0, 2, 60, dtype=np.uint8))
         appended = m.append_row(v)
         assert m.in_rowspace(v) == (appended.rank() == m.rank())
-
-
-def test_rowbasis_incremental():
-    rng = np.random.default_rng(9)
-    m = random_matrix(rng, 30, 50)
-    rb = RowBasis(m)
-    assert rb.rank == m.rank()
-    comb = m.row(0) ^ m.row(7) ^ m.row(19)
-    assert rb.contains(comb)
 
 
 def test_sparse_and_dense_views_agree():
@@ -174,3 +166,13 @@ def test_matmul_matches_integer_arithmetic(rows, cols, seed):
     b = rng.integers(0, 2, size=(cols, rows), dtype=np.uint8)
     prod = BinMatrix.from_dense(a).mul_mat(BinMatrix.from_dense(b))
     assert np.array_equal(prod.to_dense(), (a.astype(int) @ b.astype(int)) % 2)
+
+
+def test_matmul_keeps_empty_rows_zero():
+    rng = np.random.default_rng(21)
+    a = rng.integers(0, 2, size=(6, 9), dtype=np.uint8)
+    a[[0, 3, 5]] = 0  # first, middle and last rows empty
+    b = rng.integers(0, 2, size=(9, 70), dtype=np.uint8)
+    prod = BinMatrix.from_dense(a).mul_mat(BinMatrix.from_dense(b))
+    assert np.array_equal(prod.to_dense(), (a.astype(int) @ b.astype(int)) % 2)
+    assert BinMatrix(4, 9).mul_mat(BinMatrix.from_dense(b)) == BinMatrix(4, 70)
