@@ -3,9 +3,12 @@
 The decoder treats an arbitrary binary matrix D with per-column priors
 as a classical linear code with noiseless syndromes: belief propagation
 (normalized min-sum, flooding schedule) estimates per-column posterior
-marginals, then ordered-statistics post-processing solves the syndrome
-on the most likely information set and sweeps single and paired flips
-of the excluded columns to lower the solution weight.
+marginals and stops once its hard decision reproduces the syndrome.
+Only when it does not (BP failed to converge) does ordered-statistics
+post-processing solve the syndrome on the most likely information set
+and sweep single and paired flips of the excluded columns to lower the
+solution weight (Panteleev-Kalachev, arXiv:1904.02703; Roffe et al.,
+arXiv:2005.07016).
 
 The same machinery doubles as a randomized upper bound on code and
 circuit distance: minimize a solution weight subject to anticommuting
@@ -25,6 +28,9 @@ from .gf2 import BinMatrix, BinVector, in_rref_rowspace
 
 PRIOR_FLOOR = 1e-12
 MIN_SUM_SCALE = 0.625  # normalization of the check-to-variable messages
+# Excluded columns scored per product in OSD's single-flip sweep; bounds
+# the float64 copy that the product makes of its 0/1 operand.
+_FLIP_BLOCK = 512
 
 
 class DecodingError(RuntimeError):
@@ -96,17 +102,15 @@ class BPOSDDecoder:
 
         # edge structure in check-major order
         supports = matrix.row_supports()
-        self.check_start = np.zeros(matrix.rows + 1, dtype=np.int64)
-        for i, sup in enumerate(supports):
-            self.check_start[i + 1] = self.check_start[i] + len(sup)
+        degree = np.array([len(sup) for sup in supports], dtype=np.int64)
         self.edge_var = np.concatenate(supports) if matrix.rows else np.zeros(0, dtype=np.int64)
-        self.edge_check = np.repeat(np.arange(matrix.rows), np.diff(self.check_start))
         self.n_edges = len(self.edge_var)
         # per-check reductions run over the nonempty checks only: a
         # reduceat segment cannot be empty, nor start at n_edges
-        self.seg_start = self.check_start[:-1][np.diff(self.check_start) > 0]
-        self.edge_seg = np.repeat(np.arange(len(self.seg_start)),
-                                  np.diff(np.append(self.seg_start, self.n_edges)))
+        self.seg_check = np.flatnonzero(degree > 0)
+        self.empty_checks = np.flatnonzero(degree == 0)
+        self.seg_degree = degree[self.seg_check]
+        self.seg_start = np.cumsum(self.seg_degree) - self.seg_degree
         self.prior_llr = np.log((1 - self.priors) / self.priors)
 
     # -- belief propagation ------------------------------------------------
@@ -115,49 +119,54 @@ class BPOSDDecoder:
         """Run min-sum BP; returns (q, hard_decision, converged, iterations).
 
         q[j] estimates Pr[xi_j = 1]; converged means the hard decision
-        reproduced the syndrome exactly at some iteration.
+        reproduced the syndrome exactly at some iteration.  A syndrome
+        bit on a check without edges can never be reproduced, so BP
+        returns at once, unconverged, after 0 iterations.
         """
         syndrome = np.asarray(syndrome, dtype=np.uint8)
         m, n = self.matrix.rows, self.matrix.cols
         if syndrome.shape != (m,):
             raise ValueError("syndrome length mismatch")
-        if self.n_edges == 0:
+        if self.n_edges == 0 or syndrome[self.empty_checks].any():
             converged = not syndrome.any()
             return np.zeros(n), np.zeros(n, dtype=np.uint8), converged, 0
 
-        ev, ss, es = self.edge_var, self.seg_start, self.edge_seg
-        syn_sign = np.where(syndrome[self.edge_check] == 1, -1.0, 1.0)
+        ev, ss, deg = self.edge_var, self.seg_start, self.seg_degree
+        syn_seg = syndrome[self.seg_check]
         c2v = np.zeros(self.n_edges)
-        llr_total = self.prior_llr.copy()
-        hard = (llr_total < 0).astype(np.uint8)
+        llr_total = self.prior_llr
+        llr_edge = llr_total[ev]
         converged = False
         iters = 0
         for iters in range(1, self.bp_cfg.max_iters + 1):
-            v2c = llr_total[ev] - c2v
+            v2c = llr_edge - c2v
             np.clip(v2c, -1e30, 1e30, out=v2c)
             mags = np.abs(v2c)
-            neg = v2c < 0
-            # per-check parity of negative messages, and two smallest magnitudes
-            par = np.bitwise_xor.reduceat(neg.view(np.uint8), ss).astype(bool)
+            neg = (v2c < 0).view(np.uint8)
+            # each edge gets its check's smallest magnitude, except a
+            # unique minimum, which gets the smallest of the others
             min1 = np.minimum.reduceat(mags, ss)
-            is_min = mags == min1[es]
-            # first occurrence of the minimum per check carries min2 instead
-            first_min = np.zeros(self.n_edges, dtype=bool)
-            idx_first = np.flatnonzero(is_min)
-            seg_first = es[idx_first]
-            keep = np.ones(len(idx_first), dtype=bool)
-            keep[1:] = seg_first[1:] != seg_first[:-1]
-            first_min[idx_first[keep]] = True
-            mags2 = np.where(first_min, np.inf, mags)
-            min2 = np.minimum.reduceat(mags2, ss)
-            out_mag = np.where(first_min, min2[es], min1[es])
-            sign = np.where(par[es] ^ neg, -1.0, 1.0) * syn_sign
-            c2v = MIN_SUM_SCALE * sign * np.where(np.isfinite(out_mag), out_mag, 0.0)
+            out_mag = np.repeat(min1, deg)
+            is_min = mags == out_mag
+            unique = np.add.reduceat(is_min, ss, dtype=np.int64) == 1
+            unique_min = is_min & np.repeat(unique, deg)
+            min2 = np.minimum.reduceat(np.where(unique_min, np.inf, mags), ss)[unique]
+            min2[np.isinf(min2)] = 0.0  # a check of degree 1 sends nothing
+            out_mag[unique_min] = min2
+            # negative when the check's syndrome bit and the signs of its
+            # other edges have odd parity
+            flip = np.repeat(np.bitwise_xor.reduceat(neg, ss) ^ syn_seg, deg) ^ neg
+            c2v = MIN_SUM_SCALE * out_mag
+            np.negative(c2v, out=c2v, where=flip.view(bool))
             llr_total = self.prior_llr + np.bincount(ev, weights=c2v, minlength=n)
-            hard = (llr_total < 0).astype(np.uint8)
-            if self._syndrome_of(hard).tobytes() == syndrome.tobytes():
+            llr_edge = llr_total[ev]
+            # the hard decision reproduces the syndrome on every nonempty
+            # check; the empty ones have zero bits, as checked above
+            if np.array_equal(np.bitwise_xor.reduceat((llr_edge < 0).view(np.uint8), ss),
+                              syn_seg):
                 converged = True
                 break
+        hard = (llr_total < 0).astype(np.uint8)
         with np.errstate(over="ignore"):
             q = 1.0 / (1.0 + np.exp(np.clip(llr_total, -500, 500)))
         return q, hard, converged, iters
@@ -179,6 +188,14 @@ class BPOSDDecoder:
         and in pairs (among the ``sweep_depth`` most likely) and the
         lightest solution wins.
 
+        Single flips are scored from a contiguous transpose of the
+        reduced pivot rows: flipping excluded column j sets the pivot
+        bits to the order-0 bits XOR row j of that transpose.  The rows
+        of ``_FLIP_BLOCK`` excluded columns at a time are weighed by one
+        product with the pivot log-weights, so the float64 copy that the
+        product makes of its 0/1 operand stays bounded (under 4 MB at
+        rank 930) instead of spanning all excluded columns.
+
         Raises:
             DecodingError: syndrome not in the column space.
         """
@@ -191,7 +208,8 @@ class BPOSDDecoder:
         if rhs[rank:].any():
             raise DecodingError("syndrome is not in the column space of D")
 
-        red = R.to_dense()[:rank, :n]
+        # row j of red_t is column j of the reduced pivot rows
+        red_t = np.ascontiguousarray(R.to_dense()[:rank, :n].T)
         base = rhs[:rank]
         pivots = np.array(pivot_cols, dtype=np.int64)
         is_pivot = np.zeros(n, dtype=bool)
@@ -203,7 +221,7 @@ class BPOSDDecoder:
         def solution_weight(np_pattern: np.ndarray) -> tuple[float, np.ndarray]:
             piv_bits = base.copy()
             for j in np_pattern:
-                piv_bits ^= red[:, j]
+                piv_bits ^= red_t[j]
             w = float(lw_piv @ piv_bits) + float(lw[np_pattern].sum())
             return w, piv_bits
 
@@ -211,12 +229,17 @@ class BPOSDDecoder:
         best_np: np.ndarray = np.zeros(0, dtype=np.int64)
 
         if nonpivot.size:
-            piv_matrix = red[:, nonpivot] ^ base[:, None]
-            weights = lw_piv @ piv_matrix + lw[nonpivot]
+            # flipping excluded column j alone sets the pivot bits to
+            # base ^ red_t[j]; score _FLIP_BLOCK such flips per product
+            weights = np.empty(nonpivot.size)
+            for lo in range(0, nonpivot.size, _FLIP_BLOCK):
+                cols = nonpivot[lo : lo + _FLIP_BLOCK]
+                flipped = np.ascontiguousarray((red_t[cols] ^ base).T)
+                weights[lo : lo + cols.size] = lw_piv @ flipped + lw[cols]
             j = int(np.argmin(weights))
             if weights[j] < best_w:
                 best_w = float(weights[j])
-                best_piv = piv_matrix[:, j]
+                best_piv = base ^ red_t[nonpivot[j]]
                 best_np = nonpivot[j : j + 1]
             top = nonpivot[: self.osd_cfg.sweep_depth]
             for a, b in combinations(range(len(top)), 2):
@@ -233,15 +256,16 @@ class BPOSDDecoder:
     # -- end-to-end ---------------------------------------------------------
 
     def decode(self, syndrome) -> DecodeOutcome:
-        """BP then OSD; the returned solution always satisfies D xi = s."""
+        """BP, then OSD only where BP fails.
+
+        A converged side returns BP's hard decision; an unconverged one
+        returns the OSD solution.  Either way the solution satisfies
+        D xi = s, which is checked before returning.
+        """
         syndrome = np.asarray(syndrome, dtype=np.uint8)
         q, hard, converged, iters = self.bp_marginals(syndrome)
-        x = self.osd_postprocess(syndrome, q)
+        x = hard if converged else self.osd_postprocess(syndrome, q)
         w = float(self.log_weights[x.astype(bool)].sum())
-        if converged:
-            w_bp = float(self.log_weights[hard.astype(bool)].sum())
-            if w_bp < w:
-                x, w = hard, w_bp
         if self._syndrome_of(x).tobytes() != syndrome.tobytes():
             raise DecodingError("post-processing failed to satisfy the syndrome")
         xi = BinVector.from_bits(x)

@@ -8,10 +8,13 @@ shared by rank, kernel, solve, row-space membership and the decoder's
 ordered-statistics step.  ``rref`` tries pivot columns in a
 caller-given order, left to right by default, so the decoder eliminates
 its own packed matrix in reliability order instead of a column-permuted
-copy.  Row updates are word-wide XORs, which is plenty fast for the
-matrix sizes that occur here (n up to a few thousand).  A sorted
-column-index-per-row sparse view is derived on demand for
-message-passing decoders and for products with a sparse left factor.
+copy.  Row updates are word-wide XORs, one pivot at a time.  The
+largest elimination here is the decoder's: OSD reduces a 936 x 8,785
+matrix on bb144 with 12 cycles.  Its rank is 930, so the scan ends at
+the last pivot, about a third of the way along the column order, once
+the rows below it are zero.  A sorted column-index-per-row sparse view
+is derived on demand for message-passing decoders and for products
+with a sparse left factor.
 """
 
 from __future__ import annotations
@@ -297,6 +300,10 @@ class BinMatrix:
         are those of the default elimination of the column-permuted
         matrix, so R equals that result with its columns mapped back.
         Columns left out of ``pivot_order`` are reduced but never pivot.
+        The scan ends early once every row at or below the current row
+        is zero, since no later column can pivot there; a rank-deficient
+        matrix thus stops near its last pivot instead of trying every
+        column.
 
         Returns:
             (R, pivot_cols): R is a new BinMatrix in RREF; pivot_cols
@@ -316,6 +323,8 @@ class BinMatrix:
             colbits = (W[pr:, w] >> b) & np.uint64(1)
             hits = np.flatnonzero(colbits)
             if hits.size == 0:
+                if not W[pr:].any():
+                    break
                 continue
             piv = pr + int(hits[0])
             if piv != pr:

@@ -1,3 +1,4 @@
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,8 +15,15 @@ from bbqec.decode import (
     exact_distance_small,
 )
 from bbqec.gf2 import BinMatrix, BinVector
+from bbqec.noise import sample_circuit_noise
 
 SIDES = ("x", "z")
+
+# SHA-256 over BP's (q, hard decision, converged, iterations) on six
+# seed-5 shots of each side, BP cap 100.  It changes with any change to
+# the min-sum arithmetic or its stopping rule; such a change must be
+# deliberate and stated.
+BP_SHA = "4ceb3a4b4838b8a8e88aa32d2d554b35f7b11239e9e64ce2ec486e32ebef248f"
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +68,46 @@ def test_column_pairs_decode_to_their_logical_action(sides, side):
     assert decode_failures(sides[side], pairs) == []
 
 
+def test_bp_marginals_golden(model, sides):
+    batch = sample_circuit_noise(model.circuit, model.p, 6, 5, model.basis)
+    h = hashlib.sha256()
+    for side in SIDES:
+        dec = sides[side][0]
+        for syndrome in getattr(batch, f"{side}_syndromes"):
+            q, hard, converged, iters = dec.bp_marginals(syndrome)
+            h.update(q.tobytes())
+            h.update(hard.tobytes())
+            h.update(f"{converged} {iters}".encode())
+    assert h.hexdigest() == BP_SHA
+
+
+def test_osd_runs_only_where_bp_fails(model, sides, monkeypatch):
+    dec, D, _ = sides["z"]
+    osd = BPOSDDecoder.osd_postprocess
+    calls = []
+
+    def no_osd(self, syndrome, q):
+        raise AssertionError("OSD ran on a side that BP solved")
+
+    monkeypatch.setattr(BPOSDDecoder, "osd_postprocess", no_osd)
+    assert dec.decode(np.zeros(D.shape[0], dtype=np.uint8)).xi.is_zero()
+    out = dec.decode(D[:, 0])
+    assert out.converged
+    assert np.array_equal(D @ out.xi.to_bits() % 2, D[:, 0])
+
+    def counted_osd(self, syndrome, q):
+        calls.append(1)
+        return osd(self, syndrome, q)
+
+    monkeypatch.setattr(BPOSDDecoder, "osd_postprocess", counted_osd)
+    capped = BPOSDDecoder(model.z.matrix, model.z.priors, bp=BPConfig(max_iters=1))
+    cols = np.random.default_rng(14).choice(D.shape[1], size=8, replace=False)
+    syndrome = D[:, cols].sum(axis=1) % 2
+    out = capped.decode(syndrome)
+    assert not out.converged and calls == [1]
+    assert np.array_equal(D @ out.xi.to_bits() % 2, syndrome)
+
+
 def test_distance_bounds_reject_a_witness_outside_the_kernel(monkeypatch):
     # a coset search that returns a vector with a nonzero syndrome
     monkeypatch.setattr(decode, "minimum_weight_in_coset",
@@ -74,12 +122,16 @@ def test_distance_bounds_reject_a_witness_outside_the_kernel(monkeypatch):
 
 def test_empty_last_row_of_d():
     # a check with no edges at the end of D must not end a reduceat segment list
-    dec = BPOSDDecoder(BinMatrix.from_dense([[1, 1, 0], [0, 0, 0]]), np.full(3, 0.1),
-                       bp=BPConfig(max_iters=5))
-    out = dec.decode(np.zeros(2, dtype=np.uint8))
-    assert out.converged and out.xi.is_zero()
-    with pytest.raises(DecodingError):
-        dec.decode(np.array([0, 1], dtype=np.uint8))
+    D = BinMatrix.from_dense([[1, 1, 0], [0, 0, 0]])
+    for bp in (BPConfig(max_iters=5), BPConfig()):
+        dec = BPOSDDecoder(D, np.full(3, 0.1), bp=bp)
+        out = dec.decode(np.zeros(2, dtype=np.uint8))
+        assert out.converged and out.xi.is_zero()
+        # no hard decision sets the bit of an empty check, so BP stops at once
+        unreachable = np.array([0, 1], dtype=np.uint8)
+        assert dec.bp_marginals(unreachable)[2:] == (False, 0)
+        with pytest.raises(DecodingError):
+            dec.decode(unreachable)
 
 
 def test_distance_searches_reject_an_unknown_pauli():

@@ -6,12 +6,18 @@ from hypothesis import strategies as st
 from bbqec.gf2 import BinMatrix, BinVector, in_rref_rowspace
 
 
-def rank_reference(a: np.ndarray) -> int:
-    """Plain dense elimination, independent of the packed code path."""
+def rref_reference(a: np.ndarray, order=None) -> tuple[np.ndarray, list[int]]:
+    """Plain dense elimination, independent of the packed code path.
+
+    Tries every column of ``order`` (default: all, left to right), with
+    no early stop, and swaps up the first row at or below the current
+    one that has the column set.
+    """
     a = a.copy() % 2
     rows, cols = a.shape
-    r = 0
-    for c in range(cols):
+    pivots = []
+    for c in range(cols) if order is None else order:
+        r = len(pivots)
         piv = next((i for i in range(r, rows) if a[i, c]), None)
         if piv is None:
             continue
@@ -19,8 +25,8 @@ def rank_reference(a: np.ndarray) -> int:
         for i in range(rows):
             if i != r and a[i, c]:
                 a[i] ^= a[r]
-        r += 1
-    return r
+        pivots.append(int(c))
+    return a, pivots
 
 
 def random_matrix(rng, rows, cols):
@@ -38,7 +44,7 @@ def test_rank_matches_reference_and_transpose():
         rows, cols = rng.integers(1, 200, size=2)
         dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
         m = BinMatrix.from_dense(dense)
-        assert m.rank() == rank_reference(dense)
+        assert m.rank() == len(rref_reference(dense)[1])
         assert m.rank() == m.transpose().rank()
 
 
@@ -77,11 +83,25 @@ def test_solve_round_trip():
         assert m.mul_vec(x) == s
 
 
+def rank_deficient(rng, rows, cols) -> np.ndarray:
+    """A matrix of rank below its row count: a low-rank product with one
+    row repeated and one row zeroed."""
+    k = int(rng.integers(1, min(rows, cols)))
+    a = (rng.integers(0, 2, size=(rows, k)) @ rng.integers(0, 2, size=(k, cols))) % 2
+    a[rng.integers(rows)] = a[rng.integers(rows)]
+    a[rng.integers(rows)] = 0
+    return a.astype(np.uint8)
+
+
 def test_rref_pivot_order_equals_permuted_elimination():
     rng = np.random.default_rng(21)
-    for _ in range(25):
-        rows, cols = rng.integers(1, 150, size=2)
-        dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+    early = 0
+    for trial in range(50):
+        rows, cols = (int(v) for v in rng.integers(2, 150, size=2))
+        if trial % 2:
+            dense = rank_deficient(rng, rows, cols)
+        else:
+            dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
         order = rng.permutation(cols)
         R, pivots = BinMatrix.from_dense(dense).rref(pivot_order=order)
         R_perm, pivots_perm = BinMatrix.from_dense(dense[:, order]).rref()
@@ -89,7 +109,23 @@ def test_rref_pivot_order_equals_permuted_elimination():
         back[:, order] = R_perm.to_dense()
         assert np.array_equal(R.to_dense(), back)
         assert pivots == order[pivots_perm].tolist()
-        assert len(pivots) == rank_reference(dense)
+        R_ref, pivots_ref = rref_reference(dense, order)
+        assert np.array_equal(R.to_dense(), R_ref)
+        assert pivots == pivots_ref
+        # the scan can stop early: rows left below the last pivot, and
+        # columns of the order left after it
+        last = order.tolist().index(pivots[-1]) if pivots else -1
+        early += len(pivots) < rows and last < cols - 1
+        # one more column left out of the order, as OSD appends its
+        # syndrome: inside the column space on half the trials, so that
+        # the rows below the last pivot end up zero there too
+        extra = dense @ rng.integers(0, 2, cols) % 2 if trial % 4 < 2 else rng.integers(0, 2, rows)
+        grown = np.hstack([dense, extra[:, None]]).astype(np.uint8)
+        R, pivots = BinMatrix.from_dense(grown).rref(pivot_order=order)
+        R_ref, pivots_ref = rref_reference(grown, order)
+        assert np.array_equal(R.to_dense(), R_ref)
+        assert pivots == pivots_ref
+    assert early >= 20
 
 
 def test_rref_pivot_order_skips_left_out_columns():
