@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .code import REGISTERS, BBCode, BivariatePoly, Monomial, _shift_index
+from .code import REGISTERS, BBCode, BivariatePoly, Monomial, _shift_index, maps_rows_onto
 from .gf2 import BinVector, bit_masks, nwords, unpack_bits
 
 REG_OFFSET = {r: i for i, r in enumerate(REGISTERS)}
@@ -43,9 +43,6 @@ class CNOTLayer:
     family: str  # "A" or "B"
     index: int  # 1..3
 
-    def label(self) -> str:
-        return f"{self.side}:{self.family}{self.index}"
-
     def registers(self) -> tuple[str, str]:
         """(control register, target register)."""
         if self.side == "X":
@@ -67,23 +64,16 @@ class Schedule:
 
     rounds: tuple[tuple[CNOTLayer, ...], ...]  # length 7, rounds 1..7
 
-    def layers_in_order(self) -> list[tuple[int, CNOTLayer]]:
-        return [(r + 1, layer) for r, rnd in enumerate(self.rounds) for layer in rnd]
+    def layers_in_order(self) -> list[CNOTLayer]:
+        return [layer for rnd in self.rounds for layer in rnd]
 
-    def round_of(self, layer: CNOTLayer) -> int | None:
-        for r, rnd in enumerate(self.rounds):
-            if layer in rnd:
-                return r + 1
-        return None
-
-    def structural_problems(self, cnot_depth: int = 7) -> list[str]:
+    def structural_problems(self) -> list[str]:
         """Violations of the packing rules; empty list means well formed."""
         problems = []
-        layers = [layer for rnd in self.rounds for layer in rnd]
-        if sorted(layers) != sorted(ALL_LAYERS):
+        if sorted(self.layers_in_order()) != sorted(ALL_LAYERS):
             problems.append("each of the 12 layers must appear exactly once")
-        if len(self.rounds) != cnot_depth:
-            problems.append(f"expected {cnot_depth} unitary rounds")
+        if len(self.rounds) != 7:
+            problems.append("expected 7 unitary rounds")
         for r, rnd in enumerate(self.rounds, start=1):
             x_side = [l for l in rnd if l.side == "X"]
             z_side = [l for l in rnd if l.side == "Z"]
@@ -136,11 +126,9 @@ class Step:
 
     kind: str  # "cnot" | "init" | "meas" | "idle"
     round_id: int
-    cycle: int  # 1-based cycle attribution (0 for the leading init round)
     qubits: np.ndarray  # measured/initialized/idle qubits, or CNOT controls
     targets: np.ndarray | None = None  # CNOT targets
     basis: str | None = None  # "X" or "Z" for init/meas
-    layer: CNOTLayer | None = None
     meas_slot: int | None = None  # index into the measurement record
 
 
@@ -156,26 +144,7 @@ class ScheduledCircuit:
 
     code: BBCode
     n_cycles: int
-    schedule: Schedule = CANONICAL_SCHEDULE
     steps: list[Step] = field(default_factory=list, repr=False)
-    n_meas_z: int = 0  # measurement slots per kind, filled at build time
-    n_meas_x: int = 0
-
-    @property
-    def n_qubits(self) -> int:
-        return 4 * self.code.lm
-
-    def cnot_count(self) -> int:
-        return sum(len(s.qubits) for s in self.steps if s.kind == "cnot")
-
-    def depth(self) -> int:
-        return 1 + max(s.round_id for s in self.steps)
-
-    def op_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for s in self.steps:
-            out[s.kind] = out.get(s.kind, 0) + len(s.qubits)
-        return out
 
 
 def build_sm_circuit(
@@ -193,16 +162,14 @@ def build_sm_circuit(
         raise ValueError("invalid schedule: " + "; ".join(problems))
 
     lm = code.lm
-    circ = ScheduledCircuit(code=code, n_cycles=n_cycles, schedule=schedule)
+    circ = ScheduledCircuit(code=code, n_cycles=n_cycles)
     reg = {r: REG_OFFSET[r] * lm + np.arange(lm) for r in REGISTERS}
-    meas_z = 0
-    meas_x = 0
 
     def add(step: Step):
         circ.steps.append(step)
 
     # round 0: bring up the Z ancillas for the first cycle
-    add(Step(kind="init", round_id=0, cycle=1, qubits=reg["Z"], basis="Z"))
+    add(Step(kind="init", round_id=0, qubits=reg["Z"], basis="Z"))
 
     for t in range(1, n_cycles + 1):
         base = (t - 1) * 8
@@ -210,27 +177,20 @@ def build_sm_circuit(
             rid = base + r
             for layer in schedule.rounds[r - 1]:
                 ctrl, tgt = layer_gates(code, layer)
-                add(Step(kind="cnot", round_id=rid, cycle=t, qubits=ctrl,
-                         targets=tgt, layer=layer))
+                add(Step(kind="cnot", round_id=rid, qubits=ctrl, targets=tgt))
             if r == 1:
-                add(Step(kind="init", round_id=rid, cycle=t, qubits=reg["X"], basis="X"))
-                add(Step(kind="idle", round_id=rid, cycle=t, qubits=reg["L"]))
+                add(Step(kind="init", round_id=rid, qubits=reg["X"], basis="X"))
+                add(Step(kind="idle", round_id=rid, qubits=reg["L"]))
             if r == 7:
-                add(Step(kind="meas", round_id=rid, cycle=t, qubits=reg["Z"],
-                         basis="Z", meas_slot=meas_z))
-                meas_z += 1
-                add(Step(kind="idle", round_id=rid, cycle=t, qubits=reg["R"]))
+                add(Step(kind="meas", round_id=rid, qubits=reg["Z"], basis="Z", meas_slot=t - 1))
+                add(Step(kind="idle", round_id=rid, qubits=reg["R"]))
         rid = base + 8
-        add(Step(kind="meas", round_id=rid, cycle=t, qubits=reg["X"], basis="X",
-                 meas_slot=meas_x))
-        meas_x += 1
+        add(Step(kind="meas", round_id=rid, qubits=reg["X"], basis="X", meas_slot=t - 1))
         if t < n_cycles:
-            add(Step(kind="init", round_id=rid, cycle=t, qubits=reg["Z"], basis="Z"))
-        add(Step(kind="idle", round_id=rid, cycle=t, qubits=reg["L"]))
-        add(Step(kind="idle", round_id=rid, cycle=t, qubits=reg["R"]))
+            add(Step(kind="init", round_id=rid, qubits=reg["Z"], basis="Z"))
+        add(Step(kind="idle", round_id=rid, qubits=reg["L"]))
+        add(Step(kind="idle", round_id=rid, qubits=reg["R"]))
 
-    circ.n_meas_z = meas_z
-    circ.n_meas_x = meas_x
     _check_round_disjointness(circ)
     return circ
 
@@ -247,73 +207,24 @@ def _check_round_disjointness(circ: ScheduledCircuit) -> None:
             raise ValueError(f"round {rid}: a qubit is touched twice")
 
 
-def circuit_text(circ: ScheduledCircuit) -> str:
-    """Stable text form: one op per line, ordered by (round, kind, index)."""
-    lm = circ.code.lm
-    kind_name = {"cnot": "CNOT", "init": "INIT", "meas": "MEAS", "idle": "IDLE"}
-    lines = []
-    for s in sorted(circ.steps, key=lambda s: (s.round_id, s.kind)):
-        name = kind_name[s.kind]
-        if s.basis:
-            name += f"_{s.basis}"
-        if s.kind == "cnot":
-            for c, t in zip(s.qubits, s.targets):
-                lines.append(
-                    f"ROUND {s.round_id}; {name} "
-                    f"{REGISTERS[c // lm]} {c % lm} {REGISTERS[t // lm]} {t % lm}"
-                )
-        else:
-            for q in s.qubits:
-                lines.append(f"ROUND {s.round_id}; {name} {REGISTERS[q // lm]} {q % lm}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Symbolic tableau verification
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TableauReport:
-    """Outcome of the block-algebra replay of one syndrome cycle."""
-
-    passed: bool
-    structural_problems: list[str]
-    x_ancilla_blocks: list[BivariatePoly]          # final top-row blocks, X replay
-    x_residual: BivariatePoly                      # q(Z) block that must vanish
-    z_residual: BivariatePoly                      # q(X) block that must vanish (Z replay)
-    x_stabilizer_ok: bool
-    z_stabilizer_ok: bool
-    logical_ok: bool
-    offending_rounds: list[int]                    # rounds whose writes survive in a residual
-    trace: list[str] = field(default_factory=list)
-
-    def summary(self) -> str:
-        state = "PASS" if self.passed else "FAIL"
-        return (
-            f"{state}: x_residual={self.x_residual}, z_residual={self.z_residual}, "
-            f"logical_ok={self.logical_ok}"
-        )
-
-
-def verify_sm_circuit(
-    circ_or_schedule: ScheduledCircuit | Schedule, code: BBCode
-) -> TableauReport:
+def verify_sm_circuit(schedule: Schedule, code: BBCode) -> bool:
     """Replay one unitary cycle on symbolic polynomial blocks.
 
-    Checks, exactly and without sampling:
+    True iff the schedule is well formed and, exactly and without
+    sampling:
       * the X-ancilla row evolves (I 0 0 0) -> (I A B 0),
       * the Z-ancilla row evolves (0 0 0 I) -> (0 B^T A^T I),
       * both code-check rows return to themselves,
       * logical operators are untouched (the q(Z) accumulation of a
         logical row (0 u w 0) equals u*B + w*A, which vanishes).
     """
-    schedule = (
-        circ_or_schedule.schedule
-        if isinstance(circ_or_schedule, ScheduledCircuit)
-        else circ_or_schedule
-    )
-    problems = schedule.structural_problems(cnot_depth=len(schedule.rounds))
+    if schedule.structural_problems():
+        return False
     zero = BivariatePoly.zero(code.l, code.m)
     one = BivariatePoly.one(code.l, code.m)
     A, B = code.a_poly, code.b_poly
@@ -328,10 +239,7 @@ def verify_sm_circuit(
     coeff_u = zero  # accumulated q(L)-sourced writes into q(Z)
     coeff_w = zero
 
-    trace: list[str] = []
-    x_writes: list[tuple[int, BivariatePoly]] = []  # (round, terms added to q(Z))
-    z_writes: list[tuple[int, BivariatePoly]] = []  # (round, terms added to q(X))
-    for rnd, layer in schedule.layers_in_order():
+    for layer in schedule.layers_in_order():
         M = _layer_term(code, layer)
         creg, treg = layer.registers()
         c, t = pos[creg], pos[treg]
@@ -340,47 +248,14 @@ def verify_sm_circuit(
         for row in (z_top, z_bot):
             row[c] = row[c] + row[t] * M.T
         if layer.side == "Z":
-            x_writes.append((rnd, x_top[pos["Z"]]))
             if layer.family == "B":
                 coeff_u = coeff_u + BivariatePoly((M,), code.l, code.m)
             else:
                 coeff_w = coeff_w + BivariatePoly((M,), code.l, code.m)
-        else:
-            z_writes.append((rnd, z_top[pos["X"]]))
-        trace.append(
-            f"round {rnd} {layer.label()}: "
-            f"x_top=({', '.join(str(b) for b in x_top)})"
-        )
 
     x_ok = x_top == [one, A, B, zero] and x_bot == [zero, A, B, zero]
     z_ok = z_top == [zero, B.T, A.T, one] and z_bot == [zero, B.T, A.T, zero]
-    logical_ok = coeff_u == B and coeff_w == A
-
-    offending: set[int] = set()
-    for residual, writes in ((x_top[pos["Z"]], x_writes), (z_top[pos["X"]], z_writes)):
-        bad = set(residual.terms)
-        if not bad:
-            continue
-        prev: set = set()
-        for rnd, state in writes:
-            added = set(state.terms) ^ prev
-            prev = set(state.terms)
-            if added & bad:
-                offending.add(rnd)
-
-    passed = not problems and x_ok and z_ok and logical_ok
-    return TableauReport(
-        passed=passed,
-        structural_problems=problems,
-        x_ancilla_blocks=list(x_top),
-        x_residual=x_top[pos["Z"]],
-        z_residual=z_top[pos["X"]],
-        x_stabilizer_ok=x_ok,
-        z_stabilizer_ok=z_ok,
-        logical_ok=logical_ok,
-        offending_rounds=sorted(offending),
-        trace=trace,
-    )
+    return x_ok and z_ok and coeff_u == B and coeff_w == A
 
 
 def _fast_schedule_valid(
@@ -425,26 +300,19 @@ def _fast_schedule_valid(
     return not acc_x and not acc_z
 
 
-def enumerate_schedules(code: BBCode, cnot_depth: int = 7) -> list[Schedule]:
-    """All packings of the 12 layers into ``cnot_depth`` rounds that verify.
+def enumerate_schedules(code: BBCode) -> list[Schedule]:
+    """All packings of the 12 layers into the 7 unitary rounds that verify.
 
-    The search space: Z-side layers occupy rounds 1..depth-1 (the last
-    unitary round belongs to the Z readout), X-side layers rounds
-    2..depth (round 1 holds the X initialization), one layer per side
-    per round, and layers sharing a round must act on disjoint
-    registers.  Each structurally valid packing is kept iff the
-    symbolic tableau replay passes.  Depths below 7 cannot fit the six
-    X-side layers, so the search space is empty there.
+    The search space: Z-side layers occupy rounds 1..6 (round 7 belongs
+    to the Z readout), X-side layers rounds 2..7 (round 1 holds the X
+    initialization), one layer per side per round, and layers sharing a
+    round must act on disjoint registers.  Each structurally valid
+    packing is kept iff the symbolic tableau replay passes.
     """
     from itertools import permutations
 
     x_layers = [l for l in ALL_LAYERS if l.side == "X"]
     z_layers = [l for l in ALL_LAYERS if l.side == "Z"]
-    if cnot_depth < 7:
-        return []
-    if cnot_depth > 7:
-        raise NotImplementedError("packings with idle CNOT rounds are not supported")
-
     valid = []
     for zp in permutations(z_layers):
         zfam = tuple(l.family for l in zp)
@@ -553,9 +421,6 @@ class AutomorphismCircuit:
     shift: Monomial
     steps: list[Step] = field(default_factory=list, repr=False)
 
-    def cnot_depth(self) -> int:
-        return len({s.round_id for s in self.steps if s.kind == "cnot"})
-
 
 def build_automorphism_circuit(code: BBCode, kind: str, j: int, k: int) -> AutomorphismCircuit:
     """Emit the move-based automorphism circuit for shift s.
@@ -603,7 +468,7 @@ def build_automorphism_circuit(code: BBCode, kind: str, j: int, k: int) -> Autom
         ]
 
     def add(kind_, rid, qubits, targets=None, basis=None):
-        circ.steps.append(Step(kind=kind_, round_id=rid, cycle=1, qubits=qubits,
+        circ.steps.append(Step(kind=kind_, round_id=rid, qubits=qubits,
                                targets=targets, basis=basis))
 
     for src, anc, dst in moves:
@@ -674,14 +539,8 @@ def verify_automorphism(
         data_permutation = shift_permutation(code, s)
     perm = np.asarray(data_permutation)
 
-    for h in (code.hx, code.hz):
-        dense = h.to_dense()
-        permuted = np.zeros_like(dense)
-        permuted[:, perm] = dense  # column q of dense becomes column perm[q]
-        rows = {dense[i].tobytes() for i in range(h.rows)}
-        prows = [permuted[i].tobytes() for i in range(h.rows)]
-        if set(prows) != rows or len(set(prows)) != len(rows):
-            return False
+    if not all(maps_rows_onto(h, h, perm) for h in (code.hx, code.hz)):
+        return False
 
     if basis is not None and s is not None:
         for alpha in (Monomial.one(code.l, code.m), s):

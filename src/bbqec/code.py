@@ -176,9 +176,6 @@ class BivariatePoly:
                 acc ^= {s * t}
         return BivariatePoly(tuple(sorted(acc, key=lambda t: t.index)), self.l, self.m)
 
-    def contains_one(self) -> bool:
-        return any(t.is_one() for t in self.terms)
-
     def to_matrix(self) -> BinMatrix:
         """The l*m x l*m permutation-sum matrix of this polynomial."""
         n = self.l * self.m
@@ -225,6 +222,9 @@ def translation_table(l: int, m: int) -> np.ndarray:
 # R block, X checks, Z checks.
 REGISTERS = ("L", "R", "X", "Z")
 
+# Edge tags of the Tanner graph's planar half "A"; the rest form half "B".
+HALF_A_TAGS = frozenset({"A2", "A3", "B3", "A2T", "A3T", "B3T"})
+
 
 def graph_components(vertices, edges) -> list[list[int]]:
     """Connected components of the graph on ``vertices`` with ``edges``.
@@ -253,43 +253,6 @@ def graph_components(vertices, edges) -> list[list[int]]:
                     stack.append(w)
         components.append(comp)
     return components
-
-
-@dataclass
-class TannerGraph:
-    """Bipartite check/data graph with edges tagged by generating term.
-
-    Vertices are (register, index) pairs flattened as
-    L: [0, lm), R: [lm, 2lm), X: [2lm, 3lm), Z: [3lm, 4lm).
-    """
-
-    l: int
-    m: int
-    edges: list[tuple[int, int, str]]  # (check vertex, data vertex, tag)
-
-    @property
-    def lm(self) -> int:
-        return self.l * self.m
-
-    @property
-    def n_vertices(self) -> int:
-        return 4 * self.lm
-
-    def vertex(self, register: str, index: int) -> int:
-        return REGISTERS.index(register) * self.lm + index
-
-    def vertex_label(self, v: int) -> tuple[str, int]:
-        return REGISTERS[v // self.lm], v % self.lm
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=int)
-        for u, v, _tag in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def connected_component_count(self) -> int:
-        return len(graph_components(range(self.n_vertices), self.edges))
 
 
 class CodeConstructionError(ValueError):
@@ -334,8 +297,13 @@ class BBCode:
 
     # -- Tanner graph ---------------------------------------------------
 
-    def tanner_graph(self) -> TannerGraph:
-        g = TannerGraph(self.l, self.m, [])
+    def tanner_edges(self) -> list[tuple[int, int, str]]:
+        """(check vertex, data vertex, generating term) of every Tanner edge.
+
+        Vertices are (register, index) pairs flattened in REGISTERS order:
+        L: [0, lm), R: [lm, 2lm), X: [2lm, 3lm), Z: [3lm, 4lm).
+        """
+        edges = []
         lm = self.lm
         idx = np.arange(lm)
         for p in (1, 2, 3):
@@ -344,12 +312,12 @@ class BBCode:
             b_of = _shift_index(idx, bi)
             for i in range(lm):
                 # X check i touches L qubit A_p(i) and R qubit B_p(i)
-                g.edges.append((2 * lm + i, int(a_of[i]), f"A{p}"))
-                g.edges.append((2 * lm + i, lm + int(b_of[i]), f"B{p}"))
+                edges.append((2 * lm + i, int(a_of[i]), f"A{p}"))
+                edges.append((2 * lm + i, lm + int(b_of[i]), f"B{p}"))
                 # Z check B_p(i) touches L qubit i; Z check A_p(i) touches R qubit i
-                g.edges.append((3 * lm + int(b_of[i]), i, f"B{p}T"))
-                g.edges.append((3 * lm + int(a_of[i]), lm + i, f"A{p}T"))
-        return g
+                edges.append((3 * lm + int(b_of[i]), i, f"B{p}T"))
+                edges.append((3 * lm + int(a_of[i]), lm + i, f"A{p}T"))
+        return edges
 
     # -- vector classification -------------------------------------------
 
@@ -455,6 +423,17 @@ def compute_k(code: BBCode) -> int:
     return _logical_count(code.a_poly.to_matrix(), code.b_poly.to_matrix(), code.hz.rank())
 
 
+def maps_rows_onto(h: BinMatrix, h_prime: BinMatrix, perm: np.ndarray) -> bool:
+    """Does moving column q to column perm[q] turn the rows of h into those of h_prime?
+
+    Rows are compared as sets, so the rows may come out in any order.
+    """
+    dense = h.to_dense()
+    moved = np.zeros_like(dense)
+    moved[:, perm] = dense
+    return {row.tobytes() for row in moved} == {row.tobytes() for row in h_prime.to_dense()}
+
+
 # -- Lemma machinery ------------------------------------------------------
 
 
@@ -514,7 +493,7 @@ def connected_components(code: BBCode) -> int:
     """
     sub = subgroup_closure(group_pair_ratios(code), code.l, code.m)
     by_formula = code.lm // len(sub)
-    by_bfs = code.tanner_graph().connected_component_count()
+    by_bfs = len(graph_components(range(4 * code.lm), code.tanner_edges()))
     if by_formula != by_bfs:
         raise CodeConstructionError(
             f"component count mismatch: formula {by_formula}, traversal {by_bfs}"
@@ -647,10 +626,9 @@ def thickness_decomposition(code: BBCode) -> ThicknessDecomposition:
     half 'B' carries A1, B1 and B2.  Every component of each half must
     be a wheel; a structural mismatch is reported, not swallowed.
     """
-    g = code.tanner_graph()
-    tags_a = {"A2", "A3", "B3", "A2T", "A3T", "B3T"}
-    edges_a = [e for e in g.edges if e[2] in tags_a]
-    edges_b = [e for e in g.edges if e[2] not in tags_a]
+    edges = code.tanner_edges()
+    edges_a = [e for e in edges if e[2] in HALF_A_TAGS]
+    edges_b = [e for e in edges if e[2] not in HALF_A_TAGS]
     report_a = _verify_wheels(
         code, edges_a, (code.a_poly.term(3), code.a_poly.term(2)), "B3", "A"
     )
@@ -670,9 +648,6 @@ class ToricLayout:
     h: int
     mu: int
     lam: int
-
-    def as_tuple(self):
-        return (self.i, self.j, self.g, self.h, self.mu, self.lam)
 
 
 def toric_layout(code: BBCode) -> ToricLayout | None:
@@ -738,8 +713,7 @@ def verify_toric_embedding(code: BBCode, layout: ToricLayout) -> bool:
         return False
     two_mu, two_lam = 2 * layout.mu, 2 * layout.lam
     chosen = {f"A{layout.i}", f"A{layout.j}", f"B{layout.g}", f"B{layout.h}"}
-    g = code.tanner_graph()
-    for u, v, tag in g.edges:
+    for u, v, tag in code.tanner_edges():
         base = tag[:-1] if tag.endswith("T") else tag
         if base not in chosen:
             continue

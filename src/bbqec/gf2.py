@@ -86,9 +86,6 @@ class BinVector:
             np.bitwise_xor.at(v.words, *bit_masks(idx))
         return v
 
-    def copy(self) -> "BinVector":
-        return BinVector(self.n, self.words.copy())
-
     def to_bits(self) -> np.ndarray:
         return unpack_bits(self.words, self.n)[0]
 
@@ -99,16 +96,6 @@ class BinVector:
     @property
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.to_bits())
-
-    def get(self, i: int) -> int:
-        return int((self.words[i // WORD] >> np.uint64(i % WORD)) & np.uint64(1))
-
-    def set(self, i: int, value: int = 1) -> None:
-        mask = np.uint64(1) << np.uint64(i % WORD)
-        if value:
-            self.words[i // WORD] |= mask
-        else:
-            self.words[i // WORD] &= ~mask
 
     def dot(self, other: "BinVector") -> int:
         return int(np.bitwise_count(self.words & other.words).sum()) & 1
@@ -215,9 +202,6 @@ class BinMatrix:
             bits = unpack_bits(self.words[:, lo // WORD : nwords(hi)], hi - lo)
             out[lo:hi] = pack_bits(bits.T)
         return BinMatrix(self.cols, self.rows, out)
-
-    def copy(self) -> "BinMatrix":
-        return BinMatrix(self.rows, self.cols, self.words.copy())
 
     @property
     def nnz(self) -> int:

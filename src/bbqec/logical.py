@@ -11,19 +11,20 @@ the product f*h, which drives the logical-qubit label selection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .code import (
+    HALF_A_TAGS,
     BBCode,
     BivariatePoly,
     Monomial,
     generator_paths,
     graph_components,
     group_pair_ratios,
+    maps_rows_onto,
     monomial_from_index,
     translation_table,
 )
@@ -36,28 +37,12 @@ from .decode import (
 from .gf2 import BinMatrix, BinVector
 
 
-def pauli_anticommute(
-    p: BivariatePoly, q: BivariatePoly, pb: BivariatePoly, qb: BivariatePoly
-) -> bool:
-    """True iff X(p, q) and Z(pb, qb) anticommute.
-
-    The overlap parity is the coefficient of the identity monomial in
-    p*pb^T + q*qb^T.
-    """
-    return ((p * pb.T) + (q * qb.T)).contains_one()
-
-
 @dataclass(frozen=True)
 class LogicalPauli:
     """An X- or Z-type Pauli given by its two block polynomials."""
 
-    pauli: str  # "X" or "Z"
     l_poly: BivariatePoly
     r_poly: BivariatePoly
-
-    @property
-    def weight(self) -> int:
-        return self.l_poly.weight + self.r_poly.weight
 
     def support_vector(self) -> BinVector:
         """Support over the 2lm data qubits, L block first."""
@@ -65,11 +50,6 @@ class LogicalPauli:
         sup = [t.index for t in self.l_poly.terms]
         sup += [lm + t.index for t in self.r_poly.terms]
         return BinVector.from_support(2 * lm, sup)
-
-    def anticommutes_with(self, other: "LogicalPauli") -> bool:
-        if self.pauli == other.pauli:
-            return False
-        return pauli_anticommute(self.l_poly, self.r_poly, other.l_poly, other.r_poly)
 
 
 class BasisSearchError(RuntimeError):
@@ -93,16 +73,16 @@ class LogicalBasis:
     m_labels: tuple[Monomial, ...]
 
     def x_bar(self, alpha: Monomial) -> LogicalPauli:
-        return LogicalPauli("X", self.f.shift(alpha), BivariatePoly.zero(self.f.l, self.f.m))
+        return LogicalPauli(self.f.shift(alpha), BivariatePoly.zero(self.f.l, self.f.m))
 
     def z_bar(self, alpha: Monomial) -> LogicalPauli:
-        return LogicalPauli("Z", self.h.T.shift(alpha), self.g.T.shift(alpha))
+        return LogicalPauli(self.h.T.shift(alpha), self.g.T.shift(alpha))
 
     def x_bar_primed(self, alpha: Monomial) -> LogicalPauli:
-        return LogicalPauli("X", self.g.shift(alpha), self.h.shift(alpha))
+        return LogicalPauli(self.g.shift(alpha), self.h.shift(alpha))
 
     def z_bar_primed(self, alpha: Monomial) -> LogicalPauli:
-        return LogicalPauli("Z", BivariatePoly.zero(self.f.l, self.f.m), self.f.T.shift(alpha))
+        return LogicalPauli(BivariatePoly.zero(self.f.l, self.f.m), self.f.T.shift(alpha))
 
     def x_ops(self) -> list[LogicalPauli]:
         return [self.x_bar(a) for a in self.n_labels] + [
@@ -124,43 +104,40 @@ class LogicalBasis:
         """The Z operators' supports, one row each; built once per basis."""
         return BinMatrix.from_rows([op.support_vector() for op in self.z_ops()])
 
-    def max_weight(self) -> int:
-        return max(self.f.weight, self.g.weight + self.h.weight)
-
     def validate(self, code: BBCode) -> None:
-        """Assert commutation, pairing and span; raises on any failure."""
-        xs, zs = self.x_ops(), self.z_ops()
-        if len(xs) != code.k or len(zs) != code.k:
+        """Assert commutation, pairing and span; raises on any failure.
+
+        X operator i and Z operator j anticommute iff their supports
+        overlap in an odd number of qubits, so the pairing holds iff the
+        product of the two support matrices is the identity.
+        """
+        xs, zs = self.x_support_matrix, self.z_support_matrix
+        if xs.rows != code.k or zs.rows != code.k:
             raise BasisSearchError("operator count != k")
-        if code.hz.mul_mat(self.x_support_matrix.transpose()).nnz:
+        if code.hz.mul_mat(xs.transpose()).nnz:
             raise BasisSearchError("X operator fails to commute with Z checks")
-        if code.hx.mul_mat(self.z_support_matrix.transpose()).nnz:
+        if code.hx.mul_mat(zs.transpose()).nnz:
             raise BasisSearchError("Z operator fails to commute with X checks")
-        for i, xop in enumerate(xs):
-            for j, zop in enumerate(zs):
-                if xop.anticommutes_with(zop) != (i == j):
-                    raise BasisSearchError(f"pairing defect at ({i}, {j})")
-        for mat, h in ((self.x_support_matrix, code.hx),
-                       (self.z_support_matrix, code.hz)):
+        pairing = xs.mul_mat(zs.transpose()).to_dense()
+        defects = np.argwhere(pairing != np.eye(code.k, dtype=np.uint8))
+        if len(defects):
+            i, j = defects[0]
+            raise BasisSearchError(f"pairing defect at ({i}, {j})")
+        for mat, h in ((xs, code.hx), (zs, code.hz)):
             if h.stack(mat).rank() != h.rank() + code.k:
                 raise BasisSearchError("operators do not span k qubits modulo stabilizer")
-
-    def to_json(self) -> dict:
-        def poly(p: BivariatePoly):
-            return [[t.a, t.b] for t in p.terms]
-
-        return {
-            "f": poly(self.f),
-            "g": poly(self.g),
-            "h": poly(self.h),
-            "n_labels": [[t.a, t.b] for t in self.n_labels],
-            "m_labels": [[t.a, t.b] for t in self.m_labels],
-        }
 
 
 # ---------------------------------------------------------------------------
 # Basis search
 # ---------------------------------------------------------------------------
+
+BASIS_CANDIDATES = 5  # validated bases find_basis_polynomials returns at most
+F_CANDIDATES = 30  # lightest f orbits tried
+GH_TRIALS = 40  # BP-OSD samples of low-weight X logicals (g, h)
+GH_CANDIDATES = 60  # lightest (g, h) orbits tried
+BASIS_SEED = 0  # seed of the random stream behind the f and (g, h) pools
+LABEL_SEARCH_NODES = 500_000  # depth-first nodes before a label search gives up
 
 
 def _orbit_canonical(v: BinVector, code: BBCode) -> bytes:
@@ -179,7 +156,7 @@ def _orbit_canonical(v: BinVector, code: BBCode) -> bytes:
     return moved[order[0]].tobytes()
 
 
-def _f_candidates(code: BBCode, limit: int, rng: np.random.Generator) -> list[BivariatePoly]:
+def _f_candidates(code: BBCode, rng: np.random.Generator) -> list[BivariatePoly]:
     """Low-weight solutions of f*B = 0, one per translation orbit."""
     bt = code.b_poly.to_matrix().transpose()
     basis = bt.nullspace_basis()
@@ -211,11 +188,11 @@ def _f_candidates(code: BBCode, limit: int, rng: np.random.Generator) -> list[Bi
                 v = v ^ basis[int(i)]
             consider(v)
     ranked = sorted(pool.values(), key=lambda v: (v.weight, tuple(v.support)))
-    return [BivariatePoly.from_vector(v, code.l, code.m) for v in ranked[:limit]]
+    return [BivariatePoly.from_vector(v, code.l, code.m) for v in ranked[:F_CANDIDATES]]
 
 
 def _gh_candidates(
-    code: BBCode, trials: int, rng: np.random.Generator, limit: int = 60
+    code: BBCode, rng: np.random.Generator
 ) -> list[tuple[BivariatePoly, BivariatePoly]]:
     """Low-weight X-type logicals (g, h), one per translation orbit.
 
@@ -241,14 +218,14 @@ def _gh_candidates(
             pass
 
     hx_kernel_basis = BinMatrix.from_rows(code.hx.nullspace_basis())
-    for _ in range(trials):
+    for _ in range(GH_TRIALS):
         eta = _random_kernel_logical(rng, hx_kernel_basis, code.hz)
         eta = reduce_weight_modulo_rows(eta, code.hz)
         xi = minimum_weight_in_coset(code.hz, eta)
         consider(xi)
         consider(descend_modulo_rows(xi, code.hx))
     out = []
-    for v in sorted(pool.values(), key=lambda v: (v.weight, tuple(v.support)))[:limit]:
+    for v in sorted(pool.values(), key=lambda v: (v.weight, tuple(v.support)))[:GH_CANDIDATES]:
         bits = v.to_bits()
         g = BivariatePoly.from_vector(BinVector.from_bits(bits[: code.lm]), code.l, code.m)
         h = BivariatePoly.from_vector(BinVector.from_bits(bits[code.lm :]), code.l, code.m)
@@ -260,9 +237,9 @@ def _family_span_ok(code: BBCode, f: BivariatePoly, g: BivariatePoly, h: Bivaria
     """Do the translated families span k logical qubits mod stabilizer?"""
     rows = []
     for alpha in code.monomials():
-        rows.append(LogicalPauli("X", f.shift(alpha), BivariatePoly.zero(code.l, code.m))
+        rows.append(LogicalPauli(f.shift(alpha), BivariatePoly.zero(code.l, code.m))
                     .support_vector())
-        rows.append(LogicalPauli("X", g.shift(alpha), h.shift(alpha)).support_vector())
+        rows.append(LogicalPauli(g.shift(alpha), h.shift(alpha)).support_vector())
     fam = BinMatrix.from_rows(rows)
     return code.hx.stack(fam).rank() == code.hx.rank() + code.k
 
@@ -281,7 +258,6 @@ def select_qubit_labels(
     code: BBCode,
     f: BivariatePoly,
     h: BivariatePoly,
-    max_nodes: int = 500_000,
 ) -> tuple[tuple[Monomial, ...], tuple[Monomial, ...]] | None:
     """Find labels {n_i}, {m_i} whose pairing matrix is the identity.
 
@@ -307,7 +283,7 @@ def select_qubit_labels(
         if len(chosen_n) == half:
             return True
         nodes += 1
-        if nodes > max_nodes:
+        if nodes > LABEL_SEARCH_NODES:
             return False
         start = chosen_n[-1] + 1 if chosen_n else 0
         for ni in range(start, lm):
@@ -335,13 +311,7 @@ def select_qubit_labels(
     return n_labels, m_labels
 
 
-def find_basis_polynomials(
-    code: BBCode,
-    max_candidates: int = 5,
-    f_limit: int = 30,
-    gh_trials: int = 40,
-    seed: int = 0,
-) -> list[LogicalBasis]:
+def find_basis_polynomials(code: BBCode) -> list[LogicalBasis]:
     """Search (f, g, h) triples and assemble validated logical bases.
 
     Candidates are ranked by max(|f|, |g|+|h|) so minimum-weight bases
@@ -354,9 +324,9 @@ def find_basis_polynomials(
     """
     if code.k < 2:
         raise BasisSearchError("need k >= 2")
-    rng = np.random.default_rng(seed)
-    fs = _f_candidates(code, f_limit, rng)
-    ghs = _gh_candidates(code, gh_trials, rng)
+    rng = np.random.default_rng(BASIS_SEED)
+    fs = _f_candidates(code, rng)
+    ghs = _gh_candidates(code, rng)
     if not fs or not ghs:
         raise BasisSearchError("no kernel solutions found")
 
@@ -367,7 +337,7 @@ def find_basis_polynomials(
     )
     out: list[LogicalBasis] = []
     for _, _, _, f, g, h in scored:
-        if len(out) >= max_candidates:
+        if len(out) >= BASIS_CANDIDATES:
             break
         if not _family_span_ok(code, f, g, h):
             continue
@@ -408,20 +378,7 @@ def zx_duality_check(code: BBCode, permutation: np.ndarray | None = None) -> boo
     land on the support of the Z check at b^T (and vice versa).
     """
     perm = zx_duality_permutation(code) if permutation is None else np.asarray(permutation)
-    hx, hz = code.hx.to_dense(), code.hz.to_dense()
-    lm = code.lm
-    moved_x = np.zeros_like(hx)
-    moved_x[:, perm] = hx
-    moved_z = np.zeros_like(hz)
-    moved_z[:, perm] = hz
-    z_rows = {hz[i].tobytes(): i for i in range(lm)}
-    x_rows = {hx[i].tobytes(): i for i in range(lm)}
-    for beta in range(lm):
-        if moved_x[beta].tobytes() not in z_rows:
-            return False
-        if moved_z[beta].tobytes() not in x_rows:
-            return False
-    return True
+    return maps_rows_onto(code.hx, code.hz, perm) and maps_rows_onto(code.hz, code.hx, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +403,6 @@ class GroupDecomposition:
     l: int
     m: int
     factors: tuple[GroupFactor, ...]
-
-    def order_signature(self) -> str:
-        return "".join(f"{f.name}{f.order}" for f in self.factors)
-
-    def express(self, variable: str) -> list[str]:
-        return [f.name for f in self.factors if f.variable == variable]
 
 
 def _prime_power_factors(value: int) -> list[tuple[int, int]]:
@@ -609,9 +560,6 @@ class PlaneComponentReport:
     sizes: list[int]
     kinds: list[str]  # per component: "pair", "path", "ring", "hairy-ring", "other"
 
-    def all_pairs(self) -> bool:
-        return all(k == "pair" or s == 1 for k, s in zip(self.kinds, self.sizes))
-
 
 @dataclass
 class AncillaSystem:
@@ -625,24 +573,12 @@ class AncillaSystem:
     layers: int  # r
     added_layers: int  # 2r - 1
     added_qubits: int
-    inter_layer_pairs: int  # association edges between adjacent layers
     plane_a: PlaneComponentReport
     plane_b: PlaneComponentReport
 
     @property
     def layer_size(self) -> int:
         return len(self.qubit_vertices) + len(self.check_vertices)
-
-    def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "layer_size": self.layer_size,
-            "layers": self.layers,
-            "added_qubits": self.added_qubits,
-            "qubits": self.qubit_vertices,
-            "checks": self.check_vertices,
-            "edges": [[u, v, tag] for u, v, tag in self.edges],
-        }
 
 
 def _classify_components(vertices: set[int], edges: list[tuple[int, int]]) -> PlaneComponentReport:
@@ -698,24 +634,22 @@ def build_ancilla_system(
         [t.index for t in op.l_poly.terms] + [lm + t.index for t in op.r_poly.terms]
     )
     qubit_set = set(qubits)
-    graph = code.tanner_graph()
     want_checks = "Z" if target == "X" else "X"
     check_reg = 3 if want_checks == "Z" else 2
     edges = [
         (u, v, tag)
-        for u, v, tag in graph.edges
+        for u, v, tag in code.tanner_edges()
         if v in qubit_set and u // lm == check_reg
     ]
     checks = sorted({u for u, _v, _t in edges})
 
     layer_size = len(qubits) + len(checks)
     added_layers = 2 * layers - 1
-    tags_a = {"A2", "A3", "B3", "A2T", "A3T", "B3T"}
     plane_a = _classify_components(
-        qubit_set | set(checks), [(u, v) for u, v, t in edges if t in tags_a]
+        qubit_set | set(checks), [(u, v) for u, v, t in edges if t in HALF_A_TAGS]
     )
     plane_b = _classify_components(
-        qubit_set | set(checks), [(u, v) for u, v, t in edges if t not in tags_a]
+        qubit_set | set(checks), [(u, v) for u, v, t in edges if t not in HALF_A_TAGS]
     )
     return AncillaSystem(
         target=target,
@@ -726,30 +660,6 @@ def build_ancilla_system(
         layers=layers,
         added_layers=added_layers,
         added_qubits=added_layers * layer_size,
-        inter_layer_pairs=added_layers * layer_size,
         plane_a=plane_a,
         plane_b=plane_b,
     )
-
-
-def basis_report_json(code: BBCode, basis: LogicalBasis, r: int | None = None) -> str:
-    r = r if r is not None else (code.distance_exact or code.distance_upper or 1)
-    sys_x = build_ancilla_system(code, basis, "X", r)
-    sys_z = build_ancilla_system(code, basis, "Z", r)
-    plan = plan_duality_swaps(code)
-    payload = {
-        "basis": basis.to_json(),
-        "max_operator_weight": basis.max_weight(),
-        "ancilla": {
-            "r": r,
-            "layer_size_x": sys_x.layer_size,
-            "layer_size_z": sys_z.layer_size,
-            "added_qubits_total": sys_x.added_qubits + sys_z.added_qubits,
-        },
-        "duality": {
-            "orders": plan.decomposition.order_signature(),
-            "chain_length": plan.chain_length,
-            "cnot_depth": plan.cnot_depth,
-        },
-    }
-    return json.dumps(payload, indent=2)

@@ -202,15 +202,11 @@ class SideModel:
     def n_columns(self) -> int:
         return self.matrix.cols
 
-    def column_weights(self) -> np.ndarray:
-        return np.bitwise_count(self.matrix.transpose().words).sum(axis=1).astype(int)
-
-    def row_weights(self) -> np.ndarray:
-        return np.bitwise_count(self.matrix.words).sum(axis=1).astype(int)
-
     def sparsity(self) -> tuple[int, int]:
         """(max column weight, max row weight)."""
-        return int(self.column_weights().max()), int(self.row_weights().max())
+        column_weights = np.bitwise_count(self.matrix.transpose().words).sum(axis=1)
+        row_weights = np.bitwise_count(self.matrix.words).sum(axis=1)
+        return int(column_weights.max()), int(row_weights.max())
 
 
 @dataclass

@@ -23,7 +23,7 @@ def test_bb144_has_936_valid_schedules():
     assert len(schedules) == 936 == len(set(schedules))
     assert CANONICAL_SCHEDULE in schedules
     for schedule in schedules:
-        assert verify_sm_circuit(schedule, code).passed, schedule
+        assert verify_sm_circuit(schedule, code) is True, schedule
 
     # move X:A2 from round 2 to round 6 and X:A1 back: still a well formed
     # packing (both are A layers), but the cycle no longer measures the checks
@@ -33,7 +33,18 @@ def test_bb144_has_936_valid_schedules():
     swapped = Schedule(tuple(rounds))
     assert swapped.structural_problems() == []
     assert swapped not in schedules
-    assert not verify_sm_circuit(swapped, code).passed
+    assert verify_sm_circuit(swapped, code) is False
+
+
+def test_verify_sm_circuit_needs_seven_rounds():
+    code = catalog_code("bb72")
+    rounds = CANONICAL_SCHEDULE.rounds
+    assert verify_sm_circuit(CANONICAL_SCHEDULE, code)
+    # dropping round 7 loses X:A3; a trailing empty round keeps every
+    # layer and the replay, but the cycle has 7 unitary rounds only
+    for schedule in (Schedule(rounds[:6]), Schedule(rounds + ((),))):
+        assert schedule.structural_problems()
+        assert verify_sm_circuit(schedule, code) is False
 
 
 @pytest.mark.parametrize("kind,j,k", GADGETS)

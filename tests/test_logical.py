@@ -37,6 +37,10 @@ def test_validate_rejects_a_broken_basis(model):
     broken = replace(basis, f=basis.f + BivariatePoly.one(code.l, code.m))
     with pytest.raises(BasisSearchError, match="commute"):
         broken.validate(code)
+    # reversed Z labels keep every operator a logical but break the pairing
+    unpaired = replace(basis, m_labels=basis.m_labels[::-1])
+    with pytest.raises(BasisSearchError, match="pairing defect"):
+        unpaired.validate(code)
 
 
 @pytest.mark.parametrize("name", ["bb72", "bb144"])
