@@ -415,9 +415,6 @@ class AutomorphismCircuit:
     """A depth-4 CNOT gadget shifting both data blocks by one monomial."""
 
     code: BBCode
-    kind: str  # "A" or "B"
-    j: int
-    k: int
     shift: Monomial
     steps: list[Step] = field(default_factory=list, repr=False)
 
@@ -442,8 +439,7 @@ def build_automorphism_circuit(code: BBCode, kind: str, j: int, k: int) -> Autom
     idx = np.arange(lm)
     poly = code.a_poly if kind == "A" else code.b_poly
     tj, tk = poly.term(j), poly.term(k)
-    shift = tj * tk.T
-    circ = AutomorphismCircuit(code=code, kind=kind, j=j, k=k, shift=shift)
+    circ = AutomorphismCircuit(code=code, shift=tj * tk.T)
 
     L = REG_OFFSET["L"] * lm + idx
     R = REG_OFFSET["R"] * lm + idx
@@ -544,11 +540,9 @@ def verify_automorphism(
 
     if basis is not None and s is not None:
         for alpha in (Monomial.one(code.l, code.m), s):
-            sup = basis.x_bar(alpha).support_vector()
             moved = np.zeros(code.n, dtype=np.uint8)
-            moved[perm] = sup.to_bits()
-            target = basis.x_bar(s * alpha).support_vector()
-            diff = BinVector.from_bits(moved) ^ target
+            moved[perm] = basis.x_bar(alpha).to_bits()
+            diff = BinVector.from_bits(moved) ^ basis.x_bar(s * alpha)
             if not (diff.is_zero() or code.hx.in_rowspace(diff)):
                 return False
     return True

@@ -286,12 +286,6 @@ class BBCode:
     def n(self) -> int:
         return 2 * self.l * self.m
 
-    @property
-    def name(self) -> str:
-        d = self.distance_exact if self.distance_exact is not None else self.distance_upper
-        dtxt = "?" if d is None else str(d)
-        return f"[[{self.n},{self.k},{dtxt}]]"
-
     def monomials(self) -> list[Monomial]:
         return [monomial_from_index(i, self.l, self.m) for i in range(self.lm)]
 
@@ -418,11 +412,6 @@ def _logical_count(amat: BinMatrix, bmat: BinMatrix, rank_hz: int) -> int:
     return k_rank
 
 
-def compute_k(code: BBCode) -> int:
-    """Logical qubit count of a built code, cross-checked as in build_code."""
-    return _logical_count(code.a_poly.to_matrix(), code.b_poly.to_matrix(), code.hz.rank())
-
-
 def maps_rows_onto(h: BinMatrix, h_prime: BinMatrix, perm: np.ndarray) -> bool:
     """Does moving column q to column perm[q] turn the rows of h into those of h_prime?
 
@@ -505,11 +494,8 @@ def connected_components(code: BBCode) -> int:
 class WheelReport:
     """Structure report for one planar half of the Tanner graph."""
 
-    subgraph: str  # "A" or "B"
     half_length: int  # p: number of checks per cycle
-    component_count: int
     edge_count: int
-    all_degree_3: bool
     ok: bool
     problems: list[str] = field(default_factory=list)
 
@@ -530,93 +516,52 @@ def _verify_wheels(
     code: BBCode,
     edges: list[tuple[int, int, str]],
     outer_terms: tuple[Monomial, Monomial],
-    radial_tag: str,
     name: str,
 ) -> WheelReport:
     """Check every component of a planar half is a wheel.
 
     A wheel is two equal-length alternating check/data cycles (one on
-    the X-check side, one on the Z-check side) joined by radial edges,
-    one per cycle vertex.  The cycle half-length equals the order of
-    the ratio of the two doubled terms.
+    the X-check side, one on the Z-check side), made of the half's
+    ``name`` term edges, joined by its other edges, the radial ones, one
+    per cycle vertex.  The cycle half-length equals the order of the
+    ratio of the two doubled terms.
     """
-    lm = code.lm
-    problems: list[str] = []
     t_hi, t_lo = outer_terms  # e.g. (A3, A2): cycle shift is t_hi * t_lo^T
     p = (t_hi * t_lo.T).order()
+    cycle_tags = {f"{name}{i}{t}" for i in (1, 2, 3) for t in ("", "T")}
+    cycle_edges = [e for e in edges if e[2] in cycle_tags]
+    radials = [e for e in edges if e[2] not in cycle_tags]
 
-    deg = np.zeros(4 * lm, dtype=int)
-    adj: dict[int, list[tuple[int, str]]] = {}
-    for u, v, tag in edges:
-        deg[u] += 1
-        deg[v] += 1
-        adj.setdefault(u, []).append((v, tag))
-        adj.setdefault(v, []).append((u, tag))
-    all_deg3 = bool((deg == 3).all())
-    if not all_deg3:
-        problems.append("vertex of degree != 3")
+    def degrees(some_edges) -> np.ndarray:
+        ends = [v for u, w, _tag in some_edges for v in (u, w)]
+        return np.bincount(ends, minlength=4 * code.lm)
 
-    cyc_tags = {f"{name}{i}" for i in (1, 2, 3)} | {f"{name}{i}T" for i in (1, 2, 3)}
-    radial_tags = {radial_tag, radial_tag + "T"}
+    degree, cycle_degree = degrees(edges), degrees(cycle_edges)
+    problems = [] if (degree == 3).all() else ["vertex of degree != 3"]
+    vertices = np.flatnonzero(degree).tolist()
+    cycle_of = np.zeros(4 * code.lm, dtype=np.int64)
+    for c, cycle in enumerate(graph_components(vertices, cycle_edges)):
+        cycle_of[cycle] = c
 
-    components = graph_components(adj, edges)
-    for comp in components:
+    for comp in graph_components(vertices, edges):
         if len(comp) != 4 * p:
             problems.append(f"component size {len(comp)} != 4p = {4 * p}")
             continue
-        # split into the two cycles by walking cycle-tagged edges only
-        comp_set = set(comp)
-        cycle_edges = {
-            u: [w for w, tag in adj[u] if tag in cyc_tags] for u in comp_set
-        }
-        if any(len(ws) != 2 for ws in cycle_edges.values()):
+        if (cycle_degree[comp] != 2).any():
             problems.append("cycle-edge degree != 2 inside a component")
             continue
-        # walk one cycle from an arbitrary vertex
-        cycles = []
-        visited = set()
-        for u in comp:
-            if u in visited:
-                continue
-            cyc = [u]
-            visited.add(u)
-            prev, cur = None, u
-            while True:
-                nxt = [w for w in cycle_edges[cur] if w != prev]
-                nxt = nxt[0] if nxt else prev
-                if nxt == cyc[0]:
-                    break
-                cyc.append(nxt)
-                visited.add(nxt)
-                prev, cur = cur, nxt
-            cycles.append(cyc)
-        if len(cycles) != 2 or {len(cycles[0]), len(cycles[1])} != {2 * p}:
-            problems.append(
-                f"expected two cycles of length {2 * p}, got {[len(c) for c in cycles]}"
-            )
+        lengths = np.unique(cycle_of[comp], return_counts=True)[1].tolist()
+        if lengths != [2 * p, 2 * p]:
+            problems.append(f"expected two cycles of length {2 * p}, got {lengths}")
             continue
-        cyc0 = set(cycles[0])
-        radials = [
-            (u, w)
-            for u in comp_set
-            for w, tag in adj[u]
-            if tag in radial_tags and u < w
-        ]
-        if len(radials) != 2 * p:
-            problems.append(f"{len(radials)} radial edges, expected {2 * p}")
-            continue
-        if not all((u in cyc0) != (w in cyc0) for u, w in radials):
+        comp_set = set(comp)
+        crossing = [cycle_of[u] != cycle_of[w] for u, w, _tag in radials if u in comp_set]
+        if len(crossing) != 2 * p:
+            problems.append(f"{len(crossing)} radial edges, expected {2 * p}")
+        elif not all(crossing):
             problems.append("radial edge inside a single cycle")
 
-    return WheelReport(
-        subgraph=name,
-        half_length=p,
-        component_count=len(components),
-        edge_count=len(edges),
-        all_degree_3=all_deg3,
-        ok=not problems,
-        problems=problems,
-    )
+    return WheelReport(half_length=p, edge_count=len(edges), ok=not problems, problems=problems)
 
 
 def thickness_decomposition(code: BBCode) -> ThicknessDecomposition:
@@ -629,12 +574,8 @@ def thickness_decomposition(code: BBCode) -> ThicknessDecomposition:
     edges = code.tanner_edges()
     edges_a = [e for e in edges if e[2] in HALF_A_TAGS]
     edges_b = [e for e in edges if e[2] not in HALF_A_TAGS]
-    report_a = _verify_wheels(
-        code, edges_a, (code.a_poly.term(3), code.a_poly.term(2)), "B3", "A"
-    )
-    report_b = _verify_wheels(
-        code, edges_b, (code.b_poly.term(2), code.b_poly.term(1)), "A1", "B"
-    )
+    report_a = _verify_wheels(code, edges_a, (code.a_poly.term(3), code.a_poly.term(2)), "A")
+    report_b = _verify_wheels(code, edges_b, (code.b_poly.term(2), code.b_poly.term(1)), "B")
     return ThicknessDecomposition(edges_a, edges_b, report_a, report_b)
 
 

@@ -70,7 +70,6 @@ class DecodeOutcome:
     logical: BinVector | None
     converged: bool
     iterations: int
-    weight: float
 
 
 class BPOSDDecoder:
@@ -265,13 +264,11 @@ class BPOSDDecoder:
         syndrome = np.asarray(syndrome, dtype=np.uint8)
         q, hard, converged, iters = self.bp_marginals(syndrome)
         x = hard if converged else self.osd_postprocess(syndrome, q)
-        w = float(self.log_weights[x.astype(bool)].sum())
         if self._syndrome_of(x).tobytes() != syndrome.tobytes():
             raise DecodingError("post-processing failed to satisfy the syndrome")
         xi = BinVector.from_bits(x)
         logical = self.logical.mul_vec(xi) if self.logical is not None else None
-        return DecodeOutcome(xi=xi, logical=logical, converged=converged,
-                             iterations=iters, weight=w)
+        return DecodeOutcome(xi=xi, logical=logical, converged=converged, iterations=iters)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +284,6 @@ _DESCENT_PAIRS = 400  # rows whose pairs descend_modulo_rows scans
 @dataclass
 class DistanceEstimate:
     upper_bound: int | None
-    trials: int
     witness: BinVector | None
     weights: list[int] = field(default_factory=list)
 
@@ -369,6 +365,23 @@ def minimum_weight_in_coset(kernel_mat: BinMatrix, eta: BinVector) -> BinVector:
     return dec.decode(syndrome).xi
 
 
+def coset_minimum_trial(
+    rng: np.random.Generator, kernel_basis: BinMatrix, kernel_mat: BinMatrix, dual: BinMatrix
+) -> tuple[BinVector, BinVector, BinVector]:
+    """One randomized search for a light logical; returns (eta, xi, descended xi).
+
+    eta is a random element of the span of ``kernel_basis`` outside the
+    row space of ``kernel_mat``, shrunk modulo those rows; xi is BP-OSD's
+    light solution of kernel_mat xi = 0 with eta . xi = 1, and the last
+    entry is xi descended modulo the rows of ``dual``.  Only the choice
+    of eta draws from ``rng``.
+    """
+    eta = _random_kernel_logical(rng, kernel_basis, kernel_mat)
+    eta = reduce_weight_modulo_rows(eta, kernel_mat)
+    xi = minimum_weight_in_coset(kernel_mat, eta)
+    return eta, xi, descend_modulo_rows(xi, dual)
+
+
 def distance_upper_bound(
     code: BBCode, trials: int, seed: int = 0, pauli: str = "Z"
 ) -> DistanceEstimate:
@@ -391,23 +404,20 @@ def distance_upper_bound(
     kernel_mat, dual_kernel_mat = code.pauli_checks(pauli)
     basis = dual_kernel_mat.nullspace_basis()
     if not basis:
-        return DistanceEstimate(None, 0, None)
+        return DistanceEstimate(None, None)
     kernel_basis = BinMatrix.from_rows(basis)
 
     rng = np.random.default_rng(seed)
     best: BinVector | None = None
     weights = []
     for _ in range(trials):
-        eta = _random_kernel_logical(rng, kernel_basis, kernel_mat)
-        eta = reduce_weight_modulo_rows(eta, kernel_mat)
-        xi = minimum_weight_in_coset(kernel_mat, eta)
-        xi = descend_modulo_rows(xi, dual_kernel_mat)
+        eta, _, xi = coset_minimum_trial(rng, kernel_basis, kernel_mat, dual_kernel_mat)
         if not kernel_mat.mul_vec(xi).is_zero() or eta.dot(xi) != 1:
             raise DecodingError("distance witness is not a nontrivial logical")
         weights.append(xi.weight)
         if best is None or xi.weight < best.weight:
             best = xi
-    return DistanceEstimate(best.weight, trials, best, weights)
+    return DistanceEstimate(best.weight, best, weights)
 
 
 def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> DistanceEstimate:
@@ -442,7 +452,7 @@ def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> Dist
         weights.append(xi.weight)
         if best is None or xi.weight < best.weight:
             best = xi
-    return DistanceEstimate(best.weight if best else None, trials, best, weights)
+    return DistanceEstimate(best.weight if best else None, best, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +460,15 @@ def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> Dist
 # ---------------------------------------------------------------------------
 
 
+ENUMERATION_BUDGET = 1e9  # translation-reduced vectors exact_distance_small may enumerate
+
+
 class BudgetExceeded(RuntimeError):
     """The enumeration guard refused to start; fall back to upper bounds."""
 
 
 def exact_distance_small(
-    code: BBCode,
-    w_max: int,
-    budget: float = 1e9,
-    pauli: str = "Z",
+    code: BBCode, w_max: int, pauli: str = "Z"
 ) -> tuple[int | None, list[BinVector]]:
     """Certified minimum logical weight up to w_max, with every witness.
 
@@ -471,7 +481,7 @@ def exact_distance_small(
 
     Raises:
         ValueError: a pauli other than "X" or "Z".
-        BudgetExceeded: the guard estimate exceeds ``budget``.
+        BudgetExceeded: the guard estimate exceeds ``ENUMERATION_BUDGET``.
     """
     kernel_mat, rs_mat = code.pauli_checks(pauli)
     witnesses: list[BinVector] = []
@@ -479,8 +489,8 @@ def exact_distance_small(
         return None, witnesses
     n, lm = code.n, code.lm
     est = sum(math.comb(n, w) for w in range(w_max + 1)) / lm
-    if est > budget:
-        raise BudgetExceeded(f"enumeration estimate {est:.2e} above budget {budget:.2e}")
+    if est > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"enumeration estimate {est:.2e} above {ENUMERATION_BUDGET:.2e}")
 
     rs_rref = rs_mat.rref()
 

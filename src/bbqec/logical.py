@@ -28,28 +28,15 @@ from .code import (
     monomial_from_index,
     translation_table,
 )
-from .decode import (
-    _random_kernel_logical,
-    descend_modulo_rows,
-    minimum_weight_in_coset,
-    reduce_weight_modulo_rows,
-)
+from .decode import BudgetExceeded, coset_minimum_trial, exact_distance_small
 from .gf2 import BinMatrix, BinVector
 
 
-@dataclass(frozen=True)
-class LogicalPauli:
-    """An X- or Z-type Pauli given by its two block polynomials."""
-
-    l_poly: BivariatePoly
-    r_poly: BivariatePoly
-
-    def support_vector(self) -> BinVector:
-        """Support over the 2lm data qubits, L block first."""
-        lm = self.l_poly.l * self.l_poly.m
-        sup = [t.index for t in self.l_poly.terms]
-        sup += [lm + t.index for t in self.r_poly.terms]
-        return BinVector.from_support(2 * lm, sup)
+def _support(l_poly: BivariatePoly, r_poly: BivariatePoly) -> BinVector:
+    """Support of the Pauli with block polynomials (l_poly, r_poly), L block first."""
+    lm = l_poly.l * l_poly.m
+    sup = [t.index for t in l_poly.terms] + [lm + t.index for t in r_poly.terms]
+    return BinVector.from_support(2 * lm, sup)
 
 
 class BasisSearchError(RuntimeError):
@@ -72,37 +59,29 @@ class LogicalBasis:
     n_labels: tuple[Monomial, ...]
     m_labels: tuple[Monomial, ...]
 
-    def x_bar(self, alpha: Monomial) -> LogicalPauli:
-        return LogicalPauli(self.f.shift(alpha), BivariatePoly.zero(self.f.l, self.f.m))
+    def x_bar(self, alpha: Monomial) -> BinVector:
+        return _support(self.f.shift(alpha), BivariatePoly.zero(self.f.l, self.f.m))
 
-    def z_bar(self, alpha: Monomial) -> LogicalPauli:
-        return LogicalPauli(self.h.T.shift(alpha), self.g.T.shift(alpha))
+    def z_bar(self, alpha: Monomial) -> BinVector:
+        return _support(self.h.T.shift(alpha), self.g.T.shift(alpha))
 
-    def x_bar_primed(self, alpha: Monomial) -> LogicalPauli:
-        return LogicalPauli(self.g.shift(alpha), self.h.shift(alpha))
+    def x_bar_primed(self, alpha: Monomial) -> BinVector:
+        return _support(self.g.shift(alpha), self.h.shift(alpha))
 
-    def z_bar_primed(self, alpha: Monomial) -> LogicalPauli:
-        return LogicalPauli(BivariatePoly.zero(self.f.l, self.f.m), self.f.T.shift(alpha))
-
-    def x_ops(self) -> list[LogicalPauli]:
-        return [self.x_bar(a) for a in self.n_labels] + [
-            self.x_bar_primed(a) for a in self.n_labels
-        ]
-
-    def z_ops(self) -> list[LogicalPauli]:
-        return [self.z_bar(a) for a in self.m_labels] + [
-            self.z_bar_primed(a) for a in self.m_labels
-        ]
+    def z_bar_primed(self, alpha: Monomial) -> BinVector:
+        return _support(BivariatePoly.zero(self.f.l, self.f.m), self.f.T.shift(alpha))
 
     @cached_property
     def x_support_matrix(self) -> BinMatrix:
         """The X operators' supports, one row each; built once per basis."""
-        return BinMatrix.from_rows([op.support_vector() for op in self.x_ops()])
+        return BinMatrix.from_rows([self.x_bar(a) for a in self.n_labels]
+                                   + [self.x_bar_primed(a) for a in self.n_labels])
 
     @cached_property
     def z_support_matrix(self) -> BinMatrix:
         """The Z operators' supports, one row each; built once per basis."""
-        return BinMatrix.from_rows([op.support_vector() for op in self.z_ops()])
+        return BinMatrix.from_rows([self.z_bar(a) for a in self.m_labels]
+                                   + [self.z_bar_primed(a) for a in self.m_labels])
 
     def validate(self, code: BBCode) -> None:
         """Assert commutation, pairing and span; raises on any failure.
@@ -201,8 +180,6 @@ def _gh_candidates(
     keeps both the raw and locally-descended solution of every trial,
     which diversifies the pool.
     """
-    from .decode import exact_distance_small, BudgetExceeded
-
     pool: dict[bytes, BinVector] = {}
 
     def consider(v: BinVector):
@@ -211,7 +188,7 @@ def _gh_candidates(
     d_hint = code.distance_exact or code.distance_upper
     if d_hint is not None:
         try:
-            _, witnesses = exact_distance_small(code, min(d_hint + 2, 8), budget=1e9, pauli="X")
+            _, witnesses = exact_distance_small(code, min(d_hint + 2, 8), pauli="X")
             for v in witnesses:
                 consider(v)
         except BudgetExceeded:
@@ -219,11 +196,9 @@ def _gh_candidates(
 
     hx_kernel_basis = BinMatrix.from_rows(code.hx.nullspace_basis())
     for _ in range(GH_TRIALS):
-        eta = _random_kernel_logical(rng, hx_kernel_basis, code.hz)
-        eta = reduce_weight_modulo_rows(eta, code.hz)
-        xi = minimum_weight_in_coset(code.hz, eta)
+        _, xi, descended = coset_minimum_trial(rng, hx_kernel_basis, code.hz, code.hx)
         consider(xi)
-        consider(descend_modulo_rows(xi, code.hx))
+        consider(descended)
     out = []
     for v in sorted(pool.values(), key=lambda v: (v.weight, tuple(v.support)))[:GH_CANDIDATES]:
         bits = v.to_bits()
@@ -237,9 +212,8 @@ def _family_span_ok(code: BBCode, f: BivariatePoly, g: BivariatePoly, h: Bivaria
     """Do the translated families span k logical qubits mod stabilizer?"""
     rows = []
     for alpha in code.monomials():
-        rows.append(LogicalPauli(f.shift(alpha), BivariatePoly.zero(code.l, code.m))
-                    .support_vector())
-        rows.append(LogicalPauli(g.shift(alpha), h.shift(alpha)).support_vector())
+        rows.append(_support(f.shift(alpha), BivariatePoly.zero(code.l, code.m)))
+        rows.append(_support(g.shift(alpha), h.shift(alpha)))
     fam = BinMatrix.from_rows(rows)
     return code.hx.stack(fam).rank() == code.hx.rank() + code.k
 
@@ -388,21 +362,11 @@ def zx_duality_check(code: BBCode, permutation: np.ndarray | None = None) -> boo
 
 @dataclass(frozen=True)
 class GroupFactor:
+    """A named cyclic factor of prime-power order of Z_l x Z_m."""
+
     name: str
-    prime: int
-    power: int
     order: int
     generator: Monomial
-    variable: str  # "x" or "y"
-
-
-@dataclass
-class GroupDecomposition:
-    """Primary decomposition of Z_l x Z_m with named cyclic generators."""
-
-    l: int
-    m: int
-    factors: tuple[GroupFactor, ...]
 
 
 def _prime_power_factors(value: int) -> list[tuple[int, int]]:
@@ -422,7 +386,7 @@ def _prime_power_factors(value: int) -> list[tuple[int, int]]:
     return out
 
 
-def decompose_group(l: int, m: int) -> GroupDecomposition:
+def decompose_group(l: int, m: int) -> tuple[GroupFactor, ...]:
     """Split Z_l x Z_m into cyclic factors of prime-power order.
 
     Generators are chosen so that the factor generators of each
@@ -439,10 +403,8 @@ def decompose_group(l: int, m: int) -> GroupDecomposition:
             rest = value // pk
             e = 1 if rest == 1 else rest * pow(rest, -1, pk) % value
             gen = Monomial(e, 0, l, m) if variable == "x" else Monomial(0, e, l, m)
-            factors.append(
-                GroupFactor(next(names), prime, power, pk, gen, variable)
-            )
-    return GroupDecomposition(l=l, m=m, factors=tuple(factors))
+            factors.append(GroupFactor(next(names), pk, gen))
+    return tuple(factors)
 
 
 @dataclass
@@ -463,8 +425,6 @@ class RatioPlanEntry:
 
 @dataclass
 class DualitySwapPlan:
-    code_name: str
-    decomposition: GroupDecomposition
     entries: list[RatioPlanEntry]
     chain_length: int
     cnot_depth: int
@@ -500,7 +460,6 @@ def plan_duality_swaps(code: BBCode) -> DualitySwapPlan:
     swap gadgets of CNOT depth 12 each.
     """
     dist, path = generator_paths(group_pair_ratios(code), code.l, code.m)
-    dec = decompose_group(code.l, code.m)
     involutions = [
         mono
         for i in range(code.lm)
@@ -509,7 +468,7 @@ def plan_duality_swaps(code: BBCode) -> DualitySwapPlan:
     ]
     entries = []
     unreachable = []
-    for factor in dec.factors:
+    for factor in decompose_group(code.l, code.m):
         o = factor.order
         if o <= 2:
             continue
@@ -541,8 +500,6 @@ def plan_duality_swaps(code: BBCode) -> DualitySwapPlan:
         entries.append(best)
     chain = sum(e.cost for e in entries)
     return DualitySwapPlan(
-        code_name=f"[[{code.n},{code.k}]]",
-        decomposition=dec,
         entries=entries,
         chain_length=chain,
         cnot_depth=(2 * chain - 1) * 12 if chain else 0,
@@ -565,20 +522,9 @@ class PlaneComponentReport:
 class AncillaSystem:
     """Layered Tanner-graph extension measuring one logical operator."""
 
-    target: str  # "X" or "Z"
-    operator: LogicalPauli
-    qubit_vertices: list[int]  # V: data qubits of the base subgraph
-    check_vertices: list[int]  # C: incident opposite-type checks
-    edges: list[tuple[int, int, str]]
-    layers: int  # r
-    added_layers: int  # 2r - 1
-    added_qubits: int
+    added_qubits: int  # (2r - 1) copies of the base subgraph, r the layer count
     plane_a: PlaneComponentReport
     plane_b: PlaneComponentReport
-
-    @property
-    def layer_size(self) -> int:
-        return len(self.qubit_vertices) + len(self.check_vertices)
 
 
 def _classify_components(vertices: set[int], edges: list[tuple[int, int]]) -> PlaneComponentReport:
@@ -615,51 +561,35 @@ def build_ancilla_system(
     opposite-type check touching them.  On top of the in-code copy the
     extension adds ``layers`` dual copies interleaved with layers-1
     primal copies, adjacent copies joined by their associated vertex
-    pairs, for (2*layers - 1) * layer_size added qubits in total.
+    pairs, for (2*layers - 1) times the base subgraph's vertex count in
+    added qubits.
 
     Raises:
         ValueError: layers < 1 or unknown target.
     """
     if layers < 1:
         raise ValueError("need at least one layer")
-    lm = code.lm
+    # the opposite-type checks: register 3 holds the Z checks, 2 the X checks
     if target == "X":
-        op = basis.x_bar(Monomial.one(code.l, code.m))
+        op, check_reg = basis.x_bar(Monomial.one(code.l, code.m)), 3
     elif target == "Z":
-        op = basis.z_bar(Monomial.one(code.l, code.m))
+        op, check_reg = basis.z_bar(Monomial.one(code.l, code.m)), 2
     else:
         raise ValueError("target must be 'X' or 'Z'")
 
-    qubits: list[int] = sorted(
-        [t.index for t in op.l_poly.terms] + [lm + t.index for t in op.r_poly.terms]
-    )
-    qubit_set = set(qubits)
-    want_checks = "Z" if target == "X" else "X"
-    check_reg = 3 if want_checks == "Z" else 2
+    qubits = set(op.support.tolist())
     edges = [
         (u, v, tag)
         for u, v, tag in code.tanner_edges()
-        if v in qubit_set and u // lm == check_reg
+        if v in qubits and u // code.lm == check_reg
     ]
-    checks = sorted({u for u, _v, _t in edges})
-
-    layer_size = len(qubits) + len(checks)
-    added_layers = 2 * layers - 1
-    plane_a = _classify_components(
-        qubit_set | set(checks), [(u, v) for u, v, t in edges if t in HALF_A_TAGS]
-    )
-    plane_b = _classify_components(
-        qubit_set | set(checks), [(u, v) for u, v, t in edges if t not in HALF_A_TAGS]
-    )
+    vertices = qubits | {u for u, _v, _t in edges}
     return AncillaSystem(
-        target=target,
-        operator=op,
-        qubit_vertices=qubits,
-        check_vertices=checks,
-        edges=edges,
-        layers=layers,
-        added_layers=added_layers,
-        added_qubits=added_layers * layer_size,
-        plane_a=plane_a,
-        plane_b=plane_b,
+        added_qubits=(2 * layers - 1) * len(vertices),
+        plane_a=_classify_components(
+            vertices, [(u, v) for u, v, t in edges if t in HALF_A_TAGS]
+        ),
+        plane_b=_classify_components(
+            vertices, [(u, v) for u, v, t in edges if t not in HALF_A_TAGS]
+        ),
     )

@@ -188,7 +188,6 @@ def enumerate_faults(
 class SideModel:
     """Decoding data for one error type (X errors or Z errors)."""
 
-    error_type: str  # which Pauli errors this side decodes
     matrix: BinMatrix  # detectors x merged fault columns
     logical: BinMatrix  # k x merged fault columns
     priors: np.ndarray
@@ -222,10 +221,7 @@ class DetectorModel:
 
 
 def _side_model(
-    error_type: str,
-    detector_rows: np.ndarray,
-    logical_rows: np.ndarray,
-    priors: np.ndarray,
+    detector_rows: np.ndarray, logical_rows: np.ndarray, priors: np.ndarray
 ) -> SideModel:
     batch = len(priors)
     n_det = detector_rows.shape[0]
@@ -251,11 +247,10 @@ def _side_model(
     merged_priors = merged_priors[keep]
     provenance = [provenance[i] for i in keep]
 
-    dense = unpack_bits(merged, n_det + n_log).T  # rows x merged columns
+    rows = BinMatrix(len(merged), n_det + n_log, merged).transpose().words
     return SideModel(
-        error_type=error_type,
-        matrix=BinMatrix.from_dense(dense[:n_det]),
-        logical=BinMatrix.from_dense(dense[n_det:]),
+        matrix=BinMatrix(n_det, len(merged), rows[:n_det]),
+        logical=BinMatrix(n_log, len(merged), rows[n_det:]),
         priors=merged_priors,
         provenance=provenance,
     )
@@ -270,8 +265,8 @@ def build_detector_model(
     """
     table, rows = enumerate_faults(circ, basis)
     priors = table.priors(p)
-    x_side = _side_model("X", *rows.pop("X"), priors)
-    z_side = _side_model("Z", *rows.pop("Z"), priors)
+    x_side = _side_model(*rows.pop("X"), priors)
+    z_side = _side_model(*rows.pop("Z"), priors)
     return DetectorModel(
         code=circ.code,
         circuit=circ,

@@ -10,8 +10,9 @@ from bbqec.code import (
     catalog_code,
     code_from_spec,
     code_to_spec,
-    compute_k,
+    _verify_wheels,
     connected_components,
+    graph_components,
     subgroup_closure,
     group_pair_ratios,
     thickness_decomposition,
@@ -69,7 +70,6 @@ def test_poly_algebra_matches_matrix_algebra():
 def test_catalog_parameters(name, n, k):
     code = catalog_code(name)
     assert (code.n, code.k) == (n, k)
-    assert compute_k(code) == k
 
 
 def test_build_code_rejections():
@@ -137,6 +137,21 @@ def test_thickness_half_length_bb144():
     dec = thickness_decomposition(code)
     # A3 A2^T = y^2 y^-1 = y of order m = 6
     assert dec.report_a.half_length == 6
+
+
+def test_wheel_check_sees_two_cycles_joined():
+    # swapping the data ends of an X-side and a Z-side cycle edge of one
+    # wheel keeps every degree at 3 but splices its two cycles into one
+    code = catalog_code("bb72")
+    edges = list(thickness_decomposition(code).edges_a)
+    wheel = set(graph_components(range(4 * code.lm), edges)[0])
+    i = next(n for n, e in enumerate(edges) if e[2] == "A2" and e[0] in wheel)
+    j = next(n for n, e in enumerate(edges) if e[2] == "A2T" and e[0] in wheel)
+    (u1, v1, t1), (u2, v2, t2) = edges[i], edges[j]
+    edges[i], edges[j] = (u1, v2, t1), (u2, v1, t2)
+    report = _verify_wheels(code, edges, (code.a_poly.term(3), code.a_poly.term(2)), "A")
+    assert not report.ok
+    assert report.problems == ["expected two cycles of length 12, got [24]"]
 
 
 def test_toric_layout_found_and_verified():

@@ -1,4 +1,4 @@
-"""Every function, method and class of the package is read by some code."""
+"""Every function, method, class and attribute of the package is read by some code."""
 
 import ast
 from pathlib import Path
@@ -38,6 +38,52 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     return out
 
 
+def _attributes(tree: ast.Module) -> list[str]:
+    """Class.name of every dataclass field, property and attribute set in ``__init__``."""
+    out = []
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for member in cls.body:
+            if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                out.append(f"{cls.name}.{member.target.id}")
+            elif isinstance(member, ast.FunctionDef) and any(
+                isinstance(d, ast.Name) and d.id in ("property", "cached_property")
+                for d in member.decorator_list
+            ):
+                out.append(f"{cls.name}.{member.name}")
+            elif isinstance(member, ast.FunctionDef) and member.name == "__init__":
+                out.extend(
+                    f"{cls.name}.{node.attr}"
+                    for node in ast.walk(member)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                )
+    return out
+
+
+def _attribute_reads(tree: ast.Module) -> set[str]:
+    """Attribute loads (``x.name``) and identifier strings outside ``__slots__``."""
+    slots = {
+        id(const)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+        for const in ast.walk(node.value)
+    }
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in slots):
+            out.add(node.value)
+    return out
+
+
+def _readers() -> list[Path]:
+    return [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py"),
+            *(ROOT / "perfbench").glob("*.py")]
+
+
 def test_no_unread_definitions():
     """A name defined in ``src/bbqec`` is read in ``src``, ``tests`` or ``perfbench``.
 
@@ -46,9 +92,7 @@ def test_no_unread_definitions():
     ``copy`` next to numpy's ``ndarray.copy``, or a method sharing its
     name with a used method of another class.
     """
-    readers = [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py"),
-               *(ROOT / "perfbench").glob("*.py")]
-    referenced = set().union(*(_referenced_names(ast.parse(p.read_text())) for p in readers))
+    referenced = set().union(*(_referenced_names(ast.parse(p.read_text())) for p in _readers()))
     unread = [
         f"{path.name}: {name}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -56,3 +100,24 @@ def test_no_unread_definitions():
         if name not in referenced
     ]
     assert not unread, "defined but never read: " + ", ".join(unread)
+
+
+def test_no_write_only_attributes():
+    """A field, property or ``__init__`` attribute of a package class is read somewhere.
+
+    A read is an attribute load ``x.name`` in ``src``, ``tests`` or
+    ``perfbench``, or a string that is the bare name, as ``getattr`` and
+    field-name lists use; assignments and the names in ``__slots__`` do
+    not count.  Matching is by bare name, not by owner: a read of
+    ``Step.kind`` keeps every other attribute named ``kind`` alive, and
+    reads that only generated methods make (``__eq__``, ``asdict``) are
+    not seen.
+    """
+    reads = set().union(*(_attribute_reads(ast.parse(p.read_text())) for p in _readers()))
+    unread = [
+        f"{path.name}: {attr}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for attr in _attributes(ast.parse(path.read_text()))
+        if attr.split(".")[1] not in reads
+    ]
+    assert not unread, "written but never read: " + ", ".join(unread)

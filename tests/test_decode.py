@@ -93,6 +93,7 @@ def test_osd_runs_only_where_bp_fails(model, sides, monkeypatch):
     assert dec.decode(np.zeros(D.shape[0], dtype=np.uint8)).xi.is_zero()
     out = dec.decode(D[:, 0])
     assert out.converged
+    assert out.iterations == dec.bp_marginals(D[:, 0])[3]
     assert np.array_equal(D @ out.xi.to_bits() % 2, D[:, 0])
 
     def counted_osd(self, syndrome, q):
@@ -105,6 +106,7 @@ def test_osd_runs_only_where_bp_fails(model, sides, monkeypatch):
     syndrome = D[:, cols].sum(axis=1) % 2
     out = capped.decode(syndrome)
     assert not out.converged and calls == [1]
+    assert out.iterations == capped.bp_marginals(syndrome)[3] == 1
     assert np.array_equal(D @ out.xi.to_bits() % 2, syndrome)
 
 
@@ -118,6 +120,16 @@ def test_distance_bounds_reject_a_witness_outside_the_kernel(monkeypatch):
                            logical=BinMatrix.from_dense([[0, 1, 1]]))
     with pytest.raises(DecodingError):
         circuit_distance_upper_bound(side, trials=1)
+
+
+def test_distance_estimates_record_every_trial(model):
+    # bb72 has distance 6, so no Z logical found can be lighter
+    est = distance_upper_bound(catalog_code("bb72"), trials=3, seed=1)
+    assert len(est.weights) == 3
+    assert min(est.weights) == est.upper_bound == est.witness.weight >= 6
+    est = circuit_distance_upper_bound(model.z, trials=2, seed=1)
+    assert len(est.weights) == 2
+    assert min(est.weights) == est.upper_bound == est.witness.weight
 
 
 def test_empty_last_row_of_d():

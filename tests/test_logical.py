@@ -23,11 +23,16 @@ PLANES = {
 }
 
 
+# Qubits each ancilla system adds with 3 layers: 5 copies of its base subgraph.
+ADDED_QUBITS = {"X": 75, "Z": 100}
+
+
 def test_ancilla_plane_components(model):
     for target, (plane_a, plane_b) in PLANES.items():
         system = build_ancilla_system(model.code, model.basis, target, layers=3)
         assert (system.plane_a.sizes, system.plane_a.kinds) == plane_a, target
         assert (system.plane_b.sizes, system.plane_b.kinds) == plane_b, target
+        assert system.added_qubits == ADDED_QUBITS[target], target
 
 
 def test_validate_rejects_a_broken_basis(model):
