@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .code import BBCode
-from .gf2 import BinMatrix, BinVector, in_rref_rowspace
+from .gf2 import BinMatrix, BinVector, in_rref_rowspace, unpack_bits
 
 PRIOR_FLOOR = 1e-12
 MIN_SUM_SCALE = 0.625  # normalization of the check-to-variable messages
@@ -187,13 +187,14 @@ class BPOSDDecoder:
         and in pairs (among the ``sweep_depth`` most likely) and the
         lightest solution wins.
 
-        Single flips are scored from a contiguous transpose of the
-        reduced pivot rows: flipping excluded column j sets the pivot
-        bits to the order-0 bits XOR row j of that transpose.  The rows
-        of ``_FLIP_BLOCK`` excluded columns at a time are weighed by one
-        product with the pivot log-weights, so the float64 copy that the
-        product makes of its 0/1 operand stays bounded (under 4 MB at
-        rank 930) instead of spanning all excluded columns.
+        Single flips are scored from the packed transpose of the
+        reduced pivot rows, whose last row (the reduced syndrome) holds
+        the order-0 pivot bits: flipping excluded column j sets the
+        pivot bits to that row XOR row j.  ``_FLIP_BLOCK`` excluded
+        columns at a time are unpacked and weighed by one product with
+        the pivot log-weights, so the float64 copy that the product
+        makes of its 0/1 operand stays bounded (under 4 MB at rank 930)
+        and no other column is ever unpacked.
 
         Raises:
             DecodingError: syndrome not in the column space.
@@ -207,9 +208,9 @@ class BPOSDDecoder:
         if rhs[rank:].any():
             raise DecodingError("syndrome is not in the column space of D")
 
-        # row j of red_t is column j of the reduced pivot rows
-        red_t = np.ascontiguousarray(R.to_dense()[:rank, :n].T)
-        base = rhs[:rank]
+        # row j of red_t is column j of the reduced pivot rows, packed;
+        # row n holds the order-0 solution's pivot bits
+        red_t = BinMatrix(rank, n + 1, R.words[:rank]).transpose().words
         pivots = np.array(pivot_cols, dtype=np.int64)
         is_pivot = np.zeros(n, dtype=bool)
         is_pivot[pivots] = True
@@ -218,9 +219,7 @@ class BPOSDDecoder:
         lw_piv = lw[pivots]
 
         def solution_weight(np_pattern: np.ndarray) -> tuple[float, np.ndarray]:
-            piv_bits = base.copy()
-            for j in np_pattern:
-                piv_bits ^= red_t[j]
+            piv_bits = unpack_bits(np.bitwise_xor.reduce(red_t[[n, *np_pattern]]), rank)[0]
             w = float(lw_piv @ piv_bits) + float(lw[np_pattern].sum())
             return w, piv_bits
 
@@ -228,18 +227,16 @@ class BPOSDDecoder:
         best_np: np.ndarray = np.zeros(0, dtype=np.int64)
 
         if nonpivot.size:
-            # flipping excluded column j alone sets the pivot bits to
-            # base ^ red_t[j]; score _FLIP_BLOCK such flips per product
+            # score _FLIP_BLOCK single flips per product
             weights = np.empty(nonpivot.size)
             for lo in range(0, nonpivot.size, _FLIP_BLOCK):
                 cols = nonpivot[lo : lo + _FLIP_BLOCK]
-                flipped = np.ascontiguousarray((red_t[cols] ^ base).T)
+                flipped = np.ascontiguousarray(unpack_bits(red_t[cols] ^ red_t[n], rank).T)
                 weights[lo : lo + cols.size] = lw_piv @ flipped + lw[cols]
             j = int(np.argmin(weights))
             if weights[j] < best_w:
-                best_w = float(weights[j])
-                best_piv = base ^ red_t[nonpivot[j]]
                 best_np = nonpivot[j : j + 1]
+                best_w, best_piv = float(weights[j]), solution_weight(best_np)[1]
             top = nonpivot[: self.osd_cfg.sweep_depth]
             for a, b in combinations(range(len(top)), 2):
                 pattern = top[[a, b]]
@@ -355,7 +352,12 @@ def _random_kernel_logical(
 
 
 def minimum_weight_in_coset(kernel_mat: BinMatrix, eta: BinVector) -> BinVector:
-    """BP-OSD minimization of |xi| with kernel_mat xi = 0, eta . xi = 1."""
+    """BP-OSD minimization of |xi| with kernel_mat xi = 0, eta . xi = 1.
+
+    The row supports of kernel_mat are built once, on its first trial,
+    and carried over to each stacked matrix for the decoder's edges.
+    """
+    kernel_mat.row_supports()
     stacked = kernel_mat.append_row(eta)
     syndrome = np.zeros(stacked.rows, dtype=np.uint8)
     syndrome[-1] = 1
@@ -431,9 +433,12 @@ def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> Dist
     ``weights`` records every trial's witness weight.
 
     Raises:
+        ValueError: trials < 1.
         DecodingError: a trial's witness is not in ker D or has
             eta . xi = 0.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     D: BinMatrix = side_model.matrix
     L: BinMatrix = side_model.logical
     LD = L.stack(D)
@@ -452,7 +457,7 @@ def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> Dist
         weights.append(xi.weight)
         if best is None or xi.weight < best.weight:
             best = xi
-    return DistanceEstimate(best.weight if best else None, best, weights)
+    return DistanceEstimate(best.weight, best, weights)
 
 
 # ---------------------------------------------------------------------------

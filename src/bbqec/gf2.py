@@ -11,19 +11,28 @@ its own packed matrix in reliability order instead of a column-permuted
 copy.  Row updates are word-wide XORs, one pivot at a time.  The
 largest elimination here is the decoder's: OSD reduces a 936 x 8,785
 matrix on bb144 with 12 cycles.  Its rank is 930, so the scan ends at
-the last pivot, about a third of the way along the column order, once
-the rows below it are zero.  A sorted column-index-per-row sparse view
-is derived on demand for message-passing decoders and for products
-with a sparse left factor.
+the last pivot, once the rows below it are zero; in a nearly uniform
+order that pivot comes near the end, after thousands of dependent
+columns.  Those are skipped in look-ahead blocks: one indexed gather
+tests many columns of the order against the rows still below, since
+those rows do not change between pivots.  ``BinMatrix.transpose``
+works on whole bytes, swapping 8 x 8 bit blocks held in one ``uint64``
+each, and never unpacks a bit to a byte.  A sorted
+column-index-per-row sparse view is derived on demand for
+message-passing decoders and for products with a sparse left factor.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Sequence
 
 import numpy as np
 
 WORD = 64
+# Bits gathered by rref's first look-ahead block after a column without a
+# hit: that many over the rows still below the current one, so the block
+# spans about _LOOKAHEAD_BITS / (rows below) columns.
+_LOOKAHEAD_BITS = 4096
 
 
 def nwords(nbits: int) -> int:
@@ -46,6 +55,25 @@ def bit_masks(idx) -> tuple[np.ndarray, np.ndarray]:
     """Word index and one-bit mask of each bit position in idx."""
     idx = np.asarray(idx, dtype=np.int64)
     return idx // WORD, np.uint64(1) << (idx % WORD).astype(np.uint64)
+
+
+def _transpose8x8(x: np.ndarray) -> None:
+    """Transpose in place each 8 x 8 bit matrix held in a uint64 of x.
+
+    Bit 8*i + j holds entry (i, j).  Three delta swaps exchange the
+    1 x 1, 2 x 2 and 4 x 4 off-diagonal sub-blocks in turn (Warren,
+    Hacker's Delight, section 7-3).
+    """
+    t = np.empty_like(x)
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                        (28, 0x00000000F0F0F0F0)):
+        shift = np.uint64(shift)
+        np.right_shift(x, shift, out=t)
+        t ^= x
+        t &= np.uint64(mask)
+        x ^= t
+        t <<= shift
+        x ^= t
 
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
@@ -194,13 +222,33 @@ class BinMatrix:
         return self._row_supports
 
     def transpose(self) -> "BinMatrix":
-        """The transpose, unpacking 8192 columns at a time to bound memory."""
+        """The transpose, by 8 x 8 bit-block swaps on whole bytes.
+
+        The packed rows are read as bytes, 8192 columns at a time to
+        bound the temporaries.  Each 8-row x 8-column block is gathered
+        into one ``uint64`` (byte i = row i), transposed in place by
+        three delta swaps, and scattered back so that byte j becomes
+        column j.  No bit is unpacked to a byte.
+        """
+        rows8 = -(-self.rows // 8)  # row bytes of the output
         out = np.zeros((self.cols, nwords(self.rows)), dtype=np.uint64)
-        chunk = 128 * WORD  # whole words, so each slice starts at bit 0 of a word
-        for lo in range(0, self.cols, chunk):
-            hi = min(self.cols, lo + chunk)
-            bits = unpack_bits(self.words[:, lo // WORD : nwords(hi)], hi - lo)
-            out[lo:hi] = pack_bits(bits.T)
+        out_bytes = out.view(np.uint8)
+        chunk = 128  # words, so each slice starts at bit 0 of a word
+        for lo in range(0, self.words.shape[1], chunk):
+            # the slice, with zero rows up to a whole number of bytes
+            part = np.zeros((rows8 * 8, min(chunk, self.words.shape[1] - lo)), dtype=np.uint64)
+            part[: self.rows] = self.words[:, lo : lo + chunk]
+            nbytes = part.shape[1] * 8
+            # block (m, k): rows 8m..8m+7 of byte column k, row i in byte i
+            x = np.ascontiguousarray(
+                part.view(np.uint8).reshape(rows8, 8, nbytes).transpose(0, 2, 1)
+            ).view(np.uint64)[..., 0]
+            _transpose8x8(x)
+            # byte j of block (m, k) is output row 8k+j, row byte m
+            cols = x.view(np.uint8).reshape(rows8, nbytes * 8).T
+            c0 = lo * WORD
+            c1 = min(self.cols, c0 + nbytes * 8)
+            out_bytes[c0:c1, :rows8] = cols[: c1 - c0]
         return BinMatrix(self.cols, self.rows, out)
 
     @property
@@ -254,9 +302,13 @@ class BinMatrix:
         return BinMatrix(self.rows, self.cols + 1, words)
 
     def append_row(self, v: BinVector) -> "BinMatrix":
+        """This matrix with v as one more row; row supports already built carry over."""
         if v.n != self.cols:
             raise ValueError("length mismatch")
-        return BinMatrix(self.rows + 1, self.cols, np.vstack([self.words, v.words[None, :]]))
+        out = BinMatrix(self.rows + 1, self.cols, np.vstack([self.words, v.words[None, :]]))
+        if self._row_supports is not None:
+            out._row_supports = [*self._row_supports, v.support]
+        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -274,7 +326,7 @@ class BinMatrix:
 
     # -- elimination ---------------------------------------------------
 
-    def rref(self, pivot_order: Iterable[int] | None = None):
+    def rref(self, pivot_order: Sequence[int] | np.ndarray | None = None):
         """Reduced row echelon form, trying pivot columns in ``pivot_order``.
 
         Columns are tried in the given order (default: left to right,
@@ -284,10 +336,17 @@ class BinMatrix:
         are those of the default elimination of the column-permuted
         matrix, so R equals that result with its columns mapped back.
         Columns left out of ``pivot_order`` are reduced but never pivot.
-        The scan ends early once every row at or below the current row
-        is zero, since no later column can pivot there; a rank-deficient
-        matrix thus stops near its last pivot instead of trying every
-        column.
+
+        A column without a hit at or below the current row starts a
+        look-ahead: the bits of the next columns of the order, for the
+        rows still below, are gathered in one indexed AND, about
+        ``_LOOKAHEAD_BITS`` at first and twice as many after each block
+        without a hit, and the first column with a hit pivots.  The rows
+        do not change between pivots, so a run of dependent columns
+        costs a few gathers instead of one test per column.  The scan
+        ends once every row at or below the current row is zero, since
+        no later column can pivot there; a rank-deficient matrix thus
+        stops near its last pivot instead of trying every column.
 
         Returns:
             (R, pivot_cols): R is a new BinMatrix in RREF; pivot_cols
@@ -297,28 +356,24 @@ class BinMatrix:
         """
         W = self.words.copy()
         rows = self.rows
-        order = range(self.cols) if pivot_order is None else pivot_order
+        order = np.arange(self.cols) if pivot_order is None else np.asarray(pivot_order)
+        word, mask = bit_masks(order)
         pivot_cols: list[int] = []
         pr = 0
-        for c in map(int, order):
-            if pr >= rows:
+        i = 0  # position in order of the next column to try
+        while pr < rows and i < order.size:
+            i, piv = _next_pivot(W, pr, word, mask, i)
+            if piv < 0:
                 break
-            w, b = c // WORD, np.uint64(c % WORD)
-            colbits = (W[pr:, w] >> b) & np.uint64(1)
-            hits = np.flatnonzero(colbits)
-            if hits.size == 0:
-                if not W[pr:].any():
-                    break
-                continue
-            piv = pr + int(hits[0])
             if piv != pr:
-                W[[pr, piv]] = W[[piv, pr]]
-            col_all = (W[:, w] >> b) & np.uint64(1)
-            col_all[pr] = 0
-            flip = np.flatnonzero(col_all)
+                W[pr], W[piv] = W[piv], W[pr].copy()
+            col = W[:, word[i]] & mask[i]
+            col[pr] = 0
+            flip = col.nonzero()[0]
             if flip.size:
                 W[flip] ^= W[pr]
-            pivot_cols.append(c)
+            pivot_cols.append(int(order[i]))
+            i += 1
             pr += 1
         return BinMatrix(rows, self.cols, W), pivot_cols
 
@@ -383,6 +438,38 @@ class BinMatrix:
                 raise ValueError(f"row {i} has length {len(ln)}, expected {cols}")
             arr[i] = np.frombuffer(ln.encode(), dtype=np.uint8) - ord("0")
         return cls.from_dense(arr)
+
+
+def _next_pivot(
+    W: np.ndarray, pr: int, word: np.ndarray, mask: np.ndarray, i: int
+) -> tuple[int, int]:
+    """First position at or after i whose column has a bit in rows pr: of W.
+
+    ``word`` and ``mask`` locate the bit of each column of the pivot
+    order, as ``bit_masks`` gives them.  Returns that position and the
+    first row at or below pr where the column is set, or
+    (len(word), -1) when no column of the order is left that could
+    pivot.  After a miss, columns are tested in look-ahead blocks of
+    doubling size, and the rows below are checked for zero once per
+    block without a hit.
+    """
+    col = W[pr:, word[i]] & mask[i]
+    hit = int(col.argmax())  # set bits all equal the mask: the first one
+    if col[hit]:
+        return i, pr + hit
+    i += 1
+    span = max(1, _LOOKAHEAD_BITS // (W.shape[0] - pr))
+    while i < word.size:
+        bits = W[pr:, word[i : i + span]] & mask[i : i + span]
+        any_hit = bits.any(axis=0)
+        j = int(any_hit.argmax())
+        if any_hit[j]:
+            return i + j, pr + int(bits[:, j].argmax())
+        i += span
+        if not W[pr:].any():
+            break
+        span *= 2
+    return word.size, -1
 
 
 def in_rref_rowspace(R: BinMatrix, pivot_cols: list[int], v: BinVector) -> bool:

@@ -1,4 +1,14 @@
-"""Shared fixtures: the bb72, 6-cycle detector model is built once per session."""
+"""Shared fixtures: the bb72, 6-cycle detector model is built once per session.
+
+BLAS runs one thread, as in perfbench, before anything imports numpy:
+OSD scores flips with float64 products whose last bits depend on the
+BLAS thread count, and the pinned OSD digest must not.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import pytest
 

@@ -25,6 +25,15 @@ SIDES = ("x", "z")
 # deliberate and stated.
 BP_SHA = "4ceb3a4b4838b8a8e88aa32d2d554b35f7b11239e9e64ce2ec486e32ebef248f"
 
+# SHA-256 over osd_postprocess(syndrome, q) on the same shots, with q
+# from bp_marginals; it changes with any change to OSD's column order,
+# elimination or flip sweep.
+OSD_SHA = "c4475bb072c6d12943ba267b9d4e3e06db178a2fa1941cab0ea0f6100a83afb7"
+
+# SHA-256 over the trial weights and the witness of a 3-trial, seed-3
+# circuit_distance_upper_bound on the Z side of the bb72, 6-cycle model.
+DCIRC_SHA = "8e3741f66c81db8378a3630e030ba6da11d6076851053bf21e4f1caef9fe1bf1"
+
 
 @pytest.fixture(scope="module")
 def sides(model):
@@ -68,17 +77,39 @@ def test_column_pairs_decode_to_their_logical_action(sides, side):
     assert decode_failures(sides[side], pairs) == []
 
 
-def test_bp_marginals_golden(model, sides):
-    batch = sample_circuit_noise(model.circuit, model.p, 6, 5, model.basis)
+@pytest.fixture(scope="module")
+def golden_shots(model):
+    """The six seed-5 shots that BP_SHA and OSD_SHA cover."""
+    return sample_circuit_noise(model.circuit, model.p, 6, 5, model.basis)
+
+
+def test_bp_marginals_golden(golden_shots, sides):
     h = hashlib.sha256()
     for side in SIDES:
         dec = sides[side][0]
-        for syndrome in getattr(batch, f"{side}_syndromes"):
+        for syndrome in getattr(golden_shots, f"{side}_syndromes"):
             q, hard, converged, iters = dec.bp_marginals(syndrome)
             h.update(q.tobytes())
             h.update(hard.tobytes())
             h.update(f"{converged} {iters}".encode())
     assert h.hexdigest() == BP_SHA
+
+
+def test_osd_postprocess_golden(golden_shots, sides):
+    h = hashlib.sha256()
+    for side in SIDES:
+        dec = sides[side][0]
+        for syndrome in getattr(golden_shots, f"{side}_syndromes"):
+            q = dec.bp_marginals(syndrome)[0]
+            h.update(dec.osd_postprocess(syndrome, q).tobytes())
+    assert h.hexdigest() == OSD_SHA
+
+
+def test_circuit_distance_golden(model):
+    est = circuit_distance_upper_bound(model.z, trials=3, seed=3)
+    h = hashlib.sha256(repr(est.weights).encode())
+    h.update(est.witness.words.tobytes())
+    assert h.hexdigest() == DCIRC_SHA
 
 
 def test_osd_runs_only_where_bp_fails(model, sides, monkeypatch):
@@ -130,6 +161,13 @@ def test_distance_estimates_record_every_trial(model):
     est = circuit_distance_upper_bound(model.z, trials=2, seed=1)
     assert len(est.weights) == 2
     assert min(est.weights) == est.upper_bound == est.witness.weight
+
+
+def test_distance_bounds_need_a_trial(model):
+    with pytest.raises(ValueError, match="need at least one trial"):
+        distance_upper_bound(catalog_code("bb72"), trials=0)
+    with pytest.raises(ValueError, match="need at least one trial"):
+        circuit_distance_upper_bound(model.z, trials=0)
 
 
 def test_empty_last_row_of_d():

@@ -138,6 +138,87 @@ def test_rref_pivot_order_skips_left_out_columns():
     assert set(pivots) <= set(order.tolist())
 
 
+def wide_low_rank(rng, rows, cols, rank) -> np.ndarray:
+    """rows x cols of rank at most ``rank``, every column a copy of one of
+    ``2 * rank`` pooled columns, so most columns repeat another."""
+    pool = rng.integers(0, 2, size=(rows, rank)) @ rng.integers(0, 2, size=(rank, 2 * rank)) % 2
+    return pool[:, rng.integers(0, 2 * rank, cols)].astype(np.uint8)
+
+
+def assert_rref_matches_reference(dense, order=None):
+    R, pivots = BinMatrix.from_dense(dense).rref(pivot_order=order)
+    R_ref, pivots_ref = rref_reference(dense, order)
+    assert np.array_equal(R.to_dense(), R_ref)
+    assert pivots == pivots_ref
+    return pivots
+
+
+def test_rref_wide_rank_deficient_matches_reference():
+    # long runs of dependent columns send the scan through its look-ahead
+    rng = np.random.default_rng(31)
+    for trial in range(6):
+        dense = wide_low_rank(rng, 40, 3000, int(rng.integers(1, 13)))
+        order = rng.permutation(3000)
+        assert_rref_matches_reference(dense)
+        assert_rref_matches_reference(dense, order)
+        # an order that leaves most columns out, and one more column left
+        # out of the order that makes the rows below the last pivot nonzero
+        assert_rref_matches_reference(dense, order[: int(rng.integers(1, 3000))])
+        extra = rng.integers(0, 2, size=(40, 1), dtype=np.uint8)
+        assert_rref_matches_reference(np.hstack([dense, extra]), order)
+
+
+def test_rref_finds_the_pivot_after_any_run_of_dependent_columns():
+    # runs of copies of one column end at every offset of the first
+    # look-ahead blocks, and past several doublings of their size
+    rng = np.random.default_rng(33)
+    a, b = rng.integers(0, 2, size=(2, 40, 1), dtype=np.uint8)
+    a[0], b[0], b[1] = 1, 0, 1  # independent
+    for run in [*range(1, 330), 1000, 2000, 2900]:
+        dense = np.hstack([a, np.repeat(a, run, axis=1), b, a])
+        R, pivots = BinMatrix.from_dense(dense).rref()
+        assert pivots == [0, run + 1], run
+        if run % 100 == 1:
+            assert np.array_equal(R.to_dense(), rref_reference(dense)[0])
+    # below the only pivot every row is zero: the scan stops there
+    assert assert_rref_matches_reference(dense[:, : run + 1]) == [0]
+
+
+def test_rref_of_zero_matrix_and_empty_order():
+    zero = np.zeros((5, 300), dtype=np.uint8)
+    assert assert_rref_matches_reference(zero) == []
+    assert assert_rref_matches_reference(zero, np.arange(300)[::-1]) == []
+    dense = np.random.default_rng(35).integers(0, 2, size=(5, 300), dtype=np.uint8)
+    R, pivots = BinMatrix.from_dense(dense).rref(pivot_order=[])
+    assert pivots == [] and np.array_equal(R.to_dense(), dense)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 63, 64, 65])
+def test_transpose_matches_dense_transpose(rows):
+    rng = np.random.default_rng(rows)
+    for cols in (0, 1, 63, 64, 65, 8191, 8192, 8193):
+        dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        t = BinMatrix.from_dense(dense).transpose()
+        want = BinMatrix.from_dense(dense.T)
+        # words compared too, so padding bits must be zero
+        assert (t.rows, t.cols) == (cols, rows)
+        assert t.words.shape == want.words.shape
+        assert np.array_equal(t.words, want.words)
+
+
+def test_append_row_carries_row_supports():
+    rng = np.random.default_rng(37)
+    m = random_matrix(rng, 12, 130)
+    v = BinVector.from_bits(rng.integers(0, 2, 130, dtype=np.uint8))
+    assert m.append_row(v)._row_supports is None  # none built, none carried
+    m.row_supports()
+    grown = m.append_row(v)
+    fresh = BinMatrix(grown.rows, grown.cols, grown.words.copy())
+    assert len(grown.row_supports()) == len(fresh.row_supports()) == 13
+    for got, want in zip(grown.row_supports(), fresh.row_supports()):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_append_col_matches_dense_hstack():
     rng = np.random.default_rng(25)
     for cols in (0, 1, 63, 64, 65, 127, 128, 200):
