@@ -29,7 +29,7 @@ from .code import (
     translation_table,
 )
 from .decode import BudgetExceeded, coset_minimum_trial, exact_distance_small
-from .gf2 import BinMatrix, BinVector
+from .gf2 import BinMatrix, BinVector, nwords, pack_bits
 
 
 def _support(l_poly: BivariatePoly, r_poly: BivariatePoly) -> BinVector:
@@ -119,55 +119,70 @@ BASIS_SEED = 0  # seed of the random stream behind the f and (g, h) pools
 LABEL_SEARCH_NODES = 500_000  # depth-first nodes before a label search gives up
 
 
-def _orbit_canonical(v: BinVector, code: BBCode) -> bytes:
-    """Canonical representative key of v under the lm translations."""
+# Bits of translated copies that _orbit_keys holds at once.
+_ORBIT_KEY_BITS = 1 << 22
+
+
+def _orbit_keys(bits: np.ndarray, code: BBCode) -> np.ndarray:
+    """An exact translation-orbit invariant of each row of ``bits``.
+
+    A row holds one or two lm blocks, translated together.  Its key is
+    its least translate, as packed words compared in order, so two rows
+    share a key iff one is a translate of the other.
+    """
     lm = code.lm
     table = translation_table(code.l, code.m)
-    bits = v.to_bits()
-    left = np.flatnonzero(bits[:lm])
-    right = np.flatnonzero(bits[lm:])
-    moved = np.hstack(
-        [np.sort(table[:, left], axis=1), lm + np.sort(table[:, right], axis=1)]
-    )
-    if moved.shape[1] == 0:
-        return b""
-    order = np.lexsort(moved[:, ::-1].T)
-    return moved[order[0]].tobytes()
+    # perms[t] moves a row by a translation; its rows run over the group
+    perms = np.hstack([table + b * lm for b in range(bits.shape[1] // lm)])
+    n_words = nwords(perms.shape[1])
+    keys = np.empty((len(bits), n_words), dtype=np.uint64)
+    chunk = max(1, _ORBIT_KEY_BITS // perms.size)
+    for lo in range(0, len(bits), chunk):
+        translates = np.take(bits[lo : lo + chunk], perms, axis=1)
+        words = pack_bits(translates.reshape(-1, perms.shape[1])).reshape(-1, lm, n_words)
+        key = keys[lo : lo + chunk]
+        least = np.ones(words.shape[:2], dtype=bool)  # translates tied so far
+        for w in range(n_words):
+            key[:, w] = np.where(least, words[:, :, w], np.iinfo(np.uint64).max).min(axis=1)
+            least &= words[:, :, w] == key[:, w, None]
+    return keys
+
+
+def _orbit_representatives(bits: np.ndarray, code: BBCode, count: int) -> list[BinVector]:
+    """The first nonzero row of each translation orbit, the ``count`` lightest.
+
+    Ties in weight go by support, in lexicographic order.
+    """
+    bits = bits[bits.any(axis=1)]
+    _, first = np.unique(_orbit_keys(bits, code), axis=0, return_index=True)
+    reps = bits[first]
+    # of two supports of one weight, the smaller has a 1 where the bits first differ
+    order = np.lexsort(np.vstack([1 - reps.T[::-1], reps.sum(axis=1)]))
+    return [BinVector.from_bits(reps[i]) for i in order[:count]]
 
 
 def _f_candidates(code: BBCode, rng: np.random.Generator) -> list[BivariatePoly]:
-    """Low-weight solutions of f*B = 0, one per translation orbit."""
-    bt = code.b_poly.to_matrix().transpose()
-    basis = bt.nullspace_basis()
+    """Low-weight solutions of f*B = 0, one per translation orbit.
+
+    Up to dimension 16 the kernel is swept whole, combination ``mask``
+    summing the basis vectors at its set bits, masks ascending.
+    Larger kernels get the basis vectors, their pairs and 20,000
+    random combinations.
+    """
+    basis = np.array([v.to_bits() for v in code.b_poly.to_matrix().transpose().nullspace_basis()])
     dim = len(basis)
-    pool: dict[bytes, BinVector] = {}
-
-    def consider(v: BinVector):
-        if not v.is_zero():
-            pool.setdefault(_orbit_canonical(v, code), v)
-
     if dim <= 16:
-        for mask in range(1, 1 << dim):
-            v = BinVector.zeros(code.lm)
-            for i in range(dim):
-                if (mask >> i) & 1:
-                    v = v ^ basis[i]
-            consider(v)
+        masks = np.arange(1, 1 << dim)
+        coeff = (masks[:, None] >> np.arange(dim)) & 1
     else:
-        for i in range(dim):
-            consider(basis[i])
-            for j in range(i + 1, dim):
-                consider(basis[i] ^ basis[j])
-        for _ in range(20000):
-            coeff = rng.integers(0, 2, dim, dtype=np.uint8)
-            if not coeff.any():
-                continue
-            v = BinVector.zeros(code.lm)
-            for i in np.flatnonzero(coeff):
-                v = v ^ basis[int(i)]
-            consider(v)
-    ranked = sorted(pool.values(), key=lambda v: (v.weight, tuple(v.support)))
-    return [BivariatePoly.from_vector(v, code.l, code.m) for v in ranked[:F_CANDIDATES]]
+        i, j = np.triu_indices(dim)  # each basis vector, then its pairs with later ones
+        eye = np.eye(dim, dtype=np.uint8)
+        draws = (rng.integers(0, 2, dim, dtype=np.uint8) for _ in range(20000))
+        coeff = np.vstack([eye[i] | eye[j], *(c for c in draws if c.any())])
+    # uint8 products wrap modulo 256, which keeps their parity
+    vectors = (coeff.astype(np.uint8) @ basis) & 1
+    return [BivariatePoly.from_vector(v, code.l, code.m)
+            for v in _orbit_representatives(vectors, code, F_CANDIDATES)]
 
 
 def _gh_candidates(
@@ -180,27 +195,22 @@ def _gh_candidates(
     keeps both the raw and locally-descended solution of every trial,
     which diversifies the pool.
     """
-    pool: dict[bytes, BinVector] = {}
-
-    def consider(v: BinVector):
-        pool.setdefault(_orbit_canonical(v, code), v)
-
+    found: list[BinVector] = []
     d_hint = code.distance_exact or code.distance_upper
     if d_hint is not None:
         try:
             _, witnesses = exact_distance_small(code, min(d_hint + 2, 8), pauli="X")
-            for v in witnesses:
-                consider(v)
+            found.extend(witnesses)
         except BudgetExceeded:
             pass
 
     hx_kernel_basis = BinMatrix.from_rows(code.hx.nullspace_basis())
     for _ in range(GH_TRIALS):
         _, xi, descended = coset_minimum_trial(rng, hx_kernel_basis, code.hz, code.hx)
-        consider(xi)
-        consider(descended)
+        found += [xi, descended]
     out = []
-    for v in sorted(pool.values(), key=lambda v: (v.weight, tuple(v.support)))[:GH_CANDIDATES]:
+    found_bits = np.array([v.to_bits() for v in found])
+    for v in _orbit_representatives(found_bits, code, GH_CANDIDATES):
         bits = v.to_bits()
         g = BivariatePoly.from_vector(BinVector.from_bits(bits[: code.lm]), code.l, code.m)
         h = BivariatePoly.from_vector(BinVector.from_bits(bits[code.lm :]), code.l, code.m)
@@ -239,46 +249,53 @@ def select_qubit_labels(
     None when the search space is exhausted (callers fall back to a
     different basis triple).
     """
-    lm = code.lm
     half = code.k // 2
     K = _pairing_matrix(code, f, h)
     if np.linalg.matrix_rank(K.astype(float)) < half:  # cheap refusal
         return None
 
+    def masks(rows: np.ndarray) -> list[int]:
+        """Each row's set bits as a Python int, bit j for column j."""
+        return [int.from_bytes(r.tobytes(), "little") for r in pack_bits(rows)]
+
+    def set_bits(mask: int):
+        """The set bit positions of mask, ascending."""
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    # K[ni, mi] = 1 puts ni in col_hits[mi] and mi in row_hits[ni], so the
+    # masks below drop the chosen pair themselves
+    row_hits = masks(K)  # row_hits[ni]: the m labels X_bar(ni) anticommutes with
+    col_clear = [~hits for hits in masks(K.T)]  # col_clear[mi]: the n labels Z_bar(mi) spares
     nodes = 0
     chosen_n: list[int] = []
     chosen_m: list[int] = []
 
-    def feasible(row_mask) -> bool:
-        return row_mask.sum() >= half - len(chosen_n)
-
-    def dfs(row_mask: np.ndarray, col_mask: np.ndarray) -> bool:
+    def dfs(row_mask: int, col_mask: int) -> bool:
         nonlocal nodes
         if len(chosen_n) == half:
             return True
         nodes += 1
         if nodes > LABEL_SEARCH_NODES:
             return False
+        still_needed = half - len(chosen_n) - 1
         start = chosen_n[-1] + 1 if chosen_n else 0
-        for ni in range(start, lm):
-            if not row_mask[ni]:
-                continue
-            cols = np.flatnonzero(K[ni] & col_mask)
-            for mi in cols:
-                new_row = row_mask & (K[:, mi] == 0)
-                new_col = col_mask & (K[ni] == 0)
-                new_row[ni] = False
-                new_col[mi] = False
-                chosen_n.append(ni)
-                chosen_m.append(int(mi))
-                if feasible(new_row) and dfs(new_row, new_col):
+        for ni in set_bits(row_mask >> start << start):
+            new_col = col_mask & ~row_hits[ni]
+            chosen_n.append(ni)
+            for mi in set_bits(row_hits[ni] & col_mask):
+                new_row = row_mask & col_clear[mi]
+                chosen_m.append(mi)
+                if new_row.bit_count() >= still_needed and dfs(new_row, new_col):
                     return True
-                chosen_n.pop()
                 chosen_m.pop()
+            chosen_n.pop()
         return False
 
-    ok = dfs(np.ones(lm, dtype=bool), np.ones(lm, dtype=bool))
-    if not ok:
+    everything = (1 << code.lm) - 1
+    if not dfs(everything, everything):
         return None
     n_labels = tuple(monomial_from_index(i, code.l, code.m) for i in chosen_n)
     m_labels = tuple(monomial_from_index(i, code.l, code.m) for i in chosen_m)

@@ -20,8 +20,12 @@ measured outcome XORed with the same check's previous cycle, or, in the
 final block, the check applied to the residual data error, kept raw: it
 plays the part of the appended noiseless readout cycle.  The model build
 propagates every single fault in one batched run; faults with identical
-rows merge into one column with summed priors.  The sampler propagates
-its drawn faults the same way.
+rows merge into one column with summed priors.  A fault's signature is
+its detector flips then its logical flips, packed into words, and the
+columns follow the signatures in unsigned lexicographic order of those
+words, word 0 first.  A column's provenance lists its fault ids
+ascending.  The all-zero signature sorts first and is dropped.  The
+sampler propagates its drawn faults the same way.
 """
 
 from __future__ import annotations
@@ -220,32 +224,53 @@ class DetectorModel:
     fault_table: FaultTable = field(repr=False)
 
 
+def _merge_signatures(
+    signatures: np.ndarray, priors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Merge faults with identical packed signatures (one row per fault).
+
+    Returns the distinct nonzero signatures in unsigned lexicographic
+    order of their words, word 0 first; each one's prior, its faults'
+    priors summed in fault-id order and capped below 1; and each one's
+    fault ids, ascending.  The all-zero signature sorts first and is
+    dropped: it is undetectable and acts trivially.
+    """
+    # lexsort is stable, so each run of equal signatures lists its faults
+    # in ascending order
+    order = np.lexsort(signatures.T[::-1])
+    new_run = np.arange(len(order)) == 0
+    for word in signatures.T:  # one sorted word at a time: no sorted copy
+        sorted_word = word[order]
+        new_run[1:] |= sorted_word[1:] != sorted_word[:-1]
+    starts = np.flatnonzero(new_run)
+    column = np.empty(len(order), dtype=np.int64)
+    column[order] = np.cumsum(new_run) - 1
+    merged = signatures[order[starts]]
+    merged_priors = np.minimum(
+        np.bincount(column, weights=priors, minlength=len(starts)), 1.0 - 1e-9)
+    provenance = np.split(order, starts[1:])
+    if len(merged) and not merged[0].any():
+        merged, merged_priors, provenance = merged[1:], merged_priors[1:], provenance[1:]
+    return merged, merged_priors, provenance
+
+
 def _side_model(
     detector_rows: np.ndarray, logical_rows: np.ndarray, priors: np.ndarray
 ) -> SideModel:
-    batch = len(priors)
+    """One side's model: one column per distinct nonzero fault signature.
+
+    A signature is the fault's detector flips then its logical flips,
+    packed.  Columns follow the signature words in unsigned
+    lexicographic order, word 0 (rows 0-63) first; provenance is
+    ascending, and the all-zero signature, which sorts first, is dropped.
+    """
     n_det = detector_rows.shape[0]
     n_log = logical_rows.shape[0]
-    # one packed signature per fault, its detector and logical flips; the
-    # stacked rows are a temporary, freed before the merge below
+    # the stacked rows are a temporary, freed before the merge below
     signatures = BinMatrix(
-        n_det + n_log, batch, np.vstack([detector_rows, logical_rows])
+        n_det + n_log, len(priors), np.vstack([detector_rows, logical_rows])
     ).transpose().words
-    merged, inverse = np.unique(signatures, axis=0, return_inverse=True)
-    merged_priors = np.zeros(len(merged))
-    np.add.at(merged_priors, inverse, priors)
-    merged_priors = np.minimum(merged_priors, 1.0 - 1e-9)
-
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.searchsorted(inverse[order], np.arange(len(merged)))
-    provenance = np.split(order, bounds[1:])
-
-    # drop the all-zero column: it is undetectable and acts trivially
-    zero_mask = ~merged.any(axis=1)
-    keep = np.flatnonzero(~zero_mask)
-    merged = merged[keep]
-    merged_priors = merged_priors[keep]
-    provenance = [provenance[i] for i in keep]
+    merged, merged_priors, provenance = _merge_signatures(signatures, priors)
 
     rows = BinMatrix(len(merged), n_det + n_log, merged).transpose().words
     return SideModel(

@@ -1,4 +1,5 @@
-"""Shared fixtures: the bb72, 6-cycle detector model is built once per session.
+"""Shared fixtures, built once per session: the logical bases of bb72 and
+bb144, and their detector models with 6 and 12 cycles.
 
 BLAS runs one thread, as in perfbench, before anything imports numpy:
 OSD scores flips with float64 products whose last bits depend on the
@@ -19,8 +20,20 @@ from bbqec.noise import build_detector_model
 
 
 @pytest.fixture(scope="session")
-def model():
+def bases():
+    """Every basis ``find_basis_polynomials`` returns for bb72 and bb144."""
+    return {name: find_basis_polynomials(catalog_code(name)) for name in ("bb72", "bb144")}
+
+
+@pytest.fixture(scope="session")
+def model(bases):
     """bb72 with 6 cycles at p = 0.003; carries its code, basis and circuit."""
     code = catalog_code("bb72")
-    basis = find_basis_polynomials(code)[0]
-    return build_detector_model(build_sm_circuit(code, 6), 0.003, basis)
+    return build_detector_model(build_sm_circuit(code, 6), 0.003, bases["bb72"][0])
+
+
+@pytest.fixture(scope="session")
+def model144(bases):
+    """bb144 with 12 cycles at p = 0.001, the benchmark's model."""
+    code = catalog_code("bb144")
+    return build_detector_model(build_sm_circuit(code, 12), 0.001, bases["bb144"][0])

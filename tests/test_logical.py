@@ -1,17 +1,50 @@
-"""Logical-operator machinery on bb72, and ZX duality on bb72 and bb144."""
+"""Logical-operator machinery on bb72, and the basis search and ZX duality
+on bb72 and bb144."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
+from bbqec import logical
 from bbqec.code import BivariatePoly, catalog_code
 from bbqec.logical import (
     BasisSearchError,
     build_ancilla_system,
     plan_duality_swaps,
+    select_qubit_labels,
     zx_duality_check,
     zx_duality_permutation,
 )
+
+# SHA-256 over every basis find_basis_polynomials returns on bb72, then
+# bb144: the sorted term indices of f, g and h, then the n and m label
+# indices.  It changes with any change to the candidate pools, their
+# ranking or the label search.
+BASIS_SHA = "22cf5159f7bb93a76453a0b870c7fcbc1219a1659e194c6072551de1c039a847"
+# The fewest depth-first nodes with which the label search succeeds on
+# bb72's first (f, h), and the n and m label indices it then returns.
+LABEL_NODES = 67
+LABELS = ([0, 1, 10, 17, 21, 30], [0, 1, 33, 26, 7, 22])
+
+
+def test_basis_golden(bases):
+    h = hashlib.sha256()
+    for basis in bases["bb72"] + bases["bb144"]:
+        for poly in (basis.f, basis.g, basis.h):
+            h.update(repr(sorted(t.index for t in poly.terms)).encode())
+        for labels in (basis.n_labels, basis.m_labels):
+            h.update(repr([a.index for a in labels]).encode())
+    assert h.hexdigest() == BASIS_SHA
+
+
+def test_label_search_node_budget(bases, monkeypatch):
+    code, basis = catalog_code("bb72"), bases["bb72"][0]
+    monkeypatch.setattr(logical, "LABEL_SEARCH_NODES", LABEL_NODES - 1)
+    assert select_qubit_labels(code, basis.f, basis.h) is None
+    monkeypatch.setattr(logical, "LABEL_SEARCH_NODES", LABEL_NODES)
+    n_labels, m_labels = select_qubit_labels(code, basis.f, basis.h)
+    assert ([a.index for a in n_labels], [a.index for a in m_labels]) == LABELS
 
 # Component sizes and kinds of the two planar halves of each ancilla
 # system's base subgraph, components ordered by their smallest vertex.

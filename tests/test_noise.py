@@ -1,4 +1,5 @@
-"""Fault pipeline on bb72 with 6 cycles: enumeration, forced faults, sampling."""
+"""Fault pipeline on bb72 with 6 cycles: enumeration, forced faults, sampling;
+plus the signature merge, and a golden of bb144 with 12 cycles."""
 
 import hashlib
 
@@ -11,7 +12,7 @@ from bbqec.circuit import (
     shift_permutation,
 )
 from bbqec.code import catalog_code
-from bbqec.noise import dump_side_model, sample_circuit_noise
+from bbqec.noise import _merge_signatures, dump_side_model, sample_circuit_noise
 
 FIELDS = ("x_syndromes", "z_syndromes", "logical_x", "logical_z",
           "raw_z_checks", "raw_x_checks", "alpha", "beta")
@@ -22,6 +23,9 @@ FIELDS = ("x_syndromes", "z_syndromes", "logical_x", "logical_z",
 DUMP_X_SHA = "4ad40fd4abc75fb4e8c21c02128525b9c6f149d309ff890955958c748ef272d8"
 DUMP_Z_SHA = "cdd8ce96d2c77393fd5b208dbe2378e7b5841fed3a8f5036e0e96855801c3052"
 SAMPLE_SHA = "712c1232a731a17f80c5922dc3b05916cd0e963f736e95c5b3ef8bc473acfeb0"
+# SHA-256 of bb144 with 12 cycles at p = 0.001: each side's dump, then the
+# sizes and the concatenated fault ids of its columns' provenance.
+DUMP144_SHA = "603859b43bdd6f84d18f73125566dc4a9e1ceb7feb6837455fb916ecc8ca0a78"
 
 
 def batch_digest(batch) -> str:
@@ -47,6 +51,58 @@ def test_model_dump_golden(model):
     assert model.fault_table.count == model.pre_merge_count == 42336
     assert hashlib.sha256(dump_side_model(model.x).encode()).hexdigest() == DUMP_X_SHA
     assert hashlib.sha256(dump_side_model(model.z).encode()).hexdigest() == DUMP_Z_SHA
+
+
+def test_model144_golden(model144):
+    h = hashlib.sha256()
+    for side in (model144.x, model144.z):
+        h.update(dump_side_model(side).encode())
+        h.update(np.array([len(m) for m in side.provenance], dtype=np.int64).tobytes())
+        h.update(np.concatenate(side.provenance).astype(np.int64).tobytes())
+    assert h.hexdigest() == DUMP144_SHA
+
+
+def reference_merge(signatures, priors):
+    """The merge by ``np.unique``: distinct rows in numpy's row order."""
+    merged, inverse = np.unique(signatures, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    merged_priors = np.zeros(len(merged))
+    np.add.at(merged_priors, inverse, priors)
+    provenance = [np.flatnonzero(inverse == c) for c in range(len(merged))]
+    keep = merged.any(axis=1)
+    return (merged[keep], np.minimum(merged_priors, 1.0 - 1e-9)[keep],
+            [p for p, k in zip(provenance, keep) if k])
+
+
+TOP = 1 << 63
+
+
+@pytest.mark.parametrize("rows", [
+    # duplicates (three of [1, 0, 5], whose prior sum is capped), zero
+    # rows, rows that differ only in the last word, and word 0 with bit
+    # 63 set, which a signed comparison would put first
+    [[1, 0, 5], [0, 0, 0], [TOP, 2, 0], [1, 0, 4], [1, 0, 5], [0, 0, 0],
+     [TOP | 1, 0, 0], [1, 0, 5], [0, 0, 1], [TOP, 2, 0], [3, 7, 9]],
+    [[2, 0, 1]],
+    [[0, 0, 0]],
+])
+def test_merge_signatures_matches_unique(rows):
+    signatures = np.array(rows, dtype=np.uint64)
+    priors = np.random.default_rng(len(rows)).uniform(0.4, 0.6, len(rows))
+    merged, merged_priors, provenance = _merge_signatures(signatures, priors)
+    want, want_priors, want_provenance = reference_merge(signatures, priors)
+    assert np.array_equal(merged, want)
+    assert np.array_equal(merged_priors, want_priors)
+    assert len(provenance) == len(want_provenance)
+    assert all(np.array_equal(p, q) for p, q in zip(provenance, want_provenance))
+    assert all(np.all(np.diff(p) > 0) for p in provenance)
+
+
+def test_merge_signatures_orders_words_unsigned():
+    signatures = np.array([[TOP, 0], [0, 0], [1, TOP], [1, 1]], dtype=np.uint64)
+    merged, merged_priors, provenance = _merge_signatures(signatures, np.full(4, 0.6))
+    assert merged.tolist() == [[1, 1], [1, TOP], [TOP, 0]]
+    assert [p.tolist() for p in provenance] == [[3], [2], [0]]
 
 
 def test_sampled_batch_golden(model):
