@@ -10,6 +10,16 @@ and sweep single and paired flips of the excluded columns to lower the
 solution weight (Panteleev-Kalachev, arXiv:1904.02703; Roffe et al.,
 arXiv:2005.07016).
 
+There is one min-sum loop, :func:`bp_marginals_batch`, which runs a
+list of independent problems side by side on their concatenated edges;
+a lone decode is its batch of one.  Small problems, such as the
+distance trials of the logical-basis search (about 460 edges each on
+bb144), are bound by per-call overhead, so running 40 of them in one
+set of array passes cuts their BP time about threefold; a large
+problem is bound by its passes over the edges, and gains nothing.
+Every batched result is byte-identical to a lone run, because each
+variable's message sum keeps its terms in the same order.
+
 The same machinery doubles as a randomized upper bound on code and
 circuit distance: minimize a solution weight subject to anticommuting
 with a random logical operator.
@@ -18,13 +28,14 @@ with a random logical operator.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 
 from .code import BBCode
-from .gf2 import BinMatrix, BinVector, in_rref_rowspace, unpack_bits
+from .gf2 import BinMatrix, BinVector, in_rref_rowspace, int_rows, unpack_bits
 
 PRIOR_FLOOR = 1e-12
 MIN_SUM_SCALE = 0.625  # normalization of the check-to-variable messages
@@ -120,55 +131,10 @@ class BPOSDDecoder:
         q[j] estimates Pr[xi_j = 1]; converged means the hard decision
         reproduced the syndrome exactly at some iteration.  A syndrome
         bit on a check without edges can never be reproduced, so BP
-        returns at once, unconverged, after 0 iterations.
+        returns at once, unconverged, after 0 iterations.  This is
+        :func:`bp_marginals_batch` on a batch of one.
         """
-        syndrome = np.asarray(syndrome, dtype=np.uint8)
-        m, n = self.matrix.rows, self.matrix.cols
-        if syndrome.shape != (m,):
-            raise ValueError("syndrome length mismatch")
-        if self.n_edges == 0 or syndrome[self.empty_checks].any():
-            converged = not syndrome.any()
-            return np.zeros(n), np.zeros(n, dtype=np.uint8), converged, 0
-
-        ev, ss, deg = self.edge_var, self.seg_start, self.seg_degree
-        syn_seg = syndrome[self.seg_check]
-        c2v = np.zeros(self.n_edges)
-        llr_total = self.prior_llr
-        llr_edge = llr_total[ev]
-        converged = False
-        iters = 0
-        for iters in range(1, self.bp_cfg.max_iters + 1):
-            v2c = llr_edge - c2v
-            np.clip(v2c, -1e30, 1e30, out=v2c)
-            mags = np.abs(v2c)
-            neg = (v2c < 0).view(np.uint8)
-            # each edge gets its check's smallest magnitude, except a
-            # unique minimum, which gets the smallest of the others
-            min1 = np.minimum.reduceat(mags, ss)
-            out_mag = np.repeat(min1, deg)
-            is_min = mags == out_mag
-            unique = np.add.reduceat(is_min, ss, dtype=np.int64) == 1
-            unique_min = is_min & np.repeat(unique, deg)
-            min2 = np.minimum.reduceat(np.where(unique_min, np.inf, mags), ss)[unique]
-            min2[np.isinf(min2)] = 0.0  # a check of degree 1 sends nothing
-            out_mag[unique_min] = min2
-            # negative when the check's syndrome bit and the signs of its
-            # other edges have odd parity
-            flip = np.repeat(np.bitwise_xor.reduceat(neg, ss) ^ syn_seg, deg) ^ neg
-            c2v = MIN_SUM_SCALE * out_mag
-            np.negative(c2v, out=c2v, where=flip.view(bool))
-            llr_total = self.prior_llr + np.bincount(ev, weights=c2v, minlength=n)
-            llr_edge = llr_total[ev]
-            # the hard decision reproduces the syndrome on every nonempty
-            # check; the empty ones have zero bits, as checked above
-            if np.array_equal(np.bitwise_xor.reduceat((llr_edge < 0).view(np.uint8), ss),
-                              syn_seg):
-                converged = True
-                break
-        hard = (llr_total < 0).astype(np.uint8)
-        with np.errstate(over="ignore"):
-            q = 1.0 / (1.0 + np.exp(np.clip(llr_total, -500, 500)))
-        return q, hard, converged, iters
+        return bp_marginals_batch([(self, syndrome)])[0]
 
     def _syndrome_of(self, bits: np.ndarray) -> np.ndarray:
         return self.matrix.mul_vec(BinVector.from_bits(bits)).to_bits()
@@ -185,7 +151,9 @@ class BPOSDDecoder:
         the order-0 solution is supported on those columns.  The
         combination sweep then flips the excluded columns singly (all)
         and in pairs (among the ``sweep_depth`` most likely) and the
-        lightest solution wins.
+        lightest solution wins; among equal weights, order-0 beats
+        singles, singles beat pairs, and within each the first in sweep
+        order wins.
 
         Single flips are scored from the packed transpose of the
         reduced pivot rows, whose last row (the reduced syndrome) holds
@@ -194,7 +162,10 @@ class BPOSDDecoder:
         columns at a time are unpacked and weighed by one product with
         the pivot log-weights, so the float64 copy that the product
         makes of its 0/1 operand stays bounded (under 4 MB at rank 930)
-        and no other column is ever unpacked.
+        and no other column is ever unpacked.  Pairs are gathered the
+        same way, ``_FLIP_BLOCK`` at a time, as that row XOR rows a and
+        b, but each is weighed by its own dot product: one product over
+        many rows sums in another order, which changes last bits.
 
         Raises:
             DecodingError: syndrome not in the column space.
@@ -237,12 +208,20 @@ class BPOSDDecoder:
             if weights[j] < best_w:
                 best_np = nonpivot[j : j + 1]
                 best_w, best_piv = float(weights[j]), solution_weight(best_np)[1]
+            # pairs among the top columns, in combinations order
             top = nonpivot[: self.osd_cfg.sweep_depth]
-            for a, b in combinations(range(len(top)), 2):
-                pattern = top[[a, b]]
-                w, piv_bits = solution_weight(pattern)
-                if w < best_w:
-                    best_w, best_piv, best_np = w, piv_bits, pattern
+            pa, pb = top[np.array(np.triu_indices(top.size, k=1))]
+            pair_w = np.empty(pa.size)
+            for lo in range(0, pa.size, _FLIP_BLOCK):
+                a, b = pa[lo : lo + _FLIP_BLOCK], pb[lo : lo + _FLIP_BLOCK]
+                bits = unpack_bits(red_t[n] ^ red_t[a] ^ red_t[b], rank).astype(np.float64)
+                pair_w[lo : lo + a.size] = [lw_piv @ row for row in bits]
+                pair_w[lo : lo + a.size] += lw[a] + lw[b]
+            if pa.size:
+                j = int(np.argmin(pair_w))
+                if pair_w[j] < best_w:
+                    best_np = np.array([pa[j], pb[j]])
+                    best_piv = solution_weight(best_np)[1]
 
         x = np.zeros(n, dtype=np.uint8)
         x[pivots] = best_piv
@@ -251,21 +230,164 @@ class BPOSDDecoder:
 
     # -- end-to-end ---------------------------------------------------------
 
-    def decode(self, syndrome) -> DecodeOutcome:
+    def decode(self, syndrome, marginals=None) -> DecodeOutcome:
         """BP, then OSD only where BP fails.
 
         A converged side returns BP's hard decision; an unconverged one
         returns the OSD solution.  Either way the solution satisfies
-        D xi = s, which is checked before returning.
+        D xi = s, which is checked before returning.  ``marginals``, if
+        given, is this syndrome's BP result from
+        :func:`bp_marginals_batch`, and BP does not run again.
         """
         syndrome = np.asarray(syndrome, dtype=np.uint8)
-        q, hard, converged, iters = self.bp_marginals(syndrome)
+        if marginals is None:
+            marginals = self.bp_marginals(syndrome)
+        q, hard, converged, iters = marginals
         x = hard if converged else self.osd_postprocess(syndrome, q)
         if self._syndrome_of(x).tobytes() != syndrome.tobytes():
             raise DecodingError("post-processing failed to satisfy the syndrome")
         xi = BinVector.from_bits(x)
         logical = self.logical.mul_vec(xi) if self.logical is not None else None
         return DecodeOutcome(xi=xi, logical=logical, converged=converged, iterations=iters)
+
+
+# ---------------------------------------------------------------------------
+# Min-sum on a stack of independent problems
+# ---------------------------------------------------------------------------
+
+# Edges one min-sum batch may hold.  A batch peaks at about a dozen
+# arrays with one entry per edge, about 70 bytes an edge in all, so its
+# working set stays under 10 MB; a lone problem with more edges runs by
+# itself.
+_BATCH_EDGES = 1 << 17
+
+
+def bp_marginals_batch(
+    problems: Sequence[tuple[BPOSDDecoder, np.ndarray]],
+) -> list[tuple[np.ndarray, np.ndarray, bool, int]]:
+    """Min-sum BP on independent (decoder, syndrome) problems side by side.
+
+    Returns each problem's (q, hard_decision, converged, iterations), in
+    input order, byte for byte what a lone run of that problem returns
+    (see :meth:`BPOSDDecoder.bp_marginals`).  Each problem keeps its own
+    matrix, priors, syndrome and iteration cap, and stops on its own:
+    at the iteration where its hard decision reproduces its syndrome,
+    or at its cap.  A problem without edges, or with a syndrome bit on
+    a check without edges, returns at once, as in a lone run.
+
+    The problems' edges are concatenated, problem after problem, each in
+    its decoder's check-major order, with variable ids offset past the
+    earlier problems' columns.  Every step of an iteration is then
+    elementwise, a reduction over one check's edges, or a per-variable
+    sum that ``np.bincount`` adds in edge order, so each variable's sum
+    takes the same terms in the same order as in a lone run.  That is
+    why the results are byte-identical.  A problem's edges leave the
+    arrays once it stops.  Consecutive problems share a batch up to
+    ``_BATCH_EDGES`` edges, counted before anything is allocated.
+
+    Raises:
+        ValueError: a syndrome's length differs from its matrix's row count.
+    """
+    out: list = [None] * len(problems)
+    runnable: list[tuple[int, BPOSDDecoder, np.ndarray]] = []
+    for i, (dec, syndrome) in enumerate(problems):
+        syndrome = np.asarray(syndrome, dtype=np.uint8)
+        if syndrome.shape != (dec.matrix.rows,):
+            raise ValueError("syndrome length mismatch")
+        if dec.n_edges == 0 or syndrome[dec.empty_checks].any():
+            n = dec.matrix.cols
+            out[i] = (np.zeros(n), np.zeros(n, dtype=np.uint8), not syndrome.any(), 0)
+        else:
+            runnable.append((i, dec, syndrome))
+    for lo, hi in _edge_chunks([dec.n_edges for _, dec, _ in runnable]):
+        _min_sum(runnable[lo:hi], out)
+    return out
+
+
+def _edge_chunks(edges: list[int]) -> list[tuple[int, int]]:
+    """Runs [lo, hi) of consecutive items whose edge counts sum to at most
+    ``_BATCH_EDGES``; an item with more edges runs alone."""
+    runs, lo, total = [], 0, 0
+    for i, e in enumerate(edges):
+        if i > lo and total + e > _BATCH_EDGES:
+            runs.append((lo, i))
+            lo, total = i, 0
+        total += e
+    if lo < len(edges):
+        runs.append((lo, len(edges)))
+    return runs
+
+
+class _Stack:
+    """The concatenated edge structure of the live problems of a batch."""
+
+    def __init__(self, items: list[tuple[int, BPOSDDecoder, np.ndarray]]):
+        self.items = items
+        decs = [dec for _, dec, _ in items]
+        self.n_var = np.array([dec.matrix.cols for dec in decs])
+        self.n_edge = np.array([dec.n_edges for dec in decs])
+        n_seg = np.array([dec.seg_check.size for dec in decs])
+        self.var_off = np.cumsum(self.n_var) - self.n_var
+        edge_off = np.cumsum(self.n_edge) - self.n_edge
+        self.seg_off = np.cumsum(n_seg) - n_seg  # each problem's first segment
+        self.edge_var = np.concatenate([d.edge_var + o for d, o in zip(decs, self.var_off)])
+        self.seg_start = np.concatenate([d.seg_start + o for d, o in zip(decs, edge_off)])
+        self.seg_degree = np.concatenate([dec.seg_degree for dec in decs])
+        self.syn_seg = np.concatenate([syn[dec.seg_check] for _, dec, syn in items])
+        self.prior_llr = np.concatenate([dec.prior_llr for dec in decs])
+        self.caps = np.array([dec.bp_cfg.max_iters for dec in decs])
+
+
+def _min_sum(
+    items: list[tuple[int, BPOSDDecoder, np.ndarray]], out: list
+) -> None:
+    """One batch of :func:`bp_marginals_batch`; stores result i in out[i]."""
+    st = _Stack(items)
+    c2v = np.zeros(st.edge_var.size)
+    llr_edge = np.take(st.prior_llr, st.edge_var)
+    v2c_buf = np.empty(st.edge_var.size)  # the live problems' edges fill its front
+    for it in count(1):
+        ss, deg = st.seg_start, st.seg_degree
+        v2c = np.subtract(llr_edge, c2v, out=v2c_buf[: llr_edge.size])
+        np.clip(v2c, -1e30, 1e30, out=v2c)
+        mags = np.abs(v2c)
+        neg = (v2c < 0).view(np.uint8)
+        # each edge gets its check's smallest magnitude, except a
+        # unique minimum, which gets the smallest of the others
+        min1 = np.minimum.reduceat(mags, ss)
+        out_mag = np.repeat(min1, deg)
+        is_min = mags == out_mag
+        unique = np.add.reduceat(is_min, ss, dtype=np.int64) == 1
+        unique_min = is_min & np.repeat(unique, deg)
+        min2 = np.minimum.reduceat(np.where(unique_min, np.inf, mags), ss)[unique]
+        min2[np.isinf(min2)] = 0.0  # a check of degree 1 sends nothing
+        out_mag[unique_min] = min2
+        # negative when the check's syndrome bit and the signs of its
+        # other edges have odd parity
+        flip = np.repeat(np.bitwise_xor.reduceat(neg, ss) ^ st.syn_seg, deg) ^ neg
+        c2v = np.multiply(out_mag, MIN_SUM_SCALE, out=out_mag)
+        np.negative(c2v, out=c2v, where=flip.view(bool))
+        llr_total = st.prior_llr + np.bincount(st.edge_var, weights=c2v,
+                                               minlength=st.prior_llr.size)
+        np.take(llr_total, st.edge_var, out=llr_edge, mode="clip")
+        # converged: the hard decision reproduces the syndrome on every
+        # nonempty check; the empty ones have zero bits
+        wrong = np.bitwise_xor.reduceat((llr_edge < 0).view(np.uint8), ss) != st.syn_seg
+        converged = ~np.logical_or.reduceat(wrong, st.seg_off)
+        stop = converged | (st.caps <= it)
+        if not stop.any():
+            continue
+        for k in np.flatnonzero(stop):
+            llr = llr_total[st.var_off[k] : st.var_off[k] + st.n_var[k]]
+            hard = (llr < 0).astype(np.uint8)
+            with np.errstate(over="ignore"):
+                q = 1.0 / (1.0 + np.exp(np.clip(llr, -500, 500)))
+            out[st.items[k][0]] = (q, hard, bool(converged[k]), it)
+        if stop.all():
+            return
+        keep = np.repeat(~stop, st.n_edge)
+        c2v, llr_edge = c2v[keep], llr_edge[keep]
+        st = _Stack([item for item, done in zip(st.items, stop) if not done])
 
 
 # ---------------------------------------------------------------------------
@@ -288,71 +410,86 @@ class DistanceEstimate:
 def reduce_weight_modulo_rows(v: BinVector, mat: BinMatrix) -> BinVector:
     """Greedy weight reduction of v by XORing rows of mat.
 
-    Single-row moves only; used to shrink coset representatives so that
-    they make useful (sparse) check nodes for belief propagation.
+    Single-row moves only, each taken as soon as it lowers the weight;
+    used to shrink coset representatives so that they make useful
+    (sparse) check nodes for belief propagation.  Vectors are Python
+    ints, weights ``int.bit_count``.
     """
-    rows = [mat.row(i) for i in range(mat.rows)]
+    rows = int_rows(mat.words)
+    x = int_rows(v.words)[0]
+    w = x.bit_count()
     for _ in range(_REDUCE_PASSES):
         improved = False
         for r in rows:
-            cand = v ^ r
-            if cand.weight < v.weight:
-                v = cand
+            cand = x ^ r
+            if cand.bit_count() < w:
+                x, w = cand, cand.bit_count()
                 improved = True
         if not improved:
             break
-    return v
+    return BinVector.from_int(v.n, x)
 
 
 def descend_modulo_rows(v: BinVector, mat: BinMatrix) -> BinVector:
     """Local minimum of |v| under XOR with rows (and row pairs) of mat.
 
     Candidate rows are the ones overlapping the current support, which
-    is where a weight drop is possible; pairs are scanned among the
-    ``_DESCENT_PAIRS`` highest-overlap rows once singles are exhausted.
+    is where a weight drop is possible, tried by falling overlap (ties
+    by row); the first move that lowers the weight is taken.  Pairs are
+    scanned among the ``_DESCENT_PAIRS`` highest-overlap rows once
+    singles are exhausted.  Vectors are Python ints, weights
+    ``int.bit_count``.
     """
-    dense = mat.to_dense()
-    rows = [mat.row(i) for i in range(mat.rows)]
+    rows = int_rows(mat.words)
+    x = int_rows(v.words)[0]
+    w = x.bit_count()
     improved = True
     while improved:
         improved = False
-        overlap = dense @ v.to_bits()
-        for i in np.flatnonzero(overlap >= 2)[np.argsort(-overlap[overlap >= 2], kind="stable")]:
-            cand = v ^ rows[int(i)]
-            if cand.weight < v.weight:
-                v = cand
+        overlap = [(r & x).bit_count() for r in rows]
+        by_overlap = sorted(range(len(rows)), key=lambda i: -overlap[i])
+        for i in by_overlap:
+            if overlap[i] < 2:
+                break
+            cand = x ^ rows[i]
+            if cand.bit_count() < w:
+                x, w = cand, cand.bit_count()
                 improved = True
                 break
         if improved:
             continue
-        touching = np.flatnonzero(overlap >= 1)
+        touching = [i for i in range(len(rows)) if overlap[i] >= 1]
         if len(touching) > _DESCENT_PAIRS:
-            touching = touching[np.argsort(-overlap[touching], kind="stable")][:_DESCENT_PAIRS]
-        for a, b in combinations(touching.tolist(), 2):
-            cand = v ^ rows[a] ^ rows[b]
-            if cand.weight < v.weight:
-                v = cand
+            touching = sorted(touching, key=lambda i: -overlap[i])[:_DESCENT_PAIRS]
+        for a, b in combinations(touching, 2):
+            cand = x ^ rows[a] ^ rows[b]
+            if cand.bit_count() < w:
+                x, w = cand, cand.bit_count()
                 improved = True
                 break
-    return v
+    return BinVector.from_int(v.n, x)
 
 
 def _random_kernel_logical(
-    rng: np.random.Generator, kernel_basis: BinMatrix, rowspace: BinMatrix
+    rng: np.random.Generator, kernel_basis: BinMatrix, rowspace_rref: tuple[BinMatrix, list[int]]
 ) -> BinVector:
-    """Uniform element of ker \\ rowspace by rejection sampling."""
+    """Uniform element of ker \\ rowspace by rejection sampling.
+
+    The row space is given as its matrix's ``rref()``, computed once
+    for all trials.
+    """
     for _ in range(10000):
         coeff = rng.integers(0, 2, kernel_basis.rows, dtype=np.uint8)
         if not coeff.any():
             continue
         eta = BinMatrix.from_dense(coeff).mul_mat(kernel_basis).row(0)
-        if not rowspace.in_rowspace(eta):
+        if not in_rref_rowspace(*rowspace_rref, eta):
             return eta
     raise RuntimeError("could not sample a logical representative")
 
 
-def minimum_weight_in_coset(kernel_mat: BinMatrix, eta: BinVector) -> BinVector:
-    """BP-OSD minimization of |xi| with kernel_mat xi = 0, eta . xi = 1.
+def _coset_problem(kernel_mat: BinMatrix, eta: BinVector) -> tuple[BPOSDDecoder, np.ndarray]:
+    """Decoder and syndrome of |xi| minimization with kernel_mat xi = 0, eta . xi = 1.
 
     The row supports of kernel_mat are built once, on its first trial,
     and carried over to each stacked matrix for the decoder's edges.
@@ -364,24 +501,47 @@ def minimum_weight_in_coset(kernel_mat: BinMatrix, eta: BinVector) -> BinVector:
     priors = np.full(stacked.cols, 0.01)
     dec = BPOSDDecoder(stacked, priors, bp=_DISTANCE_BP, osd=_DISTANCE_OSD,
                        log_weights=np.ones(stacked.cols))
-    return dec.decode(syndrome).xi
+    return dec, syndrome
 
 
-def coset_minimum_trial(
-    rng: np.random.Generator, kernel_basis: BinMatrix, kernel_mat: BinMatrix, dual: BinMatrix
-) -> tuple[BinVector, BinVector, BinVector]:
-    """One randomized search for a light logical; returns (eta, xi, descended xi).
+def minimum_weight_in_coset(kernel_mat: BinMatrix, etas: list[BinVector]) -> list[BinVector]:
+    """BP-OSD minimization of |xi| with kernel_mat xi = 0, eta . xi = 1, per eta.
 
-    eta is a random element of the span of ``kernel_basis`` outside the
-    row space of ``kernel_mat``, shrunk modulo those rows; xi is BP-OSD's
-    light solution of kernel_mat xi = 0 with eta . xi = 1, and the last
-    entry is xi descended modulo the rows of ``dual``.  Only the choice
-    of eta draws from ``rng``.
+    BP runs for the etas side by side (:func:`bp_marginals_batch`), as
+    many at a time as fit in ``_BATCH_EDGES`` edges, so only one
+    batch's decoders exist at once; each decode then finishes from its
+    own marginals.
     """
-    eta = _random_kernel_logical(rng, kernel_basis, kernel_mat)
-    eta = reduce_weight_modulo_rows(eta, kernel_mat)
-    xi = minimum_weight_in_coset(kernel_mat, eta)
-    return eta, xi, descend_modulo_rows(xi, dual)
+    xis: list[BinVector] = []
+    # a problem's edges are kernel_mat's and eta's, known before its decoder is built
+    kernel_edges = kernel_mat.nnz
+    for lo, hi in _edge_chunks([kernel_edges + eta.weight for eta in etas]):
+        problems = [_coset_problem(kernel_mat, eta) for eta in etas[lo:hi]]
+        marginals = bp_marginals_batch(problems)
+        xis += [dec.decode(syndrome, m).xi for (dec, syndrome), m in zip(problems, marginals)]
+    return xis
+
+
+def coset_minimum_trials(
+    rng: np.random.Generator, kernel_basis: BinMatrix, kernel_mat: BinMatrix,
+    dual: BinMatrix, trials: int,
+) -> list[tuple[BinVector, BinVector, BinVector]]:
+    """Randomized searches for light logicals; returns (eta, xi, descended xi) per trial.
+
+    Each eta is a random element of the span of ``kernel_basis`` outside
+    the row space of ``kernel_mat``, shrunk modulo those rows; xi is
+    BP-OSD's light solution of kernel_mat xi = 0 with eta . xi = 1, and
+    the last entry is xi descended modulo the rows of ``dual``.  Only
+    the choice of eta draws from ``rng``, and every eta is drawn, in
+    trial order, before BP runs on them all at once; so the trials are
+    those of one-at-a-time runs on the same stream.
+    """
+    rowspace_rref = kernel_mat.rref()
+    etas = [reduce_weight_modulo_rows(_random_kernel_logical(rng, kernel_basis, rowspace_rref),
+                                      kernel_mat)
+            for _ in range(trials)]
+    xis = minimum_weight_in_coset(kernel_mat, etas)
+    return [(eta, xi, descend_modulo_rows(xi, dual)) for eta, xi in zip(etas, xis)]
 
 
 def distance_upper_bound(
@@ -412,8 +572,8 @@ def distance_upper_bound(
     rng = np.random.default_rng(seed)
     best: BinVector | None = None
     weights = []
-    for _ in range(trials):
-        eta, _, xi = coset_minimum_trial(rng, kernel_basis, kernel_mat, dual_kernel_mat)
+    for eta, _, xi in coset_minimum_trials(rng, kernel_basis, kernel_mat, dual_kernel_mat,
+                                           trials):
         if not kernel_mat.mul_vec(xi).is_zero() or eta.dot(xi) != 1:
             raise DecodingError("distance witness is not a nontrivial logical")
         weights.append(xi.weight)
@@ -451,7 +611,10 @@ def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> Dist
             coeff_l = rng.integers(0, 2, L.rows, dtype=np.uint8)
         coeff_d = rng.integers(0, 2, D.rows, dtype=np.uint8)
         eta = BinMatrix.from_dense(np.concatenate([coeff_l, coeff_d])).mul_mat(LD).row(0)
-        xi = minimum_weight_in_coset(D, eta)
+        # one trial at a time: a detector model's trial is bound by its
+        # passes over tens of thousands of edges, which a batch does not cut
+        dec, syndrome = _coset_problem(D, eta)
+        xi = dec.decode(syndrome).xi
         if not D.mul_vec(xi).is_zero() or eta.dot(xi) != 1:
             raise DecodingError("distance witness is not an undetectable logical fault set")
         weights.append(xi.weight)
@@ -500,7 +663,7 @@ def exact_distance_small(
     rs_rref = rs_mat.rref()
 
     # column j of kernel_mat as an integer, bit i = row i
-    cols = [int.from_bytes(w.tobytes(), "little") for w in kernel_mat.transpose().words]
+    cols = int_rows(kernel_mat.transpose().words)
 
     half_hi = (w_max - 1 + 1) // 2  # extra elements alongside the anchor
     half_lo = (w_max - 1) // 2

@@ -84,6 +84,11 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     return bits[:, :n]
 
 
+def int_rows(words: np.ndarray) -> list[int]:
+    """Each row of packed words as a Python int, bit j for column j."""
+    return [int.from_bytes(r.tobytes(), "little") for r in np.atleast_2d(words)]
+
+
 class BinVector:
     """A length-n vector over GF(2), packed 64 entries per word."""
 
@@ -103,6 +108,11 @@ class BinVector:
     def from_bits(cls, bits) -> "BinVector":
         bits = np.asarray(bits, dtype=np.uint8)
         return cls(bits.shape[0], pack_bits(bits)[0])
+
+    @classmethod
+    def from_int(cls, n: int, x: int) -> "BinVector":
+        """The length-n vector whose bit j is bit j of x, for 0 <= x < 2**n."""
+        return cls(n, np.frombuffer(x.to_bytes(8 * nwords(n), "little"), dtype=np.uint64).copy())
 
     @classmethod
     def from_support(cls, n: int, support) -> "BinVector":

@@ -28,8 +28,8 @@ from .code import (
     monomial_from_index,
     translation_table,
 )
-from .decode import BudgetExceeded, coset_minimum_trial, exact_distance_small
-from .gf2 import BinMatrix, BinVector, nwords, pack_bits
+from .decode import BudgetExceeded, coset_minimum_trials, exact_distance_small
+from .gf2 import BinMatrix, BinVector, int_rows, nwords, pack_bits
 
 
 def _support(l_poly: BivariatePoly, r_poly: BivariatePoly) -> BinVector:
@@ -205,8 +205,8 @@ def _gh_candidates(
             pass
 
     hx_kernel_basis = BinMatrix.from_rows(code.hx.nullspace_basis())
-    for _ in range(GH_TRIALS):
-        _, xi, descended = coset_minimum_trial(rng, hx_kernel_basis, code.hz, code.hx)
+    for _, xi, descended in coset_minimum_trials(rng, hx_kernel_basis, code.hz, code.hx,
+                                                 GH_TRIALS):
         found += [xi, descended]
     out = []
     found_bits = np.array([v.to_bits() for v in found])
@@ -254,10 +254,6 @@ def select_qubit_labels(
     if np.linalg.matrix_rank(K.astype(float)) < half:  # cheap refusal
         return None
 
-    def masks(rows: np.ndarray) -> list[int]:
-        """Each row's set bits as a Python int, bit j for column j."""
-        return [int.from_bytes(r.tobytes(), "little") for r in pack_bits(rows)]
-
     def set_bits(mask: int):
         """The set bit positions of mask, ascending."""
         while mask:
@@ -267,8 +263,10 @@ def select_qubit_labels(
 
     # K[ni, mi] = 1 puts ni in col_hits[mi] and mi in row_hits[ni], so the
     # masks below drop the chosen pair themselves
-    row_hits = masks(K)  # row_hits[ni]: the m labels X_bar(ni) anticommutes with
-    col_clear = [~hits for hits in masks(K.T)]  # col_clear[mi]: the n labels Z_bar(mi) spares
+    # row_hits[ni]: the m labels X_bar(ni) anticommutes with;
+    # col_clear[mi]: the n labels Z_bar(mi) spares
+    row_hits = int_rows(pack_bits(K))
+    col_clear = [~hits for hits in int_rows(pack_bits(K.T))]
     nodes = 0
     chosen_n: list[int] = []
     chosen_m: list[int] = []

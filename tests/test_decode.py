@@ -1,4 +1,5 @@
 import hashlib
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,10 +10,15 @@ from bbqec.code import catalog_code
 from bbqec.decode import (
     BPConfig,
     BPOSDDecoder,
+    DecodeOutcome,
     DecodingError,
+    bp_marginals_batch,
     circuit_distance_upper_bound,
+    coset_minimum_trials,
+    descend_modulo_rows,
     distance_upper_bound,
     exact_distance_small,
+    reduce_weight_modulo_rows,
 )
 from bbqec.gf2 import BinMatrix, BinVector
 from bbqec.noise import sample_circuit_noise
@@ -33,6 +39,11 @@ OSD_SHA = "c4475bb072c6d12943ba267b9d4e3e06db178a2fa1941cab0ea0f6100a83afb7"
 # SHA-256 over the trial weights and the witness of a 3-trial, seed-3
 # circuit_distance_upper_bound on the Z side of the bb72, 6-cycle model.
 DCIRC_SHA = "8e3741f66c81db8378a3630e030ba6da11d6076851053bf21e4f1caef9fe1bf1"
+
+# SHA-256 over (eta, xi, descended xi) of six seed-7 coset trials on
+# bb72, first in distance_upper_bound's Z setting, then in the basis
+# search's (g, h) setting; recorded with one trial at a time.
+COSET_SHA = "efe105b1879e114cde8245712964060ed844273bd972db288d2fe4648294f6e3"
 
 
 @pytest.fixture(scope="module")
@@ -142,9 +153,11 @@ def test_osd_runs_only_where_bp_fails(model, sides, monkeypatch):
 
 
 def test_distance_bounds_reject_a_witness_outside_the_kernel(monkeypatch):
-    # a coset search that returns a vector with a nonzero syndrome
-    monkeypatch.setattr(decode, "minimum_weight_in_coset",
-                        lambda mat, eta, bp=None, osd=None: BinVector.from_support(mat.cols, [0]))
+    # a coset decode, batched or lone, that returns a vector with a nonzero syndrome
+    def outside(self, syndrome, marginals=None):
+        return DecodeOutcome(BinVector.from_support(self.matrix.cols, [0]), None, False, 0)
+
+    monkeypatch.setattr(BPOSDDecoder, "decode", outside)
     with pytest.raises(DecodingError):
         distance_upper_bound(catalog_code("bb72"), trials=1)
     side = SimpleNamespace(matrix=BinMatrix.from_dense([[1, 1, 0]]),
@@ -190,3 +203,134 @@ def test_distance_searches_reject_an_unknown_pauli():
         exact_distance_small(code, 1, pauli="Y")
     with pytest.raises(ValueError):
         distance_upper_bound(code, trials=1, pauli="Y")
+
+
+@pytest.fixture(scope="module")
+def mixed_problems(model, sides):
+    """(decoder, syndrome) problems of many sizes and outcomes, mixed in one batch."""
+    dec, D, _ = sides["z"]
+    capped = BPOSDDecoder(model.z.matrix, model.z.priors, bp=BPConfig(max_iters=7))
+    cols = np.random.default_rng(14).choice(D.shape[1], size=8, replace=False)
+    code = catalog_code("bb72")
+    kernel_basis = BinMatrix.from_rows(code.hx.nullspace_basis())
+    eta = decode._random_kernel_logical(np.random.default_rng(2), kernel_basis, code.hz.rref())
+    tied = BPOSDDecoder(BinMatrix.from_dense([[1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 0, 1]]),
+                        np.full(4, 0.2))
+    empty_row = BPOSDDecoder(BinMatrix.from_dense([[1, 1, 0], [0, 0, 0]]), np.full(3, 0.1))
+    no_edges = BPOSDDecoder(BinMatrix.zeros(2, 3), np.full(3, 0.1))
+    return [
+        decode._coset_problem(code.hz, eta),  # tied priors, runs to its cap of 300
+        (dec, D[:, 0]),  # converges early
+        (capped, D[:, cols].sum(axis=1) % 2),  # stops at its cap of 7
+        (empty_row, np.array([0, 1], dtype=np.uint8)),  # unreachable empty-check bit
+        (tied, np.array([1, 0, 1], dtype=np.uint8)),
+        (dec, np.zeros(D.shape[0], dtype=np.uint8)),  # zero syndrome
+        (no_edges, np.zeros(2, dtype=np.uint8)),
+        (sides["x"][0], sides["x"][1][:, :3].sum(axis=1) % 2),
+    ]
+
+
+def _bp_bytes(result) -> tuple:
+    q, hard, converged, iters = result
+    return q.tobytes(), hard.tobytes(), converged, iters
+
+
+def test_bp_batch_equals_lone_runs(mixed_problems):
+    batch = bp_marginals_batch(mixed_problems)
+    lone = [dec.bp_marginals(syndrome) for dec, syndrome in mixed_problems]
+    assert [_bp_bytes(r) for r in batch] == [_bp_bytes(r) for r in lone]
+    outcomes = [(converged, iters) for _, _, converged, iters in batch]
+    assert outcomes[0] == (False, 300) and outcomes[2] == (False, 7)
+    assert outcomes[1][0] and 1 < outcomes[1][1] < 100
+    assert outcomes[3] == (False, 0) and outcomes[5] == (True, 1) and outcomes[6] == (True, 0)
+
+
+def test_bp_batch_chunks_within_its_edge_budget(mixed_problems, monkeypatch):
+    batches = []
+    run = decode._min_sum
+
+    def recorded(items, out):
+        batches.append([dec.n_edges for _, dec, _ in items])
+        return run(items, out)
+
+    monkeypatch.setattr(decode, "_min_sum", recorded)
+    whole = [_bp_bytes(r) for r in bp_marginals_batch(mixed_problems)]
+    assert len(batches) == 1
+    budget = mixed_problems[0][0].n_edges + mixed_problems[1][0].n_edges
+    monkeypatch.setattr(decode, "_BATCH_EDGES", budget)
+    batches.clear()
+    assert [_bp_bytes(r) for r in bp_marginals_batch(mixed_problems)] == whole
+    assert len(batches) > 2 and max(map(len, batches)) > 1
+    assert all(sum(edges) <= budget for edges in batches)
+
+
+def test_batched_coset_trials_equal_sequential_ones(monkeypatch):
+    code = catalog_code("bb72")
+    h = hashlib.sha256()
+    for kernel_mat, dual in (code.pauli_checks("Z"), (code.hz, code.hx)):
+        kernel_basis = BinMatrix.from_rows(dual.nullspace_basis())
+        batched = coset_minimum_trials(np.random.default_rng(7), kernel_basis, kernel_mat, dual, 6)
+        rng = np.random.default_rng(7)
+        sequential = [coset_minimum_trials(rng, kernel_basis, kernel_mat, dual, 1)[0]
+                      for _ in range(6)]
+        assert batched == sequential
+        with monkeypatch.context() as m:  # two or three problems per batch
+            m.setattr(decode, "_BATCH_EDGES", 3 * kernel_mat.nnz)
+            chunked = coset_minimum_trials(np.random.default_rng(7), kernel_basis, kernel_mat,
+                                           dual, 6)
+        assert chunked == batched
+        for trial in batched:
+            for v in trial:
+                h.update(v.words.tobytes())
+    assert h.hexdigest() == COSET_SHA
+
+
+def _reduce_reference(v, mat):
+    """reduce_weight_modulo_rows on BinVectors, as first written."""
+    rows = [mat.row(i) for i in range(mat.rows)]
+    for _ in range(decode._REDUCE_PASSES):
+        improved = False
+        for r in rows:
+            if (v ^ r).weight < v.weight:
+                v = v ^ r
+                improved = True
+        if not improved:
+            break
+    return v
+
+
+def _descend_reference(v, mat):
+    """descend_modulo_rows on BinVectors and a dense overlap product, as first written."""
+    dense = mat.to_dense().astype(np.int64)
+    rows = [mat.row(i) for i in range(mat.rows)]
+    improved = True
+    while improved:
+        improved = False
+        overlap = dense @ v.to_bits()
+        for i in np.flatnonzero(overlap >= 2)[np.argsort(-overlap[overlap >= 2], kind="stable")]:
+            if (v ^ rows[i]).weight < v.weight:
+                v, improved = v ^ rows[i], True
+                break
+        if improved:
+            continue
+        touching = np.flatnonzero(overlap >= 1)
+        top = decode._DESCENT_PAIRS
+        if len(touching) > top:
+            touching = touching[np.argsort(-overlap[touching], kind="stable")][:top]
+        for a, b in combinations(touching.tolist(), 2):
+            if (v ^ rows[a] ^ rows[b]).weight < v.weight:
+                v, improved = v ^ rows[a] ^ rows[b], True
+                break
+    return v
+
+
+@pytest.mark.parametrize("name, pairs", [("bb72", None), ("bb144", None), ("bb144", 5)])
+def test_row_moves_match_the_vector_reference(name, pairs, monkeypatch):
+    if pairs is not None:  # few enough that the pair scan keeps only the top rows
+        monkeypatch.setattr(decode, "_DESCENT_PAIRS", pairs)
+    code = catalog_code(name)
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        v = BinVector.from_bits(rng.random(code.n) < 0.2)
+        assert reduce_weight_modulo_rows(v, code.hz) == _reduce_reference(v, code.hz)
+        assert descend_modulo_rows(v, code.hx) == _descend_reference(v, code.hx)
