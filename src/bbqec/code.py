@@ -286,6 +286,11 @@ class BBCode:
     def n(self) -> int:
         return 2 * self.l * self.m
 
+    @property
+    def check_rank(self) -> int:
+        """rank(HX) = rank(HZ) = (n - k) / 2, as :func:`build_code` checks."""
+        return (self.n - self.k) // 2
+
     def monomials(self) -> list[Monomial]:
         return [monomial_from_index(i, self.l, self.m) for i in range(self.lm)]
 

@@ -103,7 +103,7 @@ class LogicalBasis:
             i, j = defects[0]
             raise BasisSearchError(f"pairing defect at ({i}, {j})")
         for mat, h in ((xs, code.hx), (zs, code.hz)):
-            if h.stack(mat).rank() != h.rank() + code.k:
+            if h.stack(mat).rank() != code.check_rank + code.k:
                 raise BasisSearchError("operators do not span k qubits modulo stabilizer")
 
 
@@ -225,7 +225,7 @@ def _family_span_ok(code: BBCode, f: BivariatePoly, g: BivariatePoly, h: Bivaria
         rows.append(_support(f.shift(alpha), BivariatePoly.zero(code.l, code.m)))
         rows.append(_support(g.shift(alpha), h.shift(alpha)))
     fam = BinMatrix.from_rows(rows)
-    return code.hx.stack(fam).rank() == code.hx.rank() + code.k
+    return code.hx.stack(fam).rank() == code.check_rank + code.k
 
 
 def _pairing_matrix(code: BBCode, f: BivariatePoly, h: BivariatePoly) -> np.ndarray:

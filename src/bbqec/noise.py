@@ -18,14 +18,21 @@ forced faults and sampling all go through it.
 type's packed detector and logical rows.  A detector row is a check's
 measured outcome XORed with the same check's previous cycle, or, in the
 final block, the check applied to the residual data error, kept raw: it
-plays the part of the appended noiseless readout cycle.  The model build
-propagates every single fault in one batched run; faults with identical
-rows merge into one column with summed priors.  A fault's signature is
-its detector flips then its logical flips, packed into words, and the
-columns follow the signatures in unsigned lexicographic order of those
-words, word 0 first.  A column's provenance lists its fault ids
-ascending.  The all-zero signature sorts first and is dropped.  The
-sampler propagates its drawn faults the same way.
+plays the part of the appended noiseless readout cycle.  The sampler
+propagates its drawn faults the same way.
+
+The model build propagates the single faults in chunks of consecutive
+ids, sized from the byte budget ``_CHUNK_BYTES`` before anything is
+allocated.  A fault's signature is its detector flips then its logical
+flips, packed into words.  Each side merges its chunk's signatures into
+a running set of distinct signatures, so between chunks it keeps only
+that set and one column index per fault.  At the end the set is sorted
+once: the columns follow the signatures in unsigned lexicographic order
+of their words, word 0 first, and the all-zero signature, which sorts
+first, is dropped.  A column's prior is its faults' priors summed in
+fault-id order and its provenance lists its fault ids ascending.  None
+of this depends on where the chunks end, so the model is the same for
+any chunk size.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import numpy as np
 
 from .circuit import FrameResult, ScheduledCircuit, Step, propagate_frames
 from .code import BBCode
-from .gf2 import BinMatrix, unpack_bits
+from .gf2 import BinMatrix, nwords, unpack_bits
 from .logical import LogicalBasis
 
 # Pauli encoding for two-qubit fault classes: I=0, X=1, Y=2, Z=3.
@@ -171,16 +178,15 @@ def side_rows(
 
 
 def enumerate_faults(
-    circ: ScheduledCircuit, basis: LogicalBasis
-) -> tuple[FaultTable, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """Propagate every single-fault circuit in one batched run.
+    table: FaultTable, lo: int, hi: int, basis: LogicalBasis
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Propagate faults ``lo`` to ``hi - 1`` in one batched run.
 
-    Scenario i holds fault i alone; returns the table and ``side_rows``.
+    Scenario i holds fault ``lo + i`` alone; returns their ``side_rows``.
     """
-    table = build_fault_table(circ)
-    ids = np.arange(table.count)
-    res = propagate_frames(circ, table.count, *table.frame_flips(ids, ids))
-    return table, side_rows(res, circ.code, basis)
+    ids = np.arange(lo, hi)
+    res = propagate_frames(table.circuit, hi - lo, *table.frame_flips(ids, ids - lo))
+    return side_rows(res, table.circuit.code, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -224,54 +230,95 @@ class DetectorModel:
     fault_table: FaultTable = field(repr=False)
 
 
-def _merge_signatures(
-    signatures: np.ndarray, priors: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Merge faults with identical packed signatures (one row per fault).
+# Upper bound on the packed bits one model-build chunk holds: frames,
+# check records, both sides' rows and one side's signatures.  On bb144
+# with 12 cycles it gives 14 chunks of about 12k faults.  Each chunk
+# costs one walk of the circuit's steps: 2^22 made that build about 10%
+# slower, and 2^24 saved under 5% of its time but raised its traced
+# peak from 20 to 25 MB.
+_CHUNK_BYTES = 1 << 23
 
-    Returns the distinct nonzero signatures in unsigned lexicographic
-    order of their words, word 0 first; each one's prior, its faults'
-    priors summed in fault-id order and capped below 1; and each one's
-    fault ids, ascending.  The all-zero signature sorts first and is
-    dropped: it is undetectable and acts trivially.
+
+def _chunk_faults(table: FaultTable) -> int:
+    """Faults per model-build chunk, from ``_CHUNK_BYTES``.
+
+    Counted from the code and circuit sizes before anything is
+    allocated: per fault, the X and Z frames of 4lm qubits, the two
+    sides' N_c * lm check records, each side's (N_c + 1) * lm detector
+    rows and k logical rows, and one side's signature words.  The
+    chunks the budget allows are then evened out, so the last one is
+    not a sliver.
     """
-    # lexsort is stable, so each run of equal signatures lists its faults
-    # in ascending order
-    order = np.lexsort(signatures.T[::-1])
-    new_run = np.arange(len(order)) == 0
-    for word in signatures.T:  # one sorted word at a time: no sorted copy
-        sorted_word = word[order]
-        new_run[1:] |= sorted_word[1:] != sorted_word[:-1]
-    starts = np.flatnonzero(new_run)
-    column = np.empty(len(order), dtype=np.int64)
-    column[order] = np.cumsum(new_run) - 1
-    merged = signatures[order[starts]]
-    merged_priors = np.minimum(
-        np.bincount(column, weights=priors, minlength=len(starts)), 1.0 - 1e-9)
-    provenance = np.split(order, starts[1:])
-    if len(merged) and not merged[0].any():
-        merged, merged_priors, provenance = merged[1:], merged_priors[1:], provenance[1:]
-    return merged, merged_priors, provenance
+    circ = table.circuit
+    lm, k = circ.code.lm, circ.code.k
+    side_bits = (circ.n_cycles + 1) * lm + k
+    bits = 8 * lm + 2 * circ.n_cycles * lm + 2 * side_bits + 64 * nwords(side_bits)
+    chunks = -(-table.count // max(1, 8 * _CHUNK_BYTES // bits))
+    return -(-table.count // chunks)
 
 
-def _side_model(
-    detector_rows: np.ndarray, logical_rows: np.ndarray, priors: np.ndarray
-) -> SideModel:
-    """One side's model: one column per distinct nonzero fault signature.
+class _SignatureMerge:
+    """One side's running merge of fault signatures, fed in fault-id order.
 
-    A signature is the fault's detector flips then its logical flips,
-    packed.  Columns follow the signature words in unsigned
-    lexicographic order, word 0 (rows 0-63) first; provenance is
-    ascending, and the all-zero signature, which sorts first, is dropped.
+    Between chunks it keeps only the distinct signatures seen so far, as
+    byte-string keys in first-seen order, and each fault's index among
+    them.  A dict lookup per fault costs the same whatever the size of
+    the set, where re-sorting the set with each chunk would not.
     """
-    n_det = detector_rows.shape[0]
-    n_log = logical_rows.shape[0]
-    # the stacked rows are a temporary, freed before the merge below
-    signatures = BinMatrix(
-        n_det + n_log, len(priors), np.vstack([detector_rows, logical_rows])
-    ).transpose().words
-    merged, merged_priors, provenance = _merge_signatures(signatures, priors)
 
+    def __init__(self) -> None:
+        self.n_det = self.n_log = 0
+        self._index: dict[bytes, int] = {}
+        self._columns: list[np.ndarray] = []
+
+    def add(self, detector_rows: np.ndarray, logical_rows: np.ndarray, count: int) -> None:
+        """Merge the next ``count`` faults, from their rows packed over faults."""
+        self.n_det, self.n_log = len(detector_rows), len(logical_rows)
+        stacked = np.vstack([detector_rows, logical_rows])
+        signatures = np.ascontiguousarray(
+            BinMatrix(len(stacked), count, stacked).transpose().words)
+        keys = signatures.view(np.dtype((np.void, signatures.shape[1] * 8))).ravel().tolist()
+        index = self._index
+        self._columns.append(np.fromiter(
+            (index.setdefault(key, len(index)) for key in keys), np.int64, count))
+
+    def result(self, priors: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """The distinct nonzero signatures, their priors and their faults.
+
+        Signatures come in unsigned lexicographic order of their words,
+        word 0 first, from one sort of the distinct set.  Each one's
+        prior is its faults' priors summed in fault-id order and capped
+        below 1; its fault ids are ascending.  The all-zero signature
+        sorts first and is dropped: it is undetectable and acts
+        trivially.
+        """
+        words = nwords(self.n_det + self.n_log)
+        distinct = np.frombuffer(b"".join(self._index), dtype=np.uint64).reshape(-1, words)
+        order = np.lexsort(distinct.T[::-1])
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        column = rank[np.concatenate(self._columns)]
+        merged = distinct[order]
+        merged_priors = np.minimum(
+            np.bincount(column, weights=priors, minlength=len(merged)), 1.0 - 1e-9)
+        # a stable sort lists each column's faults in ascending order
+        provenance = np.split(np.argsort(column, kind="stable"),
+                              np.cumsum(np.bincount(column, minlength=len(merged)))[:-1])
+        if len(merged) and not merged[0].any():
+            merged, merged_priors, provenance = merged[1:], merged_priors[1:], provenance[1:]
+        return merged, merged_priors, provenance
+
+
+def _side_model(merge: _SignatureMerge, priors: np.ndarray) -> SideModel:
+    """One side's model, from its merge of every fault's signature.
+
+    One column per distinct nonzero signature.  Columns follow the
+    signature words in unsigned lexicographic order, word 0 (rows 0-63)
+    first; provenance is ascending, and the all-zero signature, which
+    sorts first, is dropped.
+    """
+    merged, merged_priors, provenance = merge.result(priors)
+    n_det, n_log = merge.n_det, merge.n_log
     rows = BinMatrix(len(merged), n_det + n_log, merged).transpose().words
     return SideModel(
         matrix=BinMatrix(n_det, len(merged), rows[:n_det]),
@@ -284,22 +331,32 @@ def _side_model(
 def build_detector_model(
     circ: ScheduledCircuit, p: float, basis: LogicalBasis
 ) -> DetectorModel:
-    """Enumerate the single faults and merge each side's columns.
+    """Enumerate the single faults a chunk at a time and merge each side's columns.
 
-    Each side's rows are released once its model is built.
+    Each chunk is one ``enumerate_faults`` call on ``_chunk_faults``
+    consecutive fault ids, sized from ``_CHUNK_BYTES``; its rows are
+    merged into each side's running set of distinct signatures and then
+    released.  The model is the same for any chunk size, byte for byte:
+    a fault's column depends only on its signature and the sorted
+    distinct set, priors are summed in fault-id order, and provenance
+    comes from a stable sort by column.
     """
-    table, rows = enumerate_faults(circ, basis)
+    table = build_fault_table(circ)
+    size = _chunk_faults(table)
+    merges = {"X": _SignatureMerge(), "Z": _SignatureMerge()}
+    for lo in range(0, table.count, size):
+        hi = min(lo + size, table.count)
+        for side, rows in enumerate_faults(table, lo, hi, basis).items():
+            merges[side].add(*rows, hi - lo)
     priors = table.priors(p)
-    x_side = _side_model(*rows.pop("X"), priors)
-    z_side = _side_model(*rows.pop("Z"), priors)
     return DetectorModel(
         code=circ.code,
         circuit=circ,
         basis=basis,
         p=p,
         pre_merge_count=table.count,
-        x=x_side,
-        z=z_side,
+        x=_side_model(merges["X"], priors),
+        z=_side_model(merges["Z"], priors),
         fault_table=table,
     )
 

@@ -95,7 +95,7 @@ def test_css_and_rank_invariants_on_catalog():
     for name in CODE_CATALOG:
         code = catalog_code(name)
         assert code.hx.mul_mat(code.hz.transpose()).nnz == 0
-        assert code.hx.rank() == code.hz.rank()
+        assert code.hx.rank() == code.hz.rank() == code.check_rank
         assert code.k % 2 == 0
 
 
@@ -231,7 +231,7 @@ def test_random_small_codes_structural_suite():
         code = build_code(l, m, BivariatePoly.from_terms(terms_a, l, m),
                           BivariatePoly.from_terms(terms_b, l, m))
         assert code.hx.mul_mat(code.hz.transpose()).nnz == 0
-        assert code.hx.rank() == code.hz.rank()
+        assert code.hx.rank() == code.hz.rank() == code.check_rank
         # group-order component count against BFS happens inside
         connected_components(code)
         dec = thickness_decomposition(code)

@@ -1,18 +1,22 @@
 """Fault pipeline on bb72 with 6 cycles: enumeration, forced faults, sampling;
-plus the signature merge, and a golden of bb144 with 12 cycles."""
+plus the signature merge, the chunked model build, and a golden and the
+build's memory bound on bb144 with 12 cycles."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bbqec import noise
 from bbqec.circuit import (
     automorphism_data_permutation,
     build_automorphism_circuit,
     shift_permutation,
 )
 from bbqec.code import catalog_code
-from bbqec.noise import _merge_signatures, dump_side_model, sample_circuit_noise
+from bbqec.gf2 import BinMatrix
+from bbqec.noise import _SignatureMerge, dump_side_model, sample_circuit_noise
 
 FIELDS = ("x_syndromes", "z_syndromes", "logical_x", "logical_z",
           "raw_z_checks", "raw_x_checks", "alpha", "beta")
@@ -62,6 +66,63 @@ def test_model144_golden(model144):
     assert h.hexdigest() == DUMP144_SHA
 
 
+def test_chunked_build_matches_one_chunk(model, monkeypatch):
+    table = model.fault_table
+    assert noise._chunk_faults(table) == table.count  # the fixture is one chunk
+    whole = [(side.priors, side.provenance) for side in (model.x, model.z)]
+    cnot_blocks = [(table.offsets[i], table.offsets[i + 1])
+                   for i, step in enumerate(model.circuit.steps) if step.kind == "cnot"]
+    first_undetected_x = np.setdiff1d(np.arange(table.count),
+                                      np.concatenate(model.x.provenance))[0]
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return propagate(*args)
+
+    propagate = noise.propagate_frames
+    monkeypatch.setattr(noise, "propagate_frames", counted)
+    cut_cnot = first_clean = False
+    # 2^16 bytes is a few hundred faults a chunk; 6000 bytes is a few dozen
+    for budget in (1 << 16, 6000):
+        monkeypatch.setattr(noise, "_CHUNK_BYTES", budget)
+        size = noise._chunk_faults(table)
+        cut_cnot |= any((lo - a) % 15 for lo in range(size, table.count, size)
+                        for a, b in cnot_blocks if a < lo < b)
+        # the X side's all-zero signature is first seen after the first chunk
+        first_clean |= size <= first_undetected_x
+        calls.clear()
+        chunked = noise.build_detector_model(model.circuit, model.p, model.basis)
+        assert len(calls) == -(-table.count // size) and max(calls) == size
+        assert hashlib.sha256(dump_side_model(chunked.x).encode()).hexdigest() == DUMP_X_SHA
+        assert hashlib.sha256(dump_side_model(chunked.z).encode()).hexdigest() == DUMP_Z_SHA
+        for side, (priors, provenance) in zip((chunked.x, chunked.z), whole):
+            assert np.array_equal(side.priors, priors)
+            assert len(side.provenance) == len(provenance)
+            assert all(np.array_equal(p, q) for p, q in zip(side.provenance, provenance))
+    assert cut_cnot and first_clean
+
+
+def test_model144_build_memory_bound(model144):
+    """The chunked build of bb144 with 12 cycles stays under 40 MB traced."""
+    tracemalloc.start()
+    try:
+        noise.build_detector_model(model144.circuit, model144.p, model144.basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
+def merge(signatures, priors, cuts=()):
+    """``_SignatureMerge`` over signature rows, fed in chunks split at cuts."""
+    merger = _SignatureMerge()
+    for part in np.split(signatures, cuts):
+        rows = BinMatrix(len(part), 64 * signatures.shape[1], part).transpose().words
+        merger.add(rows, rows[:0], len(part))
+    return merger.result(priors)
+
+
 def reference_merge(signatures, priors):
     """The merge by ``np.unique``: distinct rows in numpy's row order."""
     merged, inverse = np.unique(signatures, axis=0, return_inverse=True)
@@ -89,20 +150,22 @@ TOP = 1 << 63
 def test_merge_signatures_matches_unique(rows):
     signatures = np.array(rows, dtype=np.uint64)
     priors = np.random.default_rng(len(rows)).uniform(0.4, 0.6, len(rows))
-    merged, merged_priors, provenance = _merge_signatures(signatures, priors)
     want, want_priors, want_provenance = reference_merge(signatures, priors)
-    assert np.array_equal(merged, want)
-    assert np.array_equal(merged_priors, want_priors)
-    assert len(provenance) == len(want_provenance)
-    assert all(np.array_equal(p, q) for p, q in zip(provenance, want_provenance))
-    assert all(np.all(np.diff(p) > 0) for p in provenance)
+    for cuts in ([], [1], [2, 3, 7]):
+        merged, merged_priors, provenance = merge(signatures, priors, cuts)
+        assert np.array_equal(merged, want)
+        assert np.array_equal(merged_priors, want_priors)
+        assert len(provenance) == len(want_provenance)
+        assert all(np.array_equal(p, q) for p, q in zip(provenance, want_provenance))
+        assert all(np.all(np.diff(p) > 0) for p in provenance)
 
 
 def test_merge_signatures_orders_words_unsigned():
     signatures = np.array([[TOP, 0], [0, 0], [1, TOP], [1, 1]], dtype=np.uint64)
-    merged, merged_priors, provenance = _merge_signatures(signatures, np.full(4, 0.6))
-    assert merged.tolist() == [[1, 1], [1, TOP], [TOP, 0]]
-    assert [p.tolist() for p in provenance] == [[3], [2], [0]]
+    for cuts in ([], [2]):
+        merged, merged_priors, provenance = merge(signatures, np.full(4, 0.6), cuts)
+        assert merged.tolist() == [[1, 1], [1, TOP], [TOP, 0]]
+        assert [p.tolist() for p in provenance] == [[3], [2], [0]]
 
 
 def test_sampled_batch_golden(model):
