@@ -357,7 +357,8 @@ def propagate_frames(
     Z) of ``qubits[i]`` in scenario ``scenarios[i]`` right after the
     step; ``meas_flips[step] = (positions, scenarios)`` flips the
     outcome of the step's ``positions[i]``-th measurement.  A flip
-    listed twice cancels.
+    listed twice cancels.  The walk starts at the first step with a
+    flip, since every frame and record is zero before it.
     """
     lm = circ.code.lm
     W = nwords(batch)
@@ -368,7 +369,8 @@ def propagate_frames(
     injections = injections or {}
     meas_flips = meas_flips or {}
 
-    for sidx, step in enumerate(circ.steps):
+    first = min([*injections, *meas_flips], default=len(circ.steps))
+    for sidx, step in enumerate(circ.steps[first:], first):
         if step.kind == "cnot":
             xf[step.targets] ^= xf[step.qubits]
             zf[step.qubits] ^= zf[step.targets]

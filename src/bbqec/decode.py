@@ -28,8 +28,8 @@ with a random logical operator.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from itertools import combinations, count
 
 import numpy as np
@@ -402,9 +402,14 @@ _DESCENT_PAIRS = 400  # rows whose pairs descend_modulo_rows scans
 
 @dataclass
 class DistanceEstimate:
-    upper_bound: int | None
-    witness: BinVector | None
-    weights: list[int] = field(default_factory=list)
+    """The lightest witness of a randomized distance bound, and every trial's weight."""
+
+    witness: BinVector
+    weights: list[int]
+
+    @property
+    def upper_bound(self) -> int:
+        return self.witness.weight
 
 
 def reduce_weight_modulo_rows(v: BinVector, mat: BinMatrix) -> BinVector:
@@ -523,25 +528,40 @@ def minimum_weight_in_coset(kernel_mat: BinMatrix, etas: list[BinVector]) -> lis
 
 
 def coset_minimum_trials(
-    rng: np.random.Generator, kernel_basis: BinMatrix, kernel_mat: BinMatrix,
-    dual: BinMatrix, trials: int,
+    rng: np.random.Generator, kernel_mat: BinMatrix, dual: BinMatrix, trials: int,
 ) -> list[tuple[BinVector, BinVector, BinVector]]:
     """Randomized searches for light logicals; returns (eta, xi, descended xi) per trial.
 
-    Each eta is a random element of the span of ``kernel_basis`` outside
-    the row space of ``kernel_mat``, shrunk modulo those rows; xi is
-    BP-OSD's light solution of kernel_mat xi = 0 with eta . xi = 1, and
-    the last entry is xi descended modulo the rows of ``dual``.  Only
-    the choice of eta draws from ``rng``, and every eta is drawn, in
-    trial order, before BP runs on them all at once; so the trials are
-    those of one-at-a-time runs on the same stream.
+    Each eta is a random element of ker(dual) outside the row space of
+    ``kernel_mat``, shrunk modulo those rows; xi is BP-OSD's light
+    solution of kernel_mat xi = 0 with eta . xi = 1, and the last entry
+    is xi descended modulo the rows of ``dual``.  Only the choice of eta
+    draws from ``rng``, and every eta is drawn, in trial order, before
+    BP runs on them all at once; so the trials are those of
+    one-at-a-time runs on the same stream.
     """
+    kernel_basis = BinMatrix.from_rows(dual.nullspace_basis())
     rowspace_rref = kernel_mat.rref()
     etas = [reduce_weight_modulo_rows(_random_kernel_logical(rng, kernel_basis, rowspace_rref),
                                       kernel_mat)
             for _ in range(trials)]
     xis = minimum_weight_in_coset(kernel_mat, etas)
     return [(eta, xi, descend_modulo_rows(xi, dual)) for eta, xi in zip(etas, xis)]
+
+
+def _lightest_witness(
+    kernel_mat: BinMatrix, trials: Iterable[tuple[BinVector, BinVector]], what: str
+) -> DistanceEstimate:
+    """Check each trial's (eta, xi) as it comes and keep the lightest xi, the first on ties.
+
+    Raises DecodingError when an xi is not in ker kernel_mat or has eta . xi = 0.
+    """
+    xis = []
+    for eta, xi in trials:
+        if not kernel_mat.mul_vec(xi).is_zero() or eta.dot(xi) != 1:
+            raise DecodingError(f"distance witness is not {what}")
+        xis.append(xi)
+    return DistanceEstimate(min(xis, key=lambda xi: xi.weight), [xi.weight for xi in xis])
 
 
 def distance_upper_bound(
@@ -555,7 +575,7 @@ def distance_upper_bound(
     weight seen across trials bounds the distance from above.  eta is
     first shrunk modulo rs(HX) so BP sees a sparse extra check, and the
     solution is locally descended modulo rs(HZ) (which preserves both
-    constraints).  ``weights`` records every trial's witness weight.
+    constraints).
 
     Raises:
         ValueError: trials < 1 or a pauli other than "X" or "Z".
@@ -563,23 +583,10 @@ def distance_upper_bound(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    kernel_mat, dual_kernel_mat = code.pauli_checks(pauli)
-    basis = dual_kernel_mat.nullspace_basis()
-    if not basis:
-        return DistanceEstimate(None, None)
-    kernel_basis = BinMatrix.from_rows(basis)
-
-    rng = np.random.default_rng(seed)
-    best: BinVector | None = None
-    weights = []
-    for eta, _, xi in coset_minimum_trials(rng, kernel_basis, kernel_mat, dual_kernel_mat,
-                                           trials):
-        if not kernel_mat.mul_vec(xi).is_zero() or eta.dot(xi) != 1:
-            raise DecodingError("distance witness is not a nontrivial logical")
-        weights.append(xi.weight)
-        if best is None or xi.weight < best.weight:
-            best = xi
-    return DistanceEstimate(best.weight, best, weights)
+    kernel_mat, dual = code.pauli_checks(pauli)
+    found = coset_minimum_trials(np.random.default_rng(seed), kernel_mat, dual, trials)
+    return _lightest_witness(kernel_mat, ((eta, xi) for eta, _, xi in found),
+                             "a nontrivial logical")
 
 
 def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> DistanceEstimate:
@@ -590,7 +597,6 @@ def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> Dist
     D plus a nonzero combination of rows of L; any xi in ker D with
     eta . xi = 1 is an undetectable fault set with nontrivial logical
     action, so its weight bounds the circuit distance for this type.
-    ``weights`` records every trial's witness weight.
 
     Raises:
         ValueError: trials < 1.
@@ -603,9 +609,8 @@ def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> Dist
     L: BinMatrix = side_model.logical
     LD = L.stack(D)
     rng = np.random.default_rng(seed)
-    best: BinVector | None = None
-    weights = []
-    for _ in range(trials):
+
+    def trial() -> tuple[BinVector, BinVector]:
         coeff_l = rng.integers(0, 2, L.rows, dtype=np.uint8)
         while not coeff_l.any():
             coeff_l = rng.integers(0, 2, L.rows, dtype=np.uint8)
@@ -614,13 +619,10 @@ def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> Dist
         # one trial at a time: a detector model's trial is bound by its
         # passes over tens of thousands of edges, which a batch does not cut
         dec, syndrome = _coset_problem(D, eta)
-        xi = dec.decode(syndrome).xi
-        if not D.mul_vec(xi).is_zero() or eta.dot(xi) != 1:
-            raise DecodingError("distance witness is not an undetectable logical fault set")
-        weights.append(xi.weight)
-        if best is None or xi.weight < best.weight:
-            best = xi
-    return DistanceEstimate(best.weight, best, weights)
+        return eta, dec.decode(syndrome).xi
+
+    return _lightest_witness(D, (trial() for _ in range(trials)),
+                             "an undetectable logical fault set")
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +692,7 @@ def exact_distance_small(
                 if not buckets:
                     continue
                 s1 = {anchor, *sub}
+                # a bucket shares s1's column XOR: each symmetric difference is in the kernel
                 for other in buckets:
                     support = s1.symmetric_difference(other)
                     w = len(support)
@@ -698,8 +701,6 @@ def exact_distance_small(
                     v = BinVector.from_support(n, support)
                     if v.key() in seen:
                         continue
-                    if not kernel_mat.mul_vec(v).is_zero():
-                        continue  # collision across anchor parity, impossible
                     if not in_rref_rowspace(*rs_rref, v):
                         seen.add(v.key())
                         witnesses.append(v)

@@ -84,11 +84,14 @@ class LogicalBasis:
                                    + [self.z_bar_primed(a) for a in self.m_labels])
 
     def validate(self, code: BBCode) -> None:
-        """Assert commutation, pairing and span; raises on any failure.
+        """Assert commutation and pairing; raises on any failure.
 
         X operator i and Z operator j anticommute iff their supports
         overlap in an odd number of qubits, so the pairing holds iff the
-        product of the two support matrices is the identity.
+        product of the two support matrices is the identity.  That
+        implies the span: a combination of X operators in rs(HX) commutes
+        with every Z operator, so by the pairing it includes none of
+        them; likewise for the Z operators and rs(HZ).
         """
         xs, zs = self.x_support_matrix, self.z_support_matrix
         if xs.rows != code.k or zs.rows != code.k:
@@ -102,16 +105,12 @@ class LogicalBasis:
         if len(defects):
             i, j = defects[0]
             raise BasisSearchError(f"pairing defect at ({i}, {j})")
-        for mat, h in ((xs, code.hx), (zs, code.hz)):
-            if h.stack(mat).rank() != code.check_rank + code.k:
-                raise BasisSearchError("operators do not span k qubits modulo stabilizer")
 
 
 # ---------------------------------------------------------------------------
 # Basis search
 # ---------------------------------------------------------------------------
 
-BASIS_CANDIDATES = 5  # validated bases find_basis_polynomials returns at most
 F_CANDIDATES = 30  # lightest f orbits tried
 GH_TRIALS = 40  # BP-OSD samples of low-weight X logicals (g, h)
 GH_CANDIDATES = 60  # lightest (g, h) orbits tried
@@ -204,9 +203,7 @@ def _gh_candidates(
         except BudgetExceeded:
             pass
 
-    hx_kernel_basis = BinMatrix.from_rows(code.hx.nullspace_basis())
-    for _, xi, descended in coset_minimum_trials(rng, hx_kernel_basis, code.hz, code.hx,
-                                                 GH_TRIALS):
+    for _, xi, descended in coset_minimum_trials(rng, code.hz, code.hx, GH_TRIALS):
         found += [xi, descended]
     out = []
     found_bits = np.array([v.to_bits() for v in found])
@@ -219,7 +216,10 @@ def _gh_candidates(
 
 
 def _family_span_ok(code: BBCode, f: BivariatePoly, g: BivariatePoly, h: BivariatePoly) -> bool:
-    """Do the translated families span k logical qubits mod stabilizer?"""
+    """Do the translated families span k logical qubits mod stabilizer?
+
+    A prefilter: on a failing triple the label search runs to its node cap.
+    """
     rows = []
     for alpha in code.monomials():
         rows.append(_support(f.shift(alpha), BivariatePoly.zero(code.l, code.m)))
@@ -301,11 +301,12 @@ def select_qubit_labels(
 
 
 def find_basis_polynomials(code: BBCode) -> list[LogicalBasis]:
-    """Search (f, g, h) triples and assemble validated logical bases.
+    """The lightest valid logical basis, as a one-element list.
 
-    Candidates are ranked by max(|f|, |g|+|h|) so minimum-weight bases
-    come first.  Triples that fail the span condition or admit no label
-    selection are dropped.
+    Candidate (f, g, h) triples are ranked by max(|f|, |g|+|h|), ties by
+    their places in the f and (g, h) pools.  Triples that fail the span
+    condition or admit no label selection are skipped; the first triple
+    whose basis passes ``validate`` is returned.
 
     Raises:
         BasisSearchError: k < 2 or nothing found (never observed for
@@ -319,15 +320,9 @@ def find_basis_polynomials(code: BBCode) -> list[LogicalBasis]:
     if not fs or not ghs:
         raise BasisSearchError("no kernel solutions found")
 
-    scored = sorted(
-        ((max(f.weight, g.weight + h.weight), fi, gi, f, g, h)
-         for fi, f in enumerate(fs) for gi, (g, h) in enumerate(ghs)),
-        key=lambda t: (t[0], t[1], t[2]),
-    )
-    out: list[LogicalBasis] = []
-    for _, _, _, f, g, h in scored:
-        if len(out) >= BASIS_CANDIDATES:
-            break
+    scored = sorted(((f, g, h) for f in fs for g, h in ghs),
+                    key=lambda t: max(t[0].weight, t[1].weight + t[2].weight))
+    for f, g, h in scored:
         if not _family_span_ok(code, f, g, h):
             continue
         labels = select_qubit_labels(code, f, h)
@@ -338,10 +333,8 @@ def find_basis_polynomials(code: BBCode) -> list[LogicalBasis]:
             basis.validate(code)
         except BasisSearchError:
             continue
-        out.append(basis)
-    if not out:
-        raise BasisSearchError("no valid (f, g, h) triple found")
-    return out
+        return [basis]
+    raise BasisSearchError("no valid (f, g, h) triple found")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from bbqec.noise import build_detector_model
 
 @pytest.fixture(scope="session")
 def bases():
-    """Every basis ``find_basis_polynomials`` returns for bb72 and bb144."""
+    """The basis ``find_basis_polynomials`` returns for bb72 and bb144, as its one-element list."""
     return {name: find_basis_polynomials(catalog_code(name)) for name in ("bb72", "bb144")}
 
 

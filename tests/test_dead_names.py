@@ -79,6 +79,24 @@ def _attribute_reads(tree: ast.Module) -> set[str]:
     return out
 
 
+def _constants(tree: ast.Module) -> list[str]:
+    """Names bound by a module's top-level assignments."""
+    targets = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets.extend(node.targets)
+        elif isinstance(node, ast.AnnAssign):
+            targets.append(node.target)
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _loads(tree: ast.Module) -> set[str]:
+    """Bare names loaded, attributes loaded and identifier strings."""
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return names | _attribute_reads(tree)
+
+
 def _readers() -> list[Path]:
     return [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py"),
             *(ROOT / "perfbench").glob("*.py")]
@@ -121,3 +139,21 @@ def test_no_write_only_attributes():
         if attr.split(".")[1] not in reads
     ]
     assert not unread, "written but never read: " + ", ".join(unread)
+
+
+def test_no_unloaded_constants():
+    """A module-level constant of ``src/bbqec`` is loaded in ``src``, ``tests`` or ``perfbench``.
+
+    A load is a bare name read, an attribute load ``module.NAME``, or a
+    string that is the bare name, as ``monkeypatch.setattr`` takes; the
+    assignment itself does not count.  Matching is by bare name, as in
+    the other checks here.
+    """
+    loads = set().union(*(_loads(ast.parse(p.read_text())) for p in _readers()))
+    unloaded = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _constants(ast.parse(path.read_text()))
+        if name not in loads
+    ]
+    assert not unloaded, "assigned but never loaded: " + ", ".join(unloaded)

@@ -176,6 +176,25 @@ def test_distance_estimates_record_every_trial(model):
     assert min(est.weights) == est.upper_bound == est.witness.weight
 
 
+@pytest.mark.parametrize("pauli", ["X", "Z"])
+def test_exact_distance_certifies_bb72(pauli):
+    code = catalog_code("bb72")
+    assert exact_distance_small(code, 5, pauli=pauli) == (None, [])
+    best, witnesses = exact_distance_small(code, 6, pauli=pauli)
+    assert best == 6 and witnesses
+    kernel_mat, rs_mat = code.pauli_checks(pauli)
+    rs_rank = rs_mat.rank()
+    for v in witnesses:
+        assert v.weight == 6
+        assert kernel_mat.mul_vec(v).is_zero()
+        assert rs_mat.append_row(v).rank() == rs_rank + 1
+
+
+def test_circuit_distance_of_bb72_reaches_6(model):
+    for side in (model.x, model.z):
+        assert circuit_distance_upper_bound(side, trials=2, seed=0).upper_bound == 6
+
+
 def test_distance_bounds_need_a_trial(model):
     with pytest.raises(ValueError, match="need at least one trial"):
         distance_upper_bound(catalog_code("bb72"), trials=0)
@@ -268,16 +287,13 @@ def test_batched_coset_trials_equal_sequential_ones(monkeypatch):
     code = catalog_code("bb72")
     h = hashlib.sha256()
     for kernel_mat, dual in (code.pauli_checks("Z"), (code.hz, code.hx)):
-        kernel_basis = BinMatrix.from_rows(dual.nullspace_basis())
-        batched = coset_minimum_trials(np.random.default_rng(7), kernel_basis, kernel_mat, dual, 6)
+        batched = coset_minimum_trials(np.random.default_rng(7), kernel_mat, dual, 6)
         rng = np.random.default_rng(7)
-        sequential = [coset_minimum_trials(rng, kernel_basis, kernel_mat, dual, 1)[0]
-                      for _ in range(6)]
+        sequential = [coset_minimum_trials(rng, kernel_mat, dual, 1)[0] for _ in range(6)]
         assert batched == sequential
         with monkeypatch.context() as m:  # two or three problems per batch
             m.setattr(decode, "_BATCH_EDGES", 3 * kernel_mat.nnz)
-            chunked = coset_minimum_trials(np.random.default_rng(7), kernel_basis, kernel_mat,
-                                           dual, 6)
+            chunked = coset_minimum_trials(np.random.default_rng(7), kernel_mat, dual, 6)
         assert chunked == batched
         for trial in batched:
             for v in trial:

@@ -17,11 +17,12 @@ from bbqec.logical import (
     zx_duality_permutation,
 )
 
-# SHA-256 over every basis find_basis_polynomials returns on bb72, then
-# bb144: the sorted term indices of f, g and h, then the n and m label
-# indices.  It changes with any change to the candidate pools, their
-# ranking or the label search.
-BASIS_SHA = "22cf5159f7bb93a76453a0b870c7fcbc1219a1659e194c6072551de1c039a847"
+# SHA-256 over the one-element lists find_basis_polynomials returns on
+# bb72, then bb144: the sorted term indices of f, g and h, then the n
+# and m label indices.  It changes with any change to the candidate
+# pools, their ranking or the label search, or if the search returns
+# more than its first valid basis.
+BASIS_SHA = "20b91d07daa59a6c3e883161b6f36331470cf500ada0382b436abede554e0173"
 # The fewest depth-first nodes with which the label search succeeds on
 # bb72's first (f, h), and the n and m label indices it then returns.
 LABEL_NODES = 67
@@ -79,6 +80,10 @@ def test_validate_rejects_a_broken_basis(model):
     unpaired = replace(basis, m_labels=basis.m_labels[::-1])
     with pytest.raises(BasisSearchError, match="pairing defect"):
         unpaired.validate(code)
+    # a repeated n label makes two X operators equal, a dependent set
+    repeated = replace(basis, n_labels=basis.n_labels[:1] * 2 + basis.n_labels[2:])
+    with pytest.raises(BasisSearchError, match="pairing defect"):
+        repeated.validate(code)
 
 
 @pytest.mark.parametrize("name", ["bb72", "bb144"])
