@@ -20,6 +20,15 @@ problem is bound by its passes over the edges, and gains nothing.
 Every batched result is byte-identical to a lone run, because each
 variable's message sum keeps its terms in the same order.
 
+An iteration is a fixed set of full passes over the edges, so its cost
+is their count; :func:`_min_sum` keeps it low by computing the
+minima, clip, scale and sign of each check once per check rather than
+once per edge.  Each of those rewrites is exact, so messages, marginals
+and iteration counts are those of the plain per-edge rule.  OSD scores
+the flips of unit-weight problems (the distance trials) by popcount on
+the packed reduced rows, which gives the same weights as the float
+products exactly.
+
 The same machinery doubles as a randomized upper bound on code and
 circuit distance: minimize a solution weight subject to anticommuting
 with a random logical operator.
@@ -100,15 +109,22 @@ class BPOSDDecoder:
         log_weights: np.ndarray | None = None,
     ):
         self.matrix = matrix
-        self.priors = np.clip(np.asarray(priors, dtype=np.float64), PRIOR_FLOOR, 1 - PRIOR_FLOOR)
-        if self.priors.shape != (matrix.cols,):
+        priors = np.asarray(priors, dtype=np.float64)
+        if priors.shape != (matrix.cols,):
             raise ValueError("priors length must equal the column count")
+        if not np.isfinite(priors).all():
+            raise ValueError("priors must be finite")
+        self.priors = np.clip(priors, PRIOR_FLOOR, 1 - PRIOR_FLOOR)
         self.bp_cfg = bp or BPConfig()
         self.osd_cfg = osd or OSDConfig()
         self.logical = logical
         self.log_weights = (
             np.log(1.0 / self.priors) if log_weights is None else np.asarray(log_weights, float)
         )
+        if not np.isfinite(self.log_weights).all():
+            raise ValueError("log weights must be finite")
+        # every weight 1: OSD counts bits instead of summing float weights
+        self.unit_weights = bool((self.log_weights == 1).all())
 
         # edge structure in check-major order
         supports = matrix.row_supports()
@@ -167,25 +183,19 @@ class BPOSDDecoder:
         b, but each is weighed by its own dot product: one product over
         many rows sums in another order, which changes last bits.
 
+        When every log weight is 1, as in the distance trials, a
+        solution's weight is its bit count, and flips are scored by the
+        popcount of the packed rows, with no unpacking: popcount + 1 for
+        a single flip and + 2 for a pair.  Every float product and sum
+        of the general path is then a small integer, exact in any
+        order, so both paths give equal weights and the same answer.
+
         Raises:
             DecodingError: syndrome not in the column space.
         """
-        syndrome = np.asarray(syndrome, dtype=np.uint8)
         n = self.matrix.cols
-        order = np.argsort(-q, kind="stable")
-        R, pivot_cols = self.matrix.append_col(syndrome).rref(pivot_order=order)
-        rank = len(pivot_cols)
-        rhs = R.col_bits(n)
-        if rhs[rank:].any():
-            raise DecodingError("syndrome is not in the column space of D")
-
-        # row j of red_t is column j of the reduced pivot rows, packed;
-        # row n holds the order-0 solution's pivot bits
-        red_t = BinMatrix(rank, n + 1, R.words[:rank]).transpose().words
-        pivots = np.array(pivot_cols, dtype=np.int64)
-        is_pivot = np.zeros(n, dtype=bool)
-        is_pivot[pivots] = True
-        nonpivot = order[~is_pivot[order]]  # excluded columns, most likely first
+        red_t, pivots, nonpivot = self._reduce(syndrome, q)
+        rank = pivots.size
         lw = self.log_weights
         lw_piv = lw[pivots]
 
@@ -198,12 +208,7 @@ class BPOSDDecoder:
         best_np: np.ndarray = np.zeros(0, dtype=np.int64)
 
         if nonpivot.size:
-            # score _FLIP_BLOCK single flips per product
-            weights = np.empty(nonpivot.size)
-            for lo in range(0, nonpivot.size, _FLIP_BLOCK):
-                cols = nonpivot[lo : lo + _FLIP_BLOCK]
-                flipped = np.ascontiguousarray(unpack_bits(red_t[cols] ^ red_t[n], rank).T)
-                weights[lo : lo + cols.size] = lw_piv @ flipped + lw[cols]
+            weights = self._single_flip_weights(red_t, pivots, nonpivot)
             j = int(np.argmin(weights))
             if weights[j] < best_w:
                 best_np = nonpivot[j : j + 1]
@@ -211,13 +216,8 @@ class BPOSDDecoder:
             # pairs among the top columns, in combinations order
             top = nonpivot[: self.osd_cfg.sweep_depth]
             pa, pb = top[np.array(np.triu_indices(top.size, k=1))]
-            pair_w = np.empty(pa.size)
-            for lo in range(0, pa.size, _FLIP_BLOCK):
-                a, b = pa[lo : lo + _FLIP_BLOCK], pb[lo : lo + _FLIP_BLOCK]
-                bits = unpack_bits(red_t[n] ^ red_t[a] ^ red_t[b], rank).astype(np.float64)
-                pair_w[lo : lo + a.size] = [lw_piv @ row for row in bits]
-                pair_w[lo : lo + a.size] += lw[a] + lw[b]
             if pa.size:
+                pair_w = self._pair_flip_weights(red_t, pivots, pa, pb)
                 j = int(np.argmin(pair_w))
                 if pair_w[j] < best_w:
                     best_np = np.array([pa[j], pb[j]])
@@ -227,6 +227,55 @@ class BPOSDDecoder:
         x[pivots] = best_piv
         x[best_np] = 1
         return x
+
+    def _reduce(self, syndrome: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:
+        """OSD's elimination: (red_t, pivots, nonpivot).
+
+        Row j of ``red_t`` is column j of the reduced pivot rows, packed,
+        and row n holds the order-0 solution's pivot bits; the bits past
+        the rank are zero.  ``nonpivot`` lists the excluded columns, most
+        likely first.
+
+        Raises:
+            DecodingError: syndrome not in the column space.
+        """
+        syndrome = np.asarray(syndrome, dtype=np.uint8)
+        n = self.matrix.cols
+        order = np.argsort(-q, kind="stable")
+        R, pivot_cols = self.matrix.append_col(syndrome).rref(pivot_order=order)
+        rank = len(pivot_cols)
+        if R.col_bits(n)[rank:].any():
+            raise DecodingError("syndrome is not in the column space of D")
+        red_t = BinMatrix(rank, n + 1, R.words[:rank]).transpose().words
+        pivots = np.array(pivot_cols, dtype=np.int64)
+        is_pivot = np.zeros(n, dtype=bool)
+        is_pivot[pivots] = True
+        return red_t, pivots, order[~is_pivot[order]]
+
+    def _single_flip_weights(self, red_t, pivots, cols) -> np.ndarray:
+        """Solution weight after flipping each excluded column of ``cols``."""
+        n, rank, lw = red_t.shape[0] - 1, pivots.size, self.log_weights
+        if self.unit_weights:
+            return np.bitwise_count(red_t[cols] ^ red_t[n]).sum(axis=1) + 1.0
+        lw_piv, weights = lw[pivots], np.empty(cols.size)
+        for lo in range(0, cols.size, _FLIP_BLOCK):
+            block = cols[lo : lo + _FLIP_BLOCK]
+            flipped = np.ascontiguousarray(unpack_bits(red_t[block] ^ red_t[n], rank).T)
+            weights[lo : lo + block.size] = lw_piv @ flipped + lw[block]
+        return weights
+
+    def _pair_flip_weights(self, red_t, pivots, pa, pb) -> np.ndarray:
+        """Solution weight after flipping each pair (pa[i], pb[i]) of excluded columns."""
+        n, rank, lw = red_t.shape[0] - 1, pivots.size, self.log_weights
+        if self.unit_weights:
+            return np.bitwise_count(red_t[n] ^ red_t[pa] ^ red_t[pb]).sum(axis=1) + 2.0
+        lw_piv, weights = lw[pivots], np.empty(pa.size)
+        for lo in range(0, pa.size, _FLIP_BLOCK):
+            a, b = pa[lo : lo + _FLIP_BLOCK], pb[lo : lo + _FLIP_BLOCK]
+            bits = unpack_bits(red_t[n] ^ red_t[a] ^ red_t[b], rank).astype(np.float64)
+            weights[lo : lo + a.size] = [lw_piv @ row for row in bits]
+            weights[lo : lo + a.size] += lw[a] + lw[b]
+        return weights
 
     # -- end-to-end ---------------------------------------------------------
 
@@ -255,10 +304,11 @@ class BPOSDDecoder:
 # Min-sum on a stack of independent problems
 # ---------------------------------------------------------------------------
 
-# Edges one min-sum batch may hold.  A batch peaks at about a dozen
-# arrays with one entry per edge, about 70 bytes an edge in all, so its
-# working set stays under 10 MB; a lone problem with more edges runs by
-# itself.
+# Edges one min-sum batch may hold.  Measured with tracemalloc, a run
+# peaks at about 54 bytes an edge on a lone bb144/12 side and about 72
+# on a batch of 40 small coset problems, whose stack is rebuilt as
+# problems stop; so a batch's working set stays under 10 MB.  A lone
+# problem with more edges runs by itself.
 _BATCH_EDGES = 1 << 17
 
 
@@ -333,6 +383,7 @@ class _Stack:
         self.edge_var = np.concatenate([d.edge_var + o for d, o in zip(decs, self.var_off)])
         self.seg_start = np.concatenate([d.seg_start + o for d, o in zip(decs, edge_off)])
         self.seg_degree = np.concatenate([dec.seg_degree for dec in decs])
+        self.edge_seg = np.repeat(np.arange(self.seg_degree.size), self.seg_degree)
         self.syn_seg = np.concatenate([syn[dec.seg_check] for _, dec, syn in items])
         self.prior_llr = np.concatenate([dec.prior_llr for dec in decs])
         self.caps = np.array([dec.bp_cfg.max_iters for dec in decs])
@@ -341,32 +392,52 @@ class _Stack:
 def _min_sum(
     items: list[tuple[int, BPOSDDecoder, np.ndarray]], out: list
 ) -> None:
-    """One batch of :func:`bp_marginals_batch`; stores result i in out[i]."""
+    """One batch of :func:`bp_marginals_batch`; stores result i in out[i].
+
+    Each check sends every edge the smallest |v2c| among its other
+    edges, clipped at 1e30, scaled by ``MIN_SUM_SCALE`` and negated when
+    the check's syndrome bit and the signs of those other edges have odd
+    parity; a check of degree 1 sends 0.  The arithmetic runs per check
+    where it can, with three exact rewrites of the per-edge form:
+
+    - Only the first edge holding the check's smallest magnitude min1
+      gets the smallest of the others, min2; every other edge gets min1.
+      When the minimum is shared, min2 equals min1, so the rule is that
+      of a unique minimum.
+    - The minimum commutes with the clip, so clipping min1 and min2
+      gives what clipping every |v2c| gives.  Every |c2v| is then at most
+      0.625e30, and every v2c stays finite.
+    - The scaled minima are negated per check where the parity of all
+      its edges' signs and its syndrome bit is odd, repeated onto the
+      edges, and negated again where the edge's own v2c is negative.
+      Negation is exact, so two of them equal one negation by the
+      parity of the other edges, zeros included.
+    """
     st = _Stack(items)
     c2v = np.zeros(st.edge_var.size)
     llr_edge = np.take(st.prior_llr, st.edge_var)
     v2c_buf = np.empty(st.edge_var.size)  # the live problems' edges fill its front
     for it in count(1):
         ss, deg = st.seg_start, st.seg_degree
-        v2c = np.subtract(llr_edge, c2v, out=v2c_buf[: llr_edge.size])
-        np.clip(v2c, -1e30, 1e30, out=v2c)
-        mags = np.abs(v2c)
-        neg = (v2c < 0).view(np.uint8)
-        # each edge gets its check's smallest magnitude, except a
-        # unique minimum, which gets the smallest of the others
+        mags = np.subtract(llr_edge, c2v, out=v2c_buf[: llr_edge.size])
+        neg = mags < 0
+        np.abs(mags, out=mags)
         min1 = np.minimum.reduceat(mags, ss)
-        out_mag = np.repeat(min1, deg)
-        is_min = mags == out_mag
-        unique = np.add.reduceat(is_min, ss, dtype=np.int64) == 1
-        unique_min = is_min & np.repeat(unique, deg)
-        min2 = np.minimum.reduceat(np.where(unique_min, np.inf, mags), ss)[unique]
+        # each check's first edge at its minimum: every check has one
+        first = np.flatnonzero(mags == np.repeat(min1, deg))
+        seg = st.edge_seg[first]
+        first = first[np.concatenate(([True], seg[1:] != seg[:-1]))]
+        mags[first] = np.inf
+        min2 = np.minimum.reduceat(mags, ss)
         min2[np.isinf(min2)] = 0.0  # a check of degree 1 sends nothing
-        out_mag[unique_min] = min2
-        # negative when the check's syndrome bit and the signs of its
-        # other edges have odd parity
-        flip = np.repeat(np.bitwise_xor.reduceat(neg, ss) ^ st.syn_seg, deg) ^ neg
-        c2v = np.multiply(out_mag, MIN_SUM_SCALE, out=out_mag)
-        np.negative(c2v, out=c2v, where=flip.view(bool))
+        odd = (np.bitwise_xor.reduceat(neg.view(np.uint8), ss) ^ st.syn_seg).view(bool)
+        for m in (min1, min2):
+            np.minimum(m, 1e30, out=m)
+            m *= MIN_SUM_SCALE
+            np.negative(m, out=m, where=odd)
+        c2v = np.repeat(min1, deg)
+        c2v[first] = min2
+        np.negative(c2v, out=c2v, where=neg)
         llr_total = st.prior_llr + np.bincount(st.edge_var, weights=c2v,
                                                minlength=st.prior_llr.size)
         np.take(llr_total, st.edge_var, out=llr_edge, mode="clip")

@@ -353,10 +353,11 @@ class BinMatrix:
         ``_LOOKAHEAD_BITS`` at first and twice as many after each block
         without a hit, and the first column with a hit pivots.  The rows
         do not change between pivots, so a run of dependent columns
-        costs a few gathers instead of one test per column.  The scan
-        ends once every row at or below the current row is zero, since
-        no later column can pivot there; a rank-deficient matrix thus
-        stops near its last pivot instead of trying every column.
+        costs a few gathers instead of one test per column.  After the
+        second block without a hit, the scan ends if every row at or
+        below the current row is zero, since no later column can pivot
+        there; a rank-deficient matrix thus stops a few blocks past its
+        last pivot instead of trying every column.
 
         Returns:
             (R, pivot_cols): R is a new BinMatrix in RREF; pivot_cols
@@ -460,15 +461,17 @@ def _next_pivot(
     first row at or below pr where the column is set, or
     (len(word), -1) when no column of the order is left that could
     pivot.  After a miss, columns are tested in look-ahead blocks of
-    doubling size, and the rows below are checked for zero once per
-    block without a hit.
+    doubling size.  W does not change within a call, so the rows below
+    are checked for zero once, after the second block without a hit:
+    most searches hit in their first or second block, and a
+    rank-deficient matrix stops there instead of scanning the rest.
     """
     col = W[pr:, word[i]] & mask[i]
     hit = int(col.argmax())  # set bits all equal the mask: the first one
     if col[hit]:
         return i, pr + hit
     i += 1
-    span = max(1, _LOOKAHEAD_BITS // (W.shape[0] - pr))
+    span = first_span = max(1, _LOOKAHEAD_BITS // (W.shape[0] - pr))
     while i < word.size:
         bits = W[pr:, word[i : i + span]] & mask[i : i + span]
         any_hit = bits.any(axis=0)
@@ -476,9 +479,9 @@ def _next_pivot(
         if any_hit[j]:
             return i + j, pr + int(bits[:, j].argmax())
         i += span
-        if not W[pr:].any():
-            break
         span *= 2
+        if span == 4 * first_span and not W[pr:].any():
+            break
     return word.size, -1
 
 

@@ -340,7 +340,12 @@ def build_detector_model(
     a fault's column depends only on its signature and the sorted
     distinct set, priors are summed in fault-id order, and provenance
     comes from a stable sort by column.
+
+    Raises:
+        ValueError: p outside [0, 1], NaN included.
     """
+    if not 0 <= p <= 1:
+        raise ValueError("p must be a probability")
     table = build_fault_table(circ)
     size = _chunk_faults(table)
     merges = {"X": _SignatureMerge(), "Z": _SignatureMerge()}

@@ -1,13 +1,17 @@
+import copy
 import hashlib
-from itertools import combinations
+from itertools import combinations, count
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbqec import decode
 from bbqec.code import catalog_code
 from bbqec.decode import (
+    MIN_SUM_SCALE,
     BPConfig,
     BPOSDDecoder,
     DecodeOutcome,
@@ -150,6 +154,44 @@ def test_osd_runs_only_where_bp_fails(model, sides, monkeypatch):
     assert not out.converged and calls == [1]
     assert out.iterations == capped.bp_marginals(syndrome)[3] == 1
     assert np.array_equal(D @ out.xi.to_bits() % 2, syndrome)
+
+
+def test_unit_weight_flips_are_scored_by_popcount(model):
+    # the coset problems of the distance searches have log weights of 1
+    code = catalog_code("bb72")
+    kernel_basis = BinMatrix.from_rows(code.hx.nullspace_basis())
+    rng = np.random.default_rng(4)
+    etas = [decode._random_kernel_logical(rng, kernel_basis, code.hz.rref()) for _ in range(2)]
+    problems = [decode._coset_problem(code.hz, eta) for eta in etas]
+    # and so has a circuit-distance trial's
+    eta = model.z.logical.to_dense()[0] ^ model.z.matrix.to_dense()[3]
+    problems.append(decode._coset_problem(model.z.matrix, BinVector.from_bits(eta)))
+    for dec, syndrome in problems:
+        assert dec.unit_weights
+        q = dec.bp_marginals(syndrome)[0]
+        red_t, pivots, nonpivot = dec._reduce(syndrome, q)
+        bits = np.unpackbits(red_t.view(np.uint8), axis=1, bitorder="little")
+        assert 0 < pivots.size < bits.shape[1] and not bits[:, pivots.size :].any()
+        weighed = copy.copy(dec)
+        weighed.unit_weights = False  # the float products of general weights
+        single = (red_t, pivots, nonpivot)
+        pairs = (red_t, pivots, *np.array(list(combinations(nonpivot[:30], 2))).T)
+        for got, want in ((dec._single_flip_weights(*single), weighed._single_flip_weights(*single)),
+                          (dec._pair_flip_weights(*pairs), weighed._pair_flip_weights(*pairs))):
+            assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert np.array_equal(dec.osd_postprocess(syndrome, q), weighed.osd_postprocess(syndrome, q))
+    assert not BPOSDDecoder(model.z.matrix, model.z.priors).unit_weights
+
+
+def test_decoder_rejects_non_finite_priors_and_weights():
+    D = BinMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="priors must be finite"):
+            BPOSDDecoder(D, np.array([0.1, bad, 0.1]))
+        with pytest.raises(ValueError, match="log weights must be finite"):
+            BPOSDDecoder(D, np.full(3, 0.1), log_weights=np.array([1.0, 1.0, bad]))
+    # a prior of 0 or 1 is floored, and its log weight stays finite
+    assert np.isfinite(BPOSDDecoder(D, np.array([0.0, 1.0, 0.5])).log_weights).all()
 
 
 def test_distance_bounds_reject_a_witness_outside_the_kernel(monkeypatch):
@@ -299,6 +341,90 @@ def test_batched_coset_trials_equal_sequential_ones(monkeypatch):
             for v in trial:
                 h.update(v.words.tobytes())
     assert h.hexdigest() == COSET_SHA
+
+
+def _min_sum_reference(dec, syndrome):
+    """BP as documented, one check and one edge at a time.
+
+    Each check sends each edge the smallest clipped |v2c| of its other
+    edges (0 if there are none), scaled, and negated when the syndrome
+    bit and the signs of those other edges have odd parity; each
+    variable adds its messages from 0.0 in check order, then adds its
+    prior.  Returns BP's (q, hard, converged, iterations) and whether
+    any |v2c| exceeded the 1e30 clip.
+    """
+    D = dec.matrix.to_dense().astype(np.int64)
+    n = D.shape[1]
+    checks = [np.flatnonzero(row).tolist() for row in D]
+    if not D.any() or any(syndrome[c] and not vs for c, vs in enumerate(checks)):
+        return (np.zeros(n), np.zeros(n, dtype=np.uint8), not syndrome.any(), 0), False
+    llr = [float(x) for x in dec.prior_llr]
+    c2v = {(c, v): 0.0 for c, vs in enumerate(checks) for v in vs}
+    saturated = False
+    for it in count(1):
+        v2c = {(c, v): llr[v] - m for (c, v), m in c2v.items()}
+        saturated |= any(abs(x) > 1e30 for x in v2c.values())
+        for c, vs in enumerate(checks):
+            for v in vs:
+                others = [min(max(v2c[c, u], -1e30), 1e30) for u in vs if u != v]
+                mag = min((abs(x) for x in others), default=0.0) * MIN_SUM_SCALE
+                odd = (int(syndrome[c]) + sum(x < 0 for x in others)) % 2
+                c2v[c, v] = -mag if odd else mag
+        sums = [0.0] * n
+        for (c, v), m in c2v.items():  # check-major: each variable's terms in check order
+            sums[v] += m
+        llr = [float(p) + x for p, x in zip(dec.prior_llr, sums)]
+        hard = np.array([x < 0 for x in llr], dtype=np.uint8)
+        converged = np.array_equal(D @ hard % 2, syndrome)
+        if converged or it == dec.bp_cfg.max_iters:
+            q = 1.0 / (1.0 + np.exp(np.clip(np.array(llr), -500, 500)))
+            return (q, hard, converged, it), saturated
+
+
+def _problem(dense, priors, syndrome, max_iters):
+    dec = BPOSDDecoder(BinMatrix.from_dense(np.array(dense, dtype=np.uint8)),
+                       np.array(priors, dtype=float), bp=BPConfig(max_iters=max_iters))
+    return dec, np.array(syndrome, dtype=np.uint8)
+
+
+@st.composite
+def min_sum_problems(draw):
+    """A small (decoder, syndrome): rows of any weight, 0 and 1 included,
+    priors often equal, and a zero syndrome bit on every empty row."""
+    cols = draw(st.integers(1, 7))
+    supports = draw(st.lists(st.sets(st.integers(0, cols - 1)), min_size=1, max_size=6))
+    dense = [[int(j in sup) for j in range(cols)] for sup in supports]
+    prior = st.sampled_from([0.01, 0.1, 0.25, 0.5]) | st.floats(1e-6, 0.5)
+    priors = draw(st.lists(prior, min_size=cols, max_size=cols))
+    syndrome = [draw(st.integers(0, 1)) if sup else 0 for sup in supports]
+    return _problem(dense, priors, syndrome, draw(st.integers(1, 30)))
+
+
+def _assert_kernel_matches_reference(problems):
+    want = [_bp_bytes(_min_sum_reference(dec, syndrome)[0]) for dec, syndrome in problems]
+    assert [_bp_bytes(r) for r in bp_marginals_batch(problems)] == want
+    assert [_bp_bytes(dec.bp_marginals(syndrome)) for dec, syndrome in problems] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(min_sum_problems(), min_size=1, max_size=4))
+def test_min_sum_matches_the_per_check_reference(problems):
+    _assert_kernel_matches_reference(problems)
+
+
+def test_min_sum_reference_cases():
+    tied = _problem([[1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 0, 1]], [0.2] * 4, [1, 0, 1], 30)
+    # a degree-1 check and an empty one with a zero syndrome bit
+    lone_and_empty = _problem([[1, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 1]],
+                              [0.1, 0.1, 0.3, 0.05], [1, 1, 0, 0], 30)
+    # two groups of eight equal checks that disagree, sharing column 2:
+    # the messages grow past the clip, and column 2's clipped messages of
+    # opposite signs cancel exactly, where unclipped ones would not
+    saturating = _problem([[1, 0, 1]] * 8 + [[0, 1, 1]] * 8, [0.1] * 3,
+                          [1, 1, 0, 0, 0, 0, 0, 0] * 2, 105)
+    cases = [tied, lone_and_empty, saturating]
+    assert [_min_sum_reference(*case)[1] for case in cases] == [False, False, True]
+    _assert_kernel_matches_reference(cases)
 
 
 def _reduce_reference(v, mat):

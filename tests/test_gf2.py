@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbqec.gf2 import BinMatrix, BinVector, in_rref_rowspace
+from bbqec import gf2
+from bbqec.gf2 import BinMatrix, BinVector, bit_masks, in_rref_rowspace
 
 
 def rref_reference(a: np.ndarray, order=None) -> tuple[np.ndarray, list[int]]:
@@ -182,6 +183,25 @@ def test_rref_finds_the_pivot_after_any_run_of_dependent_columns():
             assert np.array_equal(R.to_dense(), rref_reference(dense)[0])
     # below the only pivot every row is zero: the scan stops there
     assert assert_rref_matches_reference(dense[:, : run + 1]) == [0]
+
+
+def test_pivot_scan_stops_once_the_rows_below_are_zero():
+    # below the last pivot of a rank-deficient wide matrix every row is
+    # zero: after its first column and two look-ahead blocks the scan
+    # stops, and never reads the columns beyond, whose words here are
+    # out of range
+    dense = wide_low_rank(np.random.default_rng(37), 40, 3000, 5)
+    R, pivots = BinMatrix.from_dense(dense).rref()
+    pr = len(pivots)
+    word, mask = bit_masks(np.arange(3000))
+    span = gf2._LOOKAHEAD_BITS // (40 - pr)
+    word[1 + 3 * span :] = R.words.shape[1]
+    assert gf2._next_pivot(R.words, pr, word, mask, 0) == (3000, -1)
+    # with one bit below, in the last column, the scan reads on
+    W = R.words.copy()
+    W[pr, 2999 // 64] = np.uint64(1) << np.uint64(2999 % 64)
+    with pytest.raises(IndexError):
+        gf2._next_pivot(W, pr, word, mask, 0)
 
 
 def test_rref_of_zero_matrix_and_empty_order():

@@ -219,6 +219,14 @@ def test_forced_fault_outside_table_rejected(model):
         forced(model, [[0], [-1]])
 
 
+@pytest.mark.parametrize("p", [float("nan"), -0.1, 1.5])
+def test_probability_outside_unit_interval_rejected(model, p):
+    with pytest.raises(ValueError, match="p must be a probability"):
+        noise.build_detector_model(model.circuit, p, model.basis)
+    with pytest.raises(ValueError, match="p must be a probability"):
+        sample(model, 1, 0, p=p)
+
+
 def test_zero_noise_flips_nothing(model):
     batch = sample(model, 10, 3, p=0.0)
     assert not any(getattr(batch, name).any() for name in FIELDS)
