@@ -307,7 +307,10 @@ def enumerate_schedules(code: BBCode) -> list[Schedule]:
     to the Z readout), X-side layers rounds 2..7 (round 1 holds the X
     initialization), one layer per side per round, and layers sharing a
     round must act on disjoint registers.  Each structurally valid
-    packing is kept iff the symbolic tableau replay passes.
+    packing is kept iff ``_fast_schedule_valid``'s integer term-set
+    replay leaves no stray term on either ancilla; the full symbolic
+    replay, :func:`verify_sm_circuit`, is not run here (the tests run it
+    on every packing kept).
     """
     from itertools import permutations
 

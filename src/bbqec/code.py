@@ -13,7 +13,6 @@ some term t of P.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -65,9 +64,6 @@ class Monomial:
 
     def is_one(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def is_pure_power(self) -> bool:
-        return self.a == 0 or self.b == 0
 
     def __str__(self) -> str:
         if self.is_one():
@@ -276,7 +272,6 @@ class BBCode:
     hz: BinMatrix = field(repr=False)
     k: int
     distance_upper: int | None = None
-    distance_exact: int | None = None
 
     @property
     def lm(self) -> int:
@@ -318,7 +313,7 @@ class BBCode:
                 edges.append((3 * lm + int(a_of[i]), lm + i, f"A{p}T"))
         return edges
 
-    # -- vector classification -------------------------------------------
+    # -- check matrices by Pauli type -------------------------------------
 
     def pauli_checks(self, pauli: str) -> tuple[BinMatrix, BinMatrix]:
         """(kernel checks, stabilizer rows) of a Pauli type.
@@ -336,37 +331,18 @@ class BBCode:
             return self.hx, self.hz
         raise ValueError("pauli must be 'X' or 'Z'")
 
-    def classify_vector(self, v: BinVector, pauli: str) -> tuple[bool, bool]:
-        """Classify a Pauli support vector as (is_stabilizer, is_logical).
-
-        A stabilizer is (True, False), any other vector that commutes
-        with the stabilizers is a logical, (False, True), and the rest
-        are (False, False); both sets come from ``pauli_checks``.
-        """
-        if v.n != self.n:
-            raise ValueError(f"vector length {v.n}, expected {self.n}")
-        kernel_checks, stabilizers = self.pauli_checks(pauli)
-        if stabilizers.in_rowspace(v):
-            return True, False
-        if kernel_checks.mul_vec(v).is_zero():
-            return False, True
-        return False, False
-
 
 def build_code(
     l: int,
     m: int,
     a_poly: BivariatePoly | str,
     b_poly: BivariatePoly | str,
-    require_pure_powers: bool = False,
 ) -> BBCode:
     """Construct a bivariate bicycle code and verify its invariants.
 
     Args:
         l, m: cyclic dimensions (both must be positive).
         a_poly, b_poly: three-term polynomials (or their string form).
-        require_pure_powers: reject mixed monomials x^a y^b with a, b
-            both nonzero (the stricter published form of the family).
 
     Raises:
         CodeConstructionError: bad dimensions, duplicate or non-3 terms,
@@ -386,8 +362,6 @@ def build_code(
             raise CodeConstructionError(f"{name} is defined over the wrong group")
         if poly.weight != 3:
             raise CodeConstructionError(f"{name} must have exactly 3 distinct terms")
-        if require_pure_powers and not all(t.is_pure_power() for t in poly.terms):
-            raise CodeConstructionError(f"{name} has mixed x/y terms")
 
     amat, bmat = a_poly.to_matrix(), b_poly.to_matrix()
     hx = amat.hstack(bmat)
@@ -671,57 +645,24 @@ def verify_toric_embedding(code: BBCode, layout: ToricLayout) -> bool:
     return True
 
 
-# -- code spec files -------------------------------------------------------
-
-
-def code_from_spec(spec: dict | str) -> BBCode:
-    """Build a code from a JSON spec {"l":…, "m":…, "a_poly":…, "b_poly":…}."""
-    if isinstance(spec, str):
-        spec = json.loads(spec)
-    try:
-        l, m = int(spec["l"]), int(spec["m"])
-        a, b = spec["a_poly"], spec["b_poly"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CodeConstructionError(f"bad code spec: {exc}") from exc
-    return build_code(l, m, a, b)
-
-
-def code_to_spec(code: BBCode) -> dict:
-    def fmt(p: BivariatePoly) -> str:
-        outs = []
-        for t in p.terms:
-            if t.is_one():
-                outs.append("1")
-            else:
-                s = ""
-                if t.a:
-                    s += f"x{t.a}"
-                if t.b:
-                    s += f"y{t.b}"
-                outs.append(s)
-        return "+".join(outs)
-
-    return {"l": code.l, "m": code.m, "a_poly": fmt(code.a_poly), "b_poly": fmt(code.b_poly)}
-
-
-# The stock catalog of published small codes: name -> (l, m, A, B, k, d, d_is_exact)
-CODE_CATALOG: dict[str, tuple[int, int, str, str, int, int, bool]] = {
-    "bb72": (6, 6, "x3+y+y2", "y3+x+x2", 12, 6, True),
-    "bb90": (15, 3, "x9+y+y2", "1+x2+x7", 8, 10, True),
-    "bb108": (9, 6, "x3+y+y2", "y3+x+x2", 8, 10, True),
-    "bb144": (12, 6, "x3+y+y2", "y3+x+x2", 12, 12, True),
-    "bb288": (12, 12, "x3+y2+y7", "y3+x+x2", 12, 18, True),
-    "bb360": (30, 6, "x9+y+y2", "y3+x25+x26", 12, 24, False),
-    "bb756": (21, 18, "x3+y10+y17", "y5+x3+x19", 16, 34, False),
+# The stock catalog of published codes: name -> (l, m, A, B, k, d).  d is
+# the published distance, exact up to bb288; for bb360 and bb756 it is
+# only an upper bound.  catalog_code stores it as distance_upper.
+CODE_CATALOG: dict[str, tuple[int, int, str, str, int, int]] = {
+    "bb72": (6, 6, "x3+y+y2", "y3+x+x2", 12, 6),
+    "bb90": (15, 3, "x9+y+y2", "1+x2+x7", 8, 10),
+    "bb108": (9, 6, "x3+y+y2", "y3+x+x2", 8, 10),
+    "bb144": (12, 6, "x3+y+y2", "y3+x+x2", 12, 12),
+    "bb288": (12, 12, "x3+y2+y7", "y3+x+x2", 12, 18),
+    "bb360": (30, 6, "x9+y+y2", "y3+x25+x26", 12, 24),
+    "bb756": (21, 18, "x3+y10+y17", "y5+x3+x19", 16, 34),
 }
 
 
 def catalog_code(name: str) -> BBCode:
-    l, m, a, b, k, d, exact = CODE_CATALOG[name]
+    l, m, a, b, k, d = CODE_CATALOG[name]
     code = build_code(l, m, a, b)
     if code.k != k:
         raise CodeConstructionError(f"catalog {name}: k={code.k}, expected {k}")
-    if exact:
-        code.distance_exact = d
     code.distance_upper = d
     return code

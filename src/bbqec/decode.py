@@ -121,6 +121,8 @@ class BPOSDDecoder:
         self.log_weights = (
             np.log(1.0 / self.priors) if log_weights is None else np.asarray(log_weights, float)
         )
+        if self.log_weights.shape != (matrix.cols,):
+            raise ValueError("log weights length must equal the column count")
         if not np.isfinite(self.log_weights).all():
             raise ValueError("log weights must be finite")
         # every weight 1: OSD counts bits instead of summing float weights
@@ -580,24 +582,6 @@ def _coset_problem(kernel_mat: BinMatrix, eta: BinVector) -> tuple[BPOSDDecoder,
     return dec, syndrome
 
 
-def minimum_weight_in_coset(kernel_mat: BinMatrix, etas: list[BinVector]) -> list[BinVector]:
-    """BP-OSD minimization of |xi| with kernel_mat xi = 0, eta . xi = 1, per eta.
-
-    BP runs for the etas side by side (:func:`bp_marginals_batch`), as
-    many at a time as fit in ``_BATCH_EDGES`` edges, so only one
-    batch's decoders exist at once; each decode then finishes from its
-    own marginals.
-    """
-    xis: list[BinVector] = []
-    # a problem's edges are kernel_mat's and eta's, known before its decoder is built
-    kernel_edges = kernel_mat.nnz
-    for lo, hi in _edge_chunks([kernel_edges + eta.weight for eta in etas]):
-        problems = [_coset_problem(kernel_mat, eta) for eta in etas[lo:hi]]
-        marginals = bp_marginals_batch(problems)
-        xis += [dec.decode(syndrome, m).xi for (dec, syndrome), m in zip(problems, marginals)]
-    return xis
-
-
 def coset_minimum_trials(
     rng: np.random.Generator, kernel_mat: BinMatrix, dual: BinMatrix, trials: int,
 ) -> list[tuple[BinVector, BinVector, BinVector]]:
@@ -608,15 +592,24 @@ def coset_minimum_trials(
     solution of kernel_mat xi = 0 with eta . xi = 1, and the last entry
     is xi descended modulo the rows of ``dual``.  Only the choice of eta
     draws from ``rng``, and every eta is drawn, in trial order, before
-    BP runs on them all at once; so the trials are those of
-    one-at-a-time runs on the same stream.
+    BP runs; so the trials are those of one-at-a-time runs on the same
+    stream.  BP runs for the etas side by side
+    (:func:`bp_marginals_batch`), as many at a time as fit in
+    ``_BATCH_EDGES`` edges, so only one batch's decoders exist at once;
+    each decode then finishes from its own marginals.
     """
     kernel_basis = BinMatrix.from_rows(dual.nullspace_basis())
     rowspace_rref = kernel_mat.rref()
     etas = [reduce_weight_modulo_rows(_random_kernel_logical(rng, kernel_basis, rowspace_rref),
                                       kernel_mat)
             for _ in range(trials)]
-    xis = minimum_weight_in_coset(kernel_mat, etas)
+    xis: list[BinVector] = []
+    # a problem's edges are kernel_mat's and eta's, known before its decoder is built
+    kernel_edges = kernel_mat.nnz
+    for lo, hi in _edge_chunks([kernel_edges + eta.weight for eta in etas]):
+        problems = [_coset_problem(kernel_mat, eta) for eta in etas[lo:hi]]
+        marginals = bp_marginals_batch(problems)
+        xis += [dec.decode(syndrome, m).xi for (dec, syndrome), m in zip(problems, marginals)]
     return [(eta, xi, descend_modulo_rows(xi, dual)) for eta, xi in zip(etas, xis)]
 
 

@@ -4,7 +4,7 @@ Vectors and matrices are stored as little-endian ``uint64`` words, 64
 columns per word.  This module is the package's only home of bit
 packing (``nwords``, ``pack_bits``, ``unpack_bits``) and of Gaussian
 elimination: ``BinMatrix.rref`` is the one column-elimination loop,
-shared by rank, kernel, solve, row-space membership and the decoder's
+shared by rank, kernel, row-space membership and the decoder's
 ordered-statistics step.  ``rref`` tries pivot columns in a
 caller-given order, left to right by default, so the decoder eliminates
 its own packed matrix in reliability order instead of a column-permuted
@@ -101,10 +101,6 @@ class BinVector:
         self.words = words
 
     @classmethod
-    def zeros(cls, n: int) -> "BinVector":
-        return cls(n)
-
-    @classmethod
     def from_bits(cls, bits) -> "BinVector":
         bits = np.asarray(bits, dtype=np.uint8)
         return cls(bits.shape[0], pack_bits(bits)[0])
@@ -183,17 +179,6 @@ class BinMatrix:
         self._row_supports = None
 
     # -- construction -------------------------------------------------
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BinMatrix":
-        return cls(rows, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "BinMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.words[i, i // WORD] |= np.uint64(1) << np.uint64(i % WORD)
-        return m
 
     @classmethod
     def from_dense(cls, arr) -> "BinMatrix":
@@ -393,62 +378,21 @@ class BinMatrix:
         return len(self.rref()[1])
 
     def nullspace_basis(self) -> list[BinVector]:
-        """Basis of the right kernel {v : Mv = 0}."""
-        R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        Rd = R.to_dense()
-        basis = []
-        for f in free:
-            v = np.zeros(self.cols, dtype=np.uint8)
-            v[f] = 1
-            # pivot row i has its pivot at pivots[i]; back-substitute.
-            for i, pc in enumerate(pivots):
-                if Rd[i, f]:
-                    v[pc] = 1
-            basis.append(BinVector.from_bits(v))
-        return basis
+        """Basis of the right kernel {v : Mv = 0}, one vector per free column.
 
-    def solve(self, s: BinVector) -> BinVector | None:
-        """Some x with Mx = s, or None if the system is inconsistent."""
-        if s.n != self.rows:
-            raise ValueError("rhs length mismatch")
-        # pivots only in the coefficient columns; the last column is s
-        R, pivots = self.append_col(s.to_bits()).rref(pivot_order=range(self.cols))
-        rhs = R.col_bits(self.cols)
-        # inconsistent iff some zero row has rhs 1
-        if rhs[len(pivots):].any():
-            return None
-        x = np.zeros(self.cols, dtype=np.uint8)
-        x[pivots] = rhs[: len(pivots)]
-        return BinVector.from_bits(x)
+        The vector of free column f has a 1 at f and, back-substituted,
+        R[i, f] at pivot column pivots[i]; free columns come ascending.
+        """
+        R, pivots = self.rref()
+        free = np.setdiff1d(np.arange(self.cols), pivots)
+        basis = np.zeros((free.size, self.cols), dtype=np.uint8)
+        basis[np.arange(free.size), free] = 1
+        basis[:, pivots] = R.to_dense()[: len(pivots), free].T
+        return [BinVector.from_bits(v) for v in basis]
 
     def in_rowspace(self, v: BinVector) -> bool:
         """True iff v is a GF(2) combination of the rows of M."""
         return in_rref_rowspace(*self.rref(), v)
-
-    # -- text format ----------------------------------------------------
-
-    def dumps(self) -> str:
-        """Plain-text dump: 'rows cols' header then 0/1 rows."""
-        lines = [f"{self.rows} {self.cols}"]
-        dense = self.to_dense()
-        lines.extend("".join("1" if b else "0" for b in dense[i]) for i in range(self.rows))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def loads(cls, text: str) -> "BinMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        rows, cols = (int(t) for t in lines[0].split())
-        if len(lines) - 1 != rows:
-            raise ValueError("row count does not match header")
-        arr = np.zeros((rows, cols), dtype=np.uint8)
-        for i, ln in enumerate(lines[1:]):
-            ln = ln.strip()
-            if len(ln) != cols:
-                raise ValueError(f"row {i} has length {len(ln)}, expected {cols}")
-            arr[i] = np.frombuffer(ln.encode(), dtype=np.uint8) - ord("0")
-        return cls.from_dense(arr)
 
 
 def _next_pivot(

@@ -195,10 +195,9 @@ def _gh_candidates(
     which diversifies the pool.
     """
     found: list[BinVector] = []
-    d_hint = code.distance_exact or code.distance_upper
-    if d_hint is not None:
+    if code.distance_upper is not None:
         try:
-            _, witnesses = exact_distance_small(code, min(d_hint + 2, 8), pauli="X")
+            _, witnesses = exact_distance_small(code, min(code.distance_upper + 2, 8), pauli="X")
             found.extend(witnesses)
         except BudgetExceeded:
             pass
@@ -251,7 +250,7 @@ def select_qubit_labels(
     """
     half = code.k // 2
     K = _pairing_matrix(code, f, h)
-    if np.linalg.matrix_rank(K.astype(float)) < half:  # cheap refusal
+    if BinMatrix.from_dense(K).rank() < half:  # an identity of size half needs that rank
         return None
 
     def set_bits(mask: int):

@@ -8,8 +8,6 @@ from bbqec.code import (
     Monomial,
     build_code,
     catalog_code,
-    code_from_spec,
-    code_to_spec,
     _verify_wheels,
     connected_components,
     graph_components,
@@ -19,7 +17,6 @@ from bbqec.code import (
     toric_layout,
     verify_toric_embedding,
 )
-from bbqec.gf2 import BinVector
 
 
 def test_monomial_arithmetic():
@@ -79,9 +76,7 @@ def test_build_code_rejections():
         build_code(6, 6, "x3+x3+y", "y3+x+x2")  # duplicate terms
     with pytest.raises(CodeConstructionError):
         build_code(6, 6, "x3+y", "y3+x+x2")  # not 3 terms
-    with pytest.raises(CodeConstructionError):
-        build_code(6, 6, "x3y2+y+y2", "y3+x+x2", require_pure_powers=True)
-    # mixed terms fine without the strict flag
+    # mixed terms are allowed
     build_code(6, 6, "x3y2+y+y2", "y3+x+x2")
 
 
@@ -185,16 +180,6 @@ def test_toric_layout_reduced_orders_case():
     assert {layout.mu, layout.lam} == {36, 6}
 
 
-def test_classify_vector():
-    code = catalog_code("bb72")
-    assert code.classify_vector(BinVector.zeros(code.n), "X") == (True, False)
-    for i in (0, 5, 17):
-        assert code.classify_vector(code.hx.row(i), "X") == (True, False)
-        assert code.classify_vector(code.hz.row(i), "Z") == (True, False)
-    with pytest.raises(ValueError):
-        code.classify_vector(BinVector.zeros(3), "X")
-
-
 def test_pauli_checks_maps_each_type_and_rejects_others():
     code = catalog_code("bb72")
     assert code.pauli_checks("X") == (code.hz, code.hx)
@@ -202,17 +187,6 @@ def test_pauli_checks_maps_each_type_and_rejects_others():
     for bad in ("Y", "x", ""):
         with pytest.raises(ValueError):
             code.pauli_checks(bad)
-        with pytest.raises(ValueError):
-            code.classify_vector(BinVector.zeros(code.n), bad)
-
-
-def test_spec_round_trip():
-    code = catalog_code("bb90")
-    spec = code_to_spec(code)
-    again = code_from_spec(spec)
-    assert again.hx == code.hx and again.hz == code.hz
-    with pytest.raises(CodeConstructionError):
-        code_from_spec({"l": 6, "m": 6, "a_poly": "x3+x3+y", "b_poly": "y3+x+x2"})
 
 
 def test_random_small_codes_structural_suite():

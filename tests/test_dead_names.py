@@ -1,4 +1,5 @@
-"""Every function, method, class and attribute of the package is read by some code."""
+"""Every function, method, class and attribute of the package is read by some code,
+and the names only the tests read are the listed checks of the paper's claims."""
 
 import ast
 from pathlib import Path
@@ -157,3 +158,45 @@ def test_no_unloaded_constants():
         if name not in loads
     ]
     assert not unloaded, "assigned but never loaded: " + ", ".join(unloaded)
+
+
+# Package functions that only the tests call, each a check of a claim of
+# the paper (or, for from_terms, a test constructor).  A name read only by
+# tests that is not one of these is API without a caller.
+TEST_ONLY = {
+    "verify_sm_circuit": "the depth-8 cycle measures every check and spares the logicals",
+    "enumerate_schedules": "the count of valid depth-8 schedules (936 on bb144)",
+    "build_automorphism_circuit": "the automorphism gadgets are move circuits",
+    "automorphism_data_permutation": "the permutation an automorphism gadget realizes",
+    "verify_automorphism": "a shift preserves both check matrices and the logical action",
+    "connected_components": "the Tanner-graph component count, formula against traversal",
+    "thickness_decomposition": "the Tanner graph has thickness 2: two wheel-shaped halves",
+    "toric_layout": "the toric layout certificate of the Tanner graph",
+    "verify_toric_embedding": "the toric layout maps its four term edges onto the grid",
+    "zx_duality_check": "the ZX duality swaps the X and Z checks",
+    "plan_duality_swaps": "the swap chain that realizes the ZX duality",
+    "build_ancilla_system": "the ancilla system that measures one logical operator",
+    "distance_upper_bound": "the code distances of the catalog",
+    "dump_side_model": "the text form of a detector model that the goldens hash",
+    "from_terms": "builds random test codes; deleting it would move its code into the tests",
+}
+
+
+def test_test_only_names_are_paper_checks():
+    """The package names that ``tests`` read and ``src`` and ``perfbench`` do not are ``TEST_ONLY``.
+
+    This file's own strings do not count as reads, so a listed name
+    that no test calls any more fails the check as well.
+    """
+    def reads(paths) -> set[str]:
+        return set().union(*(_referenced_names(ast.parse(p.read_text())) for p in paths))
+
+    in_tests = reads(p for p in (ROOT / "tests").glob("*.py") if p.name != Path(__file__).name)
+    elsewhere = reads(p for p in _readers() if p.parent != ROOT / "tests")
+    test_only = {
+        name
+        for path in PACKAGE.glob("*.py")
+        for name in _defined_names(ast.parse(path.read_text()))
+        if name in in_tests and name not in elsewhere
+    }
+    assert test_only == set(TEST_ONLY)

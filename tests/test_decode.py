@@ -194,6 +194,15 @@ def test_decoder_rejects_non_finite_priors_and_weights():
     assert np.isfinite(BPOSDDecoder(D, np.array([0.0, 1.0, 0.5])).log_weights).all()
 
 
+def test_decoder_rejects_log_weights_of_the_wrong_length():
+    # a short array would fail only inside OSD, a long one weigh columns by the wrong entries
+    D = BinMatrix.from_dense([[1, 1, 0, 0], [0, 1, 1, 1]])
+    for n_weights in (2, 6):
+        with pytest.raises(ValueError, match="log weights length"):
+            BPOSDDecoder(D, np.full(4, 0.1), log_weights=np.ones(n_weights))
+    assert BPOSDDecoder(D, np.full(4, 0.1), log_weights=np.ones(4)).unit_weights
+
+
 def test_distance_bounds_reject_a_witness_outside_the_kernel(monkeypatch):
     # a coset decode, batched or lone, that returns a vector with a nonzero syndrome
     def outside(self, syndrome, marginals=None):
@@ -278,7 +287,7 @@ def mixed_problems(model, sides):
     tied = BPOSDDecoder(BinMatrix.from_dense([[1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 0, 1]]),
                         np.full(4, 0.2))
     empty_row = BPOSDDecoder(BinMatrix.from_dense([[1, 1, 0], [0, 0, 0]]), np.full(3, 0.1))
-    no_edges = BPOSDDecoder(BinMatrix.zeros(2, 3), np.full(3, 0.1))
+    no_edges = BPOSDDecoder(BinMatrix(2, 3), np.full(3, 0.1))
     return [
         decode._coset_problem(code.hz, eta),  # tied priors, runs to its cap of 300
         (dec, D[:, 0]),  # converges early
