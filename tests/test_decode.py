@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bbqec import decode
 from bbqec.code import catalog_code
 from bbqec.decode import (
-    MIN_SUM_SCALE,
     BPConfig,
     BPOSDDecoder,
     DecodeOutcome,
@@ -33,16 +32,16 @@ SIDES = ("x", "z")
 # seed-5 shots of each side, BP cap 100.  It changes with any change to
 # the min-sum arithmetic or its stopping rule; such a change must be
 # deliberate and stated.
-BP_SHA = "4ceb3a4b4838b8a8e88aa32d2d554b35f7b11239e9e64ce2ec486e32ebef248f"
+BP_SHA = "23228903f154825579d2b9f7d512b7132039f0e6b366285214841c8a3710afb8"
 
 # SHA-256 over osd_postprocess(syndrome, q) on the same shots, with q
 # from bp_marginals; it changes with any change to OSD's column order,
 # elimination or flip sweep.
-OSD_SHA = "c4475bb072c6d12943ba267b9d4e3e06db178a2fa1941cab0ea0f6100a83afb7"
+OSD_SHA = "7341cabec3cee467b926e7ef0c5eb292d7b9e89061b85bfa6508f18302d8c4aa"
 
 # SHA-256 over the trial weights and the witness of a 3-trial, seed-3
 # circuit_distance_upper_bound on the Z side of the bb72, 6-cycle model.
-DCIRC_SHA = "8e3741f66c81db8378a3630e030ba6da11d6076851053bf21e4f1caef9fe1bf1"
+DCIRC_SHA = "30014e634fab379b1e7c0322cf3b3245dfc67b80eae80c50d1cfbf52c5556f66"
 
 # SHA-256 over (eta, xi, descended xi) of six seed-7 coset trials on
 # bb72, first in distance_upper_bound's Z setting, then in the basis
@@ -212,7 +211,7 @@ def test_distance_bounds_reject_a_witness_outside_the_kernel(monkeypatch):
     with pytest.raises(DecodingError):
         distance_upper_bound(catalog_code("bb72"), trials=1)
     side = SimpleNamespace(matrix=BinMatrix.from_dense([[1, 1, 0]]),
-                           logical=BinMatrix.from_dense([[0, 1, 1]]))
+                           logical=BinMatrix.from_dense([[0, 1, 1]]), block_rows=1)
     with pytest.raises(DecodingError):
         circuit_distance_upper_bound(side, trials=1)
 
@@ -253,6 +252,13 @@ def test_distance_bounds_need_a_trial(model):
         circuit_distance_upper_bound(model.z, trials=0)
 
 
+def test_bp_config_rejects_a_scale_outside_the_unit_interval():
+    for bad in (0.0, -0.5, 1.0 + 1e-12, 2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="scale"):
+            BPConfig(scale=bad)
+    assert BPConfig().scale == 1.0 and BPConfig(scale=1e-3).scale == 1e-3
+
+
 def test_empty_last_row_of_d():
     # a check with no edges at the end of D must not end a reduceat segment list
     D = BinMatrix.from_dense([[1, 1, 0], [0, 0, 0]])
@@ -290,7 +296,7 @@ def mixed_problems(model, sides):
     no_edges = BPOSDDecoder(BinMatrix(2, 3), np.full(3, 0.1))
     return [
         decode._coset_problem(code.hz, eta),  # tied priors, runs to its cap of 300
-        (dec, D[:, 0]),  # converges early
+        (dec, D[:, cols[:3]].sum(axis=1) % 2),  # converges early
         (capped, D[:, cols].sum(axis=1) % 2),  # stops at its cap of 7
         (empty_row, np.array([0, 1], dtype=np.uint8)),  # unreachable empty-check bit
         (tied, np.array([1, 0, 1], dtype=np.uint8)),
@@ -306,6 +312,8 @@ def _bp_bytes(result) -> tuple:
 
 
 def test_bp_batch_equals_lone_runs(mixed_problems):
+    # the coset problem's distance-trial scale shares the batch with shot decodes
+    assert [dec.bp_cfg.scale for dec, _ in mixed_problems[:3]] == [0.625, 1.0, 1.0]
     batch = bp_marginals_batch(mixed_problems)
     lone = [dec.bp_marginals(syndrome) for dec, syndrome in mixed_problems]
     assert [_bp_bytes(r) for r in batch] == [_bp_bytes(r) for r in lone]
@@ -376,7 +384,7 @@ def _min_sum_reference(dec, syndrome):
         for c, vs in enumerate(checks):
             for v in vs:
                 others = [min(max(v2c[c, u], -1e30), 1e30) for u in vs if u != v]
-                mag = min((abs(x) for x in others), default=0.0) * MIN_SUM_SCALE
+                mag = min((abs(x) for x in others), default=0.0) * dec.bp_cfg.scale
                 odd = (int(syndrome[c]) + sum(x < 0 for x in others)) % 2
                 c2v[c, v] = -mag if odd else mag
         sums = [0.0] * n
@@ -390,23 +398,25 @@ def _min_sum_reference(dec, syndrome):
             return (q, hard, converged, it), saturated
 
 
-def _problem(dense, priors, syndrome, max_iters):
+def _problem(dense, priors, syndrome, max_iters, scale=1.0):
     dec = BPOSDDecoder(BinMatrix.from_dense(np.array(dense, dtype=np.uint8)),
-                       np.array(priors, dtype=float), bp=BPConfig(max_iters=max_iters))
+                       np.array(priors, dtype=float), bp=BPConfig(max_iters, scale))
     return dec, np.array(syndrome, dtype=np.uint8)
 
 
 @st.composite
 def min_sum_problems(draw):
     """A small (decoder, syndrome): rows of any weight, 0 and 1 included,
-    priors often equal, and a zero syndrome bit on every empty row."""
+    priors often equal, a zero syndrome bit on every empty row, and the
+    shot or the distance-trial scale."""
     cols = draw(st.integers(1, 7))
     supports = draw(st.lists(st.sets(st.integers(0, cols - 1)), min_size=1, max_size=6))
     dense = [[int(j in sup) for j in range(cols)] for sup in supports]
     prior = st.sampled_from([0.01, 0.1, 0.25, 0.5]) | st.floats(1e-6, 0.5)
     priors = draw(st.lists(prior, min_size=cols, max_size=cols))
     syndrome = [draw(st.integers(0, 1)) if sup else 0 for sup in supports]
-    return _problem(dense, priors, syndrome, draw(st.integers(1, 30)))
+    return _problem(dense, priors, syndrome, draw(st.integers(1, 30)),
+                    draw(st.sampled_from([1.0, 0.625])))
 
 
 def _assert_kernel_matches_reference(problems):

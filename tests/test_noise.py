@@ -24,12 +24,12 @@ FIELDS = ("x_syndromes", "z_syndromes", "logical_x", "logical_z",
 # SHA-256 of the model dumps and of a 40-shot, seed-7 batch.  They change
 # with any change to fault numbering, propagation, column merging or the
 # sampler's random stream; such a change must be deliberate and stated.
-DUMP_X_SHA = "4ad40fd4abc75fb4e8c21c02128525b9c6f149d309ff890955958c748ef272d8"
-DUMP_Z_SHA = "cdd8ce96d2c77393fd5b208dbe2378e7b5841fed3a8f5036e0e96855801c3052"
-SAMPLE_SHA = "712c1232a731a17f80c5922dc3b05916cd0e963f736e95c5b3ef8bc473acfeb0"
+DUMP_X_SHA = "410ecc3f39f5187e34830f1da7bd3083debc3d68701ec0097001fbd24feb0428"
+DUMP_Z_SHA = "a0bf5be91447d250fd4bebc859dc7da8265e689ec685e74734790ec8757fc080"
+SAMPLE_SHA = "5897380ceb6d277221a7dc761be06c8ce40a87a37707e0d9d7b6d3ba9db83f7d"
 # SHA-256 of bb144 with 12 cycles at p = 0.001: each side's dump, then the
 # sizes and the concatenated fault ids of its columns' provenance.
-DUMP144_SHA = "603859b43bdd6f84d18f73125566dc4a9e1ceb7feb6837455fb916ecc8ca0a78"
+DUMP144_SHA = "811b42585ec65c8a11698e5ac8ce409f8150fe366360c03fc14783b0263469d7"
 
 
 def batch_digest(batch) -> str:
@@ -170,6 +170,28 @@ def test_merge_signatures_orders_words_unsigned():
 
 def test_sampled_batch_golden(model):
     assert batch_digest(sample(model, 40, 7)) == SAMPLE_SHA
+
+
+def test_detector_blocks_difference_consecutive_readings(model):
+    """Each detector block is a check's reading XORed with its previous one;
+    the final block's reading is the check applied to the final data error."""
+    lm = model.code.lm
+    assert model.x.block_rows == model.z.block_rows == lm
+    batch = sample(model, 40, 7)
+    for syndromes, raw, checks, frame in (
+        (batch.x_syndromes, batch.raw_z_checks, model.code.hz, batch.alpha),
+        (batch.z_syndromes, batch.raw_x_checks, model.code.hx, batch.beta),
+    ):
+        readout = checks.to_dense().astype(np.int64) @ frame.T.astype(np.int64) % 2
+        assert np.array_equal(syndromes[:, -lm:], readout.T ^ raw[:, -lm:])
+        assert np.array_equal(syndromes[:, lm:-lm], raw[:, lm:] ^ raw[:, :-lm])
+        assert np.array_equal(syndromes[:, :lm], raw[:, :lm])
+        assert syndromes[:, -lm:].any()
+    # a data fault no longer flips the final block: columns of weight <= 6
+    # (12 with a raw final block) and rows of weight <= 35 (204)
+    for side in (model.x, model.z):
+        max_column, max_row = side.sparsity()
+        assert max_column <= 6 and max_row <= 35
 
 
 def test_forced_single_faults_reproduce_provenance(model):
