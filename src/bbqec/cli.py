@@ -1,4 +1,4 @@
-"""Monte Carlo driver: logical failure rates of a BB code under circuit noise.
+"""Monte Carlo estimates of a BB code's logical failure rates under circuit noise.
 
     bbqec run --code bb144 --cycles 12 --p 0.005 --shots 200 --seed 7 --bp-iters 100
 

@@ -1,4 +1,4 @@
-"""The Monte Carlo driver against direct decodes of the same shots."""
+"""``bbqec run`` against direct decodes of the same shots."""
 
 import json
 
@@ -12,7 +12,7 @@ from bbqec.noise import sample_circuit_noise
 SHOTS, SEED = 100, 3  # two sampler calls, the second one partial
 
 
-def test_driver_failure_flags_match_direct_decodes(model, capsys):
+def test_run_failure_flags_match_direct_decodes(model, capsys):
     argv = ["run", "--code", "bb72", "--cycles", "6", "--p", str(model.p),
             "--shots", str(SHOTS), "--seed", str(SEED), "--bp-iters", "100"]
     assert cli.main(argv) == 0
@@ -46,7 +46,7 @@ def test_driver_failure_flags_match_direct_decodes(model, capsys):
 
 @pytest.mark.parametrize("flag, value", [("--bp-scale", "1.5"), ("--bp-iters", "0"),
                                          ("--p", "2"), ("--shots", "0")])
-def test_driver_rejects_bad_flags(flag, value):
+def test_run_rejects_bad_flags(flag, value):
     argv = {"--code": "bb72", "--cycles": "6", "--p": "0.003", "--shots": "1", "--seed": "0"}
     argv[flag] = value
     with pytest.raises(SystemExit) as exc:
