@@ -11,14 +11,15 @@ side fails when its decoded logical action differs from the sampled
 one, and a shot fails when either side does.  Shots are keyed by
 (seed, shot index), so no result depends on the batch size.
 
-The flags ``--bp-iters`` and ``--bp-scale`` set ``BPConfig.max_iters``
-and ``BPConfig.scale``; a flag left out keeps the field's default.  One
-JSON report goes to standard output: the config, the seed and the git
-revision, each stage's wall time, BP's iteration histogram and the
-share of sides sent to OSD, the failure counts with Wilson 95%
-intervals, the indices of the failing shots of each side, and the
-per-cycle rate p_L = 1 - (1 - P_L)^(1/N_c) of the any-logical failure
-rate P_L.
+The flag ``--bp-iters`` sets ``BPConfig.max_iters``; left out, it keeps
+the field's default.  One JSON report goes to standard output: the
+config, the seed, the ``*_NUM_THREADS`` environment (OSD scores flips
+with float products whose last bits, and so its choice on near-ties,
+can depend on the BLAS thread count) and the git revision, each
+stage's wall time, BP's iteration histogram and the share of sides
+sent to OSD, the failure counts with Wilson 95% intervals, the indices
+of the failing shots of each side, and the per-cycle rate
+p_L = 1 - (1 - P_L)^(1/N_c) of the any-logical failure rate P_L.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -114,7 +116,9 @@ def run(code_name: str, cycles: int, p: float, shots: int, seed: int, bp: BPConf
     per_cycle = [1 - (1 - x) ** (1 / cycles) for x in (n_failed / shots, *_wilson(n_failed, shots))]
     return {
         "config": {"code": code_name, "cycles": cycles, "p": p, "shots": shots, "seed": seed,
-                   "bp": asdict(bp), "osd": asdict(OSDConfig()), "sample_batch": SAMPLE_BATCH},
+                   "bp": asdict(bp), "osd": asdict(OSDConfig()), "sample_batch": SAMPLE_BATCH,
+                   "threads": {k: v for k, v in sorted(os.environ.items())
+                               if k.endswith("_NUM_THREADS")}},
         "git_revision": _git_revision(),
         "model": {side: dict(zip(("rows", "columns", "max_column_weight", "max_row_weight"),
                                  (sm.n_detector_rows, sm.n_columns, *sm.sparsity())))
@@ -142,15 +146,13 @@ def main(argv: list[str] | None = None) -> int:
     r.add_argument("--shots", type=int, required=True)
     r.add_argument("--seed", type=int, required=True)
     r.add_argument("--bp-iters", type=int, help="BPConfig.max_iters")
-    r.add_argument("--bp-scale", type=float, help="BPConfig.scale")
     args = ap.parse_args(argv)
     if args.cycles < 1 or args.shots < 1 or args.seed < 0:
         ap.error("--cycles and --shots must be positive and --seed non-negative")
     if not 0 <= args.p <= 1:
         ap.error("--p must be a probability")
-    fields = {"max_iters": args.bp_iters, "scale": args.bp_scale}
     try:
-        bp = BPConfig(**{k: v for k, v in fields.items() if v is not None})
+        bp = BPConfig() if args.bp_iters is None else BPConfig(max_iters=args.bp_iters)
     except ValueError as exc:
         ap.error(str(exc))
     report = run(args.code, args.cycles, args.p, args.shots, args.seed, bp)

@@ -671,16 +671,13 @@ def distance_upper_bound(
 def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> DistanceEstimate:
     """Randomized upper bound on the circuit-level distance of one side.
 
-    ``side_model`` carries the detector matrix of one error type, its
-    block height ``block_rows`` and the logical-action matrix L.  The
-    trials run on D, the detector matrix with its final block made raw
-    again: the XOR of a check's cycle detectors is its last measured
-    outcome, so one XOR-reduce over the cycle blocks, added to the final
-    block, undoes the differencing.  That is an invertible row
-    operation, so ker D is the model's; but the BP-OSD trials are not
-    invariant under it, and on the differenced rows bb144/12's bound
-    rises from 12 to 16-18.  eta is a random combination of rows of D
-    plus a nonzero combination of rows of L; any xi in ker D with
+    ``side_model`` carries D, the detector matrix of one error type
+    with its final block raw (``SideModel.readout_matrix``), and the
+    logical-action matrix L.  D has the model's kernel, but the BP-OSD
+    trials are not invariant under the differencing of the final block:
+    on the differenced rows bb144/12's bound rises from 12 to 16-18.
+    eta is a random combination of rows of D plus a nonzero combination
+    of rows of L; any xi in ker D with
     eta . xi = 1 is an undetectable fault set with nontrivial logical
     action, so its weight bounds the circuit distance for this type.
 
@@ -691,12 +688,7 @@ def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> Dist
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    model_d: BinMatrix = side_model.matrix
-    lm = side_model.block_rows
-    # built once per model, and carried over to every call's D
-    model_d.row_supports()
-    cycles = model_d.words[:-lm].reshape(-1, lm, model_d.words.shape[1])
-    D = model_d.with_last_rows(model_d.words[-lm:] ^ np.bitwise_xor.reduce(cycles, axis=0))
+    D: BinMatrix = side_model.readout_matrix
     L: BinMatrix = side_model.logical
     LD = L.stack(D)
     rng = np.random.default_rng(seed)

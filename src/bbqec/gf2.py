@@ -305,19 +305,6 @@ class BinMatrix:
             out._row_supports = [*self._row_supports, v.support]
         return out
 
-    def with_last_rows(self, words: np.ndarray) -> "BinMatrix":
-        """This matrix with its last ``len(words)`` rows replaced by the packed
-        ``words``; row supports already built carry over to the rows kept,
-        and only the new rows' are built."""
-        if not 0 < len(words) <= self.rows or words.shape[1:] != self.words.shape[1:]:
-            raise ValueError("shape mismatch")
-        lo = self.rows - len(words)
-        out = BinMatrix(self.rows, self.cols, np.vstack([self.words[:lo], words]))
-        if self._row_supports is not None:
-            new = BinMatrix(len(words), self.cols, words).row_supports()
-            out._row_supports = [*self._row_supports[:lo], *new]
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BinMatrix)

@@ -41,6 +41,7 @@ any chunk size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -218,6 +219,22 @@ class SideModel:
     @property
     def n_columns(self) -> int:
         return self.matrix.cols
+
+    @cached_property
+    def readout_matrix(self) -> BinMatrix:
+        """The detector matrix with its final block raw, built once per model.
+
+        Each row of that block is then its check applied to the final
+        data error alone, as if the last measured cycle were not
+        subtracted.  The XOR of a check's detectors over the cycle
+        blocks is its last measured outcome, so one XOR-reduce over those
+        blocks, added to the final block, undoes the differencing.  That
+        is an invertible row operation, so the kernel is the matrix's.
+        """
+        lm, words = self.block_rows, self.matrix.words
+        raw = words.copy()
+        raw[-lm:] ^= np.bitwise_xor.reduce(words[:-lm].reshape(-1, lm, words.shape[1]), axis=0)
+        return BinMatrix(self.matrix.rows, self.matrix.cols, raw)
 
     def sparsity(self) -> tuple[int, int]:
         """(max column weight, max row weight)."""

@@ -210,8 +210,8 @@ def test_distance_bounds_reject_a_witness_outside_the_kernel(monkeypatch):
     monkeypatch.setattr(BPOSDDecoder, "decode", outside)
     with pytest.raises(DecodingError):
         distance_upper_bound(catalog_code("bb72"), trials=1)
-    side = SimpleNamespace(matrix=BinMatrix.from_dense([[1, 1, 0]]),
-                           logical=BinMatrix.from_dense([[0, 1, 1]]), block_rows=1)
+    side = SimpleNamespace(readout_matrix=BinMatrix.from_dense([[1, 1, 0]]),
+                           logical=BinMatrix.from_dense([[0, 1, 1]]))
     with pytest.raises(DecodingError):
         circuit_distance_upper_bound(side, trials=1)
 

@@ -231,26 +231,6 @@ def test_append_row_carries_row_supports():
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_with_last_rows_carries_row_supports():
-    rng = np.random.default_rng(38)
-    m = random_matrix(rng, 12, 130)
-    new = random_matrix(rng, 3, 130)
-    assert m.with_last_rows(new.words)._row_supports is None  # none built, none carried
-    m.row_supports()
-    for k in (1, 3, 12):
-        got = m.with_last_rows(new.words[:k] if k <= 3 else random_matrix(rng, k, 130).words)
-        want = np.vstack([m.to_dense()[: 12 - k], got.to_dense()[12 - k :]])
-        assert np.array_equal(got.to_dense(), want)
-        fresh = BinMatrix(got.rows, got.cols, got.words.copy())
-        assert len(got.row_supports()) == len(fresh.row_supports()) == 12
-        for a, b in zip(got.row_supports(), fresh.row_supports()):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert np.array_equal(m.with_last_rows(new.words).to_dense()[9:], new.to_dense())
-    for bad in (new.words[:0], random_matrix(rng, 13, 130).words, random_matrix(rng, 2, 200).words):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            m.with_last_rows(bad)
-
-
 def test_append_col_matches_dense_hstack():
     rng = np.random.default_rng(25)
     for cols in (0, 1, 63, 64, 65, 127, 128, 200):

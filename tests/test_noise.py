@@ -176,7 +176,6 @@ def test_detector_blocks_difference_consecutive_readings(model):
     """Each detector block is a check's reading XORed with its previous one;
     the final block's reading is the check applied to the final data error."""
     lm = model.code.lm
-    assert model.x.block_rows == model.z.block_rows == lm
     batch = sample(model, 40, 7)
     for syndromes, raw, checks, frame in (
         (batch.x_syndromes, batch.raw_z_checks, model.code.hz, batch.alpha),
@@ -209,6 +208,25 @@ def test_forced_single_faults_reproduce_provenance(model):
         log = np.hstack([sm.logical.to_dense(), np.zeros((sm.logical.rows, 1), np.uint8)])
         assert np.array_equal(syndromes, det[:, column_of[faults]].T)
         assert np.array_equal(logicals, log[:, column_of[faults]].T)
+
+
+def test_readout_matrix_reads_the_final_data_error(model):
+    """Its final block is the check applied to the final data error alone;
+    every other row is the detector matrix's."""
+    table, lm = model.fault_table, model.code.lm
+    faults = np.random.default_rng(2).choice(table.count, size=200, replace=False)
+    batch = forced(model, [[int(f)] for f in faults])
+    for side, syndromes, checks, frame in (("x", batch.x_syndromes, model.code.hz, batch.alpha),
+                                           ("z", batch.z_syndromes, model.code.hx, batch.beta)):
+        sm = getattr(model, side)
+        column_of = np.full(table.count, -1)
+        for col, members in enumerate(sm.provenance):
+            column_of[members] = col
+        raw = np.hstack([sm.readout_matrix.to_dense(), np.zeros((sm.matrix.rows, 1), np.uint8)])
+        readout = checks.to_dense().astype(np.int64) @ frame.T.astype(np.int64) % 2
+        want = np.hstack([syndromes[:, :-lm], readout.T])
+        assert np.array_equal(raw[:, column_of[faults]].T, want)
+        assert sm.readout_matrix is sm.readout_matrix  # built once per model
 
 
 def test_forced_multi_fault_is_xor_of_singles(model):
