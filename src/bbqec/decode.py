@@ -677,9 +677,9 @@ def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> Dist
     trials are not invariant under the differencing of the final block:
     on the differenced rows bb144/12's bound rises from 12 to 16-18.
     eta is a random combination of rows of D plus a nonzero combination
-    of rows of L; any xi in ker D with
-    eta . xi = 1 is an undetectable fault set with nontrivial logical
-    action, so its weight bounds the circuit distance for this type.
+    of rows of L; any xi in ker D with eta . xi = 1 is an undetectable
+    fault set with nontrivial logical action, so its weight bounds the
+    circuit distance for this type.
 
     Raises:
         ValueError: trials < 1.

@@ -197,8 +197,11 @@ def test_forced_single_faults_reproduce_provenance(model):
     table = model.fault_table
     faults = np.random.default_rng(0).choice(table.count, size=200, replace=False)
     batch = forced(model, [[int(f)] for f in faults])
-    for side, syndromes, logicals in (("x", batch.x_syndromes, batch.logical_x),
-                                      ("z", batch.z_syndromes, batch.logical_z)):
+    lm = model.code.lm
+    for side, syndromes, logicals, checks, frame in (
+        ("x", batch.x_syndromes, batch.logical_x, model.code.hz, batch.alpha),
+        ("z", batch.z_syndromes, batch.logical_z, model.code.hx, batch.beta),
+    ):
         sm = getattr(model, side)
         column_of = np.full(table.count, -1)
         for col, members in enumerate(sm.provenance):
@@ -206,26 +209,13 @@ def test_forced_single_faults_reproduce_provenance(model):
         # a fault in no column merged into the dropped all-zero column
         det = np.hstack([sm.matrix.to_dense(), np.zeros((sm.matrix.rows, 1), np.uint8)])
         log = np.hstack([sm.logical.to_dense(), np.zeros((sm.logical.rows, 1), np.uint8)])
+        raw = np.hstack([sm.readout_matrix.to_dense(), np.zeros((sm.matrix.rows, 1), np.uint8)])
         assert np.array_equal(syndromes, det[:, column_of[faults]].T)
         assert np.array_equal(logicals, log[:, column_of[faults]].T)
-
-
-def test_readout_matrix_reads_the_final_data_error(model):
-    """Its final block is the check applied to the final data error alone;
-    every other row is the detector matrix's."""
-    table, lm = model.fault_table, model.code.lm
-    faults = np.random.default_rng(2).choice(table.count, size=200, replace=False)
-    batch = forced(model, [[int(f)] for f in faults])
-    for side, syndromes, checks, frame in (("x", batch.x_syndromes, model.code.hz, batch.alpha),
-                                           ("z", batch.z_syndromes, model.code.hx, batch.beta)):
-        sm = getattr(model, side)
-        column_of = np.full(table.count, -1)
-        for col, members in enumerate(sm.provenance):
-            column_of[members] = col
-        raw = np.hstack([sm.readout_matrix.to_dense(), np.zeros((sm.matrix.rows, 1), np.uint8)])
+        # the readout matrix's final block is the check applied to the final data error
         readout = checks.to_dense().astype(np.int64) @ frame.T.astype(np.int64) % 2
-        want = np.hstack([syndromes[:, :-lm], readout.T])
-        assert np.array_equal(raw[:, column_of[faults]].T, want)
+        assert np.array_equal(raw[:, column_of[faults]].T,
+                              np.hstack([syndromes[:, :-lm], readout.T]))
         assert sm.readout_matrix is sm.readout_matrix  # built once per model
 
 
