@@ -16,6 +16,7 @@ automorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -139,12 +140,28 @@ class ScheduledCircuit:
     Round 0 holds the Z-ancilla initialization that precedes the first
     cycle (total depth 8*N_c + 1); the last cycle omits its trailing
     re-initialization.  Rounds are depth-1: within any round every
-    qubit is touched by at most one operation.
+    qubit is touched by at most one operation.  A round is a run of
+    consecutive steps that share a round id.
     """
 
     code: BBCode
     n_cycles: int
     steps: list[Step] = field(default_factory=list, repr=False)
+
+    @cached_property
+    def operands(self) -> np.ndarray:
+        """(2, operations): each operation's qubit or CNOT control, then its
+        CNOT target or, for a one-qubit operation, the qubit again, in step
+        order."""
+        return np.array([
+            np.concatenate([s.qubits for s in self.steps]),
+            np.concatenate([s.qubits if s.targets is None else s.targets for s in self.steps]),
+        ], dtype=np.int64)
+
+    @cached_property
+    def frame_plan(self) -> FramePlan:
+        """The index arrays of the frame walk, built on first use."""
+        return FramePlan(self)
 
 
 def build_sm_circuit(
@@ -195,16 +212,23 @@ def build_sm_circuit(
     return circ
 
 
+def _round_runs(steps: list[Step]) -> list[range]:
+    """The runs of consecutive steps that share a round id.
+
+    Automorphism gadgets restart their round ids, so equal ids that are
+    not adjacent belong to different rounds.
+    """
+    cuts = [i for i in range(1, len(steps)) if steps[i].round_id != steps[i - 1].round_id]
+    bounds = [0, *cuts, len(steps)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
 def _check_round_disjointness(circ: ScheduledCircuit) -> None:
-    by_round: dict[int, list[np.ndarray]] = {}
-    for s in circ.steps:
-        by_round.setdefault(s.round_id, []).append(s.qubits)
-        if s.targets is not None:
-            by_round[s.round_id].append(s.targets)
-    for rid, chunks in by_round.items():
-        allq = np.concatenate(chunks)
+    for run in _round_runs(circ.steps):
+        steps = circ.steps[run.start : run.stop]
+        allq = np.concatenate([q for s in steps for q in (s.qubits, s.targets) if q is not None])
         if len(np.unique(allq)) != len(allq):
-            raise ValueError(f"round {rid}: a qubit is touched twice")
+            raise ValueError(f"round {steps[0].round_id}: a qubit is touched twice")
 
 
 # ---------------------------------------------------------------------------
@@ -347,66 +371,127 @@ class FrameResult:
     final_z_frame: np.ndarray  # (n data qubits, W)
 
 
+@dataclass
+class RoundOps:
+    """One round of the frame walk, as rows of the stacked frames.
+
+    Row q is qubit q's X frame and row ``4lm + q`` its Z frame; record
+    row r is row r of the stacked MeasZ then MeasX outcomes.
+    """
+
+    dst: np.ndarray  # every CNOT of the round: row dst[i] ^= row src[i]
+    src: np.ndarray
+    reset: np.ndarray  # rows the round's initializations clear
+    reads: np.ndarray  # frame rows the round's measurements read ...
+    records: np.ndarray  # ... into these record rows
+
+
+class FramePlan:
+    """Per-round index arrays of a circuit's frame walk, built once.
+
+    The steps of one round touch disjoint qubits, so they commute, and
+    each step's faults act only on that step's own operands: a round's
+    CNOT layers are one XOR, its initializations one reset, its
+    measurements one read, and its faults can all follow them.
+
+    Raises:
+        ValueError: a round touches some qubit twice.
+    """
+
+    def __init__(self, circ: ScheduledCircuit):
+        _check_round_disjointness(circ)
+        lm = circ.code.lm
+        nq, n_records = 4 * lm, circ.n_cycles * lm
+        self.rounds: list[RoundOps] = []
+        self.round_of_step = np.zeros(len(circ.steps), dtype=np.int64)
+        self.record_row = np.full(len(circ.steps), -1, dtype=np.int64)  # first, meas steps only
+        for r, run in enumerate(_round_runs(circ.steps)):
+            self.round_of_step[run.start : run.stop] = r
+            parts: dict[str, list[np.ndarray]] = {
+                "dst": [], "src": [], "reset": [], "reads": [], "records": []}
+            for sidx in run:
+                step = circ.steps[sidx]
+                q = step.qubits
+                if step.kind == "cnot":
+                    # X frames copy from control to target, Z frames back
+                    parts["dst"] += [step.targets, nq + q]
+                    parts["src"] += [q, nq + step.targets]
+                elif step.kind == "init":
+                    parts["reset"] += [q, nq + q]
+                elif step.kind == "meas":
+                    # MeasZ reads the X frame, MeasX the Z frame
+                    self.record_row[sidx] = step.meas_slot * lm + (n_records if step.basis == "X" else 0)
+                    parts["reads"].append(q if step.basis == "Z" else nq + q)
+                    parts["records"].append(self.record_row[sidx] + np.arange(len(q)))
+            self.rounds.append(RoundOps(**{
+                name: np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+                for name, rows in parts.items()}))
+
+
+def _xor_at(target: np.ndarray, rows: np.ndarray, words: np.ndarray, masks: np.ndarray) -> None:
+    """XOR ``masks[i]`` into word ``words[i]`` of row ``rows[i]`` of target.
+
+    A 1-D target is a one-word batch's column, and its words are all 0.
+    """
+    np.bitwise_xor.at(target, rows if target.ndim == 1 else (rows, words), masks)
+
+
 def propagate_frames(
     circ: ScheduledCircuit,
     batch: int,
-    injections: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
-    meas_flips: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
+    injections: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    meas_flips: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> FrameResult:
     """Propagate X/Z Pauli frames through the circuit for many scenarios.
 
-    Faults come grouped by step index.  ``injections[step] = (qubits,
-    frames, scenarios)`` flips frame bit ``frames[i]`` (0 for X, 1 for
-    Z) of ``qubits[i]`` in scenario ``scenarios[i]`` right after the
-    step; ``meas_flips[step] = (positions, scenarios)`` flips the
-    outcome of the step's ``positions[i]``-th measurement.  A flip
-    listed twice cancels.  The walk starts at the first step with a
-    flip, since every frame and record is zero before it.
-    """
-    lm = circ.code.lm
-    W = nwords(batch)
-    xf = np.zeros((4 * lm, W), dtype=np.uint64)
-    zf = np.zeros((4 * lm, W), dtype=np.uint64)
-    zrec = np.zeros((circ.n_cycles, lm, W), dtype=np.uint64)
-    xrec = np.zeros((circ.n_cycles, lm, W), dtype=np.uint64)
-    injections = injections or {}
-    meas_flips = meas_flips or {}
+    ``injections = (steps, qubits, xz, scenarios)`` flips frame bit
+    ``xz[i]`` (0 for X, 1 for Z) of ``qubits[i]`` in scenario
+    ``scenarios[i]`` right after step ``steps[i]``; ``meas_flips =
+    (steps, positions, scenarios)`` flips the outcome of step
+    ``steps[i]``'s ``positions[i]``-th measurement.  Flips may come in
+    any order, and a flip listed twice cancels.
 
-    first = min([*injections, *meas_flips], default=len(circ.steps))
-    for sidx, step in enumerate(circ.steps[first:], first):
-        if step.kind == "cnot":
-            xf[step.targets] ^= xf[step.qubits]
-            zf[step.qubits] ^= zf[step.targets]
-        elif step.kind == "init":
-            xf[step.qubits] = 0
-            zf[step.qubits] = 0
-        elif step.kind == "meas":
-            rec = xf[step.qubits].copy() if step.basis == "Z" else zf[step.qubits].copy()
-            if sidx in meas_flips:
-                posv, scen = meas_flips[sidx]
-                words, masks = bit_masks(scen)
-                np.bitwise_xor.at(rec, (posv, words), masks)
-            if step.basis == "Z":
-                zrec[step.meas_slot] = rec
-            else:
-                xrec[step.meas_slot] = rec
-        # idle: nothing to apply
-        if sidx in injections:
-            qv, fv, scen = injections[sidx]
-            words, masks = bit_masks(scen)
-            xm = fv == 0
-            if xm.any():
-                np.bitwise_xor.at(xf, (qv[xm], words[xm]), masks[xm])
-            zm = ~xm
-            if zm.any():
-                np.bitwise_xor.at(zf, (qv[zm], words[zm]), masks[zm])
+    The walk goes a round at a time (``FramePlan``) and starts at the
+    first round with an injection, since every frame is zero before it.
+    A one-word batch walks 1-D views of the frames and records, on which
+    a fancy-indexed XOR costs about half as much.
+    """
+    plan = circ.frame_plan
+    lm = circ.code.lm
+    nq, n_records = 4 * lm, circ.n_cycles * lm
+    W = nwords(batch)
+    frames = np.zeros((2 * nq, W), dtype=np.uint64)
+    records = np.zeros((2 * n_records, W), dtype=np.uint64)
+    fr, rec = (frames[:, 0], records[:, 0]) if W == 1 else (frames, records)
+
+    if injections is not None and len(injections[0]):
+        steps, qubits, xz, scenarios = (np.asarray(a, dtype=np.int64) for a in injections)
+        rnd = plan.round_of_step[steps]
+        order = np.argsort(rnd, kind="stable")
+        rnd, rows = rnd[order], (qubits + nq * xz)[order]
+        words, masks = bit_masks(scenarios[order])
+        bounds = np.searchsorted(rnd, np.arange(len(plan.rounds) + 1)).tolist()
+        for r in range(int(rnd[0]), len(plan.rounds)):
+            ops = plan.rounds[r]
+            if ops.dst.size:
+                fr[ops.dst] ^= fr[ops.src]
+            if ops.reset.size:
+                fr[ops.reset] = 0
+            if ops.reads.size:
+                rec[ops.records] = fr[ops.reads]
+            lo, hi = bounds[r], bounds[r + 1]
+            if lo < hi:
+                _xor_at(fr, rows[lo:hi], words[lo:hi], masks[lo:hi])
+    if meas_flips is not None and len(meas_flips[0]):
+        steps, positions, scenarios = (np.asarray(a, dtype=np.int64) for a in meas_flips)
+        _xor_at(rec, plan.record_row[steps] + positions, *bit_masks(scenarios))
 
     return FrameResult(
         batch=batch,
-        z_check_outcomes=zrec,
-        x_check_outcomes=xrec,
-        final_x_frame=xf[: 2 * lm],
-        final_z_frame=zf[: 2 * lm],
+        z_check_outcomes=records[:n_records].reshape(circ.n_cycles, lm, W),
+        x_check_outcomes=records[n_records:].reshape(circ.n_cycles, lm, W),
+        final_x_frame=frames[: 2 * lm],
+        final_z_frame=frames[nq : nq + 2 * lm],
     )
 
 
@@ -499,7 +584,8 @@ def automorphism_data_permutation(circ: AutomorphismCircuit) -> np.ndarray:
     data = np.arange(n)
     # step 0 initializes an ancilla block and leaves the data alone, so
     # a flip injected right after it is a flip on the gadget's input
-    injections = {0: (np.tile(data, 2), np.repeat([0, 1], n), np.arange(2 * n))}
+    injections = (np.zeros(2 * n, dtype=np.int64), np.tile(data, 2), np.repeat([0, 1], n),
+                  np.arange(2 * n))
     probe = ScheduledCircuit(code=circ.code, n_cycles=0, steps=circ.steps)
     res = propagate_frames(probe, 2 * n, injections)
     dense_x, dense_z = (

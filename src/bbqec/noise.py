@@ -40,13 +40,15 @@ any chunk size.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
-from .circuit import FrameResult, ScheduledCircuit, Step, propagate_frames
+from .circuit import FrameResult, ScheduledCircuit, propagate_frames
 from .code import BBCode
 from .gf2 import BinMatrix, nwords, unpack_bits
 from .logical import LogicalBasis
@@ -57,49 +59,57 @@ _Z_PART = np.array([0, 0, 1, 1], dtype=bool)
 CNOT_CLASSES = [(c, t) for c in range(4) for t in range(4)][1:]  # 15, II excluded
 IDLE_CLASSES = [1, 2, 3]  # X, Y, Z
 
-# Frame bits flipped by each fault class: one row per class, one column
-# per (operand, frame) pair, frame 0 being X and 1 being Z.  A CNOT's
-# operands are its control and its target; other steps have one.
-_CNOT_FLIPS = np.array([[_X_PART[c], _Z_PART[c], _X_PART[t], _Z_PART[t]]
-                        for c, t in CNOT_CLASSES])
-_IDLE_FLIPS = np.array([[_X_PART[c], _Z_PART[c]] for c in IDLE_CLASSES])
-# a faulty init prepares |1> (an X flip) for InitZ and |-> (a Z flip) for InitX
-_INIT_FLIPS = {"Z": np.array([[True, False]]), "X": np.array([[False, True]])}
-# a faulty measurement flips its outcome and no frame bit
-_MEAS_FLIPS = np.zeros((1, 0), dtype=bool)
+# What each fault class flips, one row per class, by a step's (kind,
+# basis).  The columns are the first operand's X and Z frame bits, the
+# second operand's, then the measured outcome.  A CNOT's operands are
+# its control and its target; other steps have one.
+_CLASS_FLIPS = {
+    ("cnot", None): [[_X_PART[c], _Z_PART[c], _X_PART[t], _Z_PART[t], 0]
+                     for c, t in CNOT_CLASSES],
+    ("idle", None): [[_X_PART[c], _Z_PART[c], 0, 0, 0] for c in IDLE_CLASSES],
+    # a faulty init prepares |1> (an X flip) for InitZ and |-> (a Z flip) for InitX
+    ("init", "Z"): [[1, 0, 0, 0, 0]],
+    ("init", "X"): [[0, 1, 0, 0, 0]],
+    # a faulty measurement flips its outcome and no frame bit
+    ("meas", "Z"): [[0, 0, 0, 0, 1]],
+    ("meas", "X"): [[0, 0, 0, 0, 1]],
+}
+# the blocks above stacked; each block's index, class count and first row
+_FLIPS = np.array(list(chain.from_iterable(_CLASS_FLIPS.values())), dtype=bool)
+_BLOCK = {key: i for i, key in enumerate(_CLASS_FLIPS)}
+_N_CLASSES = np.array([len(rows) for rows in _CLASS_FLIPS.values()])
+_FIRST_CLASS = np.cumsum(_N_CLASSES) - _N_CLASSES
+_OUTCOME = 4  # the column of a measured outcome
 
-
-def _class_flips(step: Step) -> np.ndarray:
-    """The step's flip table; its row count is the step's class count."""
-    if step.kind == "cnot":
-        return _CNOT_FLIPS
-    if step.kind == "idle":
-        return _IDLE_FLIPS
-    if step.kind == "init":
-        return _INIT_FLIPS[step.basis]
-    return _MEAS_FLIPS
+# A shot's fault draw tops its raw words up at least this many at a time.
+_TOP_UP_WORDS = 64
 
 
 @dataclass
 class FaultTable:
     """All single faults of one SM circuit, as flat fault ids.
 
-    Fault ``offsets[s] + g * n_classes + c`` is class c on operation g
-    of step s (class counts in the module doc), so ids run in (step,
-    operation, class) order.  ``frame_flips`` is the one place that
-    maps a fault to the frame bits it flips.
+    Fault ``offsets[s] + g * n_classes[s] + c`` is class c on operation
+    g of step s (class counts in the module doc), so ids run in (step,
+    operation, class) order.  Operation g of step s is also operation
+    ``op_start[s] + g`` of the circuit (``ScheduledCircuit.operands``).
+    ``frame_flips`` is the one place that maps a fault to the frame bits
+    it flips.
     """
 
     circuit: ScheduledCircuit
+    n_classes: np.ndarray  # (steps,): fault classes per operation
+    first_class: np.ndarray  # (steps,): the row of the step's class block in _FLIPS
+    op_start: np.ndarray  # (steps + 1,): first operation of each step, then the count
     offsets: np.ndarray  # (steps + 1,): first fault id of each step, then the count
-    prior_class: np.ndarray  # (count,): 1/15, 1/3 or 1 (multiplied by p later)
 
     @property
     def count(self) -> int:
         return int(self.offsets[-1])
 
     def priors(self, p: float) -> np.ndarray:
-        return p * self.prior_class
+        """Each fault's probability: p split evenly over its operation's classes."""
+        return p * np.repeat(1 / self.n_classes, np.diff(self.offsets))
 
     def frame_flips(self, faults: np.ndarray, scenarios: np.ndarray):
         """Apply fault ``faults[i]`` in scenario ``scenarios[i]``, for every i.
@@ -115,37 +125,105 @@ class FaultTable:
         scenarios = np.asarray(scenarios, dtype=np.int64)
         if faults.size and not 0 <= faults.min() <= faults.max() < self.count:
             raise ValueError(f"fault ids must lie in [0, {self.count})")
-        order = np.argsort(faults, kind="stable")
-        faults, scenarios = faults[order], scenarios[order]
-        bounds = np.searchsorted(faults, self.offsets)
-        injections: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        meas_flips: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for sidx in np.flatnonzero(bounds[1:] > bounds[:-1]):
-            step = self.circuit.steps[sidx]
-            lo, hi = bounds[sidx], bounds[sidx + 1]
-            flips = _class_flips(step)
-            gate, cls = np.divmod(faults[lo:hi] - self.offsets[sidx], len(flips))
-            scen = scenarios[lo:hi]
-            if step.kind == "meas":
-                meas_flips[int(sidx)] = (gate, scen)
+        # a fault's step is the last one starting at or before it, so a
+        # step without operations, which shares its offset, is skipped
+        step = np.searchsorted(self.offsets, faults, side="right") - 1
+        gate, cls = np.divmod(faults - self.offsets[step], self.n_classes[step])
+        hit, column = np.nonzero(_FLIPS[self.first_class[step] + cls])
+        step, gate, scen = step[hit], gate[hit], scenarios[hit]
+        outcome = column == _OUTCOME
+        frame = ~outcome
+        operand = self.circuit.operands[column[frame] // 2, self.op_start[step[frame]] + gate[frame]]
+        return ((step[frame], operand, column[frame] % 2, scen[frame]),
+                (step[outcome], gate[outcome], scen[outcome]))
+
+    def draw(self, p: float, bitgen: np.random.BitGenerator) -> list[int]:
+        """One shot's fault ids, replaying the per-step draws on raw words.
+
+        The draws replayed are, for each step with operations in turn,
+        ``faulty = flatnonzero(rng.random(nq) < p)`` and then, when some
+        operation is faulty and the step has k > 1 classes,
+        ``rng.integers(0, k, size=faulty.size)``, on ``rng =
+        np.random.Generator(bitgen)``.  Fault ids come in that order.
+        The replay reads the stream once as 64-bit words, as numpy 2
+        consumes them:
+
+        * a uniform takes one word and is ``(word >> 11) * 2**-53``;
+        * a class draw takes a 32-bit half, the low half of a fresh word
+          first, and the unused high half stays buffered for the next
+          class draw, also across steps;
+        * the class is ``(u * k) >> 32`` for a half u (Lemire's method),
+          and u is drawn again while ``(u * k) % 2**32`` is below
+          ``2**32 % k``, which for k = 3 and k = 15 is 1: only u = 0.
+
+        So a step's uniforms start one word further on for each word
+        earlier class draws took, and the uniforms found below p on
+        those words are skipped.  The Python loop runs once per faulty
+        step, not once per step.
+        """
+        n_ops = int(self.op_start[-1])
+        # m * 2**-53 < p for the integer m = word >> 11 exactly when
+        # m < ceil(p * 2**53); scaling by a power of 2 is exact
+        cut = math.ceil(p * 2.0**53)
+        words = np.zeros(0, dtype=np.uint64)
+        hits: list[int] = []  # the words whose uniform is below p
+
+        def need(count: int) -> None:
+            nonlocal words
+            if count > len(words):
+                more = bitgen.random_raw(max(count - len(words), _TOP_UP_WORDS))
+                hits.extend((np.flatnonzero((more >> 11) < cut) + len(words)).tolist())
+                words = np.concatenate([words, more])
+
+        need(n_ops)
+        op_start, n_classes = self.op_start.tolist(), self.n_classes.tolist()
+        offsets = self.offsets.tolist()
+        ids: list[int] = []
+        shift = 0  # words the class draws took so far
+        half = None  # a buffered high half
+        i = 0
+        while i < len(hits) and hits[i] - shift < n_ops:
+            s = bisect_right(op_start, hits[i] - shift) - 1
+            lo, hi = op_start[s] + shift, op_start[s + 1] + shift
+            j = bisect_left(hits, hi, i)
+            k, first = n_classes[s], offsets[s]
+            if k == 1:
+                ids += [first + w - lo for w in hits[i:j]]
+                i = j
                 continue
-            operands = (step.qubits, step.targets) if step.kind == "cnot" else (step.qubits,)
-            hits = flips[cls].T  # (operand, frame) pair -> which faults flip it
-            injections[int(sidx)] = (
-                np.concatenate([operands[k // 2][gate[h]] for k, h in enumerate(hits)]),
-                np.concatenate([np.full(np.count_nonzero(h), k % 2) for k, h in enumerate(hits)]),
-                np.concatenate([scen[h] for h in hits]),
-            )
-        return injections, meas_flips
+            reject = (1 << 32) % k
+            at = hi  # the next unread word
+            for w in hits[i:j]:
+                u = None
+                while u is None or (u * k) & 0xFFFFFFFF < reject:
+                    if half is None:
+                        if at == len(words):
+                            need(at + 1)
+                        word = int(words[at])
+                        at += 1
+                        u, half = word & 0xFFFFFFFF, word >> 32
+                    else:
+                        u, half = half, None
+                ids.append(first + (w - lo) * k + ((u * k) >> 32))
+            shift += at - hi
+            need(n_ops + shift)
+            i = bisect_left(hits, at, j)
+        return ids
 
 
 def build_fault_table(circ: ScheduledCircuit) -> FaultTable:
     """Number every admissible single fault of the circuit."""
-    n_classes = np.array([len(_class_flips(s)) for s in circ.steps])
-    sizes = n_classes * np.array([len(s.qubits) for s in circ.steps], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    return FaultTable(circuit=circ, offsets=offsets,
-                      prior_class=np.repeat(1 / n_classes, sizes))
+    steps = circ.steps
+    block = np.fromiter((_BLOCK[s.kind, s.basis] for s in steps), np.int64, len(steps))
+    n_ops = np.fromiter((len(s.qubits) for s in steps), np.int64, len(steps))
+    n_classes = _N_CLASSES[block]
+    return FaultTable(
+        circuit=circ,
+        n_classes=n_classes,
+        first_class=_FIRST_CLASS[block],
+        op_start=np.concatenate([[0], np.cumsum(n_ops)]),
+        offsets=np.concatenate([[0], np.cumsum(n_classes * n_ops)]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +489,7 @@ def dump_side_model(side: SideModel) -> str:
 
 @dataclass
 class SampleBatch:
-    """Unpacked per-shot syndromes ready for decoding."""
+    """Unpacked per-shot syndromes ready for decoding, and the faults behind them."""
 
     shots: int
     x_syndromes: np.ndarray  # (shots, detector rows of the X model)
@@ -422,10 +500,12 @@ class SampleBatch:
     raw_x_checks: np.ndarray
     alpha: np.ndarray  # (shots, n)
     beta: np.ndarray
+    faults: np.ndarray  # the fault ids applied, shot by shot
+    fault_shots: np.ndarray  # the shot of each of them
 
 
-def _shot_rng(seed: int, shot: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, shot]))
+def _shot_bitgen(seed: int, shot: int) -> np.random.Philox:
+    return np.random.Philox(key=seed, counter=[0, 0, 0, shot])
 
 
 def sample_circuit_noise(
@@ -446,37 +526,26 @@ def sample_circuit_noise(
     (seed, first_shot + index) with a counter-based generator, so
     results are independent of batching and worker layout.
 
+    The stream contract, which ``SAMPLE_SHA`` in the tests pins: shot j
+    draws from ``np.random.Generator(np.random.Philox(key=seed,
+    counter=[0, 0, 0, j]))``.  For each step with operations in turn, it
+    draws ``rng.random(nq) < p`` over the step's nq operations and
+    then, if some operation is faulty and the step has k > 1 classes,
+    ``rng.integers(0, k, size=faulty.size)``, one class per faulty
+    operation in order.  ``FaultTable.draw`` replays exactly these
+    draws on the generator's raw words.
+
     With ``forced_faults`` the randomness is bypassed and scenario j
     applies exactly the fault ids listed in ``forced_faults[j]``.
     """
     table = fault_table or build_fault_table(circ)
-    if forced_faults is not None:
-        shots = len(forced_faults)
-        faults = np.fromiter(chain.from_iterable(forced_faults), dtype=np.int64)
-        scenarios = np.repeat(np.arange(shots), [len(f) for f in forced_faults])
-    else:
+    if forced_faults is None:
         if not 0 <= p <= 1:
             raise ValueError("p must be a probability")
-        # per shot and step: one uniform per operation, then, for the
-        # faulty operations of a step with several classes, the classes
-        drawn = [np.zeros(0, dtype=np.int64)]
-        drawn_in = [np.zeros(0, dtype=np.int64)]
-        for j in range(shots):
-            rng = _shot_rng(seed, first_shot + j)
-            for sidx, step in enumerate(circ.steps):
-                nq = len(step.qubits)
-                if nq == 0:
-                    continue
-                faulty = np.flatnonzero(rng.random(nq) < p)
-                if faulty.size == 0:
-                    continue
-                n_classes = len(_class_flips(step))
-                ids = table.offsets[sidx] + faulty * n_classes
-                if n_classes > 1:
-                    ids += rng.integers(0, n_classes, size=faulty.size)
-                drawn.append(ids)
-                drawn_in.append(np.full(faulty.size, j))
-        faults, scenarios = np.concatenate(drawn), np.concatenate(drawn_in)
+        forced_faults = [table.draw(p, _shot_bitgen(seed, first_shot + j)) for j in range(shots)]
+    shots = len(forced_faults)
+    faults = np.fromiter(chain.from_iterable(forced_faults), dtype=np.int64)
+    scenarios = np.repeat(np.arange(shots), [len(f) for f in forced_faults])
     res = propagate_frames(circ, shots, *table.frame_flips(faults, scenarios))
     rows = side_rows(res, circ.code, basis)
     (x_det, x_log), (z_det, z_log) = rows["X"], rows["Z"]
@@ -495,4 +564,6 @@ def sample_circuit_noise(
         raw_x_checks=unp(res.x_check_outcomes.reshape(nc * lm, -1)),
         alpha=unp(res.final_x_frame),
         beta=unp(res.final_z_frame),
+        faults=faults,
+        fault_shots=scenarios,
     )

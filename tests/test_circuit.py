@@ -1,4 +1,7 @@
-"""Syndrome-cycle schedules of bb144 and the automorphism check of bb72."""
+"""Syndrome-cycle schedules of bb144, the automorphism check of bb72, and the
+frame walk's round check."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +9,10 @@ import pytest
 from bbqec.circuit import (
     CANONICAL_SCHEDULE,
     Schedule,
+    ScheduledCircuit,
     build_automorphism_circuit,
     enumerate_schedules,
+    propagate_frames,
     shift_permutation,
     verify_automorphism,
     verify_sm_circuit,
@@ -65,3 +70,14 @@ def test_verify_automorphism_rejects_a_data_swap(model):
     perm = np.arange(model.code.n)
     perm[[0, 1]] = perm[[1, 0]]
     assert not verify_automorphism(model.code, data_permutation=perm)
+
+
+def test_frame_walk_rejects_a_round_that_touches_a_qubit_twice(model):
+    circ = model.circuit
+    # step 0 initializes q(Z) and step 1 is a CNOT layer into q(Z); in
+    # one round they touch each q(Z) qubit twice
+    steps = [circ.steps[0], replace(circ.steps[1], round_id=circ.steps[0].round_id),
+             *circ.steps[2:]]
+    merged = ScheduledCircuit(code=circ.code, n_cycles=circ.n_cycles, steps=steps)
+    with pytest.raises(ValueError, match="touched twice"):
+        propagate_frames(merged, 1)

@@ -273,6 +273,22 @@ def test_empty_last_row_of_d():
             dec.decode(unreachable)
 
 
+def test_syndrome_of_equals_the_packed_product(sides):
+    """The edge-wise syndrome equals D x bit for bit, empty checks included."""
+    rng = np.random.default_rng(4)
+    dense = rng.integers(0, 2, size=(7, 90), dtype=np.uint8)
+    dense[[0, 3, 6]] = 0  # empty first, middle and last checks
+    decoders = [BPOSDDecoder(BinMatrix.from_dense(d), np.full(90, 0.1))
+                for d in (dense, np.zeros((3, 90), dtype=np.uint8))]
+    decoders += [sides[side][0] for side in SIDES]
+    for dec in decoders:
+        for weight in (0, 1, 9, dec.matrix.cols // 2):
+            x = np.zeros(dec.matrix.cols, dtype=np.uint8)
+            x[rng.choice(dec.matrix.cols, size=weight, replace=False)] = 1
+            want = dec.matrix.mul_vec(BinVector.from_bits(x)).to_bits()
+            assert dec._syndrome_of(x).tobytes() == want.tobytes()
+
+
 def test_distance_searches_reject_an_unknown_pauli():
     code = catalog_code("bb72")
     with pytest.raises(ValueError):

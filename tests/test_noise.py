@@ -1,6 +1,7 @@
-"""Fault pipeline on bb72 with 6 cycles: enumeration, forced faults, sampling;
-plus the signature merge, the chunked model build, and a golden and the
-build's memory bound on bb144 with 12 cycles."""
+"""Fault pipeline on bb72 with 6 cycles: enumeration, forced faults, sampling
+and its replay of the random stream; plus the signature merge, the chunked
+model build, and a golden and the build's memory bound on bb144 with 12
+cycles."""
 
 import hashlib
 import tracemalloc
@@ -263,11 +264,96 @@ def test_zero_noise_flips_nothing(model):
 
 
 def test_sampling_independent_of_batching(model):
-    whole = sample(model, 40, 5, p=0.01)
-    parts = [sample(model, 1, 5, p=0.01, first_shot=j) for j in range(40)]
+    # 70 shots span two words, while a one-shot call walks one-word views
+    whole = sample(model, 70, 5, p=0.01)
+    parts = [sample(model, 1, 5, p=0.01, first_shot=j) for j in range(70)]
     for name in FIELDS:
         assert np.array_equal(getattr(whole, name),
                               np.vstack([getattr(b, name) for b in parts])), name
+
+
+def reference_draw(circuit, p, seed, shot):
+    """One shot's fault ids by the per-step loop that ``FaultTable.draw`` replays.
+
+    Also returns whether some step's class draw began on a high half
+    left over from an earlier step.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, shot]))
+    ids, carried, offset = [], False, 0
+    for step in circuit.steps:
+        nq = len(step.qubits)
+        n_classes = {"cnot": 15, "idle": 3}.get(step.kind, 1)
+        faulty = np.flatnonzero(rng.random(nq) < p) if nq else np.zeros(0, dtype=np.int64)
+        if faulty.size:
+            classes = np.zeros(faulty.size, dtype=np.int64)
+            if n_classes > 1:
+                carried |= bool(rng.bit_generator.state["has_uint32"])
+                classes = rng.integers(0, n_classes, size=faulty.size)
+            ids += (offset + faulty * n_classes + classes).tolist()
+        offset += nq * n_classes
+    return ids, carried
+
+
+class CountedWords:
+    """A bit generator that counts its ``random_raw`` calls."""
+
+    def __init__(self, bitgen):
+        self.bitgen, self.calls = bitgen, 0
+
+    def random_raw(self, size):
+        self.calls += 1
+        return self.bitgen.random_raw(size)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.001, 0.02, 0.2])
+def test_draw_replays_the_per_step_loop(model, p):
+    table = model.fault_table
+    carried = topped_up = False
+    for shot in range(200):
+        want, carry = reference_draw(model.circuit, p, 3, shot)
+        bitgen = CountedWords(np.random.Philox(key=3, counter=[0, 0, 0, shot]))
+        assert table.draw(p, bitgen) == want, shot
+        carried |= carry
+        topped_up |= bitgen.calls > 1
+    if p == 0.2:  # a buffered half crosses steps and the words run out
+        assert carried and topped_up
+
+
+class RawWords:
+    """A bit generator stub: the given 64-bit words, then all-ones words."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def random_raw(self, size):
+        out = np.full(size, np.iinfo(np.uint64).max, dtype=np.uint64)
+        head, self.words = self.words[:size], self.words[size:]
+        out[: len(head)] = head
+        return out
+
+
+def test_draw_rejects_a_zero_half(model):
+    """A class draw on a zero half draws again, as Lemire's method does."""
+    table = model.fault_table
+    s = next(i for i, step in enumerate(model.circuit.steps) if step.kind == "cnot")
+    first, after = int(table.op_start[s]), int(table.op_start[s + 1])
+    # all-ones words are uniforms near 1; a zero word makes operation
+    # 1 of step s faulty; its class comes from the word after the step's
+    # uniforms, whose low half is zero and whose high half is u
+    u = 0xC0000000
+    words = [np.iinfo(np.uint64).max] * after + [u << 32]
+    words[first + 1] = 0
+    fault = int(table.offsets[s]) + 1 * 15 + (u * 15 >> 32)
+    assert table.draw(0.01, RawWords(words)) == [fault]
+
+
+def test_sampled_faults_force_the_same_batch(model):
+    """A batch's drawn fault ids, forced back in, give the batch bit for bit."""
+    batch = sample(model, 40, 7, p=0.01)
+    assert np.all(np.diff(batch.fault_shots) >= 0) and batch.faults.size > 40
+    again = forced(model, [batch.faults[batch.fault_shots == j].tolist() for j in range(40)])
+    for name in FIELDS:
+        assert np.array_equal(getattr(again, name), getattr(batch, name)), name
 
 
 @pytest.mark.parametrize("name", ["bb72", "bb144"])
