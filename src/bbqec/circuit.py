@@ -141,7 +141,9 @@ class ScheduledCircuit:
     cycle (total depth 8*N_c + 1); the last cycle omits its trailing
     re-initialization.  Rounds are depth-1: within any round every
     qubit is touched by at most one operation.  A round is a run of
-    consecutive steps that share a round id.
+    consecutive steps that share a round id.  ``operands`` and
+    ``frame_plan`` are derived from the steps on first use, so the steps
+    must not change after that.
     """
 
     code: BBCode
@@ -160,7 +162,7 @@ class ScheduledCircuit:
 
     @cached_property
     def frame_plan(self) -> FramePlan:
-        """The index arrays of the frame walk, built on first use."""
+        """The index arrays of the frame walk."""
         return FramePlan(self)
 
 
@@ -419,9 +421,11 @@ class FramePlan:
                 elif step.kind == "init":
                     parts["reset"] += [q, nq + q]
                 elif step.kind == "meas":
-                    # MeasZ reads the X frame, MeasX the Z frame
-                    self.record_row[sidx] = step.meas_slot * lm + (n_records if step.basis == "X" else 0)
-                    parts["reads"].append(q if step.basis == "Z" else nq + q)
+                    # MeasZ reads the X frame into the first half of the
+                    # records, MeasX the Z frame into the second
+                    x_basis = step.basis == "X"
+                    self.record_row[sidx] = step.meas_slot * lm + x_basis * n_records
+                    parts["reads"].append(q + x_basis * nq)
                     parts["records"].append(self.record_row[sidx] + np.arange(len(q)))
             self.rounds.append(RoundOps(**{
                 name: np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)

@@ -133,20 +133,17 @@ class FaultTable:
         step, gate, scen = step[hit], gate[hit], scenarios[hit]
         outcome = column == _OUTCOME
         frame = ~outcome
-        operand = self.circuit.operands[column[frame] // 2, self.op_start[step[frame]] + gate[frame]]
+        op = self.op_start[step[frame]] + gate[frame]
+        operand = self.circuit.operands[column[frame] // 2, op]
         return ((step[frame], operand, column[frame] % 2, scen[frame]),
                 (step[outcome], gate[outcome], scen[outcome]))
 
     def draw(self, p: float, bitgen: np.random.BitGenerator) -> list[int]:
-        """One shot's fault ids, replaying the per-step draws on raw words.
+        """One shot's fault ids, in the order the per-step draws give them.
 
-        The draws replayed are, for each step with operations in turn,
-        ``faulty = flatnonzero(rng.random(nq) < p)`` and then, when some
-        operation is faulty and the step has k > 1 classes,
-        ``rng.integers(0, k, size=faulty.size)``, on ``rng =
-        np.random.Generator(bitgen)``.  Fault ids come in that order.
-        The replay reads the stream once as 64-bit words, as numpy 2
-        consumes them:
+        It replays the draws of ``sample_circuit_noise``'s stream
+        contract, made on ``np.random.Generator(bitgen)``, on bitgen's
+        raw 64-bit words, read once, as numpy 2 consumes them:
 
         * a uniform takes one word and is ``(word >> 11) * 2**-53``;
         * a class draw takes a 32-bit half, the low half of a fresh word
@@ -156,10 +153,10 @@ class FaultTable:
           and u is drawn again while ``(u * k) % 2**32`` is below
           ``2**32 % k``, which for k = 3 and k = 15 is 1: only u = 0.
 
-        So a step's uniforms start one word further on for each word
-        earlier class draws took, and the uniforms found below p on
-        those words are skipped.  The Python loop runs once per faulty
-        step, not once per step.
+        So a step's uniforms start one word further on for each word that
+        earlier class draws took, and those words are never read as
+        uniforms.  The Python loop runs once per faulty step, not once
+        per step.
         """
         n_ops = int(self.op_start[-1])
         # m * 2**-53 < p for the integer m = word >> 11 exactly when
@@ -542,10 +539,12 @@ def sample_circuit_noise(
     if forced_faults is None:
         if not 0 <= p <= 1:
             raise ValueError("p must be a probability")
-        forced_faults = [table.draw(p, _shot_bitgen(seed, first_shot + j)) for j in range(shots)]
-    shots = len(forced_faults)
-    faults = np.fromiter(chain.from_iterable(forced_faults), dtype=np.int64)
-    scenarios = np.repeat(np.arange(shots), [len(f) for f in forced_faults])
+        shot_faults = [table.draw(p, _shot_bitgen(seed, first_shot + j)) for j in range(shots)]
+    else:
+        shot_faults = forced_faults
+    shots = len(shot_faults)
+    faults = np.fromiter(chain.from_iterable(shot_faults), dtype=np.int64)
+    scenarios = np.repeat(np.arange(shots), [len(f) for f in shot_faults])
     res = propagate_frames(circ, shots, *table.frame_flips(faults, scenarios))
     rows = side_rows(res, circ.code, basis)
     (x_det, x_log), (z_det, z_log) = rows["X"], rows["Z"]

@@ -283,7 +283,7 @@ def reference_draw(circuit, p, seed, shot):
     for step in circuit.steps:
         nq = len(step.qubits)
         n_classes = {"cnot": 15, "idle": 3}.get(step.kind, 1)
-        faulty = np.flatnonzero(rng.random(nq) < p) if nq else np.zeros(0, dtype=np.int64)
+        faulty = np.flatnonzero(rng.random(nq) < p)
         if faulty.size:
             classes = np.zeros(faulty.size, dtype=np.int64)
             if n_classes > 1:
