@@ -168,7 +168,8 @@ class BPOSDDecoder:
         return bp_marginals_batch([(self, syndrome)])[0]
 
     def _syndrome_of(self, bits: np.ndarray) -> np.ndarray:
-        """D bits for 0/1 bits: one XOR per check over its Tanner edges."""
+        """D x for a 0/1 vector x: one XOR per check over its Tanner edges,
+        and 0 on checks without edges."""
         out = np.zeros(self.matrix.rows, dtype=np.uint8)
         if self.seg_check.size:
             out[self.seg_check] = np.bitwise_xor.reduceat(bits[self.edge_var], self.seg_start)
