@@ -3,12 +3,17 @@
 The decoder treats an arbitrary binary matrix D with per-column priors
 as a classical linear code with noiseless syndromes: belief propagation
 (normalized min-sum, flooding schedule) estimates per-column posterior
-marginals and stops once its hard decision reproduces the syndrome.
-Only when it does not (BP failed to converge) does ordered-statistics
-post-processing solve the syndrome on the most likely information set
-and sweep single and paired flips of the excluded columns to lower the
-solution weight (Panteleev-Kalachev, arXiv:1904.02703; Roffe et al.,
-arXiv:2005.07016).
+marginals.  It stops in one of three ways: converged, once its hard
+decision reproduces the syndrome; saturated, once every column's |LLR|
+has reached the clip through which its marginal is computed, so that
+the marginals depend only on the LLRs' signs; or at its iteration cap.
+Saturation ends the circuit-distance trials (near iteration 45 on
+bb72/6, 60 on bb144/12 and 78 on bb288/18, instead of at the cap of
+300); no shot decode or code-level coset trial checked saturates.
+Only when BP does not converge does ordered-statistics post-processing
+solve the syndrome on the most likely information set and sweep single
+and paired flips of the excluded columns to lower the solution weight
+(Panteleev-Kalachev, arXiv:1904.02703; Roffe et al., arXiv:2005.07016).
 
 There is one min-sum loop, :func:`bp_marginals_batch`, which runs a
 list of independent problems side by side on their concatenated edges;
@@ -59,6 +64,10 @@ class DecodingError(RuntimeError):
 @dataclass
 class BPConfig:
     """Min-sum belief propagation settings.
+
+    BP stops at ``max_iters`` unless it converges first, or saturates:
+    every |LLR| at ``_LLR_CLIP``, as in the circuit-distance trials
+    (see :func:`_min_sum`).
 
     ``scale`` normalizes the check-to-variable messages.  Shot decodes
     keep the default 1.0: on bb144/12 at p = 0.001 BP then converges on
@@ -160,7 +169,10 @@ class BPOSDDecoder:
         """Run min-sum BP; returns (q, hard_decision, converged, iterations).
 
         q[j] estimates Pr[xi_j = 1]; converged means the hard decision
-        reproduced the syndrome exactly at some iteration.  A syndrome
+        reproduced the syndrome exactly at some iteration.  BP also stops,
+        unconverged, at the first iteration where every |LLR| has reached
+        ``_LLR_CLIP`` (q is then fixed by the LLRs' signs), or at its cap.
+        A syndrome
         bit on a check without edges can never be reproduced, so BP
         returns at once, unconverged, after 0 iterations.  This is
         :func:`bp_marginals_batch` on a batch of one.
@@ -331,6 +343,11 @@ class BPOSDDecoder:
 # problem with more edges runs by itself.
 _BATCH_EDGES = 1 << 17
 
+# q is computed from the LLRs clipped at this magnitude, where it is
+# 1/(1 + e^500) = 7.1e-218 or 1 minus that; a problem whose every |LLR|
+# has reached it stops (see _min_sum).
+_LLR_CLIP = 500.0
+
 
 def bp_marginals_batch(
     problems: Sequence[tuple[BPOSDDecoder, np.ndarray]],
@@ -342,8 +359,9 @@ def bp_marginals_batch(
     (see :meth:`BPOSDDecoder.bp_marginals`).  Each problem keeps its own
     matrix, priors, syndrome and iteration cap, and stops on its own:
     at the iteration where its hard decision reproduces its syndrome,
-    or at its cap.  A problem without edges, or with a syndrome bit on
-    a check without edges, returns at once, as in a lone run.
+    where every one of its |LLR| has reached ``_LLR_CLIP``, or at its
+    cap.  A problem without edges, or with a syndrome bit on a check
+    without edges, returns at once, as in a lone run.
 
     The problems' edges are concatenated, problem after problem, each in
     its decoder's check-major order, with variable ids offset past the
@@ -434,6 +452,15 @@ def _min_sum(
       edges, and negated again where the edge's own v2c is negative.
       Negation is exact, so two of them equal one negation by the
       parity of the other edges, zeros included.
+
+    A problem stops when it converges, at its cap, or, unconverged, at
+    the first iteration where every one of its variables has |LLR| at
+    least ``_LLR_CLIP``: its q, computed through that clip, is then
+    fixed by the LLRs' signs.  This third stop is not exact: later
+    iterations could still flip a sign.  It ends every circuit-distance
+    trial checked, all LLRs positive, while a variable with no edges,
+    or a shot decode or a code-level coset trial checked, keeps some
+    |LLR| well below it.
     """
     st = _Stack(items)
     c2v = np.zeros(st.edge_var.size)
@@ -467,14 +494,15 @@ def _min_sum(
         # nonempty check; the empty ones have zero bits
         wrong = np.bitwise_xor.reduceat((llr_edge < 0).view(np.uint8), ss) != st.syn_seg
         converged = ~np.logical_or.reduceat(wrong, st.seg_off)
-        stop = converged | (st.caps <= it)
+        # saturated: q, clipped at _LLR_CLIP, no longer depends on the LLRs' sizes
+        saturated = np.minimum.reduceat(np.abs(llr_total), st.var_off) >= _LLR_CLIP
+        stop = converged | saturated | (st.caps <= it)
         if not stop.any():
             continue
         for k in np.flatnonzero(stop):
             llr = llr_total[st.var_off[k] : st.var_off[k] + st.n_var[k]]
             hard = (llr < 0).astype(np.uint8)
-            with np.errstate(over="ignore"):
-                q = 1.0 / (1.0 + np.exp(np.clip(llr, -500, 500)))
+            q = 1.0 / (1.0 + np.exp(np.clip(llr, -_LLR_CLIP, _LLR_CLIP)))
             out[st.items[k][0]] = (q, hard, bool(converged[k]), it)
         if stop.all():
             return
@@ -685,6 +713,12 @@ def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> Dist
     of rows of L; any xi in ker D with eta . xi = 1 is an undetectable
     fault set with nontrivial logical action, so its weight bounds the
     circuit distance for this type.
+
+    BP saturates in these trials: every |LLR| passes ``_LLR_CLIP``, all
+    of them positive, near iteration 45 on bb72/6, 60 on bb144/12 and
+    78 on bb288/18, and BP stops there rather than at the cap of 300.
+    q is then one value on every column, so OSD ranks the columns in
+    index order and only eta differs between trials.
 
     Raises:
         ValueError: trials < 1.

@@ -126,6 +126,24 @@ def test_circuit_distance_golden(model):
     assert h.hexdigest() == DCIRC_SHA
 
 
+def test_circuit_distance_bp_stops_once_every_llr_is_clipped(model, monkeypatch):
+    # the first coset problem of DCIRC_SHA's trials: every |LLR| passes
+    # q's clip well before the cap, and q is then one value on every column
+    problems = []
+    build = decode._coset_problem
+
+    def recorded(kernel_mat, eta):
+        problems.append(build(kernel_mat, eta))
+        return problems[-1]
+
+    monkeypatch.setattr(decode, "_coset_problem", recorded)
+    circuit_distance_upper_bound(model.z, trials=1, seed=3)
+    dec, syndrome = problems[0]
+    q, _, converged, iters = dec.bp_marginals(syndrome)
+    assert not converged and iters < decode._DISTANCE_BP.max_iters
+    assert np.unique(q).size == 1
+
+
 def test_osd_runs_only_where_bp_fails(model, sides, monkeypatch):
     dec, D, _ = sides["z"]
     osd = BPOSDDecoder.osd_postprocess
@@ -383,8 +401,10 @@ def _min_sum_reference(dec, syndrome):
     edges (0 if there are none), scaled, and negated when the syndrome
     bit and the signs of those other edges have odd parity; each
     variable adds its messages from 0.0 in check order, then adds its
-    prior.  Returns BP's (q, hard, converged, iterations) and whether
-    any |v2c| exceeded the 1e30 clip.
+    prior.  BP stops when the hard decision reproduces the syndrome,
+    when every |LLR| has reached q's clip of 500, or at its cap.
+    Returns BP's (q, hard, converged, iterations) and whether any |v2c|
+    exceeded the 1e30 clip.
     """
     D = dec.matrix.to_dense().astype(np.int64)
     n = D.shape[1]
@@ -409,7 +429,8 @@ def _min_sum_reference(dec, syndrome):
         llr = [float(p) + x for p, x in zip(dec.prior_llr, sums)]
         hard = np.array([x < 0 for x in llr], dtype=np.uint8)
         converged = np.array_equal(D @ hard % 2, syndrome)
-        if converged or it == dec.bp_cfg.max_iters:
+        at_clip = min(abs(x) for x in llr) >= 500
+        if converged or at_clip or it == dec.bp_cfg.max_iters:
             q = 1.0 / (1.0 + np.exp(np.clip(np.array(llr), -500, 500)))
             return (q, hard, converged, it), saturated
 
@@ -454,11 +475,18 @@ def test_min_sum_reference_cases():
                               [0.1, 0.1, 0.3, 0.05], [1, 1, 0, 0], 30)
     # two groups of eight equal checks that disagree, sharing column 2:
     # the messages grow past the clip, and column 2's clipped messages of
-    # opposite signs cancel exactly, where unclipped ones would not
-    saturating = _problem([[1, 0, 1]] * 8 + [[0, 1, 1]] * 8, [0.1] * 3,
+    # opposite signs cancel exactly, where unclipped ones would not; the
+    # edge-free column 3 keeps its prior LLR, so BP runs to its cap
+    saturating = _problem([[1, 0, 1, 0]] * 8 + [[0, 1, 1, 0]] * 8, [0.1] * 4,
                           [1, 1, 0, 0, 0, 0, 0, 0] * 2, 105)
-    cases = [tied, lone_and_empty, saturating]
-    assert [_min_sum_reference(*case)[1] for case in cases] == [False, False, True]
+    # the same checks without column 3: every |LLR| reaches 500 at
+    # iteration 6, and BP stops there, unconverged
+    at_clip = _problem([[1, 0, 1]] * 8 + [[0, 1, 1]] * 8, [0.1] * 3,
+                       [1, 1, 0, 0, 0, 0, 0, 0] * 2, 105)
+    cases = [tied, lone_and_empty, saturating, at_clip]
+    results = [_min_sum_reference(*case) for case in cases]
+    assert [past_1e30 for _, past_1e30 in results] == [False, False, True, False]
+    assert [r[2:] for r, _ in results[2:]] == [(False, 105), (False, 6)]
     _assert_kernel_matches_reference(cases)
 
 
