@@ -169,13 +169,12 @@ class BPOSDDecoder:
         """Run min-sum BP; returns (q, hard_decision, converged, iterations).
 
         q[j] estimates Pr[xi_j = 1]; converged means the hard decision
-        reproduced the syndrome exactly at some iteration.  BP also stops,
-        unconverged, at the first iteration where every |LLR| has reached
-        ``_LLR_CLIP`` (q is then fixed by the LLRs' signs), or at its cap.
-        A syndrome
-        bit on a check without edges can never be reproduced, so BP
-        returns at once, unconverged, after 0 iterations.  This is
-        :func:`bp_marginals_batch` on a batch of one.
+        reproduced the syndrome exactly at some iteration.  BP also
+        stops, unconverged, at the first iteration where every |LLR| has
+        reached ``_LLR_CLIP`` (q is then fixed by the LLRs' signs), or
+        at its cap.  A syndrome bit on a check without edges can never
+        be reproduced, so BP returns at once, unconverged, after 0
+        iterations.  This is :func:`bp_marginals_batch` on a batch of one.
         """
         return bp_marginals_batch([(self, syndrome)])[0]
 
@@ -457,10 +456,10 @@ def _min_sum(
     the first iteration where every one of its variables has |LLR| at
     least ``_LLR_CLIP``: its q, computed through that clip, is then
     fixed by the LLRs' signs.  This third stop is not exact: later
-    iterations could still flip a sign.  It ends every circuit-distance
-    trial checked, all LLRs positive, while a variable with no edges,
-    or a shot decode or a code-level coset trial checked, keeps some
-    |LLR| well below it.
+    iterations could still flip a sign.  In every circuit-distance
+    trial checked it fires with all LLRs positive.  In the shot decodes
+    and code-level coset trials checked, some |LLR| stays well below
+    the clip, as does the prior LLR of a variable without edges.
     """
     st = _Stack(items)
     c2v = np.zeros(st.edge_var.size)
