@@ -9,7 +9,10 @@ has reached the clip through which its marginal is computed, so that
 the marginals depend only on the LLRs' signs; or at its iteration cap.
 Saturation ends the circuit-distance trials (near iteration 45 on
 bb72/6, 60 on bb144/12 and 78 on bb288/18, instead of at the cap of
-300); no shot decode or code-level coset trial checked saturates.
+300).  It never fired in the shot decodes checked, ``bbqec run`` on
+bb72/6 at p = 0.004 and on bb144/12 at p = 0.005 with BP caps of 100
+and of the default 10000, nor in the code-level coset trials checked,
+at their cap of 300.
 Only when BP does not converge does ordered-statistics post-processing
 solve the syndrome on the most likely information set and sweep single
 and paired flips of the excluded columns to lower the solution weight
@@ -66,8 +69,9 @@ class BPConfig:
     """Min-sum belief propagation settings.
 
     BP stops at ``max_iters`` unless it converges first, or saturates:
-    every |LLR| at ``_LLR_CLIP``, as in the circuit-distance trials
-    (see :func:`_min_sum`).
+    every |LLR| at ``_LLR_CLIP``, as in the circuit-distance trials.
+    The shot decodes checked never saturated, at caps of 100 and of the
+    default 10000 (see :func:`_min_sum`).
 
     ``scale`` normalizes the check-to-variable messages.  Shot decodes
     keep the default 1.0: on bb144/12 at p = 0.001 BP then converges on
@@ -457,9 +461,13 @@ def _min_sum(
     least ``_LLR_CLIP``: its q, computed through that clip, is then
     fixed by the LLRs' signs.  This third stop is not exact: later
     iterations could still flip a sign.  In every circuit-distance
-    trial checked it fires with all LLRs positive.  In the shot decodes
-    and code-level coset trials checked, some |LLR| stays well below
-    the clip, as does the prior LLR of a variable without edges.
+    trial checked it fires with all LLRs positive.  It never fired in
+    the shot decodes checked, ``bbqec run`` on bb72/6 at p = 0.004 and
+    on bb144/12 at p = 0.005 with BP caps of 100 and of the default
+    10000: there the smallest |LLR| of a side that ran to 10000 never
+    exceeded 5.5 at any iteration.  In the code-level coset trials
+    checked, at their cap of 300, it never exceeded 17.  The prior LLR
+    of a variable without edges also stays below the clip.
     """
     st = _Stack(items)
     c2v = np.zeros(st.edge_var.size)
