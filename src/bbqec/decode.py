@@ -37,6 +37,16 @@ the flips of unit-weight problems (the distance trials) by popcount on
 the packed reduced rows, which gives the same weights as the float
 products exactly.
 
+The trials on one matrix share its elimination.  ``BinMatrix.rref``
+caches its default-order result, whose R is shared and never written
+to.  A coset problem's OSD, whose matrix is that matrix with one extra
+row eta, adds eta's row to the cached RREF instead of eliminating the
+whole matrix, whenever BP leaves the columns in index order, the
+cache's order.  Saturated BP does so in every circuit-distance trial
+checked.  The update is exact: under a fixed column order the RREF of
+a row space is unique, so it gives the full elimination's output byte
+for byte.  Shot decodes never take it.
+
 The same machinery doubles as a randomized upper bound on code and
 circuit distance: minimize a solution weight subject to anticommuting
 with a random logical operator.
@@ -45,6 +55,7 @@ with a random logical operator.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import combinations, count
@@ -52,7 +63,7 @@ from itertools import combinations, count
 import numpy as np
 
 from .code import BBCode
-from .gf2 import BinMatrix, BinVector, in_rref_rowspace, int_rows, unpack_bits
+from .gf2 import WORD, BinMatrix, BinVector, bit_masks, int_rows, nwords, unpack_bits
 
 PRIOR_FLOOR = 1e-12
 # Excluded columns scored per product in OSD's single-flip sweep; bounds
@@ -604,36 +615,99 @@ def descend_modulo_rows(v: BinVector, mat: BinMatrix) -> BinVector:
 
 
 def _random_kernel_logical(
-    rng: np.random.Generator, kernel_basis: BinMatrix, rowspace_rref: tuple[BinMatrix, list[int]]
+    rng: np.random.Generator, kernel_basis: BinMatrix, rowspace: BinMatrix
 ) -> BinVector:
     """Uniform element of ker \\ rowspace by rejection sampling.
 
-    The row space is given as its matrix's ``rref()``, computed once
-    for all trials.
+    ``rowspace`` is the matrix whose row space is excluded; its cached
+    RREF serves every draw.
     """
     for _ in range(10000):
         coeff = rng.integers(0, 2, kernel_basis.rows, dtype=np.uint8)
         if not coeff.any():
             continue
         eta = BinMatrix.from_dense(coeff).mul_mat(kernel_basis).row(0)
-        if not in_rref_rowspace(*rowspace_rref, eta):
+        if not rowspace.in_rowspace(eta):
             return eta
     raise RuntimeError("could not sample a logical representative")
 
 
-def _coset_problem(kernel_mat: BinMatrix, eta: BinVector) -> tuple[BPOSDDecoder, np.ndarray]:
-    """Decoder and syndrome of |xi| minimization with kernel_mat xi = 0, eta . xi = 1.
+class _CosetDecoder(BPOSDDecoder):
+    """The decoder of one coset problem: xi in ker kernel_mat with eta . xi = 1.
 
-    The row supports of kernel_mat are built once, on its first trial,
-    and carried over to each stacked matrix for the decoder's edges.
+    Its matrix is [kernel_mat; eta] and its syndrome e_last; every
+    column has prior 0.01 and log weight 1.  OSD's elimination starts
+    from kernel_mat's cached RREF where it can (:meth:`_reduce`), so the
+    trials on one matrix eliminate it once.  The row supports of
+    kernel_mat are built on its first trial and carried over to each
+    stacked matrix for the decoder's edges.
     """
-    kernel_mat.row_supports()
-    stacked = kernel_mat.append_row(eta)
-    syndrome = np.zeros(stacked.rows, dtype=np.uint8)
+
+    def __init__(self, kernel_mat: BinMatrix, eta: BinVector):
+        kernel_mat.row_supports()
+        stacked = kernel_mat.append_row(eta)
+        super().__init__(stacked, np.full(stacked.cols, 0.01), bp=_DISTANCE_BP,
+                         osd=_DISTANCE_OSD, log_weights=np.ones(stacked.cols))
+        self.kernel_mat, self.eta = kernel_mat, eta
+
+    def _reduce(self, syndrome: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:
+        """OSD's elimination, as one row added to kernel_mat's RREF.
+
+        The update needs the syndrome e_last and the index order: q must
+        never rise along the columns, so that ``argsort(-q, stable)`` is
+        0..n-1, the order in which ``rref`` caches its result.  In the
+        circuit-distance trials BP saturates and q is one value on every
+        column, so every trial takes it.  Any other input, every shot
+        decode among them, runs :meth:`BPOSDDecoder._reduce`.
+
+        eta is reduced by the RREF rows at its pivot bits, and the first
+        set column of the result is the new pivot.  The new row, with
+        syndrome bit 1, is XORed into the rows set at that column, which
+        puts their syndrome bits at 1, and inserted in pivot order.  The
+        result is the RREF of [kernel_mat; eta | e_last] under the index
+        order: its rows are the one basis of that row space with an
+        identity at its pivot columns, and with the syndrome in the
+        column space every row of the full elimination below them is
+        zero.  So red_t, pivots and nonpivot equal that elimination's
+        byte for byte.
+
+        Raises:
+            DecodingError: eta lies in the row space of kernel_mat, so
+                the syndrome is not in the column space.
+        """
+        syndrome = np.asarray(syndrome, dtype=np.uint8)
+        if not syndrome[-1] or syndrome[:-1].any() or (np.diff(q) > 0).any():
+            return super()._reduce(syndrome, q)
+        n = self.matrix.cols
+        R, kernel_pivots = self.kernel_mat.rref()
+        rank = len(kernel_pivots)
+        rows = R.words[:rank]
+        word, mask = bit_masks(kernel_pivots)
+        new = self.eta.words ^ np.bitwise_xor.reduce(rows[(self.eta.words[word] & mask) != 0], axis=0)
+        if not new.any():
+            raise DecodingError("syndrome is not in the column space of D")
+        k = int(np.flatnonzero(new)[0])
+        low = int(new[k]) & -int(new[k])
+        col = k * WORD + low.bit_length() - 1  # the new pivot
+        at = bisect_left(kernel_pivots, col)  # its row, in pivot order
+        W = np.zeros((rank + 1, nwords(n + 1)), dtype=np.uint64)
+        W[:, : new.size] = np.insert(rows, at, new, axis=0)
+        W[at, n // WORD] |= np.uint64(1) << np.uint64(n % WORD)
+        hit = np.flatnonzero(W[:, k] & np.uint64(low))
+        hit = hit[hit != at]
+        W[hit] ^= W[at]
+        red_t = BinMatrix(rank + 1, n + 1, W).transpose().words
+        pivots = np.insert(np.array(kernel_pivots, dtype=np.int64), at, col)
+        is_pivot = np.zeros(n, dtype=bool)
+        is_pivot[pivots] = True
+        return red_t, pivots, np.flatnonzero(~is_pivot)
+
+
+def _coset_problem(kernel_mat: BinMatrix, eta: BinVector) -> tuple[BPOSDDecoder, np.ndarray]:
+    """Decoder and syndrome of |xi| minimization with kernel_mat xi = 0, eta . xi = 1."""
+    dec = _CosetDecoder(kernel_mat, eta)
+    syndrome = np.zeros(dec.matrix.rows, dtype=np.uint8)
     syndrome[-1] = 1
-    priors = np.full(stacked.cols, 0.01)
-    dec = BPOSDDecoder(stacked, priors, bp=_DISTANCE_BP, osd=_DISTANCE_OSD,
-                       log_weights=np.ones(stacked.cols))
     return dec, syndrome
 
 
@@ -654,8 +728,7 @@ def coset_minimum_trials(
     each decode then finishes from its own marginals.
     """
     kernel_basis = BinMatrix.from_rows(dual.nullspace_basis())
-    rowspace_rref = kernel_mat.rref()
-    etas = [reduce_weight_modulo_rows(_random_kernel_logical(rng, kernel_basis, rowspace_rref),
+    etas = [reduce_weight_modulo_rows(_random_kernel_logical(rng, kernel_basis, kernel_mat),
                                       kernel_mat)
             for _ in range(trials)]
     xis: list[BinVector] = []
@@ -725,10 +798,14 @@ def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> Dist
     of them positive, near iteration 45 on bb72/6, 60 on bb144/12 and
     78 on bb288/18, and BP stops there rather than at the cap of 300.
     q is then one value on every column, so OSD ranks the columns in
-    index order and only eta differs between trials.
+    index order and only eta differs between trials.  That is the order
+    of D's cached RREF, so OSD adds eta's row to it
+    (``_CosetDecoder._reduce``) instead of eliminating [D; eta]: D is
+    eliminated once per model, not once per trial.
 
     Raises:
-        ValueError: trials < 1.
+        ValueError: trials < 1, or L has no rows, so that no eta has a
+            logical part.
         DecodingError: a trial's witness is not in ker D or has
             eta . xi = 0.
     """
@@ -736,6 +813,8 @@ def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> Dist
         raise ValueError("need at least one trial")
     D: BinMatrix = side_model.readout_matrix
     L: BinMatrix = side_model.logical
+    if L.rows == 0:
+        raise ValueError("the side model has no logical rows")
     LD = L.stack(D)
     rng = np.random.default_rng(seed)
 
@@ -791,8 +870,6 @@ def exact_distance_small(
     if est > ENUMERATION_BUDGET:
         raise BudgetExceeded(f"enumeration estimate {est:.2e} above {ENUMERATION_BUDGET:.2e}")
 
-    rs_rref = rs_mat.rref()
-
     # column j of kernel_mat as an integer, bit i = row i
     cols = int_rows(kernel_mat.transpose().words)
 
@@ -830,7 +907,7 @@ def exact_distance_small(
                     v = BinVector.from_support(n, support)
                     if v.key() in seen:
                         continue
-                    if not in_rref_rowspace(*rs_rref, v):
+                    if not rs_mat.in_rowspace(v):
                         seen.add(v.key())
                         witnesses.append(v)
                         if best is None or w < best:

@@ -15,7 +15,12 @@ the last pivot, once the rows below it are zero; in a nearly uniform
 order that pivot comes near the end, after thousands of dependent
 columns.  Those are skipped in look-ahead blocks: one indexed gather
 tests many columns of the order against the rows still below, since
-those rows do not change between pivots.  ``BinMatrix.transpose``
+those rows do not change between pivots.  The default-order RREF is
+cached on its matrix and shared, read-only, by every caller; so the
+distance trials eliminate D once per model, and each trial adds its
+extra row to that RREF instead of eliminating [D; eta] again, which is
+exact because the RREF of a row space under a fixed column order is
+unique (``decode._CosetDecoder``).  ``BinMatrix.transpose``
 works on whole bytes, swapping 8 x 8 bit blocks held in one ``uint64``
 each, and never unpacks a bit to a byte.  A sorted
 column-index-per-row sparse view is derived on demand for
@@ -166,9 +171,11 @@ class BinMatrix:
 
     Immutable by convention once built: elimination-style routines work
     on private copies, so instances can be shared freely across threads.
+    The sparse row view and the default-order ``rref`` are cached on the
+    instance the first time they are asked for.
     """
 
-    __slots__ = ("rows", "cols", "words", "_row_supports")
+    __slots__ = ("rows", "cols", "words", "_row_supports", "_rref")
 
     def __init__(self, rows: int, cols: int, words: np.ndarray | None = None):
         self.rows = int(rows)
@@ -177,6 +184,7 @@ class BinMatrix:
             words = np.zeros((self.rows, nwords(self.cols)), dtype=np.uint64)
         self.words = words
         self._row_supports = None
+        self._rref = None
 
     # -- construction -------------------------------------------------
 
@@ -344,12 +352,22 @@ class BinMatrix:
         there; a rank-deficient matrix thus stops a few blocks past its
         last pivot instead of trying every column.
 
+        The default order's result is cached on the instance, so a
+        matrix is eliminated once however often its rank, kernel, row
+        space or RREF is asked for: the circuit-distance trials reduce
+        each trial's OSD matrix [D; eta] from D's one RREF.  That R and
+        its pivot list are shared by every caller: R's words are
+        read-only, and neither may be written to.  An explicit
+        ``pivot_order`` is eliminated afresh on every call.
+
         Returns:
-            (R, pivot_cols): R is a new BinMatrix in RREF; pivot_cols
-            lists the pivot columns in the order they were picked, so
-            row i of R has its pivot at pivot_cols[i] (length = rank
-            when every column is eligible).
+            (R, pivot_cols): R is a BinMatrix in RREF; pivot_cols lists
+            the pivot columns in the order they were picked, so row i of
+            R has its pivot at pivot_cols[i] (length = rank when every
+            column is eligible).
         """
+        if pivot_order is None and self._rref is not None:
+            return self._rref
         W = self.words.copy()
         rows = self.rows
         order = np.arange(self.cols) if pivot_order is None else np.asarray(pivot_order)
@@ -371,7 +389,11 @@ class BinMatrix:
             pivot_cols.append(int(order[i]))
             i += 1
             pr += 1
-        return BinMatrix(rows, self.cols, W), pivot_cols
+        R = BinMatrix(rows, self.cols, W)
+        if pivot_order is None:
+            W.flags.writeable = False
+            self._rref = R, pivot_cols
+        return R, pivot_cols
 
     def rank(self) -> int:
         """GF(2) rank via Gaussian elimination."""

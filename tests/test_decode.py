@@ -144,6 +144,115 @@ def test_circuit_distance_bp_stops_once_every_llr_is_clipped(model, monkeypatch)
     assert np.unique(q).size == 1
 
 
+def _no_elimination(*args, **kwargs):
+    raise AssertionError("the one-row update eliminated the stacked matrix")
+
+
+def _arrays(reduced) -> list:
+    return [(a.dtype, a.shape, a.tobytes()) for a in reduced]
+
+
+def _assert_update_equals_elimination(dec, syndrome, q, monkeypatch):
+    """The coset decoder's _reduce takes the one-row update, with no
+    elimination of the stacked matrix, and equals the full one byte for byte."""
+    with monkeypatch.context() as m:
+        m.setattr(BinMatrix, "append_col", _no_elimination)
+        got = dec._reduce(syndrome, q)
+    assert _arrays(got) == _arrays(BPOSDDecoder._reduce(dec, syndrome, q))
+    return got
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_coset_update_equals_the_elimination_on_circuit_trials(model, side, monkeypatch):
+    # circuit_distance_upper_bound's problems, with q from BP: one value on every column
+    sm = getattr(model, side)
+    D, L = sm.readout_matrix, sm.logical
+    LD = L.stack(D)
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        coeff = rng.integers(0, 2, LD.rows, dtype=np.uint8)
+        coeff[0] = 1  # a nonzero logical part
+        eta = BinMatrix.from_dense(coeff).mul_mat(LD).row(0)
+        dec, syndrome = decode._coset_problem(D, eta)
+        q = dec.bp_marginals(syndrome)[0]
+        assert np.unique(q).size == 1
+        _assert_update_equals_elimination(dec, syndrome, q, monkeypatch)
+    # a row of D has no logical part: no solution, on either path
+    dec, syndrome = decode._coset_problem(D, D.row(5))
+    q = np.full(D.cols, 0.5)
+    with monkeypatch.context() as m, pytest.raises(DecodingError):
+        m.setattr(BinMatrix, "append_col", _no_elimination)
+        dec._reduce(syndrome, q)
+    with pytest.raises(DecodingError):
+        BPOSDDecoder._reduce(dec, syndrome, q)
+
+
+def test_coset_update_equals_the_elimination_on_random_matrices(monkeypatch):
+    rng = np.random.default_rng(41)
+    places = set()
+    for trial in range(60):
+        rows, cols = int(rng.integers(1, 40)), int(rng.choice([6, 63, 64, 65, 128, 150]))
+        if trial % 2:  # rank below the row count: a low-rank product, one row zeroed
+            k = int(rng.integers(1, min(rows, cols) + 1))
+            dense = rng.integers(0, 2, (rows, k)) @ rng.integers(0, 2, (k, cols)) % 2
+            dense[rng.integers(rows)] = 0
+        else:
+            dense = rng.integers(0, 2, size=(rows, cols))
+        dense[:, : int(rng.integers(0, 3))] = 0  # free columns before the first pivot
+        kernel_mat = BinMatrix.from_dense(dense)
+        pivots = kernel_mat.rref()[1]
+        free = np.setdiff1d(np.arange(cols), pivots)
+        # eta: a combination of the rows, plus e_c at a free column c and
+        # random bits at the free columns after it, so that c is the new pivot
+        eta = rng.integers(0, 2, rows) @ dense % 2
+        q = np.full(cols, 0.3) if trial % 3 else np.linspace(0.4, 0.1, cols)  # both index order
+        if free.size:
+            c = int(rng.choice(free))
+            eta[c] ^= 1
+            later = free[free > c]
+            eta[later] ^= rng.integers(0, 2, later.size)
+            places.add("before" if not pivots or c < pivots[0]
+                       else "after" if c > pivots[-1] else "between")
+        dec, syndrome = decode._coset_problem(kernel_mat, BinVector.from_bits(eta))
+        if not free.size:  # eta in the row space: no solution, on either path
+            with monkeypatch.context() as m, pytest.raises(DecodingError):
+                m.setattr(BinMatrix, "append_col", _no_elimination)
+                dec._reduce(syndrome, q)
+            with pytest.raises(DecodingError):
+                BPOSDDecoder._reduce(dec, syndrome, q)
+            places.add("row space")
+            continue
+        assert _assert_update_equals_elimination(dec, syndrome, q, monkeypatch)[1].size == len(pivots) + 1
+    assert places == {"before", "between", "after", "row space"}
+
+
+def test_coset_update_falls_back_outside_the_index_order(monkeypatch):
+    code = catalog_code("bb72")
+    kernel_basis = BinMatrix.from_rows(code.hx.nullspace_basis())
+    eta = decode._random_kernel_logical(np.random.default_rng(3), kernel_basis, code.hz)
+    dec, syndrome = decode._coset_problem(code.hz, eta)
+    calls = []
+    append_col = BinMatrix.append_col
+
+    def counted(self, bits):
+        calls.append(1)
+        return append_col(self, bits)
+
+    monkeypatch.setattr(BinMatrix, "append_col", counted)
+    q = np.full(code.n, 0.2)
+    rises = q.copy()
+    rises[40] = 0.3  # column 40 ranks first: not the index order
+    x = np.zeros(code.n, dtype=np.uint8)
+    x[[3, 30, 60]] = 1  # a syndrome other than e_last
+    for q_in, syndrome_in, full in ((q, syndrome, 0), (rises, syndrome, 1),
+                                    (q, dec._syndrome_of(x), 1)):
+        got = dec._reduce(syndrome_in, q_in)
+        assert len(calls) == full
+        assert _arrays(got) == _arrays(BPOSDDecoder._reduce(dec, syndrome_in, q_in))
+        calls.clear()
+    assert dec._reduce(syndrome, rises)[1][0] == 40
+
+
 def test_osd_runs_only_where_bp_fails(model, sides, monkeypatch):
     dec, D, _ = sides["z"]
     osd = BPOSDDecoder.osd_postprocess
@@ -178,7 +287,7 @@ def test_unit_weight_flips_are_scored_by_popcount(model):
     code = catalog_code("bb72")
     kernel_basis = BinMatrix.from_rows(code.hx.nullspace_basis())
     rng = np.random.default_rng(4)
-    etas = [decode._random_kernel_logical(rng, kernel_basis, code.hz.rref()) for _ in range(2)]
+    etas = [decode._random_kernel_logical(rng, kernel_basis, code.hz) for _ in range(2)]
     problems = [decode._coset_problem(code.hz, eta) for eta in etas]
     # and so has a circuit-distance trial's
     eta = model.z.logical.to_dense()[0] ^ model.z.matrix.to_dense()[3]
@@ -270,6 +379,14 @@ def test_distance_bounds_need_a_trial(model):
         circuit_distance_upper_bound(model.z, trials=0)
 
 
+def test_circuit_distance_needs_a_logical_row():
+    # with no row of L no eta has a logical part, and drawing one would never end
+    side = SimpleNamespace(readout_matrix=BinMatrix.from_dense([[1, 1, 0]]),
+                           logical=BinMatrix(0, 3))
+    with pytest.raises(ValueError, match="no logical rows"):
+        circuit_distance_upper_bound(side, trials=1)
+
+
 def test_bp_config_rejects_a_scale_outside_the_unit_interval():
     for bad in (0.0, -0.5, 1.0 + 1e-12, 2.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="scale"):
@@ -323,7 +440,7 @@ def mixed_problems(model, sides):
     cols = np.random.default_rng(14).choice(D.shape[1], size=8, replace=False)
     code = catalog_code("bb72")
     kernel_basis = BinMatrix.from_rows(code.hx.nullspace_basis())
-    eta = decode._random_kernel_logical(np.random.default_rng(2), kernel_basis, code.hz.rref())
+    eta = decode._random_kernel_logical(np.random.default_rng(2), kernel_basis, code.hz)
     tied = BPOSDDecoder(BinMatrix.from_dense([[1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 0, 1]]),
                         np.full(4, 0.2))
     empty_row = BPOSDDecoder(BinMatrix.from_dense([[1, 1, 0], [0, 0, 0]]), np.full(3, 0.1))

@@ -205,6 +205,30 @@ def test_rref_of_zero_matrix_and_empty_order():
     assert pivots == [] and np.array_equal(R.to_dense(), dense)
 
 
+def test_default_rref_is_eliminated_once_and_shared(monkeypatch):
+    dense = rank_deficient(np.random.default_rng(43), 30, 200)
+    m = BinMatrix.from_dense(dense)
+    R, pivots = m.rref()
+    R_ref, pivots_ref = rref_reference(dense)
+    assert np.array_equal(R.to_dense(), R_ref) and pivots == pivots_ref
+    assert not R.words.flags.writeable
+
+    def eliminates(*args):
+        raise AssertionError("the default order was eliminated again")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(gf2, "_next_pivot", eliminates)
+        again = m.rref()
+        assert again[0] is R and again[1] is pivots
+        assert m.rank() == len(pivots) and m.in_rowspace(m.row(4) ^ m.row(9))
+    # an explicit order is eliminated on every call, and leaves the cache as it was
+    order = np.arange(200)[::-1]
+    R_rev, pivots_rev = m.rref(pivot_order=order)
+    R_ref, pivots_ref = rref_reference(dense, order)
+    assert np.array_equal(R_rev.to_dense(), R_ref) and pivots_rev == pivots_ref
+    assert R_rev.words.flags.writeable and m.rref()[0] is R
+
+
 @pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 63, 64, 65])
 def test_transpose_matches_dense_transpose(rows):
     rng = np.random.default_rng(rows)
