@@ -63,7 +63,7 @@ from itertools import combinations, count
 import numpy as np
 
 from .code import BBCode
-from .gf2 import WORD, BinMatrix, BinVector, bit_masks, int_rows, nwords, unpack_bits
+from .gf2 import WORD, BinMatrix, BinVector, int_rows, nwords, unpack_bits
 
 PRIOR_FLOOR = 1e-12
 # Excluded columns scored per product in OSD's single-flip sweep; bounds
@@ -682,8 +682,7 @@ class _CosetDecoder(BPOSDDecoder):
         R, kernel_pivots = self.kernel_mat.rref()
         rank = len(kernel_pivots)
         rows = R.words[:rank]
-        word, mask = bit_masks(kernel_pivots)
-        new = self.eta.words ^ np.bitwise_xor.reduce(rows[(self.eta.words[word] & mask) != 0], axis=0)
+        new = self.kernel_mat.row_residue(self.eta)
         if not new.any():
             raise DecodingError("syndrome is not in the column space of D")
         k = int(np.flatnonzero(new)[0])

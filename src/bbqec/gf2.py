@@ -412,9 +412,23 @@ class BinMatrix:
         basis[:, pivots] = R.to_dense()[: len(pivots), free].T
         return [BinVector.from_bits(v) for v in basis]
 
+    def row_residue(self, v: BinVector) -> np.ndarray:
+        """The words of v reduced modulo the row space, by the cached RREF.
+
+        Each pivot column of R is zero outside its pivot row, so XORing
+        into v the rows whose pivot bit v has set clears every pivot bit
+        of v.  The result is zero exactly when v lies in the row space.
+        """
+        if v.n != self.cols:
+            raise ValueError("length mismatch")
+        R, pivot_cols = self.rref()
+        words, masks = bit_masks(pivot_cols)
+        picked = (v.words[words] & masks) != 0
+        return v.words ^ np.bitwise_xor.reduce(R.words[: len(pivot_cols)][picked], axis=0)
+
     def in_rowspace(self, v: BinVector) -> bool:
         """True iff v is a GF(2) combination of the rows of M."""
-        return in_rref_rowspace(*self.rref(), v)
+        return not self.row_residue(v).any()
 
 
 def _next_pivot(
@@ -449,18 +463,3 @@ def _next_pivot(
         if span == 4 * first_span and not W[pr:].any():
             break
     return word.size, -1
-
-
-def in_rref_rowspace(R: BinMatrix, pivot_cols: list[int], v: BinVector) -> bool:
-    """True iff v lies in the row space of R, given as ``rref()`` returns it.
-
-    Each pivot column of R is zero outside its pivot row, so the only
-    combination that can equal v is the XOR of the rows whose pivot bit
-    v has set.
-    """
-    if v.n != R.cols:
-        raise ValueError("length mismatch")
-    words, masks = bit_masks(pivot_cols)
-    picked = (v.words[words] & masks) != 0
-    combination = np.bitwise_xor.reduce(R.words[: len(pivot_cols)][picked], axis=0)
-    return bool(np.array_equal(combination, v.words))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbqec import gf2
-from bbqec.gf2 import BinMatrix, BinVector, bit_masks, in_rref_rowspace
+from bbqec.gf2 import BinMatrix, BinVector, bit_masks
 
 
 def rref_reference(a: np.ndarray, order=None) -> tuple[np.ndarray, list[int]]:
@@ -285,7 +285,13 @@ def test_rowbasis_incremental():
     R, pivots = m.rref()
     assert len(pivots) == m.rank()
     comb = m.row(0) ^ m.row(7) ^ m.row(19)
-    assert in_rref_rowspace(R, pivots, comb)
+    assert not m.row_residue(comb).any()
+    # the residue of any v is zero at every pivot, and differs from v by a row combination
+    for _ in range(10):
+        v = BinVector.from_bits(rng.integers(0, 2, 50, dtype=np.uint8))
+        residue = BinVector(50, m.row_residue(v))
+        assert not residue.to_bits()[pivots].any()
+        assert m.in_rowspace(v ^ residue)
 
 
 def test_sparse_and_dense_views_agree():
