@@ -194,15 +194,19 @@ def build_sm_circuit(
         base = (t - 1) * 8
         for r in range(1, 8):
             rid = base + r
-            for layer in schedule.rounds[r - 1]:
+            layers = schedule.rounds[r - 1]
+            for layer in layers:
                 ctrl, tgt = layer_gates(code, layer)
                 add(Step(kind="cnot", round_id=rid, qubits=ctrl, targets=tgt))
             if r == 1:
                 add(Step(kind="init", round_id=rid, qubits=reg["X"], basis="X"))
-                add(Step(kind="idle", round_id=rid, qubits=reg["L"]))
             if r == 7:
                 add(Step(kind="meas", round_id=rid, qubits=reg["Z"], basis="Z", meas_slot=t - 1))
-                add(Step(kind="idle", round_id=rid, qubits=reg["R"]))
+            # a data register no layer of the round touches idles: in
+            # rounds 1 and 7 the lone layer's family decides which
+            busy = {name for layer in layers for name in layer.registers()}
+            for name in sorted({"L", "R"} - busy):
+                add(Step(kind="idle", round_id=rid, qubits=reg[name]))
         rid = base + 8
         add(Step(kind="meas", round_id=rid, qubits=reg["X"], basis="X", meas_slot=t - 1))
         if t < n_cycles:

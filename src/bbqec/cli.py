@@ -4,12 +4,12 @@
 
 builds the code, its logical basis, the syndrome circuit with N_c
 cycles and the detector model at p.  It then samples ``SAMPLE_BATCH``
-shots per call, runs BP on each side of a batch side by side
-(``bp_marginals_batch``) and finishes every side with
-``BPOSDDecoder.decode``, which runs OSD where BP did not converge.  A
-side fails when its decoded logical action differs from the sampled
-one, and a shot fails when either side does.  Shots are keyed by
-(seed, shot index), so no result depends on the batch size.
+shots per call and decodes each side of each shot on its own:
+``BPOSDDecoder.bp_marginals``, then ``BPOSDDecoder.decode``, which runs
+OSD where BP did not converge.  A side fails when its decoded logical
+action differs from the sampled one, and a shot fails when either side
+does.  Shots are keyed by (seed, shot index), so no result depends on
+the batch size.
 
 The flag ``--bp-iters`` sets ``BPConfig.max_iters``; left out, it keeps
 the field's default.  One JSON report goes to standard output: the
@@ -39,7 +39,7 @@ import numpy as np
 
 from .circuit import build_sm_circuit
 from .code import CODE_CATALOG, catalog_code
-from .decode import BPConfig, BPOSDDecoder, OSDConfig, bp_marginals_batch
+from .decode import BPConfig, BPOSDDecoder, OSDConfig
 from .logical import find_basis_polynomials
 from .noise import build_detector_model, sample_circuit_noise
 
@@ -100,13 +100,13 @@ def run(code_name: str, cycles: int, p: float, shots: int, seed: int, bp: BPConf
         for side, dec in decoders.items():
             syndromes = getattr(batch, f"{side}_syndromes")
             truth = getattr(batch, f"logical_{side}")
-            t0 = time.perf_counter()
-            marginals = bp_marginals_batch([(dec, s) for s in syndromes])
-            t1 = time.perf_counter()
-            outs = [dec.decode(s, m) for s, m in zip(syndromes, marginals)]
-            seconds["osd"] += time.perf_counter() - t1
-            seconds["bp"] += t1 - t0
-            for j, out in enumerate(outs):
+            for j, s in enumerate(syndromes):
+                t0 = time.perf_counter()
+                marginals = dec.bp_marginals(s)
+                t1 = time.perf_counter()
+                out = dec.decode(s, marginals)
+                seconds["osd"] += time.perf_counter() - t1
+                seconds["bp"] += t1 - t0
                 failed[side][lo + j] = not np.array_equal(out.logical.to_bits(), truth[j])
                 iterations[out.iterations] += 1
                 converged += out.converged

@@ -19,17 +19,18 @@ and paired flips of the excluded columns to lower the solution weight
 (Panteleev-Kalachev, arXiv:1904.02703; Roffe et al., arXiv:2005.07016).
 
 There is one min-sum loop, :func:`bp_marginals_batch`, which runs a
-list of independent problems side by side on their concatenated edges;
-a lone decode is its batch of one.  Small problems, such as the
-distance trials of the logical-basis search (about 460 edges each on
-bb144), are bound by per-call overhead, so running 40 of them in one
-set of array passes cuts their BP time about threefold; a large
-problem is bound by its passes over the edges, and gains nothing.
-Every batched result is byte-identical to a lone run, because each
-variable's message sum keeps its terms in the same order.
+stack of independent problems with one ``BPConfig`` side by side on
+their concatenated edges; a lone decode is a stack of one.  Only the
+code-level coset searches stack: their problems (about 460 edges each
+on bb144) are bound by per-call overhead, so :func:`coset_minimum_trials`
+runs up to ``_BATCH_EDGES`` edges of them in one set of array passes,
+about a third of their lone BP time.  Shots and circuit-distance trials,
+bound by their passes over tens of thousands of edges, decode alone:
+stacked shots took 2.9 against 2.6 ms a side on bb144/12.  A stacked
+result is byte-identical to a lone run.
 
 An iteration is a fixed set of full passes over the edges, so its cost
-is their count; :func:`_min_sum` keeps it low by computing the
+is their count; :func:`bp_marginals_batch` keeps it low by computing the
 minima, clip, scale and sign of each check once per check rather than
 once per edge.  Each of those rewrites is exact, so messages, marginals
 and iteration counts are those of the plain per-edge rule.  OSD scores
@@ -82,7 +83,7 @@ class BPConfig:
     BP stops at ``max_iters`` unless it converges first, or saturates:
     every |LLR| at ``_LLR_CLIP``, as in the circuit-distance trials.
     The shot decodes checked never saturated, at caps of 100 and of the
-    default 10000 (see :func:`_min_sum`).
+    default 10000 (see :func:`bp_marginals_batch`).
 
     ``scale`` normalizes the check-to-variable messages.  Shot decodes
     keep the default 1.0: on bb144/12 at p = 0.001 BP then converges on
@@ -189,7 +190,9 @@ class BPOSDDecoder:
         reached ``_LLR_CLIP`` (q is then fixed by the LLRs' signs), or
         at its cap.  A syndrome bit on a check without edges can never
         be reproduced, so BP returns at once, unconverged, after 0
-        iterations.  This is :func:`bp_marginals_batch` on a batch of one.
+        iterations.  This is :func:`bp_marginals_batch` on a stack of one,
+        the way shot decodes and circuit-distance trials run: stacking
+        them gains nothing (see the module docstring).
         """
         return bp_marginals_batch([(self, syndrome)])[0]
 
@@ -331,8 +334,8 @@ class BPOSDDecoder:
         A converged side returns BP's hard decision; an unconverged one
         returns the OSD solution.  Either way the solution satisfies
         D xi = s, which is checked before returning.  ``marginals``, if
-        given, is this syndrome's BP result from
-        :func:`bp_marginals_batch`, and BP does not run again.
+        given, is this syndrome's BP result, from :meth:`bp_marginals` or
+        a stack of :func:`bp_marginals_batch`, and BP does not run again.
         """
         syndrome = np.asarray(syndrome, dtype=np.uint8)
         if marginals is None:
@@ -350,16 +353,15 @@ class BPOSDDecoder:
 # Min-sum on a stack of independent problems
 # ---------------------------------------------------------------------------
 
-# Edges one min-sum batch may hold.  Measured with tracemalloc, a run
-# peaks at about 54 bytes an edge on a lone bb144/12 side and about 72
-# on a batch of 40 small coset problems, whose stack is rebuilt as
-# problems stop; so a batch's working set stays under 10 MB.  A lone
-# problem with more edges runs by itself.
+# Edges one stack of coset problems may hold (coset_minimum_trials).
+# Measured with tracemalloc, a run peaks at about 54 bytes an edge on a
+# lone bb144/12 side and about 72 on a stack of 40 small coset problems,
+# so a stack's working set stays under 10 MB.
 _BATCH_EDGES = 1 << 17
 
 # q is computed from the LLRs clipped at this magnitude, where it is
 # 1/(1 + e^500) = 7.1e-218 or 1 minus that; a problem whose every |LLR|
-# has reached it stops (see _min_sum).
+# has reached it stops (see bp_marginals_batch).
 _LLR_CLIP = 500.0
 
 
@@ -370,89 +372,29 @@ def bp_marginals_batch(
 
     Returns each problem's (q, hard_decision, converged, iterations), in
     input order, byte for byte what a lone run of that problem returns
-    (see :meth:`BPOSDDecoder.bp_marginals`).  Each problem keeps its own
-    matrix, priors, syndrome and iteration cap, and stops on its own:
-    at the iteration where its hard decision reproduces its syndrome,
-    where every one of its |LLR| has reached ``_LLR_CLIP``, or at its
-    cap.  A problem without edges, or with a syndrome bit on a check
-    without edges, returns at once, as in a lone run.
+    (see :meth:`BPOSDDecoder.bp_marginals`).  The problems share one
+    ``BPConfig``; each keeps its own matrix, priors and syndrome.  A
+    problem without edges, or with a syndrome bit on a check without
+    edges, returns at once, as in a lone run.  The caller bounds the
+    stack's edges: all of them are held at once.
 
     The problems' edges are concatenated, problem after problem, each in
     its decoder's check-major order, with variable ids offset past the
     earlier problems' columns.  Every step of an iteration is then
     elementwise, a reduction over one check's edges, or a per-variable
     sum that ``np.bincount`` adds in edge order, so each variable's sum
-    takes the same terms in the same order as in a lone run.  That is
-    why the results are byte-identical.  A problem's edges leave the
-    arrays once it stops.  Consecutive problems share a batch up to
-    ``_BATCH_EDGES`` edges, counted before anything is allocated.
-
-    Raises:
-        ValueError: a syndrome's length differs from its matrix's row count.
-    """
-    out: list = [None] * len(problems)
-    runnable: list[tuple[int, BPOSDDecoder, np.ndarray]] = []
-    for i, (dec, syndrome) in enumerate(problems):
-        syndrome = np.asarray(syndrome, dtype=np.uint8)
-        if syndrome.shape != (dec.matrix.rows,):
-            raise ValueError("syndrome length mismatch")
-        if dec.n_edges == 0 or syndrome[dec.empty_checks].any():
-            n = dec.matrix.cols
-            out[i] = (np.zeros(n), np.zeros(n, dtype=np.uint8), not syndrome.any(), 0)
-        else:
-            runnable.append((i, dec, syndrome))
-    for lo, hi in _edge_chunks([dec.n_edges for _, dec, _ in runnable]):
-        _min_sum(runnable[lo:hi], out)
-    return out
-
-
-def _edge_chunks(edges: list[int]) -> list[tuple[int, int]]:
-    """Runs [lo, hi) of consecutive items whose edge counts sum to at most
-    ``_BATCH_EDGES``; an item with more edges runs alone."""
-    runs, lo, total = [], 0, 0
-    for i, e in enumerate(edges):
-        if i > lo and total + e > _BATCH_EDGES:
-            runs.append((lo, i))
-            lo, total = i, 0
-        total += e
-    if lo < len(edges):
-        runs.append((lo, len(edges)))
-    return runs
-
-
-class _Stack:
-    """The concatenated edge structure of the live problems of a batch."""
-
-    def __init__(self, items: list[tuple[int, BPOSDDecoder, np.ndarray]]):
-        self.items = items
-        decs = [dec for _, dec, _ in items]
-        self.n_var = np.array([dec.matrix.cols for dec in decs])
-        self.n_edge = np.array([dec.n_edges for dec in decs])
-        n_seg = np.array([dec.seg_check.size for dec in decs])
-        self.var_off = np.cumsum(self.n_var) - self.n_var
-        edge_off = np.cumsum(self.n_edge) - self.n_edge
-        self.seg_off = np.cumsum(n_seg) - n_seg  # each problem's first segment
-        self.edge_var = np.concatenate([d.edge_var + o for d, o in zip(decs, self.var_off)])
-        self.seg_start = np.concatenate([d.seg_start + o for d, o in zip(decs, edge_off)])
-        self.seg_degree = np.concatenate([dec.seg_degree for dec in decs])
-        self.edge_seg = np.repeat(np.arange(self.seg_degree.size), self.seg_degree)
-        self.syn_seg = np.concatenate([syn[dec.seg_check] for _, dec, syn in items])
-        self.prior_llr = np.concatenate([dec.prior_llr for dec in decs])
-        self.caps = np.array([dec.bp_cfg.max_iters for dec in decs])
-        self.seg_scale = np.repeat([dec.bp_cfg.scale for dec in decs], n_seg)
-
-
-def _min_sum(
-    items: list[tuple[int, BPOSDDecoder, np.ndarray]], out: list
-) -> None:
-    """One batch of :func:`bp_marginals_batch`; stores result i in out[i].
+    takes the same terms in the same order as in a lone run, and no
+    problem's messages depend on another's.  That is why the results
+    are byte-identical.  The stack never shrinks: a stopped problem
+    iterates on until the last one stops, and its result is the one
+    taken at its own stop.
 
     Each check sends every edge the smallest |v2c| among its other
-    edges, clipped at 1e30, scaled by its problem's ``BPConfig.scale``
-    (``_Stack.seg_scale`` holds it per check) and negated when
-    the check's syndrome bit and the signs of those other edges have odd
-    parity; a check of degree 1 sends 0.  The arithmetic runs per check
-    where it can, with three exact rewrites of the per-edge form:
+    edges, clipped at 1e30, scaled by ``BPConfig.scale`` and negated
+    when the check's syndrome bit and the signs of those other edges
+    have odd parity; a check of degree 1 sends 0.  The arithmetic runs
+    per check where it can, with three exact rewrites of the per-edge
+    form:
 
     - Only the first edge holding the check's smallest magnitude min1
       gets the smallest of the others, min2; every other edge gets min1.
@@ -467,7 +409,7 @@ def _min_sum(
       Negation is exact, so two of them equal one negation by the
       parity of the other edges, zeros included.
 
-    A problem stops when it converges, at its cap, or, unconverged, at
+    A problem stops when it converges, at the cap, or, unconverged, at
     the first iteration where every one of its variables has |LLR| at
     least ``_LLR_CLIP``: its q, computed through that clip, is then
     fixed by the LLRs' signs.  This third stop is not exact: later
@@ -479,54 +421,82 @@ def _min_sum(
     exceeded 5.5 at any iteration.  In the code-level coset trials
     checked, at their cap of 300, it never exceeded 17.  The prior LLR
     of a variable without edges also stays below the clip.
+
+    Raises:
+        ValueError: a syndrome's length differs from its matrix's row
+            count, or the problems' ``BPConfig`` differ.
     """
-    st = _Stack(items)
-    c2v = np.zeros(st.edge_var.size)
-    llr_edge = np.take(st.prior_llr, st.edge_var)
-    v2c_buf = np.empty(st.edge_var.size)  # the live problems' edges fill its front
+    out: list = [None] * len(problems)
+    items: list[tuple[int, BPOSDDecoder, np.ndarray]] = []
+    for i, (dec, syndrome) in enumerate(problems):
+        if dec.bp_cfg != problems[0][0].bp_cfg:
+            raise ValueError("a stack's problems must share one BPConfig")
+        syndrome = np.asarray(syndrome, dtype=np.uint8)
+        if syndrome.shape != (dec.matrix.rows,):
+            raise ValueError("syndrome length mismatch")
+        if dec.n_edges == 0 or syndrome[dec.empty_checks].any():
+            n = dec.matrix.cols
+            out[i] = (np.zeros(n), np.zeros(n, dtype=np.uint8), not syndrome.any(), 0)
+        else:
+            items.append((i, dec, syndrome))
+    if not items:
+        return out
+    decs = [dec for _, dec, _ in items]
+    cfg = decs[0].bp_cfg
+    n_var = np.array([dec.matrix.cols for dec in decs])
+    n_edge = np.array([dec.n_edges for dec in decs])
+    n_seg = np.array([dec.seg_check.size for dec in decs])
+    var_off = np.cumsum(n_var) - n_var
+    edge_off = np.cumsum(n_edge) - n_edge
+    seg_off = np.cumsum(n_seg) - n_seg  # each problem's first segment
+    edge_var = np.concatenate([d.edge_var + o for d, o in zip(decs, var_off)])
+    ss = np.concatenate([d.seg_start + o for d, o in zip(decs, edge_off)])
+    deg = np.concatenate([dec.seg_degree for dec in decs])
+    edge_seg = np.repeat(np.arange(deg.size), deg)
+    syn_seg = np.concatenate([syn[dec.seg_check] for _, dec, syn in items])
+    prior_llr = np.concatenate([dec.prior_llr for dec in decs])
+
+    c2v = np.zeros(edge_var.size)
+    llr_edge = np.take(prior_llr, edge_var)
+    mags = np.empty(edge_var.size)
+    done = np.zeros(len(items), dtype=bool)
     for it in count(1):
-        ss, deg = st.seg_start, st.seg_degree
-        mags = np.subtract(llr_edge, c2v, out=v2c_buf[: llr_edge.size])
+        np.subtract(llr_edge, c2v, out=mags)
         neg = mags < 0
         np.abs(mags, out=mags)
         min1 = np.minimum.reduceat(mags, ss)
         # each check's first edge at its minimum: every check has one
         first = np.flatnonzero(mags == np.repeat(min1, deg))
-        seg = st.edge_seg[first]
+        seg = edge_seg[first]
         first = first[np.concatenate(([True], seg[1:] != seg[:-1]))]
         mags[first] = np.inf
         min2 = np.minimum.reduceat(mags, ss)
         min2[np.isinf(min2)] = 0.0  # a check of degree 1 sends nothing
-        odd = (np.bitwise_xor.reduceat(neg.view(np.uint8), ss) ^ st.syn_seg).view(bool)
+        odd = (np.bitwise_xor.reduceat(neg.view(np.uint8), ss) ^ syn_seg).view(bool)
         for m in (min1, min2):
             np.minimum(m, 1e30, out=m)
-            m *= st.seg_scale
+            m *= cfg.scale
             np.negative(m, out=m, where=odd)
         c2v = np.repeat(min1, deg)
         c2v[first] = min2
         np.negative(c2v, out=c2v, where=neg)
-        llr_total = st.prior_llr + np.bincount(st.edge_var, weights=c2v,
-                                               minlength=st.prior_llr.size)
-        np.take(llr_total, st.edge_var, out=llr_edge, mode="clip")
+        llr_total = prior_llr + np.bincount(edge_var, weights=c2v, minlength=prior_llr.size)
+        np.take(llr_total, edge_var, out=llr_edge, mode="clip")
         # converged: the hard decision reproduces the syndrome on every
         # nonempty check; the empty ones have zero bits
-        wrong = np.bitwise_xor.reduceat((llr_edge < 0).view(np.uint8), ss) != st.syn_seg
-        converged = ~np.logical_or.reduceat(wrong, st.seg_off)
+        wrong = np.bitwise_xor.reduceat((llr_edge < 0).view(np.uint8), ss) != syn_seg
+        converged = ~np.logical_or.reduceat(wrong, seg_off)
         # saturated: q, clipped at _LLR_CLIP, no longer depends on the LLRs' sizes
-        saturated = np.minimum.reduceat(np.abs(llr_total), st.var_off) >= _LLR_CLIP
-        stop = converged | saturated | (st.caps <= it)
-        if not stop.any():
-            continue
+        saturated = np.minimum.reduceat(np.abs(llr_total), var_off) >= _LLR_CLIP
+        stop = (converged | saturated | (it == cfg.max_iters)) & ~done
         for k in np.flatnonzero(stop):
-            llr = llr_total[st.var_off[k] : st.var_off[k] + st.n_var[k]]
+            llr = llr_total[var_off[k] : var_off[k] + n_var[k]]
             hard = (llr < 0).astype(np.uint8)
             q = 1.0 / (1.0 + np.exp(np.clip(llr, -_LLR_CLIP, _LLR_CLIP)))
-            out[st.items[k][0]] = (q, hard, bool(converged[k]), it)
-        if stop.all():
-            return
-        keep = np.repeat(~stop, st.n_edge)
-        c2v, llr_edge = c2v[keep], llr_edge[keep]
-        st = _Stack([item for item, done in zip(st.items, stop) if not done])
+            out[items[k][0]] = (q, hard, bool(converged[k]), it)
+        done |= stop
+        if done.all():
+            return out
 
 
 # ---------------------------------------------------------------------------
@@ -722,9 +692,10 @@ def coset_minimum_trials(
     draws from ``rng``, and every eta is drawn, in trial order, before
     BP runs; so the trials are those of one-at-a-time runs on the same
     stream.  BP runs for the etas side by side
-    (:func:`bp_marginals_batch`), as many at a time as fit in
-    ``_BATCH_EDGES`` edges, so only one batch's decoders exist at once;
-    each decode then finishes from its own marginals.
+    (:func:`bp_marginals_batch`), in stacks of consecutive trials that
+    fit in ``_BATCH_EDGES`` edges even with the heaviest eta, so only
+    one stack's decoders exist at once; each decode then finishes from
+    its own marginals.
     """
     kernel_basis = BinMatrix.from_rows(dual.nullspace_basis())
     etas = [reduce_weight_modulo_rows(_random_kernel_logical(rng, kernel_basis, kernel_mat),
@@ -732,9 +703,10 @@ def coset_minimum_trials(
             for _ in range(trials)]
     xis: list[BinVector] = []
     # a problem's edges are kernel_mat's and eta's, known before its decoder is built
-    kernel_edges = kernel_mat.nnz
-    for lo, hi in _edge_chunks([kernel_edges + eta.weight for eta in etas]):
-        problems = [_coset_problem(kernel_mat, eta) for eta in etas[lo:hi]]
+    heaviest = max((kernel_mat.nnz + eta.weight for eta in etas), default=1)
+    per_stack = max(1, _BATCH_EDGES // heaviest)
+    for lo in range(0, trials, per_stack):
+        problems = [_coset_problem(kernel_mat, eta) for eta in etas[lo : lo + per_stack]]
         marginals = bp_marginals_batch(problems)
         xis += [dec.decode(syndrome, m).xi for (dec, syndrome), m in zip(problems, marginals)]
     return [(eta, xi, descend_modulo_rows(xi, dual)) for eta, xi in zip(etas, xis)]
@@ -824,7 +796,7 @@ def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> Dist
         coeff_d = rng.integers(0, 2, D.rows, dtype=np.uint8)
         eta = BinMatrix.from_dense(np.concatenate([coeff_l, coeff_d])).mul_mat(LD).row(0)
         # one trial at a time: a detector model's trial is bound by its
-        # passes over tens of thousands of edges, which a batch does not cut
+        # passes over tens of thousands of edges, which a stack does not cut
         dec, syndrome = _coset_problem(D, eta)
         return eta, dec.decode(syndrome).xi
 

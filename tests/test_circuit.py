@@ -11,6 +11,7 @@ from bbqec.circuit import (
     Schedule,
     ScheduledCircuit,
     build_automorphism_circuit,
+    build_sm_circuit,
     enumerate_schedules,
     propagate_frames,
     shift_permutation,
@@ -22,9 +23,13 @@ from bbqec.code import catalog_code
 GADGETS = [(kind, j, k) for kind in ("A", "B") for j in (1, 2, 3) for k in (1, 2, 3) if j != k]
 
 
-def test_bb144_has_936_valid_schedules():
-    code = catalog_code("bb144")
-    schedules = enumerate_schedules(code)
+@pytest.fixture(scope="module")
+def bb144_schedules():
+    return enumerate_schedules(catalog_code("bb144"))
+
+
+def test_bb144_has_936_valid_schedules(bb144_schedules):
+    code, schedules = catalog_code("bb144"), bb144_schedules
     assert len(schedules) == 936 == len(set(schedules))
     assert CANONICAL_SCHEDULE in schedules
     for schedule in schedules:
@@ -39,6 +44,23 @@ def test_bb144_has_936_valid_schedules():
     assert swapped.structural_problems() == []
     assert swapped not in schedules
     assert verify_sm_circuit(swapped, code) is False
+
+
+def test_every_bb144_schedule_builds_a_circuit(bb144_schedules):
+    # in rounds 1 and 7 the lone layer's family decides which data
+    # register idles; every unitary round touches each qubit exactly once
+    code = catalog_code("bb144")
+    everyone = np.arange(4 * code.lm)
+    families = set()
+    for schedule in bb144_schedules:
+        circ = build_sm_circuit(code, 1, schedule)
+        for rid in range(1, 8):
+            steps = [s for s in circ.steps if s.round_id == rid]
+            touched = np.concatenate([q for s in steps for q in (s.qubits, s.targets)
+                                      if q is not None])
+            assert np.array_equal(np.sort(touched), everyone), (schedule, rid)
+        families.add((schedule.rounds[0][0].family, schedule.rounds[6][0].family))
+    assert families == {("A", "A"), ("B", "B")}
 
 
 def test_verify_sm_circuit_needs_seven_rounds():

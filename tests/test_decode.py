@@ -434,7 +434,7 @@ def test_distance_searches_reject_an_unknown_pauli():
 
 @pytest.fixture(scope="module")
 def mixed_problems(model, sides):
-    """(decoder, syndrome) problems of many sizes and outcomes, mixed in one batch."""
+    """(decoder, syndrome) problems of many sizes, outcomes and BP configs."""
     dec, D, _ = sides["z"]
     capped = BPOSDDecoder(model.z.matrix, model.z.priors, bp=BPConfig(max_iters=7))
     cols = np.random.default_rng(14).choice(D.shape[1], size=8, replace=False)
@@ -463,34 +463,28 @@ def _bp_bytes(result) -> tuple:
 
 
 def test_bp_batch_equals_lone_runs(mixed_problems):
-    # the coset problem's distance-trial scale shares the batch with shot decodes
-    assert [dec.bp_cfg.scale for dec, _ in mixed_problems[:3]] == [0.625, 1.0, 1.0]
-    batch = bp_marginals_batch(mixed_problems)
+    by_config: dict[tuple, list[int]] = {}
+    for i, (dec, _) in enumerate(mixed_problems):
+        by_config.setdefault((dec.bp_cfg.max_iters, dec.bp_cfg.scale), []).append(i)
+    # the cap-100 stack stops problem 5 at once and problem 1 later
+    assert by_config[100, 1.0] == [1, 5, 7] and len(by_config) == 4
+    batch = [None] * len(mixed_problems)
+    for group in by_config.values():
+        for i, r in zip(group, bp_marginals_batch([mixed_problems[i] for i in group])):
+            batch[i] = r
     lone = [dec.bp_marginals(syndrome) for dec, syndrome in mixed_problems]
     assert [_bp_bytes(r) for r in batch] == [_bp_bytes(r) for r in lone]
     outcomes = [(converged, iters) for _, _, converged, iters in batch]
     assert outcomes[0] == (False, 300) and outcomes[2] == (False, 7)
     assert outcomes[1][0] and 1 < outcomes[1][1] < 100
     assert outcomes[3] == (False, 0) and outcomes[5] == (True, 1) and outcomes[6] == (True, 0)
-
-
-def test_bp_batch_chunks_within_its_edge_budget(mixed_problems, monkeypatch):
-    batches = []
-    run = decode._min_sum
-
-    def recorded(items, out):
-        batches.append([dec.n_edges for _, dec, _ in items])
-        return run(items, out)
-
-    monkeypatch.setattr(decode, "_min_sum", recorded)
-    whole = [_bp_bytes(r) for r in bp_marginals_batch(mixed_problems)]
-    assert len(batches) == 1
-    budget = mixed_problems[0][0].n_edges + mixed_problems[1][0].n_edges
-    monkeypatch.setattr(decode, "_BATCH_EDGES", budget)
-    batches.clear()
-    assert [_bp_bytes(r) for r in bp_marginals_batch(mixed_problems)] == whole
-    assert len(batches) > 2 and max(map(len, batches)) > 1
-    assert all(sum(edges) <= budget for edges in batches)
+    # problems whose caps or scales differ never share a stack
+    rescaled = copy.copy(mixed_problems[1][0])
+    rescaled.bp_cfg = BPConfig(max_iters=100, scale=0.625)
+    for pair in (mixed_problems[:2], mixed_problems[1:3],
+                 [mixed_problems[1], (rescaled, mixed_problems[1][1])]):
+        with pytest.raises(ValueError, match="one BPConfig"):
+            bp_marginals_batch(pair)
 
 
 def test_batched_coset_trials_equal_sequential_ones(monkeypatch):
@@ -501,7 +495,7 @@ def test_batched_coset_trials_equal_sequential_ones(monkeypatch):
         rng = np.random.default_rng(7)
         sequential = [coset_minimum_trials(rng, kernel_mat, dual, 1)[0] for _ in range(6)]
         assert batched == sequential
-        with monkeypatch.context() as m:  # two or three problems per batch
+        with monkeypatch.context() as m:  # two problems per stack
             m.setattr(decode, "_BATCH_EDGES", 3 * kernel_mat.nnz)
             chunked = coset_minimum_trials(np.random.default_rng(7), kernel_mat, dual, 6)
         assert chunked == batched
@@ -559,18 +553,24 @@ def _problem(dense, priors, syndrome, max_iters, scale=1.0):
 
 
 @st.composite
-def min_sum_problems(draw):
+def min_sum_problems(draw, max_iters, scale):
     """A small (decoder, syndrome): rows of any weight, 0 and 1 included,
-    priors often equal, a zero syndrome bit on every empty row, and the
-    shot or the distance-trial scale."""
+    priors often equal, and a zero syndrome bit on every empty row."""
     cols = draw(st.integers(1, 7))
     supports = draw(st.lists(st.sets(st.integers(0, cols - 1)), min_size=1, max_size=6))
     dense = [[int(j in sup) for j in range(cols)] for sup in supports]
     prior = st.sampled_from([0.01, 0.1, 0.25, 0.5]) | st.floats(1e-6, 0.5)
     priors = draw(st.lists(prior, min_size=cols, max_size=cols))
     syndrome = [draw(st.integers(0, 1)) if sup else 0 for sup in supports]
-    return _problem(dense, priors, syndrome, draw(st.integers(1, 30)),
-                    draw(st.sampled_from([1.0, 0.625])))
+    return _problem(dense, priors, syndrome, max_iters, scale)
+
+
+@st.composite
+def min_sum_stacks(draw):
+    """One to four small problems sharing a BP cap and the shot or the
+    distance-trial scale."""
+    max_iters, scale = draw(st.integers(1, 30)), draw(st.sampled_from([1.0, 0.625]))
+    return draw(st.lists(min_sum_problems(max_iters, scale), min_size=1, max_size=4))
 
 
 def _assert_kernel_matches_reference(problems):
@@ -580,7 +580,7 @@ def _assert_kernel_matches_reference(problems):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(min_sum_problems(), min_size=1, max_size=4))
+@given(min_sum_stacks())
 def test_min_sum_matches_the_per_check_reference(problems):
     _assert_kernel_matches_reference(problems)
 
@@ -604,7 +604,8 @@ def test_min_sum_reference_cases():
     results = [_min_sum_reference(*case) for case in cases]
     assert [past_1e30 for _, past_1e30 in results] == [False, False, True, False]
     assert [r[2:] for r, _ in results[2:]] == [(False, 105), (False, 6)]
-    _assert_kernel_matches_reference(cases)
+    for stack in (cases[:2], cases[2:]):  # one stack per cap
+        _assert_kernel_matches_reference(stack)
 
 
 def _reduce_reference(v, mat):
