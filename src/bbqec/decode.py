@@ -144,7 +144,6 @@ class BPOSDDecoder:
         bp: BPConfig | None = None,
         osd: OSDConfig | None = None,
         logical: BinMatrix | None = None,
-        log_weights: np.ndarray | None = None,
     ):
         self.matrix = matrix
         priors = np.asarray(priors, dtype=np.float64)
@@ -156,15 +155,10 @@ class BPOSDDecoder:
         self.bp_cfg = bp or BPConfig()
         self.osd_cfg = osd or OSDConfig()
         self.logical = logical
-        self.log_weights = (
-            np.log(1.0 / self.priors) if log_weights is None else np.asarray(log_weights, float)
-        )
-        if self.log_weights.shape != (matrix.cols,):
-            raise ValueError("log weights length must equal the column count")
-        if not np.isfinite(self.log_weights).all():
-            raise ValueError("log weights must be finite")
-        # every weight 1: OSD counts bits instead of summing float weights
-        self.unit_weights = bool((self.log_weights == 1).all())
+        # equal priors weigh every column alike, so each weighs 1 and
+        # OSD counts bits instead of summing float weights
+        self.unit_weights = bool((self.priors == self.priors[:1]).all())
+        self.log_weights = np.ones(matrix.cols) if self.unit_weights else np.log(1 / self.priors)
 
         # edge structure in check-major order
         supports = matrix.row_supports()
@@ -232,10 +226,10 @@ class BPOSDDecoder:
         b, but each is weighed by its own dot product: one product over
         many rows sums in another order, which changes last bits.
 
-        When every log weight is 1, as in the distance trials, a
-        solution's weight is its bit count, and flips are scored by the
-        popcount of the packed rows, with no unpacking: popcount + 1 for
-        a single flip and + 2 for a pair.  Every float product and sum
+        When every prior is equal, as in the distance trials, every
+        column weighs 1: a solution's weight is its bit count, and flips
+        are scored by the popcount of the packed rows, with no
+        unpacking: popcount + 1 for a single flip and + 2 for a pair.  Every float product and sum
         of the general path is then a small integer, exact in any
         order, so both paths give equal weights and the same answer.
 
@@ -606,7 +600,7 @@ class _CosetDecoder(BPOSDDecoder):
     """The decoder of one coset problem: xi in ker kernel_mat with eta . xi = 1.
 
     Its matrix is [kernel_mat; eta] and its syndrome e_last; every
-    column has prior 0.01 and log weight 1.  OSD's elimination starts
+    column has prior 0.01, and so log weight 1.  OSD's elimination starts
     from kernel_mat's cached RREF where it can (:meth:`_reduce`), so the
     trials on one matrix eliminate it once.  The row supports of
     kernel_mat are built on its first trial and carried over to each
@@ -617,7 +611,7 @@ class _CosetDecoder(BPOSDDecoder):
         kernel_mat.row_supports()
         stacked = kernel_mat.append_row(eta)
         super().__init__(stacked, np.full(stacked.cols, 0.01), bp=_DISTANCE_BP,
-                         osd=_DISTANCE_OSD, log_weights=np.ones(stacked.cols))
+                         osd=_DISTANCE_OSD)
         self.kernel_mat, self.eta = kernel_mat, eta
 
     def _reduce(self, syndrome: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -195,6 +195,9 @@ def _gh_candidates(
     which diversifies the pool.
     """
     found: list[BinVector] = []
+    # The sweep runs to weight d + 2, capped at 8, although it costs most
+    # of bb72's basis search: bb72's chosen (g, h) is an exact witness of
+    # weight 8, and with the sweep stopped at d or d + 1 no triple passes.
     if code.distance_upper is not None:
         try:
             _, witnesses = exact_distance_small(code, min(code.distance_upper + 2, 8), pauli="X")

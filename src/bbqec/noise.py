@@ -12,7 +12,10 @@ Each single fault has an integer id.  The faults of step s hold the ids
 step: CNOT steps have 15 classes (``CNOT_CLASSES``), idle steps 3
 (``IDLE_CLASSES``), init and meas steps 1.  ``FaultTable.frame_flips``
 turns (fault id, scenario) pairs into Pauli-frame flips; enumeration,
-forced faults and sampling all go through it.
+forced faults and sampling all go through it.  A sampled shot draws
+which operations fail from one uniform per operation of the circuit,
+then one uniform class per faulty operation (``sample_circuit_noise``
+states the stream).
 
 ``side_rows`` is the one step from propagated frames to each error
 type's packed detector and logical rows.  A detector row is a check's
@@ -40,8 +43,6 @@ any chunk size.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -80,10 +81,6 @@ _BLOCK = {key: i for i, key in enumerate(_CLASS_FLIPS)}
 _N_CLASSES = np.array([len(rows) for rows in _CLASS_FLIPS.values()])
 _FIRST_CLASS = np.cumsum(_N_CLASSES) - _N_CLASSES
 _OUTCOME = 4  # the column of a measured outcome
-
-# A shot's fault draw tops its raw words up at least this many at a time.
-_TOP_UP_WORDS = 64
-
 
 @dataclass
 class FaultTable:
@@ -138,74 +135,17 @@ class FaultTable:
         return ((step[frame], operand, column[frame] % 2, scen[frame]),
                 (step[outcome], gate[outcome], scen[outcome]))
 
-    def draw(self, p: float, bitgen: np.random.BitGenerator) -> list[int]:
-        """One shot's fault ids, in the order the per-step draws give them.
+    def draw(self, p: float, bitgen: np.random.BitGenerator) -> np.ndarray:
+        """One shot's fault ids, by ``sample_circuit_noise``'s stream contract.
 
-        It replays the draws of ``sample_circuit_noise``'s stream
-        contract, made on ``np.random.Generator(bitgen)``, on bitgen's
-        raw 64-bit words, read once, as numpy 2 consumes them:
-
-        * a uniform takes one word and is ``(word >> 11) * 2**-53``;
-        * a class draw takes a 32-bit half, the low half of a fresh word
-          first, and the unused high half stays buffered for the next
-          class draw, also across steps;
-        * the class is ``(u * k) >> 32`` for a half u (Lemire's method),
-          and u is drawn again while ``(u * k) % 2**32`` is below
-          ``2**32 % k``, which for k = 3 and k = 15 is 1: only u = 0.
-
-        So a step's uniforms start one word further on for each word that
-        earlier class draws took, and those words are never read as
-        uniforms.  The Python loop runs once per faulty step, not once
-        per step.
+        The faulty operations come in circuit order, and each one's class
+        is uniform over its step's classes.
         """
-        n_ops = int(self.op_start[-1])
-        # m * 2**-53 < p for the integer m = word >> 11 exactly when
-        # m < ceil(p * 2**53); scaling by a power of 2 is exact
-        cut = math.ceil(p * 2.0**53)
-        words = np.zeros(0, dtype=np.uint64)
-        hits: list[int] = []  # the words whose uniform is below p
-
-        def need(count: int) -> None:
-            nonlocal words
-            if count > len(words):
-                more = bitgen.random_raw(max(count - len(words), _TOP_UP_WORDS))
-                hits.extend((np.flatnonzero((more >> 11) < cut) + len(words)).tolist())
-                words = np.concatenate([words, more])
-
-        need(n_ops)
-        op_start, n_classes = self.op_start.tolist(), self.n_classes.tolist()
-        offsets = self.offsets.tolist()
-        ids: list[int] = []
-        shift = 0  # words the class draws took so far
-        half = None  # a buffered high half
-        i = 0
-        while i < len(hits) and hits[i] - shift < n_ops:
-            s = bisect_right(op_start, hits[i] - shift) - 1
-            lo, hi = op_start[s] + shift, op_start[s + 1] + shift
-            j = bisect_left(hits, hi, i)
-            k, first = n_classes[s], offsets[s]
-            if k == 1:
-                ids += [first + w - lo for w in hits[i:j]]
-                i = j
-                continue
-            reject = (1 << 32) % k
-            at = hi  # the next unread word
-            for w in hits[i:j]:
-                u = None
-                while u is None or (u * k) & 0xFFFFFFFF < reject:
-                    if half is None:
-                        if at == len(words):
-                            need(at + 1)
-                        word = int(words[at])
-                        at += 1
-                        u, half = word & 0xFFFFFFFF, word >> 32
-                    else:
-                        u, half = half, None
-                ids.append(first + (w - lo) * k + ((u * k) >> 32))
-            shift += at - hi
-            need(n_ops + shift)
-            i = bisect_left(hits, at, j)
-        return ids
+        rng = np.random.Generator(bitgen)
+        ops = np.flatnonzero(rng.random(int(self.op_start[-1])) < p)
+        step = np.searchsorted(self.op_start, ops, side="right") - 1
+        k = self.n_classes[step]
+        return self.offsets[step] + (ops - self.op_start[step]) * k + rng.integers(0, k)
 
 
 def build_fault_table(circ: ScheduledCircuit) -> FaultTable:
@@ -524,13 +464,12 @@ def sample_circuit_noise(
     results are independent of batching and worker layout.
 
     The stream contract, which ``SAMPLE_SHA`` in the tests pins: shot j
-    draws from ``np.random.Generator(np.random.Philox(key=seed,
-    counter=[0, 0, 0, j]))``.  For each step with operations in turn, it
-    draws ``rng.random(nq) < p`` over the step's nq operations and
-    then, if some operation is faulty and the step has k > 1 classes,
-    ``rng.integers(0, k, size=faulty.size)``, one class per faulty
-    operation in order.  ``FaultTable.draw`` replays exactly these
-    draws on the generator's raw words.
+    draws from ``rng = np.random.Generator(np.random.Philox(key=seed,
+    counter=[0, 0, 0, j]))`` twice (``FaultTable.draw``).  First
+    ``rng.random(n_ops) < p`` over the circuit's n_ops operations, in
+    (step, operation) order, marks the faulty ones; then
+    ``rng.integers(0, k)``, with k the array of their steps' class
+    counts, gives each faulty operation its class, in the same order.
 
     With ``forced_faults`` the randomness is bypassed and scenario j
     applies exactly the fault ids listed in ``forced_faults[j]``.

@@ -10,7 +10,7 @@ from bbqec import cli
 from bbqec.decode import BPConfig, BPOSDDecoder
 from bbqec.noise import sample_circuit_noise
 
-SHOTS, SEED = 100, 3  # two sampler calls, the second one partial
+SHOTS, SEED = 100, 0  # two sampler calls, the second one partial
 
 
 def test_run_failure_flags_match_direct_decodes(model, capsys):

@@ -1,5 +1,5 @@
 """Fault pipeline on bb72 with 6 cycles: enumeration, forced faults, sampling
-and its replay of the random stream; plus the signature merge, the chunked
+and its random stream; plus the signature merge, the chunked
 model build, and a golden and the build's memory bound on bb144 with 12
 cycles."""
 
@@ -27,7 +27,7 @@ FIELDS = ("x_syndromes", "z_syndromes", "logical_x", "logical_z",
 # sampler's random stream; such a change must be deliberate and stated.
 DUMP_X_SHA = "410ecc3f39f5187e34830f1da7bd3083debc3d68701ec0097001fbd24feb0428"
 DUMP_Z_SHA = "a0bf5be91447d250fd4bebc859dc7da8265e689ec685e74734790ec8757fc080"
-SAMPLE_SHA = "5897380ceb6d277221a7dc761be06c8ce40a87a37707e0d9d7b6d3ba9db83f7d"
+SAMPLE_SHA = "106b883f4f58c8716b4ae34838febe80939000fc2e7b2dd0a4f9ed77a93b5c06"
 # SHA-256 of bb144 with 12 cycles at p = 0.001: each side's dump, then the
 # sizes and the concatenated fault ids of its columns' provenance.
 DUMP144_SHA = "811b42585ec65c8a11698e5ac8ce409f8150fe366360c03fc14783b0263469d7"
@@ -273,78 +273,66 @@ def test_sampling_independent_of_batching(model):
 
 
 def reference_draw(circuit, p, seed, shot):
-    """One shot's fault ids by the per-step loop that ``FaultTable.draw`` replays.
-
-    Also returns whether some step's class draw began on a high half
-    left over from an earlier step.
-    """
+    """One shot's fault ids by the stream contract, walking the steps in turn."""
     rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, shot]))
-    ids, carried, offset = [], False, 0
+    faulty = rng.random(sum(len(step.qubits) for step in circuit.steps)) < p
+    firsts, ks = [], []  # each faulty operation's class-0 fault id and class count
+    start = offset = 0
     for step in circuit.steps:
         nq = len(step.qubits)
-        n_classes = {"cnot": 15, "idle": 3}.get(step.kind, 1)
-        faulty = np.flatnonzero(rng.random(nq) < p)
-        if faulty.size:
-            classes = np.zeros(faulty.size, dtype=np.int64)
-            if n_classes > 1:
-                carried |= bool(rng.bit_generator.state["has_uint32"])
-                classes = rng.integers(0, n_classes, size=faulty.size)
-            ids += (offset + faulty * n_classes + classes).tolist()
-        offset += nq * n_classes
-    return ids, carried
+        k = {"cnot": 15, "idle": 3}.get(step.kind, 1)
+        for g in np.flatnonzero(faulty[start : start + nq]):
+            firsts.append(offset + int(g) * k)
+            ks.append(k)
+        start, offset = start + nq, offset + nq * k
+    classes = rng.integers(0, np.array(ks, dtype=np.int64))
+    return [first + c for first, c in zip(firsts, classes.tolist())]
 
 
-class CountedWords:
-    """A bit generator that counts its ``random_raw`` calls."""
-
-    def __init__(self, bitgen):
-        self.bitgen, self.calls = bitgen, 0
-
-    def random_raw(self, size):
-        self.calls += 1
-        return self.bitgen.random_raw(size)
-
-
-@pytest.mark.parametrize("p", [0.0, 0.001, 0.02, 0.2])
-def test_draw_replays_the_per_step_loop(model, p):
+@pytest.mark.parametrize("p", [0.0, 0.001, 0.02, 0.2, 1.0])
+def test_draw_follows_the_stream_contract(model, p):
     table = model.fault_table
-    carried = topped_up = False
-    for shot in range(200):
-        want, carry = reference_draw(model.circuit, p, 3, shot)
-        bitgen = CountedWords(np.random.Philox(key=3, counter=[0, 0, 0, shot]))
-        assert table.draw(p, bitgen) == want, shot
-        carried |= carry
-        topped_up |= bitgen.calls > 1
-    if p == 0.2:  # a buffered half crosses steps and the words run out
-        assert carried and topped_up
+    for shot in range(100):
+        got = table.draw(p, np.random.Philox(key=3, counter=[0, 0, 0, shot]))
+        assert got.tolist() == reference_draw(model.circuit, p, 3, shot), shot
 
 
-class RawWords:
-    """A bit generator stub: the given 64-bit words, then all-ones words."""
-
-    def __init__(self, words):
-        self.words = list(words)
-
-    def random_raw(self, size):
-        out = np.full(size, np.iinfo(np.uint64).max, dtype=np.uint64)
-        head, self.words = self.words[:size], self.words[size:]
-        out[: len(head)] = head
-        return out
+# Upper 1e-4 quantiles of the chi-square distribution with 14, 2 and 3
+# degrees of freedom.
+CHI2_BOUND = {14: 42.58, 2: 18.42, 3: 21.11}
 
 
-def test_draw_rejects_a_zero_half(model):
-    """A class draw on a zero half draws again, as Lemire's method does."""
-    table = model.fault_table
-    s = next(i for i, step in enumerate(model.circuit.steps) if step.kind == "cnot")
-    first, after = int(table.op_start[s]), int(table.op_start[s + 1])
-    # all-ones words are uniforms near 1; a zero word makes operation
-    # 1 of step s faulty; its class comes from the word after the step's
-    # uniforms, whose low half is zero and whose high half is u
-    u = 0xC0000000
-    words = [np.iinfo(np.uint64).max] * after + [u << 32]
-    words[first + 1] = 0
-    fault = int(table.offsets[s]) + 1 * 15 + (u * 15 >> 32)
-    assert table.draw(0.01, RawWords(words)) == [fault]
+def chi2(counts, expected):
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+def test_draw_matches_the_noise_model(model):
+    """Seeded draws against the model itself, not against draw's arithmetic.
+
+    Each operation fails with probability p, at most once a shot, and a
+    faulty CNOT or idle takes one of its 15 or 3 classes uniformly.
+    """
+    table, p, shots = model.fault_table, 0.02, 2000
+    n_ops = int(table.op_start[-1])
+    draws = [table.draw(p, np.random.Philox(key=11, counter=[0, 0, 0, j])) for j in range(shots)]
+    faults = np.concatenate(draws)
+    assert abs(faults.size / shots - n_ops * p) < 4 * np.sqrt(n_ops * p * (1 - p) / shots)
+    # each step's fault ids in (operation, class) order, from the circuit
+    kind = np.array([step.kind for step in model.circuit.steps])
+    nq = np.array([len(step.qubits) for step in model.circuit.steps])
+    k = np.array([{"cnot": 15, "idle": 3}.get(name, 1) for name in kind])
+    first_id = np.concatenate([[0], np.cumsum(nq * k)])
+    step = np.searchsorted(first_id, faults, side="right") - 1
+    op, cls = np.divmod(faults - first_id[step], k[step])
+    shot = np.repeat(np.arange(shots), [len(d) for d in draws])
+    assert np.unique(np.stack([shot, step, op]), axis=1).shape[1] == faults.size
+    kinds = np.unique(kind)
+    ops_per_kind = np.array([nq[kind == name].sum() for name in kinds])
+    faulty_per_kind = np.array([(kind[step] == name).sum() for name in kinds])
+    assert chi2(faulty_per_kind, faults.size * ops_per_kind / n_ops) < CHI2_BOUND[len(kinds) - 1]
+    for name, n_classes in (("cnot", 15), ("idle", 3)):
+        counts = np.bincount(cls[kind[step] == name], minlength=n_classes)
+        assert chi2(counts, counts.sum() / n_classes) < CHI2_BOUND[n_classes - 1], name
 
 
 def test_sampled_faults_force_the_same_batch(model):
