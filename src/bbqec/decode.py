@@ -229,9 +229,10 @@ class BPOSDDecoder:
         When every prior is equal, as in the distance trials, every
         column weighs 1: a solution's weight is its bit count, and flips
         are scored by the popcount of the packed rows, with no
-        unpacking: popcount + 1 for a single flip and + 2 for a pair.  Every float product and sum
-        of the general path is then a small integer, exact in any
-        order, so both paths give equal weights and the same answer.
+        unpacking: popcount + 1 for a single flip and + 2 for a pair.
+        Every float product and sum of the general path is then a small
+        integer, exact in any order, so both paths give equal weights
+        and the same answer.
 
         Raises:
             DecodingError: syndrome not in the column space.

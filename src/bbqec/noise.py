@@ -82,6 +82,7 @@ _N_CLASSES = np.array([len(rows) for rows in _CLASS_FLIPS.values()])
 _FIRST_CLASS = np.cumsum(_N_CLASSES) - _N_CLASSES
 _OUTCOME = 4  # the column of a measured outcome
 
+
 @dataclass
 class FaultTable:
     """All single faults of one SM circuit, as flat fault ids.
@@ -143,6 +144,8 @@ class FaultTable:
         """
         rng = np.random.Generator(bitgen)
         ops = np.flatnonzero(rng.random(int(self.op_start[-1])) < p)
+        # an operation's step is the last one starting at or before it, so
+        # a step without operations, which shares its start, is skipped
         step = np.searchsorted(self.op_start, ops, side="right") - 1
         k = self.n_classes[step]
         return self.offsets[step] + (ops - self.op_start[step]) * k + rng.integers(0, k)
