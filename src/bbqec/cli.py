@@ -13,13 +13,11 @@ the batch size.
 
 The flag ``--bp-iters`` sets ``BPConfig.max_iters``; left out, it keeps
 the field's default.  One JSON report goes to standard output: the
-config, the seed, the ``*_NUM_THREADS`` environment (OSD scores flips
-with float products whose last bits, and so its choice on near-ties,
-can depend on the BLAS thread count) and the git revision, each
-stage's wall time, BP's iteration histogram and the share of sides
-sent to OSD, the failure counts with Wilson 95% intervals, the indices
-of the failing shots of each side, and the per-cycle rate
-p_L = 1 - (1 - P_L)^(1/N_c) of the any-logical failure rate P_L.
+config, the seed and the git revision, each stage's wall time, BP's
+iteration histogram and the share of sides sent to OSD, the failure
+counts with Wilson 95% intervals, the indices of the failing shots of
+each side, and the per-cycle rate p_L = 1 - (1 - P_L)^(1/N_c) of the
+any-logical failure rate P_L.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -116,9 +113,7 @@ def run(code_name: str, cycles: int, p: float, shots: int, seed: int, bp: BPConf
     per_cycle = [1 - (1 - x) ** (1 / cycles) for x in (n_failed / shots, *_wilson(n_failed, shots))]
     return {
         "config": {"code": code_name, "cycles": cycles, "p": p, "shots": shots, "seed": seed,
-                   "bp": asdict(bp), "osd": asdict(OSDConfig()), "sample_batch": SAMPLE_BATCH,
-                   "threads": {k: v for k, v in sorted(os.environ.items())
-                               if k.endswith("_NUM_THREADS")}},
+                   "bp": asdict(bp), "osd": asdict(OSDConfig()), "sample_batch": SAMPLE_BATCH},
         "git_revision": _git_revision(),
         "model": {side: dict(zip(("rows", "columns", "max_column_weight", "max_row_weight"),
                                  (sm.n_detector_rows, sm.n_columns, *sm.sparsity())))

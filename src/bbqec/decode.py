@@ -7,12 +7,7 @@ marginals.  It stops in one of three ways: converged, once its hard
 decision reproduces the syndrome; saturated, once every column's |LLR|
 has reached the clip through which its marginal is computed, so that
 the marginals depend only on the LLRs' signs; or at its iteration cap.
-Saturation ends the circuit-distance trials (near iteration 45 on
-bb72/6, 60 on bb144/12 and 78 on bb288/18, instead of at the cap of
-300).  It never fired in the shot decodes checked, ``bbqec run`` on
-bb72/6 at p = 0.004 and on bb144/12 at p = 0.005 with BP caps of 100
-and of the default 10000, nor in the code-level coset trials checked,
-at their cap of 300.
+:func:`bp_marginals_batch` states where saturation was seen to fire.
 Only when BP does not converge does ordered-statistics post-processing
 solve the syndrome on the most likely information set and sweep single
 and paired flips of the excluded columns to lower the solution weight
@@ -33,10 +28,15 @@ An iteration is a fixed set of full passes over the edges, so its cost
 is their count; :func:`bp_marginals_batch` keeps it low by computing the
 minima, clip, scale and sign of each check once per check rather than
 once per edge.  Each of those rewrites is exact, so messages, marginals
-and iteration counts are those of the plain per-edge rule.  OSD scores
-the flips of unit-weight problems (the distance trials) by popcount on
-the packed reduced rows, which gives the same weights as the float
-products exactly.
+and iteration counts are those of the plain per-edge rule.
+
+OSD weighs solutions in integer units.  Each log weight log(1/prior) is
+rounded to an integer-valued float64 at a scale, set by the decoder's
+column count and largest weight, that keeps any solution's weight below
+2**53; every weight is then exact under any summation order, so no BLAS
+thread count or block shape can change a decode.  Equal priors, as in
+the distance trials, give every column weight 1, and OSD then scores
+flips by popcount on the packed reduced rows.
 
 The trials on one matrix share its elimination.  ``BinMatrix.rref``
 caches its default-order result, whose R is shared and never written
@@ -67,8 +67,8 @@ from .code import BBCode
 from .gf2 import WORD, BinMatrix, BinVector, int_rows, nwords, unpack_bits
 
 PRIOR_FLOOR = 1e-12
-# Excluded columns scored per product in OSD's single-flip sweep; bounds
-# the float64 copy that the product makes of its 0/1 operand.
+# Flip sets OSD's sweep scores per product (_flip_weights); bounds the
+# float64 copy that the product makes of its 0/1 operand.
 _FLIP_BLOCK = 512
 
 
@@ -81,9 +81,7 @@ class BPConfig:
     """Min-sum belief propagation settings.
 
     BP stops at ``max_iters`` unless it converges first, or saturates:
-    every |LLR| at ``_LLR_CLIP``, as in the circuit-distance trials.
-    The shot decodes checked never saturated, at caps of 100 and of the
-    default 10000 (see :func:`bp_marginals_batch`).
+    every |LLR| at ``_LLR_CLIP`` (see :func:`bp_marginals_batch`).
 
     ``scale`` normalizes the check-to-variable messages.  Shot decodes
     keep the default 1.0: on bb144/12 at p = 0.001 BP then converges on
@@ -155,10 +153,16 @@ class BPOSDDecoder:
         self.bp_cfg = bp or BPConfig()
         self.osd_cfg = osd or OSDConfig()
         self.logical = logical
-        # equal priors weigh every column alike, so each weighs 1 and
-        # OSD counts bits instead of summing float weights
+        # equal priors weigh every column alike, so each weighs 1 and OSD
+        # counts bits; other log weights log(1/prior) are rounded to
+        # integers at a scale where any solution's weight, a sum of at most
+        # cols + 2 of them, stays below 2**53 and so is exact in any order
         self.unit_weights = bool((self.priors == self.priors[:1]).all())
-        self.log_weights = np.ones(matrix.cols) if self.unit_weights else np.log(1 / self.priors)
+        if self.unit_weights:
+            self.log_weights = np.ones(matrix.cols)
+        else:
+            lw = np.log(1 / self.priors)
+            self.log_weights = np.rint(lw * (2.0**52 / ((matrix.cols + 2) * lw.max())))
 
         # edge structure in check-major order
         supports = matrix.row_supports()
@@ -214,62 +218,31 @@ class BPOSDDecoder:
         singles, singles beat pairs, and within each the first in sweep
         order wins.
 
-        Single flips are scored from the packed transpose of the
-        reduced pivot rows, whose last row (the reduced syndrome) holds
-        the order-0 pivot bits: flipping excluded column j sets the
-        pivot bits to that row XOR row j.  ``_FLIP_BLOCK`` excluded
-        columns at a time are unpacked and weighed by one product with
-        the pivot log-weights, so the float64 copy that the product
-        makes of its 0/1 operand stays bounded (under 4 MB at rank 930)
-        and no other column is ever unpacked.  Pairs are gathered the
-        same way, ``_FLIP_BLOCK`` at a time, as that row XOR rows a and
-        b, but each is weighed by its own dot product: one product over
-        many rows sums in another order, which changes last bits.
-
-        When every prior is equal, as in the distance trials, every
-        column weighs 1: a solution's weight is its bit count, and flips
-        are scored by the popcount of the packed rows, with no
-        unpacking: popcount + 1 for a single flip and + 2 for a pair.
-        Every float product and sum of the general path is then a small
-        integer, exact in any order, so both paths give equal weights
-        and the same answer.
+        Every candidate is weighed by :meth:`_flip_weights` in the
+        decoder's integer log weights, so each weight is exact and the
+        tie rule holds exactly: no summation order, BLAS thread count or
+        block shape can change the answer.
 
         Raises:
             DecodingError: syndrome not in the column space.
         """
         n = self.matrix.cols
         red_t, pivots, nonpivot = self._reduce(syndrome, q)
-        rank = pivots.size
-        lw = self.log_weights
-        lw_piv = lw[pivots]
-
-        def solution_weight(np_pattern: np.ndarray) -> tuple[float, np.ndarray]:
-            piv_bits = unpack_bits(np.bitwise_xor.reduce(red_t[[n, *np_pattern]]), rank)[0]
-            w = float(lw_piv @ piv_bits) + float(lw[np_pattern].sum())
-            return w, piv_bits
-
-        best_w, best_piv = solution_weight(np.zeros(0, dtype=np.int64))
-        best_np: np.ndarray = np.zeros(0, dtype=np.int64)
-
-        if nonpivot.size:
-            weights = self._single_flip_weights(red_t, pivots, nonpivot)
-            j = int(np.argmin(weights))
-            if weights[j] < best_w:
-                best_np = nonpivot[j : j + 1]
-                best_w, best_piv = float(weights[j]), solution_weight(best_np)[1]
-            # pairs among the top columns, in combinations order
-            top = nonpivot[: self.osd_cfg.sweep_depth]
-            pa, pb = top[np.array(np.triu_indices(top.size, k=1))]
-            if pa.size:
-                pair_w = self._pair_flip_weights(red_t, pivots, pa, pb)
-                j = int(np.argmin(pair_w))
-                if pair_w[j] < best_w:
-                    best_np = np.array([pa[j], pb[j]])
-                    best_piv = solution_weight(best_np)[1]
+        # pairs among the top columns, in combinations order
+        top = nonpivot[: self.osd_cfg.sweep_depth]
+        sweep = (np.zeros((1, 0), dtype=np.int64), nonpivot[:, None],
+                 top[np.array(np.triu_indices(top.size, k=1))].T)
+        best, best_w = sweep[0][0], np.inf
+        for flips in sweep:
+            if len(flips):
+                weights = self._flip_weights(red_t, pivots, flips)
+                j = int(np.argmin(weights))
+                if weights[j] < best_w:
+                    best, best_w = flips[j], weights[j]
 
         x = np.zeros(n, dtype=np.uint8)
-        x[pivots] = best_piv
-        x[best_np] = 1
+        x[pivots] = unpack_bits(np.bitwise_xor.reduce(red_t[[n, *best]]), pivots.size)[0]
+        x[best] = 1
         return x
 
     def _reduce(self, syndrome: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -296,29 +269,28 @@ class BPOSDDecoder:
         is_pivot[pivots] = True
         return red_t, pivots, order[~is_pivot[order]]
 
-    def _single_flip_weights(self, red_t, pivots, cols) -> np.ndarray:
-        """Solution weight after flipping each excluded column of ``cols``."""
-        n, rank, lw = red_t.shape[0] - 1, pivots.size, self.log_weights
-        if self.unit_weights:
-            return np.bitwise_count(red_t[cols] ^ red_t[n]).sum(axis=1) + 1.0
-        lw_piv, weights = lw[pivots], np.empty(cols.size)
-        for lo in range(0, cols.size, _FLIP_BLOCK):
-            block = cols[lo : lo + _FLIP_BLOCK]
-            flipped = np.ascontiguousarray(unpack_bits(red_t[block] ^ red_t[n], rank).T)
-            weights[lo : lo + block.size] = lw_piv @ flipped + lw[block]
-        return weights
+    def _flip_weights(self, red_t, pivots, flips) -> np.ndarray:
+        """Solution weight after flipping the excluded columns in each row of ``flips``.
 
-    def _pair_flip_weights(self, red_t, pivots, pa, pb) -> np.ndarray:
-        """Solution weight after flipping each pair (pa[i], pb[i]) of excluded columns."""
-        n, rank, lw = red_t.shape[0] - 1, pivots.size, self.log_weights
-        if self.unit_weights:
-            return np.bitwise_count(red_t[n] ^ red_t[pa] ^ red_t[pb]).sum(axis=1) + 2.0
-        lw_piv, weights = lw[pivots], np.empty(pa.size)
-        for lo in range(0, pa.size, _FLIP_BLOCK):
-            a, b = pa[lo : lo + _FLIP_BLOCK], pb[lo : lo + _FLIP_BLOCK]
-            bits = unpack_bits(red_t[n] ^ red_t[a] ^ red_t[b], rank).astype(np.float64)
-            weights[lo : lo + a.size] = [lw_piv @ row for row in bits]
-            weights[lo : lo + a.size] += lw[a] + lw[b]
+        ``flips`` has width 0 (the order-0 solution), 1 or 2.  Flipping a
+        row's columns sets the pivot bits to row n of ``red_t`` (the
+        reduced syndrome) XOR those columns' rows.  Rows are gathered
+        ``_FLIP_BLOCK`` flip sets at a time.  Unit weights are scored by
+        popcount, other weights by one product of the unpacked pivot bits
+        with the pivot weights, whose float64 copy of its 0/1 operand
+        stays under 4 MB at rank 930.  The weights are integers below
+        2**53, so either sum is exact.
+        """
+        n, lw = red_t.shape[0] - 1, self.log_weights
+        lw_piv, weights = lw[pivots], np.empty(len(flips))
+        for lo in range(0, len(flips), _FLIP_BLOCK):
+            block, out = flips[lo : lo + _FLIP_BLOCK], weights[lo : lo + _FLIP_BLOCK]
+            rows = np.bitwise_xor.reduce(red_t[block], axis=1) ^ red_t[n]
+            if self.unit_weights:
+                out[:] = np.bitwise_count(rows).sum(axis=1)
+            else:
+                out[:] = unpack_bits(rows, pivots.size) @ lw_piv
+            out += lw[block].sum(axis=1)
         return weights
 
     # -- end-to-end ---------------------------------------------------------
@@ -409,13 +381,15 @@ def bp_marginals_batch(
     least ``_LLR_CLIP``: its q, computed through that clip, is then
     fixed by the LLRs' signs.  This third stop is not exact: later
     iterations could still flip a sign.  In every circuit-distance
-    trial checked it fires with all LLRs positive.  It never fired in
-    the shot decodes checked, ``bbqec run`` on bb72/6 at p = 0.004 and
-    on bb144/12 at p = 0.005 with BP caps of 100 and of the default
-    10000: there the smallest |LLR| of a side that ran to 10000 never
-    exceeded 5.5 at any iteration.  In the code-level coset trials
-    checked, at their cap of 300, it never exceeded 17.  The prior LLR
-    of a variable without edges also stays below the clip.
+    trial checked it fires with all LLRs positive, near iteration 45 on
+    bb72/6, 60 on bb144/12 and 78 on bb288/18, instead of at their cap
+    of 300.  It never fired in the shot decodes checked, ``bbqec run``
+    on bb72/6 at p = 0.004 and on bb144/12 at p = 0.005 with BP caps of
+    100 and of the default 10000: there the smallest |LLR| of a side
+    that ran to 10000 never exceeded 5.5 at any iteration.  In the
+    code-level coset trials checked, at their cap of 300, it never
+    exceeded 17.  The prior LLR of a variable without edges also stays
+    below the clip.
 
     Raises:
         ValueError: a syndrome's length differs from its matrix's row
@@ -760,11 +734,10 @@ def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> Dist
     fault set with nontrivial logical action, so its weight bounds the
     circuit distance for this type.
 
-    BP saturates in these trials: every |LLR| passes ``_LLR_CLIP``, all
-    of them positive, near iteration 45 on bb72/6, 60 on bb144/12 and
-    78 on bb288/18, and BP stops there rather than at the cap of 300.
-    q is then one value on every column, so OSD ranks the columns in
-    index order and only eta differs between trials.  That is the order
+    BP saturates in these trials with every LLR positive (see
+    :func:`bp_marginals_batch`), so q is one value on every column: OSD
+    ranks the columns in index order and only eta differs between
+    trials.  That is the order
     of D's cached RREF, so OSD adds eta's row to it
     (``_CosetDecoder._reduce``) instead of eliminating [D; eta]: D is
     eliminated once per model, not once per trial.

@@ -1,15 +1,5 @@
 """Shared fixtures, built once per session: the logical bases of bb72 and
-bb144, and their detector models with 6 and 12 cycles.
-
-BLAS runs one thread, as in perfbench, before anything imports numpy:
-OSD scores flips with float64 products whose last bits depend on the
-BLAS thread count, and the pinned OSD digest must not.
-"""
-
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+bb144, and their detector models with 6 and 12 cycles."""
 
 import pytest
 

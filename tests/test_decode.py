@@ -23,7 +23,7 @@ from bbqec.decode import (
     exact_distance_small,
     reduce_weight_modulo_rows,
 )
-from bbqec.gf2 import BinMatrix, BinVector
+from bbqec.gf2 import BinMatrix, BinVector, int_rows
 from bbqec.noise import sample_circuit_noise
 
 SIDES = ("x", "z")
@@ -297,6 +297,12 @@ def test_osd_runs_only_where_bp_fails(model, sides, monkeypatch):
     assert np.array_equal(D @ out.xi.to_bits() % 2, syndrome)
 
 
+def sweep_flips(nonpivot, depth=30) -> list[np.ndarray]:
+    """OSD's flip sets of widths 0, 1 and 2: order-0, every single, pairs among the top ``depth``."""
+    pairs = np.array(list(combinations(nonpivot[:depth], 2)), dtype=np.int64).reshape(-1, 2)
+    return [np.zeros((1, 0), dtype=np.int64), nonpivot[:, None], pairs]
+
+
 def test_unit_weight_flips_are_scored_by_popcount(model):
     # the coset problems of the distance searches have uniform priors,
     # and so log weights of 1
@@ -315,14 +321,76 @@ def test_unit_weight_flips_are_scored_by_popcount(model):
         bits = np.unpackbits(red_t.view(np.uint8), axis=1, bitorder="little")
         assert 0 < pivots.size < bits.shape[1] and not bits[:, pivots.size :].any()
         weighed = copy.copy(dec)
-        weighed.unit_weights = False  # the float products of general weights
-        single = (red_t, pivots, nonpivot)
-        pairs = (red_t, pivots, *np.array(list(combinations(nonpivot[:30], 2))).T)
-        for got, want in ((dec._single_flip_weights(*single), weighed._single_flip_weights(*single)),
-                          (dec._pair_flip_weights(*pairs), weighed._pair_flip_weights(*pairs))):
+        weighed.unit_weights = False  # the product of general weights
+        for flips in sweep_flips(nonpivot):
+            got = dec._flip_weights(red_t, pivots, flips)
+            want = weighed._flip_weights(red_t, pivots, flips)
             assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
         assert np.array_equal(dec.osd_postprocess(syndrome, q), weighed.osd_postprocess(syndrome, q))
     assert not BPOSDDecoder(model.z.matrix, model.z.priors).unit_weights
+
+
+def int_flip_weights(dec, red_t, pivots, flips) -> list[int]:
+    """Python-int reference of ``_flip_weights``: XOR the rows, add the weights of set bits."""
+    rows = int_rows(red_t)
+    lw = [int(w) for w in dec.log_weights]
+    out = []
+    for f in flips.tolist():
+        bits, total = rows[-1], sum(lw[j] for j in f)
+        for j in f:
+            bits ^= rows[j]
+        while bits:
+            low = bits & -bits
+            total += lw[pivots[low.bit_length() - 1]]
+            bits ^= low
+        out.append(total)
+    return out
+
+
+def test_flip_weights_equal_the_int_reference(golden_shots, sides):
+    for side in SIDES:
+        dec = sides[side][0]
+        lw = dec.log_weights
+        assert not dec.unit_weights and np.array_equal(lw, np.rint(lw))
+        assert (dec.matrix.cols + 2) * lw.max() < 2**53
+        for syndrome in getattr(golden_shots, f"{side}_syndromes"):
+            red_t, pivots, nonpivot = dec._reduce(syndrome, dec.bp_marginals(syndrome)[0])
+            for flips in sweep_flips(nonpivot, depth=20):
+                want = int_flip_weights(dec, red_t, pivots, flips)
+                assert dec._flip_weights(red_t, pivots, flips).tolist() == want
+
+
+def test_osd_output_does_not_depend_on_the_flip_block(golden_shots, sides, monkeypatch):
+    def outputs() -> list[bytes]:
+        out = []
+        for side in SIDES:
+            dec = sides[side][0]
+            out += [dec.osd_postprocess(s, dec.bp_marginals(s)[0]).tobytes()
+                    for s in getattr(golden_shots, f"{side}_syndromes")]
+        return out
+
+    want = outputs()
+    monkeypatch.setattr(decode, "_FLIP_BLOCK", 7)
+    assert outputs() == want
+
+
+@pytest.mark.parametrize("first", [5, 6])
+def test_an_exact_tie_between_single_flips_goes_to_the_first_in_sweep_order(first):
+    # pivots 0-4 hold the syndrome; flipping 5 leaves {5, 0, 1} and
+    # flipping 6 leaves {6, 2, 3}, each one column of weight x, y and z:
+    # the float sums (x + y) + z and (y + z) + x differ in their last bit
+    D = BinMatrix.from_dense(np.array([[1, 0, 0, 0, 0, 0, 1],
+                                       [0, 1, 0, 0, 0, 0, 1],
+                                       [0, 0, 1, 0, 0, 1, 0],
+                                       [0, 0, 0, 1, 0, 1, 0],
+                                       [0, 0, 0, 0, 1, 1, 1]]))
+    px, py, pz = 0.011, 0.023, 0.037
+    x, y, z = (np.log(1 / p) for p in (px, py, pz))
+    assert (x + y) + z != (y + z) + x
+    dec = BPOSDDecoder(D, np.array([px, py, py, pz, 1e-6, pz, px]))
+    q = np.array([0.9] * 5 + ([0.5, 0.4] if first == 5 else [0.4, 0.5]))
+    want = {5: [0, 1, 5], 6: [2, 3, 6]}[first]
+    assert np.flatnonzero(dec.osd_postprocess(np.ones(5, dtype=np.uint8), q)).tolist() == want
 
 
 def test_decoder_rejects_non_finite_priors_and_weights():

@@ -344,6 +344,26 @@ def test_sampled_faults_force_the_same_batch(model):
         assert np.array_equal(getattr(again, name), getattr(batch, name)), name
 
 
+def test_sampled_faults_reproduce_syndromes_through_provenance(model):
+    """Each shot's drawn fault ids, mapped to their columns, XOR to its syndromes and flips."""
+    batch = sample(model, 40, 11)
+    assert batch.faults.size > 40
+    for side, syndromes, logicals in (("x", batch.x_syndromes, batch.logical_x),
+                                      ("z", batch.z_syndromes, batch.logical_z)):
+        sm = getattr(model, side)
+        column_of = np.full(model.fault_table.count, -1)
+        for col, members in enumerate(sm.provenance):
+            column_of[members] = col
+        # a fault in no column merged into the dropped all-zero column
+        cols = column_of[batch.faults]
+        kept = cols >= 0
+        error = np.zeros((batch.shots, sm.n_columns), dtype=np.int64)
+        np.add.at(error, (batch.fault_shots[kept], cols[kept]), 1)
+        error %= 2
+        assert np.array_equal(syndromes, error @ sm.matrix.to_dense().T % 2)
+        assert np.array_equal(logicals, error @ sm.logical.to_dense().T % 2)
+
+
 @pytest.mark.parametrize("name", ["bb72", "bb144"])
 def test_automorphism_gadgets_realise_shifts(name):
     code = catalog_code(name)
