@@ -389,7 +389,7 @@ def test_an_exact_tie_between_single_flips_goes_to_the_first_in_sweep_order(firs
     assert (x + y) + z != (y + z) + x
     dec = BPOSDDecoder(D, np.array([px, py, py, pz, 1e-6, pz, px]))
     q = np.array([0.9] * 5 + ([0.5, 0.4] if first == 5 else [0.4, 0.5]))
-    want = {5: [0, 1, 5], 6: [2, 3, 6]}[first]
+    want = [0, 1, 5] if first == 5 else [2, 3, 6]
     assert np.flatnonzero(dec.osd_postprocess(np.ones(5, dtype=np.uint8), q)).tolist() == want
 
 

@@ -194,6 +194,15 @@ def test_detector_blocks_difference_consecutive_readings(model):
         assert max_column <= 6 and max_row <= 35
 
 
+def fault_columns(model, sm) -> np.ndarray:
+    """Each fault id's column in ``sm``, the inverse of its provenance; -1 for
+    a fault in no column, one that merged into the dropped all-zero column."""
+    column_of = np.full(model.fault_table.count, -1)
+    for col, members in enumerate(sm.provenance):
+        column_of[members] = col
+    return column_of
+
+
 def test_forced_single_faults_reproduce_provenance(model):
     table = model.fault_table
     faults = np.random.default_rng(0).choice(table.count, size=200, replace=False)
@@ -204,10 +213,7 @@ def test_forced_single_faults_reproduce_provenance(model):
         ("z", batch.z_syndromes, batch.logical_z, model.code.hx, batch.beta),
     ):
         sm = getattr(model, side)
-        column_of = np.full(table.count, -1)
-        for col, members in enumerate(sm.provenance):
-            column_of[members] = col
-        # a fault in no column merged into the dropped all-zero column
+        column_of = fault_columns(model, sm)
         det = np.hstack([sm.matrix.to_dense(), np.zeros((sm.matrix.rows, 1), np.uint8)])
         log = np.hstack([sm.logical.to_dense(), np.zeros((sm.logical.rows, 1), np.uint8)])
         raw = np.hstack([sm.readout_matrix.to_dense(), np.zeros((sm.matrix.rows, 1), np.uint8)])
@@ -351,11 +357,7 @@ def test_sampled_faults_reproduce_syndromes_through_provenance(model):
     for side, syndromes, logicals in (("x", batch.x_syndromes, batch.logical_x),
                                       ("z", batch.z_syndromes, batch.logical_z)):
         sm = getattr(model, side)
-        column_of = np.full(model.fault_table.count, -1)
-        for col, members in enumerate(sm.provenance):
-            column_of[members] = col
-        # a fault in no column merged into the dropped all-zero column
-        cols = column_of[batch.faults]
+        cols = fault_columns(model, sm)[batch.faults]
         kept = cols >= 0
         error = np.zeros((batch.shots, sm.n_columns), dtype=np.int64)
         np.add.at(error, (batch.fault_shots[kept], cols[kept]), 1)
