@@ -150,11 +150,21 @@ def _orbit_keys(bits: np.ndarray, code: BBCode) -> np.ndarray:
 def _orbit_representatives(bits: np.ndarray, code: BBCode, count: int) -> list[BinVector]:
     """The first nonzero row of each translation orbit, the ``count`` lightest.
 
-    Ties in weight go by support, in lexicographic order.
+    Ties in weight go by support, in lexicographic order.  Translates
+    share a weight, so the rows are keyed one weight class at a time,
+    lightest first, until the classes keyed hold ``count`` orbits.
     """
-    bits = bits[bits.any(axis=1)]
-    _, first = np.unique(_orbit_keys(bits, code), axis=0, return_index=True)
-    reps = bits[first]
+    weights = bits.sum(axis=1)
+    classes = []
+    for w in np.unique(weights[weights > 0]):
+        rows = bits[weights == w]
+        _, first = np.unique(_orbit_keys(rows, code), axis=0, return_index=True)
+        classes.append(rows[first])
+        if sum(map(len, classes)) >= count:
+            break
+    if not classes:
+        return []
+    reps = np.vstack(classes)
     # of two supports of one weight, the smaller has a 1 where the bits first differ
     order = np.lexsort(np.vstack([1 - reps.T[::-1], reps.sum(axis=1)]))
     return [BinVector.from_bits(reps[i]) for i in order[:count]]

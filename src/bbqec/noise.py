@@ -27,18 +27,23 @@ check's last measured outcome, the standard detector convention (Gidney,
 one check, so a fault flips detectors next to its own cycle only.  The
 sampler propagates its drawn faults the same way.
 
-The model build propagates the single faults in chunks of consecutive
-ids, sized from the byte budget ``_CHUNK_BYTES`` before anything is
+The model build takes the single faults in chunks of consecutive ids,
+sized from the byte budget ``_CHUNK_BYTES`` before anything is
 allocated.  A fault's signature is its detector flips then its logical
-flips, packed into words.  Each side merges its chunk's signatures into
-a running set of distinct signatures, so between chunks it keeps only
-that set and one column index per fault.  At the end the set is sorted
-once: the columns follow the signatures in unsigned lexicographic order
-of their words, word 0 first, and the all-zero signature, which sorts
-first, is dropped.  A column's prior is its faults' priors summed in
-fault-id order and its provenance lists its fault ids ascending.  None
-of this depends on where the chunks end, so the model is the same for
-any chunk size.
+flips, packed into words.  Propagation is linear over GF(2), so a
+fault's signature is the XOR of the signatures of its frame flips, and
+a chunk propagates each of its distinct flips once, as one scenario
+(all of bb144's 169,344 faults with 12 cycles use 51,840 flips).  On
+each side, faults whose flips with a nonzero signature there form the
+same set share one signature, so only the distinct sets are XORed and
+merged.  Each side merges them into a running set of distinct
+signatures, so between chunks it keeps only that set and one column
+index per fault.  At the end the set is sorted once: the columns follow
+the signatures in unsigned lexicographic order of their words, word 0
+first, and the all-zero signature, which sorts first, is dropped.  A
+column's prior is its faults' priors summed in fault-id order and its
+provenance lists its fault ids ascending.  None of this depends on
+where the chunks end, so the model is the same for any chunk size.
 """
 
 from __future__ import annotations
@@ -206,13 +211,85 @@ def side_rows(
 def enumerate_faults(
     table: FaultTable, lo: int, hi: int, basis: LogicalBasis
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Propagate faults ``lo`` to ``hi - 1`` in one batched run.
+    """Each side's signatures of faults ``lo`` to ``hi - 1``, from one batched run.
 
-    Scenario i holds fault ``lo + i`` alone; returns their ``side_rows``.
+    Propagation and ``side_rows`` are linear over GF(2), so a fault's
+    signature is the XOR of the signatures of its frame flips: its
+    (step, qubit, X or Z) injections and (step, position) outcome flips
+    from ``FaultTable.frame_flips``.  Each distinct flip of the chunk is
+    one scenario of the run, so a chunk propagates at most as many
+    scenarios as it has faults.  On each side, faults whose flips with a
+    nonzero signature there form the same set share one signature (a
+    CNOT's 15 classes give at most 4 such sets a side), so only the
+    distinct sets are XORed.
+
+    Returns each side's ``(signatures, rows)``: the distinct sets'
+    signatures, detector flips then logical flips packed into words one
+    row each, and each fault's row among them.
+    """
+    injections, outcomes, fault, flip = _distinct_flips(table, lo, hi)
+    n_flips = len(injections[0]) + len(outcomes[0])
+    res = propagate_frames(table.circuit, n_flips, injections, outcomes)
+    sides = {}
+    for side, (detectors, logicals) in side_rows(res, table.circuit.code, basis).items():
+        stacked = np.vstack([detectors, logicals])
+        signatures = BinMatrix(len(stacked), n_flips, stacked).transpose().words
+        sides[side] = _flip_sets(signatures, fault, flip, hi - lo)
+    return sides
+
+
+def _distinct_flips(table: FaultTable, lo: int, hi: int):
+    """The distinct frame flips of faults ``lo`` to ``hi - 1``, one scenario each.
+
+    Returns ``(injections, meas_flips, fault, flip)``: the flips in
+    ``propagate_frames`` form, where scenario i is flip i and the
+    injections come first, then every (fault, flip) pair, faults
+    counted from ``lo``, sorted by fault, then flip.
     """
     ids = np.arange(lo, hi)
-    res = propagate_frames(table.circuit, hi - lo, *table.frame_flips(ids, ids - lo))
-    return side_rows(res, table.circuit.code, basis)
+    (steps, qubits, xz, fault), (m_steps, positions, m_fault) = table.frame_flips(ids, ids - lo)
+    # an injection is keyed by its step and frame row, as propagate_frames
+    # numbers the rows; an outcome by its step and position, both below 4lm
+    nq = 4 * table.circuit.code.lm
+    inj, inj_flip = np.unique((steps * 2 + xz) * nq + qubits, return_inverse=True)
+    out, out_flip = np.unique(m_steps * nq + positions, return_inverse=True)
+    n_inj, n_flips = len(inj), len(inj) + len(out)
+    step_xz, qubit = np.divmod(inj, nq)
+    fault = np.concatenate([fault, m_fault])
+    flip = np.concatenate([inj_flip, n_inj + out_flip])
+    order = np.argsort(fault * n_flips + flip, kind="stable")
+    return ((step_xz // 2, qubit, step_xz % 2, np.arange(n_inj)),
+            (out // nq, out % nq, np.arange(n_inj, n_flips)),
+            fault[order], flip[order])
+
+
+def _flip_sets(
+    signatures: np.ndarray, fault: np.ndarray, flip: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One side's distinct flip sets of ``count`` faults and their signatures.
+
+    Fault ``fault[i]`` applies flip ``flip[i]``, whose signature is row
+    ``flip[i]`` of ``signatures``; pairs come sorted by fault, then flip.
+    A fault's set holds its flips with a nonzero signature, so faults
+    that differ only in flips this side cannot see share a set.  Returns
+    each distinct set's signature, the XOR of its flips' rows, and each
+    fault's set.
+    """
+    seen = signatures.any(axis=1)[flip]
+    fault, flip = fault[seen], flip[seen]
+    per_fault = np.bincount(fault, minlength=count)
+    slot = np.arange(len(fault)) - np.repeat(np.cumsum(per_fault) - per_fault, per_fault)
+    sets = np.full((count, max(1, per_fault.max(initial=0))), -1)
+    sets[fault, slot] = flip
+    # rank the sets a slot at a time, which keeps every key below count * (flips + 1)
+    fault_set = np.zeros(count, dtype=np.int64)
+    for column in sets.T:
+        _, first, fault_set = np.unique(fault_set * (len(signatures) + 1) + column + 1,
+                                        return_index=True, return_inverse=True)
+    xored = np.zeros((len(first), signatures.shape[1]), dtype=np.uint64)
+    for column in sets[first].T:
+        xored[column >= 0] ^= signatures[column[column >= 0]]
+    return xored, fault_set
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +350,12 @@ class DetectorModel:
     fault_table: FaultTable = field(repr=False)
 
 
-# Upper bound on the packed bits one model-build chunk holds: frames,
-# check records, both sides' rows and one side's signatures.  On bb144
-# with 12 cycles it gives 14 chunks of about 12k faults.  Each chunk
-# costs one walk of the circuit's steps: 2^22 made that build about 10%
-# slower, and 2^24 saved under 5% of its time but raised its traced
-# peak from 20 to 25 MB.
+# Upper bound on the bytes one model-build chunk holds, as
+# ``_chunk_faults`` counts them.  On bb144 with 12 cycles it gives 19
+# chunks of about 8.9k faults.  Each chunk costs one walk of the
+# circuit's steps: 2^22 made that build about 40% slower, and 2^24 saved
+# no measurable time; the build's traced peak, about 19 MB, is set by
+# the final merge at all three.
 _CHUNK_BYTES = 1 << 23
 
 
@@ -286,16 +363,21 @@ def _chunk_faults(table: FaultTable) -> int:
     """Faults per model-build chunk, from ``_CHUNK_BYTES``.
 
     Counted from the code and circuit sizes before anything is
-    allocated: per fault, the X and Z frames of 4lm qubits, the two
-    sides' N_c * lm check records, each side's (N_c + 1) * lm detector
-    rows and k logical rows, and one side's signature words.  The
-    chunks the budget allows are then evened out, so the last one is
-    not a sliver.
+    allocated.  A chunk propagates its distinct flips, and no operation
+    has more flips than fault classes, so a chunk has at most one flip
+    per fault.  Per fault, then: one flip's X and Z frames of 4lm
+    qubits, its two sides' N_c * lm check records, each side's
+    (N_c + 1) * lm detector rows and k logical rows, and each side's
+    signature words; plus sixteen int64 words for the fault's flip pairs
+    and its set on each side.  A CNOT chunk holds far less: its 15
+    classes share an operation's four flips.  The chunks the budget
+    allows are then evened out, so the last one is not a sliver.
     """
     circ = table.circuit
     lm, k = circ.code.lm, circ.code.k
     side_bits = (circ.n_cycles + 1) * lm + k
-    bits = 8 * lm + 2 * circ.n_cycles * lm + 2 * side_bits + 64 * nwords(side_bits)
+    bits = (8 * lm + 2 * circ.n_cycles * lm + 2 * side_bits + 2 * 64 * nwords(side_bits)
+            + 16 * 64)
     chunks = -(-table.count // max(1, 8 * _CHUNK_BYTES // bits))
     return -(-table.count // chunks)
 
@@ -305,25 +387,27 @@ class _SignatureMerge:
 
     Between chunks it keeps only the distinct signatures seen so far, as
     byte-string keys in first-seen order, and each fault's index among
-    them.  A dict lookup per fault costs the same whatever the size of
-    the set, where re-sorting the set with each chunk would not.
+    them.  A dict lookup per signature costs the same whatever the size
+    of the set, where re-sorting the set with each chunk would not.
     """
 
-    def __init__(self) -> None:
-        self.n_det = self.n_log = 0
+    def __init__(self, n_det: int, n_log: int) -> None:
+        self.n_det, self.n_log = n_det, n_log
         self._index: dict[bytes, int] = {}
         self._columns: list[np.ndarray] = []
 
-    def add(self, detector_rows: np.ndarray, logical_rows: np.ndarray, count: int) -> None:
-        """Merge the next ``count`` faults, from their rows packed over faults."""
-        self.n_det, self.n_log = len(detector_rows), len(logical_rows)
-        stacked = np.vstack([detector_rows, logical_rows])
-        signatures = np.ascontiguousarray(
-            BinMatrix(len(stacked), count, stacked).transpose().words)
+    def add(self, signatures: np.ndarray, rows: np.ndarray) -> None:
+        """Merge the next ``len(rows)`` faults: fault i's signature is row ``rows[i]``.
+
+        ``signatures`` holds packed signatures one per row, each keyed
+        once however many faults share it.
+        """
+        signatures = np.ascontiguousarray(signatures)
         keys = signatures.view(np.dtype((np.void, signatures.shape[1] * 8))).ravel().tolist()
         index = self._index
-        self._columns.append(np.fromiter(
-            (index.setdefault(key, len(index)) for key in keys), np.int64, count))
+        columns = np.fromiter((index.setdefault(key, len(index)) for key in keys),
+                              np.int64, len(keys))
+        self._columns.append(columns[rows])
 
     def result(self, priors: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """The distinct nonzero signatures, their priors and their faults.
@@ -378,8 +462,11 @@ def build_detector_model(
     """Enumerate the single faults a chunk at a time and merge each side's columns.
 
     Each chunk is one ``enumerate_faults`` call on ``_chunk_faults``
-    consecutive fault ids, sized from ``_CHUNK_BYTES``; its rows are
-    merged into each side's running set of distinct signatures and then
+    consecutive fault ids, sized from ``_CHUNK_BYTES``.  It propagates
+    the chunk's distinct frame flips once each and, by linearity over
+    GF(2), XORs each side's distinct sets of flips that side sees into
+    signatures; each fault's column is its set's.  The sets are merged
+    into each side's running set of distinct signatures and then
     released.  The model is the same for any chunk size, byte for byte:
     a fault's column depends only on its signature and the sorted
     distinct set, priors are summed in fault-id order, and provenance
@@ -392,11 +479,12 @@ def build_detector_model(
         raise ValueError("p must be a probability")
     table = build_fault_table(circ)
     size = _chunk_faults(table)
-    merges = {"X": _SignatureMerge(), "Z": _SignatureMerge()}
+    n_det = (circ.n_cycles + 1) * circ.code.lm
+    merges = {"X": _SignatureMerge(n_det, circ.code.k), "Z": _SignatureMerge(n_det, circ.code.k)}
     for lo in range(0, table.count, size):
-        hi = min(lo + size, table.count)
-        for side, rows in enumerate_faults(table, lo, hi, basis).items():
-            merges[side].add(*rows, hi - lo)
+        for side, (signatures, rows) in enumerate_faults(
+                table, lo, min(lo + size, table.count), basis).items():
+            merges[side].add(signatures, rows)
     priors = table.priors(p)
     return DetectorModel(
         code=circ.code,

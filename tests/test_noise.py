@@ -13,6 +13,7 @@ from bbqec import noise
 from bbqec.circuit import (
     automorphism_data_permutation,
     build_automorphism_circuit,
+    propagate_frames,
     shift_permutation,
 )
 from bbqec.code import catalog_code
@@ -67,10 +68,35 @@ def test_model144_golden(model144):
     assert h.hexdigest() == DUMP144_SHA
 
 
+def distinct_flips(table, chunks) -> list[int]:
+    """How many distinct frame flips the faults of each (lo, hi) chunk apply."""
+    ids = np.arange(table.count)
+    counts = [0] * len(chunks)
+    # each kind of flip comes as its key arrays, then the faults, ascending
+    for *keys, faults in table.frame_flips(ids, ids):
+        flips = list(zip(*(key.tolist() for key in keys)))
+        bounds = np.searchsorted(faults, [lo for lo, _ in chunks] + [table.count])
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            counts[i] += len(set(flips[a:b]))
+    return counts
+
+
+def model_digest(model) -> tuple:
+    """Each side's dump digest, priors and provenance."""
+    return tuple((hashlib.sha256(dump_side_model(side).encode()).hexdigest(), side.priors,
+                  side.provenance) for side in (model.x, model.z))
+
+
+def assert_same_model(got, want):
+    for (dump, priors, provenance), (want_dump, want_priors, want_provenance) in zip(got, want):
+        assert dump == want_dump
+        assert np.array_equal(priors, want_priors)
+        assert len(provenance) == len(want_provenance)
+        assert all(np.array_equal(p, q) for p, q in zip(provenance, want_provenance))
+
+
 def test_chunked_build_matches_one_chunk(model, monkeypatch):
     table = model.fault_table
-    assert noise._chunk_faults(table) == table.count  # the fixture is one chunk
-    whole = [(side.priors, side.provenance) for side in (model.x, model.z)]
     cnot_blocks = [(table.offsets[i], table.offsets[i + 1])
                    for i, step in enumerate(model.circuit.steps) if step.kind == "cnot"]
     first_undetected_x = np.setdiff1d(np.arange(table.count),
@@ -83,9 +109,14 @@ def test_chunked_build_matches_one_chunk(model, monkeypatch):
 
     propagate = noise.propagate_frames
     monkeypatch.setattr(noise, "propagate_frames", counted)
+    monkeypatch.setattr(noise, "_CHUNK_BYTES", 1 << 40)
+    assert noise._chunk_faults(table) == table.count
+    whole = model_digest(noise.build_detector_model(model.circuit, model.p, model.basis))
+    assert calls == distinct_flips(table, [(0, table.count)])
+    assert whole[0][0] == DUMP_X_SHA and whole[1][0] == DUMP_Z_SHA
     cut_cnot = first_clean = False
-    # 2^16 bytes is a few hundred faults a chunk; 6000 bytes is a few dozen
-    for budget in (1 << 16, 6000):
+    # 2^17 bytes is a few hundred faults a chunk; 10,000 bytes is a few dozen
+    for budget in (1 << 17, 10_000):
         monkeypatch.setattr(noise, "_CHUNK_BYTES", budget)
         size = noise._chunk_faults(table)
         cut_cnot |= any((lo - a) % 15 for lo in range(size, table.count, size)
@@ -94,14 +125,32 @@ def test_chunked_build_matches_one_chunk(model, monkeypatch):
         first_clean |= size <= first_undetected_x
         calls.clear()
         chunked = noise.build_detector_model(model.circuit, model.p, model.basis)
-        assert len(calls) == -(-table.count // size) and max(calls) == size
-        assert hashlib.sha256(dump_side_model(chunked.x).encode()).hexdigest() == DUMP_X_SHA
-        assert hashlib.sha256(dump_side_model(chunked.z).encode()).hexdigest() == DUMP_Z_SHA
-        for side, (priors, provenance) in zip((chunked.x, chunked.z), whole):
-            assert np.array_equal(side.priors, priors)
-            assert len(side.provenance) == len(provenance)
-            assert all(np.array_equal(p, q) for p, q in zip(side.provenance, provenance))
+        # one run a chunk, of its distinct flips, never more than its faults
+        chunks = [(lo, min(lo + size, table.count)) for lo in range(0, table.count, size)]
+        assert calls == distinct_flips(table, chunks)
+        assert all(n <= hi - lo for n, (lo, hi) in zip(calls, chunks))
+        assert_same_model(model_digest(chunked), whole)
     assert cut_cnot and first_clean
+
+
+def test_model_matches_per_fault_propagation(model):
+    """The build equals the per-fault oracle: every fault propagated alone,
+    one scenario each, and the signatures merged by ``np.unique``."""
+    table = model.fault_table
+    ids = np.arange(table.count)
+    res = propagate_frames(model.circuit, table.count, *table.frame_flips(ids, ids))
+    priors = table.priors(model.p)
+    for side, (detectors, logicals) in noise.side_rows(res, model.code, model.basis).items():
+        sm = getattr(model, side.lower())
+        stacked = np.vstack([detectors, logicals])
+        signatures = BinMatrix(len(stacked), table.count, stacked).transpose().words
+        merged, merged_priors, provenance = reference_merge(signatures, priors)
+        rows = BinMatrix(len(merged), len(stacked), merged).transpose().words
+        assert np.array_equal(sm.matrix.words, rows[: len(detectors)])
+        assert np.array_equal(sm.logical.words, rows[len(detectors) :])
+        assert sm.priors.tobytes() == merged_priors.tobytes()
+        assert len(sm.provenance) == len(provenance)
+        assert all(np.array_equal(p, q) for p, q in zip(sm.provenance, provenance))
 
 
 def test_model144_build_memory_bound(model144):
@@ -117,10 +166,11 @@ def test_model144_build_memory_bound(model144):
 
 def merge(signatures, priors, cuts=()):
     """``_SignatureMerge`` over signature rows, fed in chunks split at cuts."""
-    merger = _SignatureMerge()
+    merger = _SignatureMerge(64 * signatures.shape[1], 0)
     for part in np.split(signatures, cuts):
-        rows = BinMatrix(len(part), 64 * signatures.shape[1], part).transpose().words
-        merger.add(rows, rows[:0], len(part))
+        # each distinct row keyed once, in reverse row order, as a chunk's sets are
+        distinct, rows = np.unique(part, axis=0, return_inverse=True)
+        merger.add(distinct[::-1], len(distinct) - 1 - rows.reshape(-1))
     return merger.result(priors)
 
 
