@@ -281,14 +281,19 @@ def _flip_sets(
     slot = np.arange(len(fault)) - np.repeat(np.cumsum(per_fault) - per_fault, per_fault)
     sets = np.full((count, max(1, per_fault.max(initial=0))), -1)
     sets[fault, slot] = flip
-    # rank the sets a slot at a time, which keeps every key below count * (flips + 1)
-    fault_set = np.zeros(count, dtype=np.int64)
-    for column in sets.T:
-        _, first, fault_set = np.unique(fault_set * (len(signatures) + 1) + column + 1,
-                                        return_index=True, return_inverse=True)
-    xored = np.zeros((len(first), signatures.shape[1]), dtype=np.uint64)
-    for column in sets[first].T:
-        xored[column >= 0] ^= signatures[column[column >= 0]]
+    # number the distinct sets in sorted order
+    order = np.lexsort(sets.T[::-1])
+    ranked = sets[order]
+    new = np.ones(count, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    fault_set = np.empty(count, dtype=np.int64)
+    fault_set[order] = np.cumsum(new) - 1
+    # a padding slot, -1, reads the appended zero row
+    padded = np.vstack([signatures, np.zeros_like(signatures[:1])])
+    distinct = ranked[new].T
+    xored = padded[distinct[0]]
+    for column in distinct[1:]:
+        xored ^= padded[column]
     return xored, fault_set
 
 
@@ -428,9 +433,11 @@ class _SignatureMerge:
         merged = distinct[order]
         merged_priors = np.minimum(
             np.bincount(column, weights=priors, minlength=len(merged)), 1.0 - 1e-9)
-        # a stable sort lists each column's faults in ascending order
-        provenance = np.split(np.argsort(column, kind="stable"),
-                              np.cumsum(np.bincount(column, minlength=len(merged)))[:-1])
+        # a stable sort lists each column's faults in ascending order; slices
+        # of it cost a fraction of np.split's per-piece overhead
+        by_column = np.argsort(column, kind="stable")
+        ends = np.cumsum(np.bincount(column, minlength=len(merged))).tolist()
+        provenance = [by_column[a:b] for a, b in zip([0, *ends[:-1]], ends)]
         if len(merged) and not merged[0].any():
             merged, merged_priors, provenance = merged[1:], merged_priors[1:], provenance[1:]
         return merged, merged_priors, provenance
