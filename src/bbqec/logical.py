@@ -155,15 +155,13 @@ def _orbit_representatives(bits: np.ndarray, code: BBCode, count: int) -> list[B
     lightest first, until the classes keyed hold ``count`` orbits.
     """
     weights = bits.sum(axis=1)
-    classes = []
+    classes = [bits[:0]]
     for w in np.unique(weights[weights > 0]):
         rows = bits[weights == w]
         _, first = np.unique(_orbit_keys(rows, code), axis=0, return_index=True)
         classes.append(rows[first])
         if sum(map(len, classes)) >= count:
             break
-    if not classes:
-        return []
     reps = np.vstack(classes)
     # of two supports of one weight, the smaller has a 1 where the bits first differ
     order = np.lexsort(np.vstack([1 - reps.T[::-1], reps.sum(axis=1)]))

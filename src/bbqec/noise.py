@@ -487,7 +487,7 @@ def build_detector_model(
     table = build_fault_table(circ)
     size = _chunk_faults(table)
     n_det = (circ.n_cycles + 1) * circ.code.lm
-    merges = {"X": _SignatureMerge(n_det, circ.code.k), "Z": _SignatureMerge(n_det, circ.code.k)}
+    merges = {side: _SignatureMerge(n_det, circ.code.k) for side in ("X", "Z")}
     for lo in range(0, table.count, size):
         for side, (signatures, rows) in enumerate_faults(
                 table, lo, min(lo + size, table.count), basis).items():

@@ -168,7 +168,7 @@ def merge(signatures, priors, cuts=()):
     """``_SignatureMerge`` over signature rows, fed in chunks split at cuts."""
     merger = _SignatureMerge(64 * signatures.shape[1], 0)
     for part in np.split(signatures, cuts):
-        # each distinct row keyed once, in reverse row order, as a chunk's sets are
+        # each distinct row keyed once, as a chunk's sets are, in an order the merge must undo
         distinct, rows = np.unique(part, axis=0, return_inverse=True)
         merger.add(distinct[::-1], len(distinct) - 1 - rows.reshape(-1))
     return merger.result(priors)
