@@ -358,7 +358,7 @@ class DetectorModel:
 # Upper bound on the bytes one model-build chunk holds, as
 # ``_chunk_faults`` counts them.  On bb144 with 12 cycles it gives 19
 # chunks of about 8.9k faults.  Each chunk costs one walk of the
-# circuit's steps: 2^22 made that build about 40% slower, and 2^24 saved
+# circuit's steps: 2^22 made that build 40-70% slower, and 2^24 saved
 # no measurable time; the build's traced peak, about 19 MB, is set by
 # the final merge at all three.
 _CHUNK_BYTES = 1 << 23
