@@ -91,15 +91,17 @@ class BPConfig:
     74 MB and spent 1.01 instead of 0.90 ms a BP iteration.
 
     Raises:
-        ValueError: max_iters < 1, or scale outside (0, 1], NaN included.
+        ValueError: max_iters not a whole number >= 1, or scale outside (0, 1], NaN included.
     """
 
     max_iters: int = 10000
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        # BP stops at the cap when its iteration count equals it: never, for a fraction or inf
+        if not float(self.max_iters).is_integer() or self.max_iters < 1:
+            raise ValueError("max_iters must be a whole number >= 1")
+        self.max_iters = int(self.max_iters)
         if not 0 < self.scale <= 1:
             raise ValueError("scale must lie in (0, 1]")
 
@@ -111,13 +113,17 @@ class OSDConfig:
     After solving on the information set, the combination sweep tries
     every single excluded-column flip and all pairs among the
     ``sweep_depth`` most likely excluded columns.
+
+    Raises:
+        ValueError: sweep_depth not a whole number >= 0.
     """
 
     sweep_depth: int = 20
 
     def __post_init__(self):
-        if self.sweep_depth < 0:
-            raise ValueError("sweep_depth must be >= 0")
+        if not float(self.sweep_depth).is_integer() or self.sweep_depth < 0:
+            raise ValueError("sweep_depth must be a whole number >= 0")
+        self.sweep_depth = int(self.sweep_depth)
 
 
 @dataclass

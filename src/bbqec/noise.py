@@ -41,9 +41,12 @@ signatures, so between chunks it keeps only that set and one column
 index per fault.  At the end the set is sorted once: the columns follow
 the signatures in unsigned lexicographic order of their words, word 0
 first, and the all-zero signature, which sorts first, is dropped.  A
-column's prior is its faults' priors summed in fault-id order and its
-provenance lists its fault ids ascending.  None of this depends on
-where the chunks end, so the model is the same for any chunk size.
+column's prior is its faults' priors summed in fault-id order.  The
+model's record of the faults is ``SideModel.fault_column``, each fault
+id's column (-1 for a dropped fault), which turns a shot's fault ids
+into its error vector; ``provenance``, each column's fault ids, is its
+inverse.  None of this depends on where the chunks end, so the model
+is the same for any chunk size.
 """
 
 from __future__ import annotations
@@ -309,8 +312,17 @@ class SideModel:
     matrix: BinMatrix  # detectors x merged fault columns
     logical: BinMatrix  # k x merged fault columns
     priors: np.ndarray
-    provenance: list[np.ndarray] = field(repr=False)
+    # each fault id's column; -1 where it merged into the dropped all-zero signature
+    fault_column: np.ndarray = field(repr=False)
     block_rows: int  # detector rows per cycle block: the code's lm
+
+    @property
+    def provenance(self) -> list[np.ndarray]:
+        """Each column's fault ids, ascending, from one stable sort of ``fault_column``."""
+        by_column = np.argsort(self.fault_column, kind="stable")  # the dropped (-1) first
+        ends = np.cumsum(np.bincount(self.fault_column + 1, minlength=self.n_columns + 1))
+        # slices cost a fraction of np.split's per-piece overhead
+        return [by_column[a:b] for a, b in zip(ends[:-1].tolist(), ends[1:].tolist())]
 
     @property
     def n_detector_rows(self) -> int:
@@ -345,14 +357,21 @@ class SideModel:
 
 @dataclass
 class DetectorModel:
-    code: BBCode
     circuit: ScheduledCircuit
     basis: LogicalBasis
     p: float
-    pre_merge_count: int
     x: SideModel
     z: SideModel
     fault_table: FaultTable = field(repr=False)
+
+    @property
+    def code(self) -> BBCode:
+        return self.circuit.code
+
+    @property
+    def pre_merge_count(self) -> int:
+        """The single faults before merging: one per fault id."""
+        return self.fault_table.count
 
 
 # Upper bound on the bytes one model-build chunk holds, as
@@ -414,18 +433,18 @@ class _SignatureMerge:
                               np.int64, len(keys))
         self._columns.append(columns[rows])
 
-    def result(self, priors: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """The distinct nonzero signatures, their priors and their faults.
+    def result(self, priors: np.ndarray, block_rows: int) -> SideModel:
+        """The side's model: one column per distinct nonzero signature.
 
-        Signatures come in unsigned lexicographic order of their words,
-        word 0 first, from one sort of the distinct set.  Each one's
-        prior is its faults' priors summed in fault-id order and capped
-        below 1; its fault ids are ascending.  The all-zero signature
-        sorts first and is dropped: it is undetectable and acts
-        trivially.
+        Columns follow the signature words in unsigned lexicographic
+        order, word 0 (rows 0-63) first, from one sort of the distinct
+        set.  Each one's prior is its faults' priors summed in fault-id
+        order and capped below 1.  The all-zero signature sorts first and
+        is dropped: it is undetectable and acts trivially, and its faults'
+        column is -1.
         """
-        words = nwords(self.n_det + self.n_log)
-        distinct = np.frombuffer(b"".join(self._index), dtype=np.uint64).reshape(-1, words)
+        n_bits = self.n_det + self.n_log
+        distinct = np.frombuffer(b"".join(self._index), dtype=np.uint64).reshape(-1, nwords(n_bits))
         order = np.lexsort(distinct.T[::-1])
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order))
@@ -433,34 +452,17 @@ class _SignatureMerge:
         merged = distinct[order]
         merged_priors = np.minimum(
             np.bincount(column, weights=priors, minlength=len(merged)), 1.0 - 1e-9)
-        # a stable sort lists each column's faults in ascending order; slices
-        # of it cost a fraction of np.split's per-piece overhead
-        by_column = np.argsort(column, kind="stable")
-        ends = np.cumsum(np.bincount(column, minlength=len(merged))).tolist()
-        provenance = [by_column[a:b] for a, b in zip([0, *ends[:-1]], ends)]
         if len(merged) and not merged[0].any():
-            merged, merged_priors, provenance = merged[1:], merged_priors[1:], provenance[1:]
-        return merged, merged_priors, provenance
-
-
-def _side_model(merge: _SignatureMerge, priors: np.ndarray, lm: int) -> SideModel:
-    """One side's model, from its merge of every fault's signature.
-
-    One column per distinct nonzero signature.  Columns follow the
-    signature words in unsigned lexicographic order, word 0 (rows 0-63)
-    first; provenance is ascending, and the all-zero signature, which
-    sorts first, is dropped.
-    """
-    merged, merged_priors, provenance = merge.result(priors)
-    n_det, n_log = merge.n_det, merge.n_log
-    rows = BinMatrix(len(merged), n_det + n_log, merged).transpose().words
-    return SideModel(
-        matrix=BinMatrix(n_det, len(merged), rows[:n_det]),
-        logical=BinMatrix(n_log, len(merged), rows[n_det:]),
-        priors=merged_priors,
-        provenance=provenance,
-        block_rows=lm,
-    )
+            merged, merged_priors = merged[1:], merged_priors[1:]
+            column -= 1
+        rows = BinMatrix(len(merged), n_bits, merged).transpose().words
+        return SideModel(
+            matrix=BinMatrix(self.n_det, len(merged), rows[: self.n_det]),
+            logical=BinMatrix(self.n_log, len(merged), rows[self.n_det :]),
+            priors=merged_priors,
+            fault_column=column,
+            block_rows=block_rows,
+        )
 
 
 def build_detector_model(
@@ -476,8 +478,7 @@ def build_detector_model(
     into each side's running set of distinct signatures and then
     released.  The model is the same for any chunk size, byte for byte:
     a fault's column depends only on its signature and the sorted
-    distinct set, priors are summed in fault-id order, and provenance
-    comes from a stable sort by column.
+    distinct set, and priors are summed in fault-id order.
 
     Raises:
         ValueError: p outside [0, 1], NaN included.
@@ -494,13 +495,11 @@ def build_detector_model(
             merges[side].add(signatures, rows)
     priors = table.priors(p)
     return DetectorModel(
-        code=circ.code,
         circuit=circ,
         basis=basis,
         p=p,
-        pre_merge_count=table.count,
-        x=_side_model(merges["X"], priors, circ.code.lm),
-        z=_side_model(merges["Z"], priors, circ.code.lm),
+        x=merges["X"].result(priors, circ.code.lm),
+        z=merges["Z"].result(priors, circ.code.lm),
         fault_table=table,
     )
 
@@ -531,10 +530,6 @@ class SampleBatch:
     z_syndromes: np.ndarray
     logical_x: np.ndarray  # (shots, k) true logical syndromes
     logical_z: np.ndarray
-    raw_z_checks: np.ndarray  # (shots, N_c * lm)
-    raw_x_checks: np.ndarray
-    alpha: np.ndarray  # (shots, n)
-    beta: np.ndarray
     faults: np.ndarray  # the fault ids applied, shot by shot
     fault_shots: np.ndarray  # the shot of each of them
 
@@ -557,7 +552,7 @@ def sample_circuit_noise(
 
     Each operation fails independently with probability p; the chosen
     Pauli/flip is propagated through the full circuit so the returned
-    syndromes and final errors are exact.  Shots are keyed by
+    syndromes and logical flips are exact.  Shots are keyed by
     (seed, first_shot + index) with a counter-based generator, so
     results are independent of batching and worker layout.
 
@@ -585,7 +580,6 @@ def sample_circuit_noise(
     res = propagate_frames(circ, shots, *table.frame_flips(faults, scenarios))
     rows = side_rows(res, circ.code, basis)
     (x_det, x_log), (z_det, z_log) = rows["X"], rows["Z"]
-    nc, lm, _ = res.z_check_outcomes.shape
 
     def unp(words: np.ndarray) -> np.ndarray:
         return unpack_bits(words, shots).T.copy()
@@ -596,10 +590,6 @@ def sample_circuit_noise(
         z_syndromes=unp(z_det),
         logical_x=unp(x_log),
         logical_z=unp(z_log),
-        raw_z_checks=unp(res.z_check_outcomes.reshape(nc * lm, -1)),
-        raw_x_checks=unp(res.x_check_outcomes.reshape(nc * lm, -1)),
-        alpha=unp(res.final_x_frame),
-        beta=unp(res.final_z_frame),
         faults=faults,
         fault_shots=scenarios,
     )

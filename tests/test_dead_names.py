@@ -1,5 +1,6 @@
 """Every function, method, class and attribute of the package is read by some code,
-and the names only the tests read are the listed checks of the paper's claims."""
+and the names only the tests read are the listed checks of the paper's claims, or
+attributes kept for a stated use."""
 
 import ast
 from pathlib import Path
@@ -200,3 +201,45 @@ def test_test_only_names_are_paper_checks():
         if name in in_tests and name not in elsewhere
     }
     assert test_only == set(TEST_ONLY)
+
+
+# Attributes that only the tests read: every attribute of a class that
+# reports a paper check, and single attributes kept for a stated use.  An
+# attribute read only by tests that is not one of these is state the
+# package computes for nobody.
+TEST_ONLY_ATTRIBUTES = {
+    "WheelReport": "the wheel structure of one planar half of the Tanner graph",
+    "ThicknessDecomposition": "the Tanner graph's thickness-2 split into two planar halves",
+    "RatioPlanEntry": "the swaps that invert one cyclic factor, a step of the ZX duality",
+    "DualitySwapPlan": "the swap chain that realizes the ZX duality",
+    "PlaneComponentReport": "the component kinds of an ancilla system's planar halves",
+    "AncillaSystem": "the ancilla system that measures one logical operator",
+    "SampleBatch.faults": "each shot's fault ids, for failure forensics (ROADMAP item 3)",
+    "SampleBatch.fault_shots": "the shot of each fault id, for failure forensics",
+}
+
+
+def test_test_only_attributes_are_listed():
+    """The attributes that ``tests`` read and ``src`` and ``perfbench`` do not are listed.
+
+    An attribute is listed by its ``Class.name`` or by its class.  This
+    file's own strings do not count as reads, so a listed attribute, or a
+    listed class none of whose attributes a test reads any more, fails
+    the check as well.  Matching is by bare name, as in the other checks.
+    """
+    def reads(paths) -> set[str]:
+        return set().union(*(_attribute_reads(ast.parse(p.read_text())) for p in paths))
+
+    in_tests = reads(p for p in (ROOT / "tests").glob("*.py") if p.name != Path(__file__).name)
+    elsewhere = reads(p for p in _readers() if p.parent != ROOT / "tests")
+    test_only = {
+        attr
+        for path in PACKAGE.glob("*.py")
+        for attr in _attributes(ast.parse(path.read_text()))
+        if attr.split(".")[1] in in_tests and attr.split(".")[1] not in elsewhere
+    }
+    unlisted = {attr for attr in test_only
+                if attr not in TEST_ONLY_ATTRIBUTES and attr.split(".")[0] not in TEST_ONLY_ATTRIBUTES}
+    assert not unlisted, "read only by tests, unlisted: " + ", ".join(sorted(unlisted))
+    covered = test_only | {attr.split(".")[0] for attr in test_only}
+    assert set(TEST_ONLY_ATTRIBUTES) <= covered

@@ -15,6 +15,7 @@ from bbqec.decode import (
     BPOSDDecoder,
     DecodeOutcome,
     DecodingError,
+    OSDConfig,
     bp_marginals_batch,
     circuit_distance_upper_bound,
     coset_minimum_trials,
@@ -465,6 +466,20 @@ def test_bp_config_rejects_a_scale_outside_the_unit_interval():
         with pytest.raises(ValueError, match="scale"):
             BPConfig(scale=bad)
     assert BPConfig().scale == 1.0 and BPConfig(scale=1e-3).scale == 1e-3
+
+
+def test_configs_reject_a_fractional_count():
+    # BP stops when its iteration count equals the cap, which 7.5 never does, so
+    # such a cap bounds nothing: on a random 12 x 24 matrix BP ran 5,658 iterations
+    for bad in (7.5, 0.5, float("inf"), float("nan"), 0, -3):
+        with pytest.raises(ValueError, match="max_iters"):
+            BPConfig(max_iters=bad)
+    for bad in (2.5, float("inf"), float("nan"), -1):
+        with pytest.raises(ValueError, match="sweep_depth"):
+            OSDConfig(sweep_depth=bad)
+    # a whole number of another type is kept, as an int
+    assert type(BPConfig(max_iters=7.0).max_iters) is int
+    assert type(OSDConfig(sweep_depth=np.int64(2)).sweep_depth) is int
 
 
 def test_empty_last_row_of_d():

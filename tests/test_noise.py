@@ -17,11 +17,10 @@ from bbqec.circuit import (
     shift_permutation,
 )
 from bbqec.code import catalog_code
-from bbqec.gf2 import BinMatrix
+from bbqec.gf2 import BinMatrix, unpack_bits
 from bbqec.noise import _SignatureMerge, dump_side_model, sample_circuit_noise
 
-FIELDS = ("x_syndromes", "z_syndromes", "logical_x", "logical_z",
-          "raw_z_checks", "raw_x_checks", "alpha", "beta")
+FIELDS = ("x_syndromes", "z_syndromes", "logical_x", "logical_z")
 
 # SHA-256 of the model dumps and of a 40-shot, seed-7 batch.  They change
 # with any change to fault numbering, propagation, column merging or the
@@ -34,10 +33,26 @@ SAMPLE_SHA = "106b883f4f58c8716b4ae34838febe80939000fc2e7b2dd0a4f9ed77a93b5c06"
 DUMP144_SHA = "811b42585ec65c8a11698e5ac8ce409f8150fe366360c03fc14783b0263469d7"
 
 
-def batch_digest(batch) -> str:
+def arrays(model, batch) -> dict[str, np.ndarray]:
+    """The batch's fields, then what its fault ids, propagated again, give:
+    each check's measured outcomes and the final X and Z data errors."""
+    flips = model.fault_table.frame_flips(batch.faults, batch.fault_shots)
+    res = propagate_frames(model.circuit, batch.shots, *flips)
+    nc, lm, _ = res.z_check_outcomes.shape
+
+    def unp(words):
+        return unpack_bits(words, batch.shots).T
+
+    return {**{name: getattr(batch, name) for name in FIELDS},
+            "raw_z_checks": unp(res.z_check_outcomes.reshape(nc * lm, -1)),
+            "raw_x_checks": unp(res.x_check_outcomes.reshape(nc * lm, -1)),
+            "alpha": unp(res.final_x_frame), "beta": unp(res.final_z_frame)}
+
+
+def batch_digest(model, batch) -> str:
     h = hashlib.sha256()
-    for name in FIELDS:
-        a = np.ascontiguousarray(getattr(batch, name), dtype=np.uint8)
+    for name, a in arrays(model, batch).items():
+        a = np.ascontiguousarray(a, dtype=np.uint8)
         h.update(name.encode())
         h.update(str(a.shape).encode())
         h.update(a.tobytes())
@@ -82,25 +97,23 @@ def distinct_flips(table, chunks) -> list[int]:
 
 
 def model_digest(model) -> tuple:
-    """Each side's dump digest, priors and provenance."""
+    """Each side's dump digest, priors and fault columns."""
     return tuple((hashlib.sha256(dump_side_model(side).encode()).hexdigest(), side.priors,
-                  side.provenance) for side in (model.x, model.z))
+                  side.fault_column) for side in (model.x, model.z))
 
 
 def assert_same_model(got, want):
-    for (dump, priors, provenance), (want_dump, want_priors, want_provenance) in zip(got, want):
+    for (dump, priors, columns), (want_dump, want_priors, want_columns) in zip(got, want):
         assert dump == want_dump
         assert np.array_equal(priors, want_priors)
-        assert len(provenance) == len(want_provenance)
-        assert all(np.array_equal(p, q) for p, q in zip(provenance, want_provenance))
+        assert np.array_equal(columns, want_columns)
 
 
 def test_chunked_build_matches_one_chunk(model, monkeypatch):
     table = model.fault_table
     cnot_blocks = [(table.offsets[i], table.offsets[i + 1])
                    for i, step in enumerate(model.circuit.steps) if step.kind == "cnot"]
-    first_undetected_x = np.setdiff1d(np.arange(table.count),
-                                      np.concatenate(model.x.provenance))[0]
+    first_undetected_x = np.flatnonzero(model.x.fault_column < 0)[0]
     calls = []
 
     def counted(*args):
@@ -165,13 +178,14 @@ def test_model144_build_memory_bound(model144):
 
 
 def merge(signatures, priors, cuts=()):
-    """``_SignatureMerge`` over signature rows, fed in chunks split at cuts."""
+    """``_SignatureMerge``'s side model of signature rows, all detector rows,
+    fed in chunks split at cuts."""
     merger = _SignatureMerge(64 * signatures.shape[1], 0)
     for part in np.split(signatures, cuts):
         # each distinct row keyed once, as a chunk's sets are, in an order the merge must undo
         distinct, rows = np.unique(part, axis=0, return_inverse=True)
         merger.add(distinct[::-1], len(distinct) - 1 - rows.reshape(-1))
-    return merger.result(priors)
+    return merger.result(priors, block_rows=1)
 
 
 def reference_merge(signatures, priors):
@@ -203,34 +217,36 @@ def test_merge_signatures_matches_unique(rows):
     priors = np.random.default_rng(len(rows)).uniform(0.4, 0.6, len(rows))
     want, want_priors, want_provenance = reference_merge(signatures, priors)
     for cuts in ([], [1], [2, 3, 7]):
-        merged, merged_priors, provenance = merge(signatures, priors, cuts)
-        assert np.array_equal(merged, want)
-        assert np.array_equal(merged_priors, want_priors)
-        assert len(provenance) == len(want_provenance)
-        assert all(np.array_equal(p, q) for p, q in zip(provenance, want_provenance))
-        assert all(np.all(np.diff(p) > 0) for p in provenance)
+        sm = merge(signatures, priors, cuts)
+        assert np.array_equal(sm.matrix.transpose().words, want)
+        assert sm.logical.rows == 0 and sm.logical.cols == len(want)
+        assert np.array_equal(sm.priors, want_priors)
+        assert len(sm.provenance) == len(want_provenance)
+        assert all(np.array_equal(p, q) for p, q in zip(sm.provenance, want_provenance))
+        assert all(np.all(np.diff(p) > 0) for p in sm.provenance)
 
 
 def test_merge_signatures_orders_words_unsigned():
     signatures = np.array([[TOP, 0], [0, 0], [1, TOP], [1, 1]], dtype=np.uint64)
     for cuts in ([], [2]):
-        merged, merged_priors, provenance = merge(signatures, np.full(4, 0.6), cuts)
-        assert merged.tolist() == [[1, 1], [1, TOP], [TOP, 0]]
-        assert [p.tolist() for p in provenance] == [[3], [2], [0]]
+        sm = merge(signatures, np.full(4, 0.6), cuts)
+        assert sm.matrix.transpose().words.tolist() == [[1, 1], [1, TOP], [TOP, 0]]
+        assert sm.fault_column.tolist() == [2, -1, 1, 0]
+        assert [p.tolist() for p in sm.provenance] == [[3], [2], [0]]
 
 
 def test_sampled_batch_golden(model):
-    assert batch_digest(sample(model, 40, 7)) == SAMPLE_SHA
+    assert batch_digest(model, sample(model, 40, 7)) == SAMPLE_SHA
 
 
 def test_detector_blocks_difference_consecutive_readings(model):
     """Each detector block is a check's reading XORed with its previous one;
     the final block's reading is the check applied to the final data error."""
     lm = model.code.lm
-    batch = sample(model, 40, 7)
+    batch = arrays(model, sample(model, 40, 7))
     for syndromes, raw, checks, frame in (
-        (batch.x_syndromes, batch.raw_z_checks, model.code.hz, batch.alpha),
-        (batch.z_syndromes, batch.raw_x_checks, model.code.hx, batch.beta),
+        (batch["x_syndromes"], batch["raw_z_checks"], model.code.hz, batch["alpha"]),
+        (batch["z_syndromes"], batch["raw_x_checks"], model.code.hx, batch["beta"]),
     ):
         readout = checks.to_dense().astype(np.int64) @ frame.T.astype(np.int64) % 2
         assert np.array_equal(syndromes[:, -lm:], readout.T ^ raw[:, -lm:])
@@ -244,34 +260,41 @@ def test_detector_blocks_difference_consecutive_readings(model):
         assert max_column <= 6 and max_row <= 35
 
 
-def fault_columns(model, sm) -> np.ndarray:
-    """Each fault id's column in ``sm``, the inverse of its provenance; -1 for
-    a fault in no column, one that merged into the dropped all-zero column."""
-    column_of = np.full(model.fault_table.count, -1)
-    for col, members in enumerate(sm.provenance):
-        column_of[members] = col
-    return column_of
+@pytest.mark.parametrize("name", ["model", "model144"])
+def test_fault_column_inverts_provenance(name, request):
+    """Each fault id's column, -1 exactly for the faults no column lists:
+    those merged into the dropped all-zero signature."""
+    model = request.getfixturevalue(name)
+    for sm in (model.x, model.z):
+        assert sm.fault_column.dtype == np.int64
+        assert len(sm.fault_column) == model.fault_table.count
+        assert sm.fault_column.min() >= -1
+        listed = np.zeros(model.fault_table.count, dtype=bool)
+        for col, members in enumerate(sm.provenance):
+            assert np.all(sm.fault_column[members] == col)
+            listed[members] = True
+        assert np.array_equal(sm.fault_column < 0, ~listed)
 
 
 def test_forced_single_faults_reproduce_provenance(model):
     table = model.fault_table
     faults = np.random.default_rng(0).choice(table.count, size=200, replace=False)
-    batch = forced(model, [[int(f)] for f in faults])
+    batch = arrays(model, forced(model, [[int(f)] for f in faults]))
     lm = model.code.lm
     for side, syndromes, logicals, checks, frame in (
-        ("x", batch.x_syndromes, batch.logical_x, model.code.hz, batch.alpha),
-        ("z", batch.z_syndromes, batch.logical_z, model.code.hx, batch.beta),
+        ("x", batch["x_syndromes"], batch["logical_x"], model.code.hz, batch["alpha"]),
+        ("z", batch["z_syndromes"], batch["logical_z"], model.code.hx, batch["beta"]),
     ):
         sm = getattr(model, side)
-        column_of = fault_columns(model, sm)
+        cols = sm.fault_column[faults]  # -1 reads the appended zero column
         det = np.hstack([sm.matrix.to_dense(), np.zeros((sm.matrix.rows, 1), np.uint8)])
         log = np.hstack([sm.logical.to_dense(), np.zeros((sm.logical.rows, 1), np.uint8)])
         raw = np.hstack([sm.readout_matrix.to_dense(), np.zeros((sm.matrix.rows, 1), np.uint8)])
-        assert np.array_equal(syndromes, det[:, column_of[faults]].T)
-        assert np.array_equal(logicals, log[:, column_of[faults]].T)
+        assert np.array_equal(syndromes, det[:, cols].T)
+        assert np.array_equal(logicals, log[:, cols].T)
         # the readout matrix's final block is the check applied to the final data error
         readout = checks.to_dense().astype(np.int64) @ frame.T.astype(np.int64) % 2
-        assert np.array_equal(raw[:, column_of[faults]].T,
+        assert np.array_equal(raw[:, cols].T,
                               np.hstack([syndromes[:, :-lm], readout.T]))
         assert sm.readout_matrix is sm.readout_matrix  # built once per model
 
@@ -407,7 +430,7 @@ def test_sampled_faults_reproduce_syndromes_through_provenance(model):
     for side, syndromes, logicals in (("x", batch.x_syndromes, batch.logical_x),
                                       ("z", batch.z_syndromes, batch.logical_z)):
         sm = getattr(model, side)
-        cols = fault_columns(model, sm)[batch.faults]
+        cols = sm.fault_column[batch.faults]
         kept = cols >= 0
         error = np.zeros((batch.shots, sm.n_columns), dtype=np.int64)
         np.add.at(error, (batch.fault_shots[kept], cols[kept]), 1)
