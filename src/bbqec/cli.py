@@ -146,6 +146,8 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("--cycles and --shots must be positive and --seed non-negative")
     if not 0 <= args.p <= 1:
         ap.error("--p must be a probability")
+    if args.seed >= 2**128:
+        ap.error("--seed must be below 2**128, the size of a Philox key")
     try:
         bp = BPConfig() if args.bp_iters is None else BPConfig(max_iters=args.bp_iters)
     except ValueError as exc:

@@ -10,12 +10,10 @@ caller-given order, left to right by default, so the decoder eliminates
 its own packed matrix in reliability order instead of a column-permuted
 copy.  Row updates are word-wide XORs, one pivot at a time.  The
 largest elimination here is the decoder's: OSD reduces a 936 x 8,785
-matrix on bb144 with 12 cycles.  Its rank is 930, so the scan ends at
-the last pivot, once the rows below it are zero; in a nearly uniform
-order that pivot comes near the end, after thousands of dependent
-columns.  Those are skipped in look-ahead blocks: one indexed gather
-tests many columns of the order against the rows still below, since
-those rows do not change between pivots.  The default-order RREF is
+matrix on bb144 with 12 cycles.  Its rank is 930, so six rows never
+hold a pivot, and the scan tests every column of the order, one at a
+time, against the rows still below; the thousands of dependent columns
+after the last pivot each cost one test.  The default-order RREF is
 cached on its matrix and shared, read-only, by every caller; so the
 distance trials eliminate D once per model, and each trial adds its
 extra row to that RREF instead of eliminating [D; eta] again, which is
@@ -34,10 +32,6 @@ from collections.abc import Sequence
 import numpy as np
 
 WORD = 64
-# Bits gathered by rref's first look-ahead block after a column without a
-# hit: that many over the rows still below the current one, so the block
-# spans about _LOOKAHEAD_BITS / (rows below) columns.
-_LOOKAHEAD_BITS = 4096
 
 
 def nwords(nbits: int) -> int:
@@ -155,12 +149,6 @@ class BinVector:
         return isinstance(other, BinVector) and self.n == other.n and bool(
             np.array_equal(self.words, other.words)
         )
-
-    def __hash__(self):
-        return hash((self.n, self.key()))
-
-    def __len__(self) -> int:
-        return self.n
 
     def __repr__(self) -> str:
         return f"BinVector(n={self.n}, weight={self.weight})"
@@ -321,9 +309,6 @@ class BinMatrix:
             and bool(np.array_equal(self.words, other.words))
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.words.tobytes()))
-
     def __repr__(self) -> str:
         return f"BinMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
@@ -339,18 +324,9 @@ class BinMatrix:
         are those of the default elimination of the column-permuted
         matrix, so R equals that result with its columns mapped back.
         Columns left out of ``pivot_order`` are reduced but never pivot.
-
-        A column without a hit at or below the current row starts a
-        look-ahead: the bits of the next columns of the order, for the
-        rows still below, are gathered in one indexed AND, about
-        ``_LOOKAHEAD_BITS`` at first and twice as many after each block
-        without a hit, and the first column with a hit pivots.  The rows
-        do not change between pivots, so a run of dependent columns
-        costs a few gathers instead of one test per column.  After the
-        second block without a hit, the scan ends if every row at or
-        below the current row is zero, since no later column can pivot
-        there; a rank-deficient matrix thus stops a few blocks past its
-        last pivot instead of trying every column.
+        Each column of the order is tested on its own, against the rows
+        at or below the current one, and the scan stops once every row
+        holds a pivot.
 
         The default order's result is cached on the instance, so a
         matrix is eliminated once however often its rank, kernel, row
@@ -374,11 +350,14 @@ class BinMatrix:
         word, mask = bit_masks(order)
         pivot_cols: list[int] = []
         pr = 0
-        i = 0  # position in order of the next column to try
-        while pr < rows and i < order.size:
-            i, piv = _next_pivot(W, pr, word, mask, i)
-            if piv < 0:
+        for i in range(order.size):
+            if pr == rows:
                 break
+            below = W[pr:, word[i]] & mask[i]
+            piv = int(below.argmax())  # set bits all equal the mask: the first one
+            if not below[piv]:
+                continue
+            piv += pr
             if piv != pr:
                 W[pr], W[piv] = W[piv], W[pr].copy()
             col = W[:, word[i]] & mask[i]
@@ -387,7 +366,6 @@ class BinMatrix:
             if flip.size:
                 W[flip] ^= W[pr]
             pivot_cols.append(int(order[i]))
-            i += 1
             pr += 1
         R = BinMatrix(rows, self.cols, W)
         if pivot_order is None:
@@ -430,36 +408,3 @@ class BinMatrix:
         """True iff v is a GF(2) combination of the rows of M."""
         return not self.row_residue(v).any()
 
-
-def _next_pivot(
-    W: np.ndarray, pr: int, word: np.ndarray, mask: np.ndarray, i: int
-) -> tuple[int, int]:
-    """First position at or after i whose column has a bit in rows pr: of W.
-
-    ``word`` and ``mask`` locate the bit of each column of the pivot
-    order, as ``bit_masks`` gives them.  Returns that position and the
-    first row at or below pr where the column is set, or
-    (len(word), -1) when no column of the order is left that could
-    pivot.  After a miss, columns are tested in look-ahead blocks of
-    doubling size.  W does not change within a call, so the rows below
-    are checked for zero once, after the second block without a hit:
-    most searches hit in their first or second block, and a
-    rank-deficient matrix stops there instead of scanning the rest.
-    """
-    col = W[pr:, word[i]] & mask[i]
-    hit = int(col.argmax())  # set bits all equal the mask: the first one
-    if col[hit]:
-        return i, pr + hit
-    i += 1
-    span = first_span = max(1, _LOOKAHEAD_BITS // (W.shape[0] - pr))
-    while i < word.size:
-        bits = W[pr:, word[i : i + span]] & mask[i : i + span]
-        any_hit = bits.any(axis=0)
-        j = int(any_hit.argmax())
-        if any_hit[j]:
-            return i + j, pr + int(bits[:, j].argmax())
-        i += span
-        span *= 2
-        if span == 4 * first_span and not W[pr:].any():
-            break
-    return word.size, -1

@@ -365,10 +365,6 @@ class DetectorModel:
     fault_table: FaultTable = field(repr=False)
 
     @property
-    def code(self) -> BBCode:
-        return self.circuit.code
-
-    @property
     def pre_merge_count(self) -> int:
         """The single faults before merging: one per fault id."""
         return self.fault_table.count

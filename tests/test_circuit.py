@@ -76,7 +76,7 @@ def test_verify_sm_circuit_needs_seven_rounds():
 
 @pytest.mark.parametrize("kind,j,k", GADGETS)
 def test_verify_automorphism_accepts_gadget_shifts(model, kind, j, k):
-    code, basis = model.code, model.basis
+    code, basis = model.circuit.code, model.basis
     shift = build_automorphism_circuit(code, kind, j, k).shift
     assert verify_automorphism(code, shift, basis=basis)
     # the same shift with two data qubits exchanged afterwards
@@ -89,9 +89,9 @@ def test_verify_automorphism_accepts_gadget_shifts(model, kind, j, k):
 
 
 def test_verify_automorphism_rejects_a_data_swap(model):
-    perm = np.arange(model.code.n)
+    perm = np.arange(model.circuit.code.n)
     perm[[0, 1]] = perm[[1, 0]]
-    assert not verify_automorphism(model.code, data_permutation=perm)
+    assert not verify_automorphism(model.circuit.code, data_permutation=perm)
 
 
 def test_frame_walk_rejects_a_round_that_touches_a_qubit_twice(model):

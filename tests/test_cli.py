@@ -47,8 +47,11 @@ def test_run_failure_flags_match_direct_decodes(model, capsys, monkeypatch):
     assert report["bp"]["iterations"] == histogram
 
 
-@pytest.mark.parametrize("flag, value", [("--bp-iters", "0"), ("--p", "2"), ("--shots", "0")])
-def test_run_rejects_bad_flags(flag, value):
+@pytest.mark.parametrize("flag, value", [("--bp-iters", "0"), ("--p", "2"), ("--shots", "0"),
+                                         ("--seed", str(2**128))])
+def test_run_rejects_bad_flags(flag, value, monkeypatch):
+    # rejected before the code, basis, circuit or model is built
+    monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("built before the flag check"))
     argv = {"--code": "bb72", "--cycles": "6", "--p": "0.003", "--shots": "1", "--seed": "0"}
     argv[flag] = value
     with pytest.raises(SystemExit) as exc:

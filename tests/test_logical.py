@@ -63,14 +63,14 @@ ADDED_QUBITS = {"X": 75, "Z": 100}
 
 def test_ancilla_plane_components(model):
     for target, (plane_a, plane_b) in PLANES.items():
-        system = build_ancilla_system(model.code, model.basis, target, layers=3)
+        system = build_ancilla_system(model.circuit.code, model.basis, target, layers=3)
         assert (system.plane_a.sizes, system.plane_a.kinds) == plane_a, target
         assert (system.plane_b.sizes, system.plane_b.kinds) == plane_b, target
         assert system.added_qubits == ADDED_QUBITS[target], target
 
 
 def test_validate_rejects_a_broken_basis(model):
-    code, basis = model.code, model.basis
+    code, basis = model.circuit.code, model.basis
     basis.validate(code)
     # X(f + 1, 0) leaves ker HZ, since f B = 0 but (f + 1) B = B
     broken = replace(basis, f=basis.f + BivariatePoly.one(code.l, code.m))

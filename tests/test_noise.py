@@ -153,7 +153,7 @@ def test_model_matches_per_fault_propagation(model):
     ids = np.arange(table.count)
     res = propagate_frames(model.circuit, table.count, *table.frame_flips(ids, ids))
     priors = table.priors(model.p)
-    for side, (detectors, logicals) in noise.side_rows(res, model.code, model.basis).items():
+    for side, (detectors, logicals) in noise.side_rows(res, model.circuit.code, model.basis).items():
         sm = getattr(model, side.lower())
         stacked = np.vstack([detectors, logicals])
         signatures = BinMatrix(len(stacked), table.count, stacked).transpose().words
@@ -242,11 +242,12 @@ def test_sampled_batch_golden(model):
 def test_detector_blocks_difference_consecutive_readings(model):
     """Each detector block is a check's reading XORed with its previous one;
     the final block's reading is the check applied to the final data error."""
-    lm = model.code.lm
+    code = model.circuit.code
+    lm = code.lm
     batch = arrays(model, sample(model, 40, 7))
     for syndromes, raw, checks, frame in (
-        (batch["x_syndromes"], batch["raw_z_checks"], model.code.hz, batch["alpha"]),
-        (batch["z_syndromes"], batch["raw_x_checks"], model.code.hx, batch["beta"]),
+        (batch["x_syndromes"], batch["raw_z_checks"], code.hz, batch["alpha"]),
+        (batch["z_syndromes"], batch["raw_x_checks"], code.hx, batch["beta"]),
     ):
         readout = checks.to_dense().astype(np.int64) @ frame.T.astype(np.int64) % 2
         assert np.array_equal(syndromes[:, -lm:], readout.T ^ raw[:, -lm:])
@@ -280,10 +281,11 @@ def test_forced_single_faults_reproduce_provenance(model):
     table = model.fault_table
     faults = np.random.default_rng(0).choice(table.count, size=200, replace=False)
     batch = arrays(model, forced(model, [[int(f)] for f in faults]))
-    lm = model.code.lm
+    code = model.circuit.code
+    lm = code.lm
     for side, syndromes, logicals, checks, frame in (
-        ("x", batch["x_syndromes"], batch["logical_x"], model.code.hz, batch["alpha"]),
-        ("z", batch["z_syndromes"], batch["logical_z"], model.code.hx, batch["beta"]),
+        ("x", batch["x_syndromes"], batch["logical_x"], code.hz, batch["alpha"]),
+        ("z", batch["z_syndromes"], batch["logical_z"], code.hx, batch["beta"]),
     ):
         sm = getattr(model, side)
         cols = sm.fault_column[faults]  # -1 reads the appended zero column
