@@ -104,8 +104,8 @@ def test_rref_pivot_order_equals_permuted_elimination():
         R_ref, pivots_ref = rref_reference(dense, order)
         assert np.array_equal(R.to_dense(), R_ref)
         assert pivots == pivots_ref
-        # rank-deficient trials: rows left below the last pivot, and
-        # columns of the order after it, each tested without a pivot
+        # trials that leave rows below the last pivot and columns of the
+        # order after it, which the scan tests without finding a pivot
         last = order.tolist().index(pivots[-1]) if pivots else -1
         early += len(pivots) < rows and last < cols - 1
         # one more column left out of the order, as OSD appends its
