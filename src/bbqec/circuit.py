@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .code import REGISTERS, BBCode, BivariatePoly, Monomial, _shift_index, maps_rows_onto
+from .code import REGISTERS, BBCode, BivariatePoly, Monomial, maps_rows_onto, translation_table
 from .gf2 import BinVector, bit_masks, nwords, unpack_bits
 
 REG_OFFSET = {r: i for i, r in enumerate(REGISTERS)}
@@ -111,7 +111,7 @@ def layer_gates(code: BBCode, layer: CNOTLayer) -> tuple[np.ndarray, np.ndarray]
     """(controls, targets) as global qubit ids, one CNOT per group element."""
     lm = code.lm
     idx = np.arange(lm)
-    shifted = _shift_index(idx, _layer_term(code, layer))
+    shifted = translation_table(code.l, code.m)[_layer_term(code, layer).index]
     creg, treg = layer.registers()
     return REG_OFFSET[creg] * lm + idx, REG_OFFSET[treg] * lm + shifted
 
@@ -544,8 +544,10 @@ def build_automorphism_circuit(code: BBCode, kind: str, j: int, k: int) -> Autom
     X = REG_OFFSET["X"] * lm + idx
     Z = REG_OFFSET["Z"] * lm + idx
 
+    table = translation_table(code.l, code.m)
+
     def shifted(reg0: int, t: Monomial) -> np.ndarray:
-        return reg0 * lm + _shift_index(idx, t)
+        return reg0 * lm + table[t.index]
 
     Lr, Rr, Xr, Zr = (REG_OFFSET[r] for r in ("L", "R", "X", "Z"))
     if kind == "A":
@@ -610,8 +612,7 @@ def automorphism_data_permutation(circ: AutomorphismCircuit) -> np.ndarray:
 
 def shift_permutation(code: BBCode, s: Monomial) -> np.ndarray:
     """Data permutation q(T, a) -> q(T, s*a) on both blocks."""
-    idx = np.arange(code.lm)
-    moved = _shift_index(idx, s)
+    moved = translation_table(code.l, code.m)[s.index]
     return np.concatenate([moved, code.lm + moved])
 
 

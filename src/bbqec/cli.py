@@ -45,9 +45,7 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
 def _wilson(k: int, n: int) -> list[float]:
-    """Wilson score 95% interval for k failures in n trials."""
-    if n <= 0:
-        return [0.0, 1.0]
+    """Wilson score 95% interval for k failures in n >= 1 trials."""
     phat, z2 = k / n, _Z95 * _Z95
     centre = (phat + z2 / (2 * n)) / (1 + z2 / n)
     half = _Z95 * math.sqrt(phat * (1 - phat) / n + z2 / (4 * n * n)) / (1 + z2 / n)

@@ -104,9 +104,6 @@ class BivariatePoly:
             and set(self.terms) == set(other.terms)
         )
 
-    def __hash__(self):
-        return hash((self.l, self.m, frozenset(self.terms)))
-
     def __post_init__(self):
         if len(set(self.terms)) != len(self.terms):
             raise ValueError("duplicate terms in polynomial")
@@ -177,8 +174,9 @@ class BivariatePoly:
         n = self.l * self.m
         dense = np.zeros((n, n), dtype=np.uint8)
         idx = np.arange(n)
+        table = translation_table(self.l, self.m)
         for t in self.terms:
-            dense[idx, _shift_index(idx, t)] ^= 1
+            dense[idx, table[t.index]] ^= 1
         return BinMatrix.from_dense(dense)
 
     def to_vector(self) -> BinVector:
@@ -189,15 +187,6 @@ class BivariatePoly:
     def from_vector(cls, v: BinVector, l: int, m: int) -> "BivariatePoly":
         return cls(tuple(Monomial(int(i) // m, int(i) % m, l, m) for i in v.support), l, m)
 
-    def __str__(self) -> str:
-        return "+".join(str(t) for t in self.terms) if self.terms else "0"
-
-
-def _shift_index(idx: np.ndarray, t: Monomial) -> np.ndarray:
-    """Index of monomial_i * t for each index i (vectorized)."""
-    a, b = np.divmod(idx, t.m)
-    return ((a + t.a) % t.l) * t.m + (b + t.b) % t.m
-
 
 def monomial_from_index(i: int, l: int, m: int) -> Monomial:
     return Monomial(i // m, i % m, l, m)
@@ -205,13 +194,19 @@ def monomial_from_index(i: int, l: int, m: int) -> Monomial:
 
 @lru_cache(maxsize=32)
 def translation_table(l: int, m: int) -> np.ndarray:
-    """T[t, i] = index of monomial_i * monomial_t, for all pairs."""
+    """T[t, i] = index of monomial_i * monomial_t, for all pairs.
+
+    Row t is the translation by monomial_t as an index map.  The table
+    is cached and shared, so it is read-only.
+    """
     lm = l * m
     ta, tb = np.divmod(np.arange(lm), m)
     ia, ib = np.divmod(np.arange(lm), m)
-    return (((ia[None, :] + ta[:, None]) % l) * m + (ib[None, :] + tb[:, None]) % m).astype(
+    table = (((ia[None, :] + ta[:, None]) % l) * m + (ib[None, :] + tb[:, None]) % m).astype(
         np.int64
     )
+    table.flags.writeable = False
+    return table
 
 
 # Register order of Tanner-graph vertices and circuit qubits: L block,
@@ -299,11 +294,10 @@ class BBCode:
         """
         edges = []
         lm = self.lm
-        idx = np.arange(lm)
+        table = translation_table(self.l, self.m)
         for p in (1, 2, 3):
-            ai, bi = self.a_poly.term(p), self.b_poly.term(p)
-            a_of = _shift_index(idx, ai)
-            b_of = _shift_index(idx, bi)
+            a_of = table[self.a_poly.term(p).index]
+            b_of = table[self.b_poly.term(p).index]
             for i in range(lm):
                 # X check i touches L qubit A_p(i) and R qubit B_p(i)
                 edges.append((2 * lm + i, int(a_of[i]), f"A{p}"))

@@ -139,6 +139,14 @@ class BPOSDDecoder:
 
     Immutable after construction; decode calls are pure functions of
     the syndrome, so instances can be shared across worker threads.
+    Every check of D has an edge: D needs at least one row, and each
+    row at least one 1.  Every matrix the package decodes meets this: the
+    detector matrices, and a code's check matrix with a nonzero row eta
+    appended (:func:`coset_minimum_trials`).
+
+    Raises:
+        ValueError: D has no rows or an all-zero row, or the priors are
+            not finite or do not match D's column count.
     """
 
     def __init__(
@@ -170,17 +178,15 @@ class BPOSDDecoder:
             lw = np.log(1 / self.priors)
             self.log_weights = np.rint(lw * (2.0**52 / ((matrix.cols + 2) * lw.max())))
 
-        # edge structure in check-major order
+        # edge structure in check-major order; each check is one reduceat
+        # segment, which can be neither empty nor start at n_edges
         supports = matrix.row_supports()
-        degree = np.array([len(sup) for sup in supports], dtype=np.int64)
-        self.edge_var = np.concatenate(supports) if matrix.rows else np.zeros(0, dtype=np.int64)
+        self.degree = np.array([len(sup) for sup in supports], dtype=np.int64)
+        if not (matrix.rows and self.degree.all()):
+            raise ValueError("D must have rows, and a 1 in each of them")
+        self.edge_var = np.concatenate(supports)
         self.n_edges = len(self.edge_var)
-        # per-check reductions run over the nonempty checks only: a
-        # reduceat segment cannot be empty, nor start at n_edges
-        self.seg_check = np.flatnonzero(degree > 0)
-        self.empty_checks = np.flatnonzero(degree == 0)
-        self.seg_degree = degree[self.seg_check]
-        self.seg_start = np.cumsum(self.seg_degree) - self.seg_degree
+        self.check_start = np.cumsum(self.degree) - self.degree
         self.prior_llr = np.log((1 - self.priors) / self.priors)
 
     # -- belief propagation ------------------------------------------------
@@ -192,21 +198,15 @@ class BPOSDDecoder:
         reproduced the syndrome exactly at some iteration.  BP also
         stops, unconverged, at the first iteration where every |LLR| has
         reached ``_LLR_CLIP`` (q is then fixed by the LLRs' signs), or
-        at its cap.  A syndrome bit on a check without edges can never
-        be reproduced, so BP returns at once, unconverged, after 0
-        iterations.  This is :func:`bp_marginals_batch` on a stack of one,
+        at its cap.  This is :func:`bp_marginals_batch` on a stack of one,
         the way shot decodes and circuit-distance trials run: stacking
         them gains nothing (see the module docstring).
         """
         return bp_marginals_batch([(self, syndrome)])[0]
 
     def _syndrome_of(self, bits: np.ndarray) -> np.ndarray:
-        """D x for a 0/1 vector x: one XOR per check over its Tanner edges,
-        and 0 on checks without edges."""
-        out = np.zeros(self.matrix.rows, dtype=np.uint8)
-        if self.seg_check.size:
-            out[self.seg_check] = np.bitwise_xor.reduceat(bits[self.edge_var], self.seg_start)
-        return out
+        """D x for a 0/1 vector x: one XOR per check over its Tanner edges."""
+        return np.bitwise_xor.reduceat(bits[self.edge_var], self.check_start)
 
     # -- ordered statistics --------------------------------------------------
 
@@ -346,10 +346,10 @@ def bp_marginals_batch(
     Returns each problem's (q, hard_decision, converged, iterations), in
     input order, byte for byte what a lone run of that problem returns
     (see :meth:`BPOSDDecoder.bp_marginals`).  The problems share one
-    ``BPConfig``; each keeps its own matrix, priors and syndrome.  A
-    problem without edges, or with a syndrome bit on a check without
-    edges, returns at once, as in a lone run.  The caller bounds the
-    stack's edges: all of them are held at once.
+    ``BPConfig``; each keeps its own matrix, priors and syndrome, and
+    every check of every matrix has an edge (see :class:`BPOSDDecoder`).
+    The stack holds at least one problem, and the caller bounds its
+    edges: all of them are held at once.
 
     The problems' edges are concatenated, problem after problem, each in
     its decoder's check-major order, with variable ids offset past the
@@ -401,40 +401,34 @@ def bp_marginals_batch(
         ValueError: a syndrome's length differs from its matrix's row
             count, or the problems' ``BPConfig`` differ.
     """
-    out: list = [None] * len(problems)
-    items: list[tuple[int, BPOSDDecoder, np.ndarray]] = []
-    for i, (dec, syndrome) in enumerate(problems):
-        if dec.bp_cfg != problems[0][0].bp_cfg:
+    decs = [dec for dec, _ in problems]
+    syndromes = []
+    for dec, syndrome in problems:
+        if dec.bp_cfg != decs[0].bp_cfg:
             raise ValueError("a stack's problems must share one BPConfig")
         syndrome = np.asarray(syndrome, dtype=np.uint8)
         if syndrome.shape != (dec.matrix.rows,):
             raise ValueError("syndrome length mismatch")
-        if dec.n_edges == 0 or syndrome[dec.empty_checks].any():
-            n = dec.matrix.cols
-            out[i] = (np.zeros(n), np.zeros(n, dtype=np.uint8), not syndrome.any(), 0)
-        else:
-            items.append((i, dec, syndrome))
-    if not items:
-        return out
-    decs = [dec for _, dec, _ in items]
+        syndromes.append(syndrome)
     cfg = decs[0].bp_cfg
     n_var = np.array([dec.matrix.cols for dec in decs])
     n_edge = np.array([dec.n_edges for dec in decs])
-    n_seg = np.array([dec.seg_check.size for dec in decs])
+    n_check = np.array([dec.matrix.rows for dec in decs])
     var_off = np.cumsum(n_var) - n_var
     edge_off = np.cumsum(n_edge) - n_edge
-    seg_off = np.cumsum(n_seg) - n_seg  # each problem's first segment
+    check_off = np.cumsum(n_check) - n_check  # each problem's first check
     edge_var = np.concatenate([d.edge_var + o for d, o in zip(decs, var_off)])
-    ss = np.concatenate([d.seg_start + o for d, o in zip(decs, edge_off)])
-    deg = np.concatenate([dec.seg_degree for dec in decs])
-    edge_seg = np.repeat(np.arange(deg.size), deg)
-    syn_seg = np.concatenate([syn[dec.seg_check] for _, dec, syn in items])
+    ss = np.concatenate([d.check_start + o for d, o in zip(decs, edge_off)])
+    deg = np.concatenate([dec.degree for dec in decs])
+    edge_check = np.repeat(np.arange(deg.size), deg)
+    syn = np.concatenate(syndromes)
     prior_llr = np.concatenate([dec.prior_llr for dec in decs])
 
     c2v = np.zeros(edge_var.size)
     llr_edge = np.take(prior_llr, edge_var)
     mags = np.empty(edge_var.size)
-    done = np.zeros(len(items), dtype=bool)
+    out: list = [None] * len(decs)
+    done = np.zeros(len(decs), dtype=bool)
     for it in count(1):
         np.subtract(llr_edge, c2v, out=mags)
         neg = mags < 0
@@ -442,12 +436,12 @@ def bp_marginals_batch(
         min1 = np.minimum.reduceat(mags, ss)
         # each check's first edge at its minimum: every check has one
         first = np.flatnonzero(mags == np.repeat(min1, deg))
-        seg = edge_seg[first]
-        first = first[np.concatenate(([True], seg[1:] != seg[:-1]))]
+        chk = edge_check[first]
+        first = first[np.concatenate(([True], chk[1:] != chk[:-1]))]
         mags[first] = np.inf
         min2 = np.minimum.reduceat(mags, ss)
         min2[np.isinf(min2)] = 0.0  # a check of degree 1 sends nothing
-        odd = (np.bitwise_xor.reduceat(neg.view(np.uint8), ss) ^ syn_seg).view(bool)
+        odd = (np.bitwise_xor.reduceat(neg.view(np.uint8), ss) ^ syn).view(bool)
         for m in (min1, min2):
             np.minimum(m, 1e30, out=m)
             m *= cfg.scale
@@ -457,10 +451,9 @@ def bp_marginals_batch(
         np.negative(c2v, out=c2v, where=neg)
         llr_total = prior_llr + np.bincount(edge_var, weights=c2v, minlength=prior_llr.size)
         np.take(llr_total, edge_var, out=llr_edge, mode="clip")
-        # converged: the hard decision reproduces the syndrome on every
-        # nonempty check; the empty ones have zero bits
-        wrong = np.bitwise_xor.reduceat((llr_edge < 0).view(np.uint8), ss) != syn_seg
-        converged = ~np.logical_or.reduceat(wrong, seg_off)
+        # converged: the hard decision reproduces the syndrome on every check
+        wrong = np.bitwise_xor.reduceat((llr_edge < 0).view(np.uint8), ss) != syn
+        converged = ~np.logical_or.reduceat(wrong, check_off)
         # saturated: q, clipped at _LLR_CLIP, no longer depends on the LLRs' sizes
         saturated = np.minimum.reduceat(np.abs(llr_total), var_off) >= _LLR_CLIP
         stop = (converged | saturated | (it == cfg.max_iters)) & ~done
@@ -468,7 +461,7 @@ def bp_marginals_batch(
             llr = llr_total[var_off[k] : var_off[k] + n_var[k]]
             hard = (llr < 0).astype(np.uint8)
             q = 1.0 / (1.0 + np.exp(np.clip(llr, -_LLR_CLIP, _LLR_CLIP)))
-            out[items[k][0]] = (q, hard, bool(converged[k]), it)
+            out[k] = (q, hard, bool(converged[k]), it)
         done |= stop
         if done.all():
             return out

@@ -208,19 +208,24 @@ def test_coset_update_equals_the_elimination_on_random_matrices(monkeypatch):
     places = set()
     for trial in range(60):
         rows, cols = int(rng.integers(1, 40)), int(rng.choice([6, 63, 64, 65, 128, 150]))
-        if trial % 2:  # rank below the row count: a low-rank product, one row zeroed
+        if trial % 2:  # a low-rank product
             k = int(rng.integers(1, min(rows, cols) + 1))
             dense = rng.integers(0, 2, (rows, k)) @ rng.integers(0, 2, (k, cols)) % 2
-            dense[rng.integers(rows)] = 0
         else:
             dense = rng.integers(0, 2, size=(rows, cols))
-        dense[:, : int(rng.integers(0, 3))] = 0  # free columns before the first pivot
+        lead = int(rng.integers(0, 3))
+        dense[:, :lead] = 0  # free columns before the first pivot
+        for row in dense:  # every check needs an edge
+            while not row.any():
+                row[lead:] = rng.integers(0, 2, cols - lead)
+        if trial % 2:  # rank below the row count: one row repeated
+            dense = np.vstack([dense, dense[rng.integers(rows)]])
         kernel_mat = BinMatrix.from_dense(dense)
         pivots = kernel_mat.rref()[1]
         free = np.setdiff1d(np.arange(cols), pivots)
         # eta: a combination of the rows, plus e_c at a free column c and
         # random bits at the free columns after it, so that c is the new pivot
-        eta = rng.integers(0, 2, rows) @ dense % 2
+        eta = rng.integers(0, 2, len(dense)) @ dense % 2
         q = np.full(cols, 0.3) if trial % 3 else np.linspace(0.4, 0.1, cols)  # both index order
         if free.size:
             c = int(rng.choice(free))
@@ -482,27 +487,45 @@ def test_configs_reject_a_fractional_count():
     assert type(OSDConfig(sweep_depth=np.int64(2)).sweep_depth) is int
 
 
-def test_empty_last_row_of_d():
-    # a check with no edges at the end of D must not end a reduceat segment list
-    D = BinMatrix.from_dense([[1, 1, 0], [0, 0, 0]])
-    for bp in (BPConfig(max_iters=5), BPConfig()):
-        dec = BPOSDDecoder(D, np.full(3, 0.1), bp=bp)
-        out = dec.decode(np.zeros(2, dtype=np.uint8))
-        assert out.converged and out.xi.is_zero()
-        # no hard decision sets the bit of an empty check, so BP stops at once
-        unreachable = np.array([0, 1], dtype=np.uint8)
-        assert dec.bp_marginals(unreachable)[2:] == (False, 0)
-        with pytest.raises(DecodingError):
-            dec.decode(unreachable)
+def test_decoder_rejects_a_check_without_edges():
+    # each check is one reduceat segment, which can be neither empty nor
+    # start past the last edge
+    full = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    for empty in (0, 1, 2):  # first, middle and last row
+        dense = np.array(full, dtype=np.uint8)
+        dense[empty] = 0
+        with pytest.raises(ValueError, match="a 1 in each"):
+            BPOSDDecoder(BinMatrix.from_dense(dense), np.full(3, 0.1))
+    with pytest.raises(ValueError, match="a 1 in each"):
+        BPOSDDecoder(BinMatrix(0, 3), np.full(3, 0.1))
+    BPOSDDecoder(BinMatrix.from_dense(full), np.full(3, 0.1))
+
+
+def test_decoder_rejects_priors_of_another_length():
+    D = BinMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
+    for n in (2, 4):
+        with pytest.raises(ValueError, match="priors length"):
+            BPOSDDecoder(D, np.full(n, 0.1))
+
+
+def test_bp_rejects_a_syndrome_of_another_length():
+    dec = BPOSDDecoder(BinMatrix.from_dense([[1, 1, 0], [0, 1, 1]]), np.full(3, 0.1))
+    for n in (1, 3):
+        bad = np.zeros(n, dtype=np.uint8)
+        with pytest.raises(ValueError, match="syndrome length mismatch"):
+            bp_marginals_batch([(dec, np.zeros(2, dtype=np.uint8)), (dec, bad)])
+        with pytest.raises(ValueError, match="syndrome length mismatch"):
+            dec.decode(bad)
 
 
 def test_syndrome_of_equals_the_packed_product(sides):
-    """The edge-wise syndrome equals D x bit for bit, empty checks included."""
+    """The edge-wise syndrome equals D x bit for bit."""
     rng = np.random.default_rng(4)
     dense = rng.integers(0, 2, size=(7, 90), dtype=np.uint8)
-    dense[[0, 3, 6]] = 0  # empty first, middle and last checks
-    decoders = [BPOSDDecoder(BinMatrix.from_dense(d), np.full(90, 0.1))
-                for d in (dense, np.zeros((3, 90), dtype=np.uint8))]
+    for row in dense:  # every check needs an edge
+        while not row.any():
+            row[:] = rng.integers(0, 2, 90)
+    decoders = [BPOSDDecoder(BinMatrix.from_dense(dense), np.full(90, 0.1))]
     decoders += [sides[side][0] for side in SIDES]
     for dec in decoders:
         for weight in (0, 1, 9, dec.matrix.cols // 2):
@@ -531,16 +554,12 @@ def mixed_problems(model, sides):
     eta = decode._random_kernel_logical(np.random.default_rng(2), kernel_basis, code.hz)
     tied = BPOSDDecoder(BinMatrix.from_dense([[1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 0, 1]]),
                         np.full(4, 0.2))
-    empty_row = BPOSDDecoder(BinMatrix.from_dense([[1, 1, 0], [0, 0, 0]]), np.full(3, 0.1))
-    no_edges = BPOSDDecoder(BinMatrix(2, 3), np.full(3, 0.1))
     return [
         decode._coset_problem(code.hz, eta),  # tied priors, runs to its cap of 300
         (dec, D[:, cols[:3]].sum(axis=1) % 2),  # converges early
         (capped, D[:, cols].sum(axis=1) % 2),  # stops at its cap of 7
-        (empty_row, np.array([0, 1], dtype=np.uint8)),  # unreachable empty-check bit
         (tied, np.array([1, 0, 1], dtype=np.uint8)),
         (dec, np.zeros(D.shape[0], dtype=np.uint8)),  # zero syndrome
-        (no_edges, np.zeros(2, dtype=np.uint8)),
         (sides["x"][0], sides["x"][1][:, :3].sum(axis=1) % 2),
     ]
 
@@ -554,8 +573,8 @@ def test_bp_batch_equals_lone_runs(mixed_problems):
     by_config: dict[tuple, list[int]] = {}
     for i, (dec, _) in enumerate(mixed_problems):
         by_config.setdefault((dec.bp_cfg.max_iters, dec.bp_cfg.scale), []).append(i)
-    # the cap-100 stack stops problem 5 at once and problem 1 later
-    assert by_config[100, 1.0] == [1, 5, 7] and len(by_config) == 4
+    # the cap-100 stack stops problem 4 at once and problem 1 later
+    assert by_config[100, 1.0] == [1, 4, 5] and len(by_config) == 4
     batch = [None] * len(mixed_problems)
     for group in by_config.values():
         for i, r in zip(group, bp_marginals_batch([mixed_problems[i] for i in group])):
@@ -565,7 +584,7 @@ def test_bp_batch_equals_lone_runs(mixed_problems):
     outcomes = [(converged, iters) for _, _, converged, iters in batch]
     assert outcomes[0] == (False, 300) and outcomes[2] == (False, 7)
     assert outcomes[1][0] and 1 < outcomes[1][1] < 100
-    assert outcomes[3] == (False, 0) and outcomes[5] == (True, 1) and outcomes[6] == (True, 0)
+    assert outcomes[4] == (True, 1)
     # problems whose caps or scales differ never share a stack
     rescaled = copy.copy(mixed_problems[1][0])
     rescaled.bp_cfg = BPConfig(max_iters=100, scale=0.625)
@@ -608,8 +627,6 @@ def _min_sum_reference(dec, syndrome):
     D = dec.matrix.to_dense().astype(np.int64)
     n = D.shape[1]
     checks = [np.flatnonzero(row).tolist() for row in D]
-    if not D.any() or any(syndrome[c] and not vs for c, vs in enumerate(checks)):
-        return (np.zeros(n), np.zeros(n, dtype=np.uint8), not syndrome.any(), 0), False
     llr = [float(x) for x in dec.prior_llr]
     c2v = {(c, v): 0.0 for c, vs in enumerate(checks) for v in vs}
     saturated = False
@@ -642,14 +659,15 @@ def _problem(dense, priors, syndrome, max_iters, scale=1.0):
 
 @st.composite
 def min_sum_problems(draw, max_iters, scale):
-    """A small (decoder, syndrome): rows of any weight, 0 and 1 included,
-    priors often equal, and a zero syndrome bit on every empty row."""
+    """A small (decoder, syndrome): rows of weight 1 and up, and priors
+    often equal."""
     cols = draw(st.integers(1, 7))
-    supports = draw(st.lists(st.sets(st.integers(0, cols - 1)), min_size=1, max_size=6))
+    supports = draw(st.lists(st.sets(st.integers(0, cols - 1), min_size=1), min_size=1,
+                             max_size=6))
     dense = [[int(j in sup) for j in range(cols)] for sup in supports]
     prior = st.sampled_from([0.01, 0.1, 0.25, 0.5]) | st.floats(1e-6, 0.5)
     priors = draw(st.lists(prior, min_size=cols, max_size=cols))
-    syndrome = [draw(st.integers(0, 1)) if sup else 0 for sup in supports]
+    syndrome = [draw(st.integers(0, 1)) for _ in supports]
     return _problem(dense, priors, syndrome, max_iters, scale)
 
 
@@ -675,9 +693,9 @@ def test_min_sum_matches_the_per_check_reference(problems):
 
 def test_min_sum_reference_cases():
     tied = _problem([[1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 0, 1]], [0.2] * 4, [1, 0, 1], 30)
-    # a degree-1 check and an empty one with a zero syndrome bit
-    lone_and_empty = _problem([[1, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 1]],
-                              [0.1, 0.1, 0.3, 0.05], [1, 1, 0, 0], 30)
+    # a check of degree 1
+    lone = _problem([[1, 1, 1, 0], [0, 0, 1, 0], [1, 0, 0, 1]], [0.1, 0.1, 0.3, 0.05],
+                    [1, 1, 0], 30)
     # two groups of eight equal checks that disagree, sharing column 2:
     # the messages grow past the clip, and column 2's clipped messages of
     # opposite signs cancel exactly, where unclipped ones would not; the
@@ -688,7 +706,7 @@ def test_min_sum_reference_cases():
     # iteration 6, and BP stops there, unconverged
     at_clip = _problem([[1, 0, 1]] * 8 + [[0, 1, 1]] * 8, [0.1] * 3,
                        [1, 1, 0, 0, 0, 0, 0, 0] * 2, 105)
-    cases = [tied, lone_and_empty, saturating, at_clip]
+    cases = [tied, lone, saturating, at_clip]
     results = [_min_sum_reference(*case) for case in cases]
     assert [past_1e30 for _, past_1e30 in results] == [False, False, True, False]
     assert [r[2:] for r, _ in results[2:]] == [(False, 105), (False, 6)]

@@ -11,6 +11,7 @@ from bbqec.code import BivariatePoly, catalog_code
 from bbqec.logical import (
     BasisSearchError,
     build_ancilla_system,
+    find_basis_polynomials,
     plan_duality_swaps,
     select_qubit_labels,
     zx_duality_check,
@@ -23,20 +24,34 @@ from bbqec.logical import (
 # pools, their ranking or the label search, or if the search returns
 # more than its first valid basis.
 BASIS_SHA = "20b91d07daa59a6c3e883161b6f36331470cf500ada0382b436abede554e0173"
+# The same digest over bb288's basis.  bb288's kernel of f*B = 0 has
+# dimension 24, too large to sweep whole, so it alone takes the random
+# pool of f candidates; the search takes about 1 s.
+BASIS288_SHA = "5f511859347b519354ed98390c22cb0ad3efa2325b265119956e1a2e74afa730"
 # The fewest depth-first nodes with which the label search succeeds on
 # bb72's first (f, h), and the n and m label indices it then returns.
 LABEL_NODES = 67
 LABELS = ([0, 1, 10, 17, 21, 30], [0, 1, 33, 26, 7, 22])
 
 
-def test_basis_golden(bases):
+def _basis_digest(bases) -> str:
     h = hashlib.sha256()
-    for basis in bases["bb72"] + bases["bb144"]:
+    for basis in bases:
         for poly in (basis.f, basis.g, basis.h):
             h.update(repr(sorted(t.index for t in poly.terms)).encode())
         for labels in (basis.n_labels, basis.m_labels):
             h.update(repr([a.index for a in labels]).encode())
-    assert h.hexdigest() == BASIS_SHA
+    return h.hexdigest()
+
+
+def test_basis_golden(bases):
+    assert _basis_digest(bases["bb72"] + bases["bb144"]) == BASIS_SHA
+
+
+def test_basis_golden_bb288():
+    code = catalog_code("bb288")
+    assert len(code.b_poly.to_matrix().transpose().nullspace_basis()) == 24
+    assert _basis_digest(find_basis_polynomials(code)) == BASIS288_SHA
 
 
 def test_label_search_node_budget(bases, monkeypatch):
@@ -84,6 +99,10 @@ def test_validate_rejects_a_broken_basis(model):
     repeated = replace(basis, n_labels=basis.n_labels[:1] * 2 + basis.n_labels[2:])
     with pytest.raises(BasisSearchError, match="pairing defect"):
         repeated.validate(code)
+    # five n labels give ten X operators for k = 12
+    short = replace(basis, n_labels=basis.n_labels[:-1])
+    with pytest.raises(BasisSearchError, match="operator count != k"):
+        short.validate(code)
 
 
 @pytest.mark.parametrize("name", ["bb72", "bb144"])
