@@ -57,14 +57,22 @@ def _failures(k: int, n: int) -> dict:
 
 
 def _git_revision() -> str:
-    """The source checkout's commit, with ``-dirty`` for uncommitted edits."""
+    """The source checkout's commit, with ``-dirty`` for uncommitted edits.
+
+    "unknown" unless git tracks this file, so that a copy of the package
+    inside another repository does not report that repository's commit.
+    """
+    here = Path(__file__).resolve()
     try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
-                             cwd=Path(__file__).resolve().parent, capture_output=True,
-                             text=True, timeout=10)
+        for args in (["ls-files", "--error-unmatch", here.name],
+                     ["describe", "--always", "--dirty", "--abbrev=40"]):
+            out = subprocess.run(["git", *args], cwd=here.parent, capture_output=True,
+                                 text=True, timeout=10)
+            if out.returncode != 0:
+                return "unknown"
     except (OSError, subprocess.SubprocessError):
         return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
+    return out.stdout.strip()
 
 
 def run(code_name: str, cycles: int, p: float, shots: int, seed: int, bp: BPConfig) -> dict:

@@ -186,7 +186,6 @@ class BPOSDDecoder:
             raise ValueError("D must have rows, and a 1 in each of them")
         self.edge_var = np.concatenate(supports)
         self.n_edges = len(self.edge_var)
-        self.check_start = np.cumsum(self.degree) - self.degree
         self.prior_llr = np.log((1 - self.priors) / self.priors)
 
     # -- belief propagation ------------------------------------------------
@@ -206,7 +205,7 @@ class BPOSDDecoder:
 
     def _syndrome_of(self, bits: np.ndarray) -> np.ndarray:
         """D x for a 0/1 vector x: one XOR per check over its Tanner edges."""
-        return np.bitwise_xor.reduceat(bits[self.edge_var], self.check_start)
+        return np.bitwise_xor.reduceat(bits[self.edge_var], np.cumsum(self.degree) - self.degree)
 
     # -- ordered statistics --------------------------------------------------
 
@@ -265,10 +264,11 @@ class BPOSDDecoder:
         syndrome = np.asarray(syndrome, dtype=np.uint8)
         n = self.matrix.cols
         order = np.argsort(-q, kind="stable")
-        R, pivot_cols = self.matrix.append_col(syndrome).rref(pivot_order=order)
-        rank = len(pivot_cols)
-        if R.col_bits(n)[rank:].any():
+        # the syndrome column, tried last, takes a pivot only outside the column space
+        R, pivot_cols = self.matrix.append_col(syndrome).rref(pivot_order=np.append(order, n))
+        if pivot_cols[-1] == n:
             raise DecodingError("syndrome is not in the column space of D")
+        rank = len(pivot_cols)
         red_t = BinMatrix(rank, n + 1, R.words[:rank]).transpose().words
         pivots = np.array(pivot_cols, dtype=np.int64)
         is_pivot = np.zeros(n, dtype=bool)
@@ -346,14 +346,14 @@ def bp_marginals_batch(
     Returns each problem's (q, hard_decision, converged, iterations), in
     input order, byte for byte what a lone run of that problem returns
     (see :meth:`BPOSDDecoder.bp_marginals`).  The problems share one
-    ``BPConfig``; each keeps its own matrix, priors and syndrome, and
-    every check of every matrix has an edge (see :class:`BPOSDDecoder`).
-    The stack holds at least one problem, and the caller bounds its
-    edges: all of them are held at once.
+    ``BPConfig`` and one shape, rows x cols; each keeps its own matrix,
+    priors and syndrome, and every check of every matrix has an edge
+    (see :class:`BPOSDDecoder`).  The stack holds at least one problem,
+    and the caller bounds its edges: all of them are held at once.
 
     The problems' edges are concatenated, problem after problem, each in
-    its decoder's check-major order, with variable ids offset past the
-    earlier problems' columns.  Every step of an iteration is then
+    its decoder's check-major order, with problem k's variable ids
+    offset by k * cols.  Every step of an iteration is then
     elementwise, a reduction over one check's edges, or a per-variable
     sum that ``np.bincount`` adds in edge order, so each variable's sum
     takes the same terms in the same order as in a lone run, and no
@@ -399,27 +399,23 @@ def bp_marginals_batch(
 
     Raises:
         ValueError: a syndrome's length differs from its matrix's row
-            count, or the problems' ``BPConfig`` differ.
+            count, or the problems' ``BPConfig`` or shapes differ.
     """
     decs = [dec for dec, _ in problems]
     syndromes = []
     for dec, syndrome in problems:
         if dec.bp_cfg != decs[0].bp_cfg:
             raise ValueError("a stack's problems must share one BPConfig")
+        if dec.matrix.rows != decs[0].matrix.rows or dec.matrix.cols != decs[0].matrix.cols:
+            raise ValueError("a stack's problems must share one shape")
         syndrome = np.asarray(syndrome, dtype=np.uint8)
         if syndrome.shape != (dec.matrix.rows,):
             raise ValueError("syndrome length mismatch")
         syndromes.append(syndrome)
-    cfg = decs[0].bp_cfg
-    n_var = np.array([dec.matrix.cols for dec in decs])
-    n_edge = np.array([dec.n_edges for dec in decs])
-    n_check = np.array([dec.matrix.rows for dec in decs])
-    var_off = np.cumsum(n_var) - n_var
-    edge_off = np.cumsum(n_edge) - n_edge
-    check_off = np.cumsum(n_check) - n_check  # each problem's first check
-    edge_var = np.concatenate([d.edge_var + o for d, o in zip(decs, var_off)])
-    ss = np.concatenate([d.check_start + o for d, o in zip(decs, edge_off)])
+    cfg, cols = decs[0].bp_cfg, decs[0].matrix.cols
+    edge_var = np.concatenate([dec.edge_var + k * cols for k, dec in enumerate(decs)])
     deg = np.concatenate([dec.degree for dec in decs])
+    ss = np.cumsum(deg) - deg
     edge_check = np.repeat(np.arange(deg.size), deg)
     syn = np.concatenate(syndromes)
     prior_llr = np.concatenate([dec.prior_llr for dec in decs])
@@ -453,12 +449,12 @@ def bp_marginals_batch(
         np.take(llr_total, edge_var, out=llr_edge, mode="clip")
         # converged: the hard decision reproduces the syndrome on every check
         wrong = np.bitwise_xor.reduceat((llr_edge < 0).view(np.uint8), ss) != syn
-        converged = ~np.logical_or.reduceat(wrong, check_off)
+        converged = ~wrong.reshape(len(decs), -1).any(axis=1)
         # saturated: q, clipped at _LLR_CLIP, no longer depends on the LLRs' sizes
-        saturated = np.minimum.reduceat(np.abs(llr_total), var_off) >= _LLR_CLIP
+        saturated = np.abs(llr_total).reshape(len(decs), -1).min(axis=1) >= _LLR_CLIP
         stop = (converged | saturated | (it == cfg.max_iters)) & ~done
         for k in np.flatnonzero(stop):
-            llr = llr_total[var_off[k] : var_off[k] + n_var[k]]
+            llr = llr_total[k * cols : (k + 1) * cols]
             hard = (llr < 0).astype(np.uint8)
             q = 1.0 / (1.0 + np.exp(np.clip(llr, -_LLR_CLIP, _LLR_CLIP)))
             out[k] = (q, hard, bool(converged[k]), it)
@@ -576,13 +572,12 @@ class _CosetDecoder(BPOSDDecoder):
     Its matrix is [kernel_mat; eta] and its syndrome e_last; every
     column has prior 0.01, and so log weight 1.  OSD's elimination starts
     from kernel_mat's cached RREF where it can (:meth:`_reduce`), so the
-    trials on one matrix eliminate it once.  The row supports of
-    kernel_mat are built on its first trial and carried over to each
-    stacked matrix for the decoder's edges.
+    trials on one matrix eliminate it once.  Likewise the row supports
+    of kernel_mat, cached on it, carry over to each stacked matrix
+    (``BinMatrix.append_row``) for the decoder's edges.
     """
 
     def __init__(self, kernel_mat: BinMatrix, eta: BinVector):
-        kernel_mat.row_supports()
         stacked = kernel_mat.append_row(eta)
         super().__init__(stacked, np.full(stacked.cols, 0.01), bp=_DISTANCE_BP,
                          osd=_DISTANCE_OSD)

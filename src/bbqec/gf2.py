@@ -202,9 +202,6 @@ class BinMatrix:
     def row(self, i: int) -> BinVector:
         return BinVector(self.cols, self.words[i].copy())
 
-    def col_bits(self, j: int) -> np.ndarray:
-        return ((self.words[:, j // WORD] >> np.uint64(j % WORD)) & np.uint64(1)).astype(np.uint8)
-
     def row_supports(self) -> list[np.ndarray]:
         """Sparse view: sorted column indices of each row."""
         if self._row_supports is None:
@@ -293,12 +290,11 @@ class BinMatrix:
         return BinMatrix(self.rows, self.cols + 1, words)
 
     def append_row(self, v: BinVector) -> "BinMatrix":
-        """This matrix with v as one more row; row supports already built carry over."""
+        """This matrix with v as one more row, its row supports built from this one's cache."""
         if v.n != self.cols:
             raise ValueError("length mismatch")
         out = BinMatrix(self.rows + 1, self.cols, np.vstack([self.words, v.words[None, :]]))
-        if self._row_supports is not None:
-            out._row_supports = [*self._row_supports, v.support]
+        out._row_supports = [*self.row_supports(), v.support]
         return out
 
     def __eq__(self, other) -> bool:

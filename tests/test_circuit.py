@@ -1,6 +1,7 @@
 """Syndrome-cycle schedules of bb144, the automorphism check of bb72, and the
 frame walk's round check."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +62,27 @@ def test_every_bb144_schedule_builds_a_circuit(bb144_schedules):
             assert np.array_equal(np.sort(touched), everyone), (schedule, rid)
         families.add((schedule.rounds[0][0].family, schedule.rounds[6][0].family))
     assert families == {("A", "A"), ("B", "B")}
+
+
+@pytest.mark.parametrize("name, cycles", [("bb72", 2), ("bb144", 3)])
+def test_each_cycle_runs_one_cnot_per_tanner_edge_in_seven_rounds(name, cycles):
+    """The abstract's claim: a depth-7 CNOT circuit on the degree-6 Tanner graph."""
+    code = catalog_code(name)
+    edges = [(check, data) for check, data, _ in code.tanner_edges()]
+    assert len(set(edges)) == len(edges) == 12 * code.lm
+    degree = Counter(v for edge in edges for v in edge)
+    assert len(degree) == 4 * code.lm and set(degree.values()) == {6}
+    circ = build_sm_circuit(code, cycles)
+    per_cycle = [[] for _ in range(cycles)]
+    for step in circ.steps:
+        if step.kind == "cnot":
+            cycle, rnd = divmod(step.round_id - 1, 8)
+            assert rnd < 7, step.round_id  # round 8 of a cycle holds no CNOT
+            # X checks control their CNOTs, Z checks are their targets
+            pairs = zip(step.qubits, step.targets)
+            per_cycle[cycle] += [(int(max(a, b)), int(min(a, b))) for a, b in pairs]
+    for cnots in per_cycle:
+        assert sorted(cnots) == sorted(edges)
 
 
 def test_verify_sm_circuit_needs_seven_rounds():

@@ -1,6 +1,8 @@
 """``bbqec run`` against direct decodes of the same shots."""
 
 import json
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -57,3 +59,26 @@ def test_run_rejects_bad_flags(flag, value, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", *(x for kv in argv.items() for x in kv)])
     assert exc.value.code == 2
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_revision_names_only_a_repository_that_tracks_the_package(tmp_path, monkeypatch):
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                               "-c", "commit.gpgsign=false", *args], cwd=tmp_path,
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    # a copy of the package under an ignored directory of an unrelated repository
+    git("init", "-q")
+    (tmp_path / ".gitignore").write_text(".venv/\n")
+    git("add", ".gitignore")
+    git("commit", "-q", "-m", "unrelated")
+    copy = tmp_path / ".venv" / "bbqec" / "cli.py"
+    copy.parent.mkdir(parents=True)
+    shutil.copy(cli.__file__, copy)
+    monkeypatch.setattr(cli, "__file__", str(copy))
+    assert cli._git_revision() == "unknown"
+    # once the repository tracks the copy, its commit is the revision
+    git("add", "-f", str(copy))
+    git("commit", "-q", "-m", "tracked")
+    assert cli._git_revision() == git("rev-parse", "HEAD")

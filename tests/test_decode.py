@@ -518,6 +518,21 @@ def test_bp_rejects_a_syndrome_of_another_length():
             dec.decode(bad)
 
 
+def test_bp_rejects_a_stack_of_mixed_shapes():
+    square = BPOSDDecoder(BinMatrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+                          np.full(3, 0.1))
+    for dense in ([[1, 1, 0], [0, 1, 1]], [[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0]]):
+        other = BPOSDDecoder(BinMatrix.from_dense(dense), np.full(len(dense[0]), 0.1))
+        problems = [(square, np.ones(3, dtype=np.uint8)), (other, np.ones(len(dense), dtype=np.uint8))]
+        for stack in (problems, problems[::-1]):
+            with pytest.raises(ValueError, match="one shape"):
+                bp_marginals_batch(stack)
+    # one shape, other edges: the coset problems of one kernel matrix
+    same = BPOSDDecoder(BinMatrix.from_dense([[1, 1, 1], [0, 1, 0], [1, 0, 1]]), np.full(3, 0.2))
+    assert len(bp_marginals_batch([(square, np.ones(3, dtype=np.uint8)),
+                                   (same, np.ones(3, dtype=np.uint8))])) == 2
+
+
 def test_syndrome_of_equals_the_packed_product(sides):
     """The edge-wise syndrome equals D x bit for bit."""
     rng = np.random.default_rng(4)
@@ -658,12 +673,11 @@ def _problem(dense, priors, syndrome, max_iters, scale=1.0):
 
 
 @st.composite
-def min_sum_problems(draw, max_iters, scale):
-    """A small (decoder, syndrome): rows of weight 1 and up, and priors
-    often equal."""
-    cols = draw(st.integers(1, 7))
-    supports = draw(st.lists(st.sets(st.integers(0, cols - 1), min_size=1), min_size=1,
-                             max_size=6))
+def min_sum_problems(draw, max_iters, scale, rows, cols):
+    """A small rows x cols (decoder, syndrome): rows of weight 1 and up,
+    and priors often equal."""
+    supports = draw(st.lists(st.sets(st.integers(0, cols - 1), min_size=1), min_size=rows,
+                             max_size=rows))
     dense = [[int(j in sup) for j in range(cols)] for sup in supports]
     prior = st.sampled_from([0.01, 0.1, 0.25, 0.5]) | st.floats(1e-6, 0.5)
     priors = draw(st.lists(prior, min_size=cols, max_size=cols))
@@ -673,10 +687,11 @@ def min_sum_problems(draw, max_iters, scale):
 
 @st.composite
 def min_sum_stacks(draw):
-    """One to four small problems sharing a BP cap and the shot or the
-    distance-trial scale."""
+    """One to four small problems sharing a shape, a BP cap and the shot
+    or the distance-trial scale."""
     max_iters, scale = draw(st.integers(1, 30)), draw(st.sampled_from([1.0, 0.625]))
-    return draw(st.lists(min_sum_problems(max_iters, scale), min_size=1, max_size=4))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    return draw(st.lists(min_sum_problems(max_iters, scale, rows, cols), min_size=1, max_size=4))
 
 
 def _assert_kernel_matches_reference(problems):
@@ -710,7 +725,7 @@ def test_min_sum_reference_cases():
     results = [_min_sum_reference(*case) for case in cases]
     assert [past_1e30 for _, past_1e30 in results] == [False, False, True, False]
     assert [r[2:] for r, _ in results[2:]] == [(False, 105), (False, 6)]
-    for stack in (cases[:2], cases[2:]):  # one stack per cap
+    for stack in (cases[:2], cases[2:3], cases[3:]):  # one stack per cap and shape
         _assert_kernel_matches_reference(stack)
 
 

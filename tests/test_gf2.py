@@ -229,9 +229,8 @@ def test_append_row_carries_row_supports():
     rng = np.random.default_rng(37)
     m = random_matrix(rng, 12, 130)
     v = BinVector.from_bits(rng.integers(0, 2, 130, dtype=np.uint8))
-    assert m.append_row(v)._row_supports is None  # none built, none carried
-    m.row_supports()
     grown = m.append_row(v)
+    assert grown._row_supports is not None  # m's supports and v's, not rebuilt on demand
     fresh = BinMatrix(grown.rows, grown.cols, grown.words.copy())
     assert len(grown.row_supports()) == len(fresh.row_supports()) == 13
     for got, want in zip(grown.row_supports(), fresh.row_supports()):

@@ -116,20 +116,29 @@ def test_zx_duality_holds(name):
 
 # Duality swap plans: per cyclic factor, (name, pair offset, ratios, the
 # ratios' costs and their shortest products of term ratios), then the
-# chain length and CNOT depth.
+# chain length and CNOT depth.  bb360's factor r multiplies its ratios by
+# the carrier y3 and undoes it with one more swap layer, the ratio y3.
 SWAP_PLANS = {
     "bb72": ([("q", 0, ["x2"], [2], [["x4y3", "x4y3"]]),
               ("s", 0, ["y2"], [2], [["x3y4", "x3y4"]])], 4, 84),
     "bb144": ([("p", 1, ["x3"], [2], [["x3y5", "y"]]),
                ("q", 0, ["x4"], [2], [["x2y3", "x2y3"]]),
                ("s", 0, ["y2"], [2], [["y", "y"]])], 6, 132),
+    "bb360": ([("q", 0, ["x10"], [2], [["x5y3", "x5y3"]]),
+               ("r", 0, ["x12y3", "x6y3", "y3"], [2, 2, 3],
+                [["x21y", "x21y2"], ["x5y3", "x"], ["y5", "y5", "y5"]]),
+               ("t", 0, ["y2"], [2], [["y", "y"]])], 11, 252),
 }
+SWAP_CARRIERS = {"bb72": [], "bb144": [], "bb360": [("r", "y3")]}
 
 
-@pytest.mark.parametrize("name", ["bb72", "bb144"])
+@pytest.mark.parametrize("name", ["bb72", "bb144", "bb360"])
 def test_duality_swap_plan(name):
     plan = plan_duality_swaps(catalog_code(name))
     entries = [(e.factor.name, e.pair_offset, [str(r) for r in e.ratios], e.costs,
                 [[str(g) for g in path] for path in e.expressions]) for e in plan.entries]
     assert (entries, plan.chain_length, plan.cnot_depth) == SWAP_PLANS[name]
-    assert plan.unreachable == [] and all(e.carrier is None for e in plan.entries)
+    assert plan.unreachable == []
+    carried = [e for e in plan.entries if e.carrier is not None]  # none on bb72 and bb144
+    assert [(e.factor.name, str(e.carrier)) for e in carried] == SWAP_CARRIERS[name]
+    assert all((e.carrier * e.carrier).is_one() for e in carried)
