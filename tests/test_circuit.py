@@ -78,7 +78,7 @@ def test_each_cycle_runs_one_cnot_per_tanner_edge_in_seven_rounds(name, cycles):
         if step.kind == "cnot":
             cycle, rnd = divmod(step.round_id - 1, 8)
             assert rnd < 7, step.round_id  # round 8 of a cycle holds no CNOT
-            # X checks control their CNOTs, Z checks are their targets
+            # check qubits (registers X, Z) have higher ids than data qubits (L, R)
             pairs = zip(step.qubits, step.targets)
             per_cycle[cycle] += [(int(max(a, b)), int(min(a, b))) for a, b in pairs]
     for cnots in per_cycle:

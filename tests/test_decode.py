@@ -519,18 +519,17 @@ def test_bp_rejects_a_syndrome_of_another_length():
 
 
 def test_bp_rejects_a_stack_of_mixed_shapes():
-    square = BPOSDDecoder(BinMatrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
-                          np.full(3, 0.1))
-    for dense in ([[1, 1, 0], [0, 1, 1]], [[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0]]):
-        other = BPOSDDecoder(BinMatrix.from_dense(dense), np.full(len(dense[0]), 0.1))
-        problems = [(square, np.ones(3, dtype=np.uint8)), (other, np.ones(len(dense), dtype=np.uint8))]
-        for stack in (problems, problems[::-1]):
+    def problem(dense):
+        dense = np.array(dense, dtype=np.uint8)
+        return BPOSDDecoder(BinMatrix.from_dense(dense), np.full(dense.shape[1], 0.1)), dense[:, 0]
+
+    square = problem([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    for other in ([[1, 1, 0], [0, 1, 1]], [[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0]]):
+        for stack in ([square, problem(other)], [problem(other), square]):
             with pytest.raises(ValueError, match="one shape"):
                 bp_marginals_batch(stack)
-    # one shape, other edges: the coset problems of one kernel matrix
-    same = BPOSDDecoder(BinMatrix.from_dense([[1, 1, 1], [0, 1, 0], [1, 0, 1]]), np.full(3, 0.2))
-    assert len(bp_marginals_batch([(square, np.ones(3, dtype=np.uint8)),
-                                   (same, np.ones(3, dtype=np.uint8))])) == 2
+    # one shape, other edges, as the coset problems of one kernel matrix
+    assert len(bp_marginals_batch([square, problem([[1, 1, 1], [0, 1, 0], [1, 0, 1]])])) == 2
 
 
 def test_syndrome_of_equals_the_packed_product(sides):
