@@ -87,8 +87,10 @@ class BPConfig:
     keep the default 1.0: on bb144/12 at p = 0.001 BP then converges on
     99.7% of sides, against 68% with 0.625 and a raw final readout
     block.  The distance trials (``_DISTANCE_BP``) keep 0.625: at 1.0
-    the bb144 circuit-distance trials peaked at 81-86 MB RSS instead of
-    74 MB and spent 1.01 instead of 0.90 ms a BP iteration.
+    the code-level trials' witnesses change, and with them the bases
+    ``find_basis_polynomials`` picks.  The circuit-level trials' do not:
+    on 60 bb144/12 trials BP saturated at iteration 60 at 0.625 and at
+    23-193 at 1.0, 40 and 38 ms a trial.
 
     Raises:
         ValueError: max_iters not a whole number >= 1, or scale outside (0, 1], NaN included.
@@ -163,7 +165,7 @@ class BPOSDDecoder:
             raise ValueError("priors length must equal the column count")
         if not np.isfinite(priors).all():
             raise ValueError("priors must be finite")
-        self.priors = np.clip(priors, PRIOR_FLOOR, 1 - PRIOR_FLOOR)
+        priors = np.clip(priors, PRIOR_FLOOR, 1 - PRIOR_FLOOR)
         self.bp_cfg = bp or BPConfig()
         self.osd_cfg = osd or OSDConfig()
         self.logical = logical
@@ -171,22 +173,21 @@ class BPOSDDecoder:
         # counts bits; other log weights log(1/prior) are rounded to
         # integers at a scale where any solution's weight, a sum of at most
         # cols + 2 of them, stays below 2**53 and so is exact in any order
-        self.unit_weights = bool((self.priors == self.priors[:1]).all())
+        self.unit_weights = bool((priors == priors[:1]).all())
         if self.unit_weights:
             self.log_weights = np.ones(matrix.cols)
         else:
-            lw = np.log(1 / self.priors)
+            lw = np.log(1 / priors)
             self.log_weights = np.rint(lw * (2.0**52 / ((matrix.cols + 2) * lw.max())))
 
-        # edge structure in check-major order; each check is one reduceat
-        # segment, which can be neither empty nor start at n_edges
-        supports = matrix.row_supports()
-        self.degree = np.array([len(sup) for sup in supports], dtype=np.int64)
+        # edge structure in check-major order, D's shared csr view; each check
+        # is one reduceat segment, which can be neither empty nor start at n_edges
+        indptr, self.edge_var = matrix.csr()
+        self.degree = np.diff(indptr)
         if not (matrix.rows and self.degree.all()):
             raise ValueError("D must have rows, and a 1 in each of them")
-        self.edge_var = np.concatenate(supports)
         self.n_edges = len(self.edge_var)
-        self.prior_llr = np.log((1 - self.priors) / self.priors)
+        self.prior_llr = np.log((1 - priors) / priors)
 
     # -- belief propagation ------------------------------------------------
 
@@ -416,7 +417,6 @@ def bp_marginals_batch(
     edge_var = np.concatenate([dec.edge_var + k * cols for k, dec in enumerate(decs)])
     deg = np.concatenate([dec.degree for dec in decs])
     ss = np.cumsum(deg) - deg
-    edge_check = np.repeat(np.arange(deg.size), deg)
     syn = np.concatenate(syndromes)
     prior_llr = np.concatenate([dec.prior_llr for dec in decs])
 
@@ -430,10 +430,10 @@ def bp_marginals_batch(
         neg = mags < 0
         np.abs(mags, out=mags)
         min1 = np.minimum.reduceat(mags, ss)
-        # each check's first edge at its minimum: every check has one
-        first = np.flatnonzero(mags == np.repeat(min1, deg))
-        chk = edge_check[first]
-        first = first[np.concatenate(([True], chk[1:] != chk[:-1]))]
+        # each check's first edge at its minimum: every check has one, so
+        # the first candidate at or past a check's start is its own
+        cand = np.flatnonzero(mags == np.repeat(min1, deg))
+        first = cand[np.searchsorted(cand, ss)]
         mags[first] = np.inf
         min2 = np.minimum.reduceat(mags, ss)
         min2[np.isinf(min2)] = 0.0  # a check of degree 1 sends nothing
@@ -572,9 +572,8 @@ class _CosetDecoder(BPOSDDecoder):
     Its matrix is [kernel_mat; eta] and its syndrome e_last; every
     column has prior 0.01, and so log weight 1.  OSD's elimination starts
     from kernel_mat's cached RREF where it can (:meth:`_reduce`), so the
-    trials on one matrix eliminate it once.  Likewise the row supports
-    of kernel_mat, cached on it, carry over to each stacked matrix
-    (``BinMatrix.append_row``) for the decoder's edges.
+    trials on one matrix eliminate it once, and its edges extend
+    kernel_mat's cached ``csr`` view (``BinMatrix.append_row``).
     """
 
     def __init__(self, kernel_mat: BinMatrix, eta: BinVector):
@@ -718,51 +717,50 @@ def distance_upper_bound(
 def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> DistanceEstimate:
     """Randomized upper bound on the circuit-level distance of one side.
 
-    ``side_model`` carries D, the detector matrix of one error type
+    ``side_model`` carries R, the detector matrix of one error type
     with its final block raw (``SideModel.readout_matrix``), and the
-    logical-action matrix L.  D has the model's kernel, but the BP-OSD
-    trials are not invariant under the differencing of the final block:
-    on the differenced rows bb144/12's bound rises from 12 to 16-18.
-    eta is a random combination of rows of D plus a nonzero combination
-    of rows of L; any xi in ker D with eta . xi = 1 is an undetectable
-    fault set with nontrivial logical action, so its weight bounds the
-    circuit distance for this type.
+    logical-action matrix L.  R has the kernel of the model's matrix,
+    but the BP-OSD trials are not invariant under the differencing of
+    the final block: on the differenced rows bb144/12's bound rises from
+    12 to 16-18.  eta is the XOR of a nonzero random subset of the rows
+    of L and a random subset of the rows of R; any xi in ker R with
+    eta . xi = 1 is an undetectable fault set with nontrivial logical
+    action, so its weight bounds the circuit distance for this type.
 
     BP saturates in these trials with every LLR positive (see
     :func:`bp_marginals_batch`), so q is one value on every column: OSD
     ranks the columns in index order and only eta differs between
-    trials.  That is the order
-    of D's cached RREF, so OSD adds eta's row to it
-    (``_CosetDecoder._reduce``) instead of eliminating [D; eta]: D is
-    eliminated once per model, not once per trial.
+    trials.  That is the order of R's cached RREF, so OSD adds eta's row
+    to it (``_CosetDecoder._reduce``) instead of eliminating [R; eta]: R
+    is eliminated once per model, not once per trial.
 
     Raises:
         ValueError: trials < 1, or L has no rows, so that no eta has a
             logical part.
-        DecodingError: a trial's witness is not in ker D or has
+        DecodingError: a trial's witness is not in ker R or has
             eta . xi = 0.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    D: BinMatrix = side_model.readout_matrix
+    R: BinMatrix = side_model.readout_matrix
     L: BinMatrix = side_model.logical
     if L.rows == 0:
         raise ValueError("the side model has no logical rows")
-    LD = L.stack(D)
     rng = np.random.default_rng(seed)
 
     def trial() -> tuple[BinVector, BinVector]:
         coeff_l = rng.integers(0, 2, L.rows, dtype=np.uint8)
         while not coeff_l.any():
             coeff_l = rng.integers(0, 2, L.rows, dtype=np.uint8)
-        coeff_d = rng.integers(0, 2, D.rows, dtype=np.uint8)
-        eta = BinMatrix.from_dense(np.concatenate([coeff_l, coeff_d])).mul_mat(LD).row(0)
+        coeff_d = rng.integers(0, 2, R.rows, dtype=np.uint8)
+        eta = BinVector(R.cols, np.bitwise_xor.reduce(L.words[coeff_l == 1], axis=0)
+                        ^ np.bitwise_xor.reduce(R.words[coeff_d == 1], axis=0))
         # one trial at a time: a detector model's trial is bound by its
         # passes over tens of thousands of edges, which a stack does not cut
-        dec, syndrome = _coset_problem(D, eta)
+        dec, syndrome = _coset_problem(R, eta)
         return eta, dec.decode(syndrome).xi
 
-    return _lightest_witness(D, (trial() for _ in range(trials)),
+    return _lightest_witness(R, (trial() for _ in range(trials)),
                              "an undetectable logical fault set")
 
 

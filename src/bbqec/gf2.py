@@ -6,7 +6,7 @@ packing (``nwords``, ``pack_bits``, ``unpack_bits``) and of Gaussian
 elimination: ``BinMatrix.rref`` is the one column-elimination loop,
 shared by rank, kernel, row-space membership and the decoder's
 ordered-statistics step.  ``rref`` tries pivot columns in a
-caller-given order, left to right by default, so the decoder eliminates
+caller-given permutation, left to right by default, so the decoder eliminates
 its own packed matrix in reliability order instead of a column-permuted
 copy.  Row updates are word-wide XORs, one pivot at a time.  The
 largest elimination here is the decoder's: OSD reduces a 936 x 8,785
@@ -14,14 +14,11 @@ matrix on bb144 with 12 cycles.  Its rank is 930, so six rows never
 hold a pivot, and the scan tests every column of the order, one at a
 time, against the rows still below; the thousands of dependent columns
 after the last pivot each cost one test.  The default-order RREF is
-cached on its matrix and shared, read-only, by every caller; so the
-distance trials eliminate D once per model, and each trial adds its
-extra row to that RREF instead of eliminating [D; eta] again, which is
-exact because the RREF of a row space under a fixed column order is
-unique (``decode._CosetDecoder``).  ``BinMatrix.transpose``
-works on whole bytes, swapping 8 x 8 bit blocks held in one ``uint64``
-each, and never unpacks a bit to a byte.  A sorted
-column-index-per-row sparse view is derived on demand for
+cached on its matrix and shared, read-only, by every caller; the
+distance trials add their extra row to it (``decode._CosetDecoder``).
+``BinMatrix.transpose`` works on whole bytes, swapping 8 x 8 bit blocks
+held in one ``uint64`` each, and never unpacks a bit to a byte.  A
+compressed sparse row view, ``BinMatrix.csr``, is derived on demand for
 message-passing decoders and for products with a sparse left factor.
 """
 
@@ -163,7 +160,7 @@ class BinMatrix:
     instance the first time they are asked for.
     """
 
-    __slots__ = ("rows", "cols", "words", "_row_supports", "_rref")
+    __slots__ = ("rows", "cols", "words", "_csr", "_rref")
 
     def __init__(self, rows: int, cols: int, words: np.ndarray | None = None):
         self.rows = int(rows)
@@ -171,7 +168,7 @@ class BinMatrix:
         if words is None:
             words = np.zeros((self.rows, nwords(self.cols)), dtype=np.uint64)
         self.words = words
-        self._row_supports = None
+        self._csr = None
         self._rref = None
 
     # -- construction -------------------------------------------------
@@ -202,12 +199,16 @@ class BinMatrix:
     def row(self, i: int) -> BinVector:
         return BinVector(self.cols, self.words[i].copy())
 
-    def row_supports(self) -> list[np.ndarray]:
-        """Sparse view: sorted column indices of each row."""
-        if self._row_supports is None:
-            dense = self.to_dense()
-            self._row_supports = [np.flatnonzero(dense[i]) for i in range(self.rows)]
-        return self._row_supports
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sparse rows, int64: row i's sorted columns are indices[indptr[i]:indptr[i + 1]].
+
+        Read from one unpack of the packed rows; cached, shared and never written to.
+        """
+        if self._csr is None:
+            width = self.words.shape[1] * WORD
+            flat = np.flatnonzero(unpack_bits(self.words, width).view(bool))  # 7x uint8's speed
+            self._csr = np.searchsorted(flat, np.arange(self.rows + 1) * width), flat % width
+        return self._csr
 
     def transpose(self) -> "BinMatrix":
         """The transpose, by 8 x 8 bit-block swaps on whole bytes.
@@ -257,14 +258,10 @@ class BinMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         out = BinMatrix(self.rows, other.cols)
-        supports = self.row_supports()
-        sizes = np.array([len(sup) for sup in supports], dtype=np.int64)
-        filled = np.flatnonzero(sizes)
-        if filled.size:
-            # one XOR segment per nonempty row; empty rows stay zero
-            gathered = other.words[np.concatenate(supports)]
-            starts = (np.cumsum(sizes) - sizes)[filled]
-            out.words[filled] = np.bitwise_xor.reduceat(gathered, starts, axis=0)
+        indptr, indices = self.csr()
+        # one XOR segment per nonempty row; empty rows stay zero
+        filled = np.flatnonzero(np.diff(indptr))
+        out.words[filled] = np.bitwise_xor.reduceat(other.words[indices], indptr[filled], axis=0)
         return out
 
     def stack(self, other: "BinMatrix") -> "BinMatrix":
@@ -290,11 +287,12 @@ class BinMatrix:
         return BinMatrix(self.rows, self.cols + 1, words)
 
     def append_row(self, v: BinVector) -> "BinMatrix":
-        """This matrix with v as one more row, its row supports built from this one's cache."""
+        """This matrix with v as one more row, its ``csr`` pair extended from this one's."""
         if v.n != self.cols:
             raise ValueError("length mismatch")
         out = BinMatrix(self.rows + 1, self.cols, np.vstack([self.words, v.words[None, :]]))
-        out._row_supports = [*self.row_supports(), v.support]
+        (indptr, indices), support = self.csr(), v.support
+        out._csr = np.append(indptr, indptr[-1] + support.size), np.concatenate([indices, support])
         return out
 
     def __eq__(self, other) -> bool:
@@ -313,13 +311,12 @@ class BinMatrix:
     def rref(self, pivot_order: Sequence[int] | np.ndarray | None = None):
         """Reduced row echelon form, trying pivot columns in ``pivot_order``.
 
-        Columns are tried in the given order (default: left to right,
-        all of them); a column becomes a pivot when it has a nonzero
+        ``pivot_order`` is a permutation of all the columns (default:
+        left to right); a column becomes a pivot when it has a nonzero
         entry at or below the current row, and the lowest such row is
         swapped up, so the result is deterministic.  The row operations
         are those of the default elimination of the column-permuted
         matrix, so R equals that result with its columns mapped back.
-        Columns left out of ``pivot_order`` are reduced but never pivot.
         Each column of the order is tested on its own, against the rows
         at or below the current one, and the scan stops once every row
         holds a pivot.
@@ -335,14 +332,18 @@ class BinMatrix:
         Returns:
             (R, pivot_cols): R is a BinMatrix in RREF; pivot_cols lists
             the pivot columns in the order they were picked, so row i of
-            R has its pivot at pivot_cols[i] (length = rank when every
-            column is eligible).
+            R has its pivot at pivot_cols[i] (its length is the rank).
+
+        Raises:
+            ValueError: ``pivot_order`` leaves out or repeats a column.
         """
         if pivot_order is None and self._rref is not None:
             return self._rref
         W = self.words.copy()
         rows = self.rows
         order = np.arange(self.cols) if pivot_order is None else np.asarray(pivot_order)
+        if not np.array_equal(np.sort(order), np.arange(self.cols)):
+            raise ValueError("pivot_order must be a permutation of the columns")
         word, mask = bit_masks(order)
         pivot_cols: list[int] = []
         pr = 0

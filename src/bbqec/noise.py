@@ -503,11 +503,11 @@ def build_detector_model(
 def dump_side_model(side: SideModel) -> str:
     """Sparse text dump: header then one 'col: prior; dets; logicals' line."""
     lines = [f"{side.matrix.rows} {side.matrix.cols} {side.logical.rows}"]
-    det_cols = side.matrix.transpose().row_supports()
-    log_cols = side.logical.transpose().row_supports()
+    det_ptr, det_rows = side.matrix.transpose().csr()
+    log_ptr, log_rows = side.logical.transpose().csr()
     for j in range(side.matrix.cols):
-        dets = " ".join(str(i) for i in det_cols[j])
-        logs = " ".join(str(i) for i in log_cols[j])
+        dets = " ".join(str(i) for i in det_rows[det_ptr[j] : det_ptr[j + 1]])
+        logs = " ".join(str(i) for i in log_rows[log_ptr[j] : log_ptr[j + 1]])
         lines.append(f"{j}: {side.priors[j]:.12e}; {dets}; {logs}")
     return "\n".join(lines) + "\n"
 

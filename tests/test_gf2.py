@@ -108,11 +108,12 @@ def test_rref_pivot_order_equals_permuted_elimination():
         # order after it, which the scan tests without finding a pivot
         last = order.tolist().index(pivots[-1]) if pivots else -1
         early += len(pivots) < rows and last < cols - 1
-        # one more column left out of the order, as OSD appends its
-        # syndrome: inside the column space on half the trials, so that
-        # the rows below the last pivot end up zero there too
+        # one more column, last in the order, as OSD appends its syndrome:
+        # inside the column space on half the trials, so that it takes no
+        # pivot and the rows below the last pivot end up zero there too
         extra = dense @ rng.integers(0, 2, cols) % 2 if trial % 4 < 2 else rng.integers(0, 2, rows)
         grown = np.hstack([dense, extra[:, None]]).astype(np.uint8)
+        order = np.append(order, cols)
         R, pivots = BinMatrix.from_dense(grown).rref(pivot_order=order)
         R_ref, pivots_ref = rref_reference(grown, order)
         assert np.array_equal(R.to_dense(), R_ref)
@@ -120,14 +121,14 @@ def test_rref_pivot_order_equals_permuted_elimination():
     assert early >= 20
 
 
-def test_rref_pivot_order_skips_left_out_columns():
+def test_rref_rejects_partial_or_repeated_orders():
     rng = np.random.default_rng(23)
-    dense = rng.integers(0, 2, size=(30, 50), dtype=np.uint8)
-    order = rng.permutation(50)[:20]
-    _, pivots = BinMatrix.from_dense(dense).rref(pivot_order=order)
-    _, pivots_perm = BinMatrix.from_dense(dense[:, order]).rref()
-    assert pivots == order[pivots_perm].tolist()
-    assert set(pivots) <= set(order.tolist())
+    m = random_matrix(rng, 30, 50)
+    order = rng.permutation(50)
+    for bad in (order[:20], order[:-1], np.append(order, order[0]),
+                np.where(order == 7, 8, order), np.where(order == 49, 50, order)):
+        with pytest.raises(ValueError, match="permutation"):
+            m.rref(pivot_order=bad)
 
 
 def wide_low_rank(rng, rows, cols, rank) -> np.ndarray:
@@ -153,11 +154,10 @@ def test_rref_wide_rank_deficient_matches_reference():
         order = rng.permutation(3000)
         assert_rref_matches_reference(dense)
         assert_rref_matches_reference(dense, order)
-        # an order that leaves most columns out, and one more column left
-        # out of the order that makes the rows below the last pivot nonzero
-        assert_rref_matches_reference(dense, order[: int(rng.integers(1, 3000))])
+        # one more column, last in the order, that pivots on a row below
+        # the last pivot
         extra = rng.integers(0, 2, size=(40, 1), dtype=np.uint8)
-        assert_rref_matches_reference(np.hstack([dense, extra]), order)
+        assert_rref_matches_reference(np.hstack([dense, extra]), np.append(order, 3000))
 
 
 def test_rref_finds_the_pivot_after_any_run_of_dependent_columns():
@@ -181,8 +181,11 @@ def test_rref_of_zero_matrix_and_empty_order():
     assert assert_rref_matches_reference(zero) == []
     assert assert_rref_matches_reference(zero, np.arange(300)[::-1]) == []
     dense = np.random.default_rng(35).integers(0, 2, size=(5, 300), dtype=np.uint8)
-    R, pivots = BinMatrix.from_dense(dense).rref(pivot_order=[])
-    assert pivots == [] and np.array_equal(R.to_dense(), dense)
+    with pytest.raises(ValueError, match="permutation"):
+        BinMatrix.from_dense(dense).rref(pivot_order=[])
+    # an empty order is the full order of a matrix without columns
+    R, pivots = BinMatrix(5, 0).rref(pivot_order=[])
+    assert pivots == [] and R == BinMatrix(5, 0)
 
 
 def test_default_rref_is_eliminated_once_and_shared(monkeypatch):
@@ -225,16 +228,16 @@ def test_transpose_matches_dense_transpose(rows):
         assert np.array_equal(t.words, want.words)
 
 
-def test_append_row_carries_row_supports():
+def test_append_row_carries_csr():
     rng = np.random.default_rng(37)
     m = random_matrix(rng, 12, 130)
     v = BinVector.from_bits(rng.integers(0, 2, 130, dtype=np.uint8))
     grown = m.append_row(v)
-    assert grown._row_supports is not None  # m's supports and v's, not rebuilt on demand
+    assert grown._csr is not None  # m's pair and v's support, not rebuilt on demand
     fresh = BinMatrix(grown.rows, grown.cols, grown.words.copy())
-    assert len(grown.row_supports()) == len(fresh.row_supports()) == 13
-    for got, want in zip(grown.row_supports(), fresh.row_supports()):
+    for got, want in zip(grown.csr(), fresh.csr()):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert grown.csr()[0].size == 14
 
 
 def test_append_col_matches_dense_hstack():
@@ -276,12 +279,18 @@ def test_rowbasis_incremental():
         assert m.in_rowspace(v ^ residue)
 
 
-def test_sparse_and_dense_views_agree():
-    rng = np.random.default_rng(13)
-    m = random_matrix(rng, 25, 70)
-    dense = m.to_dense()
-    for i, sup in enumerate(m.row_supports()):
-        assert np.array_equal(np.flatnonzero(dense[i]), sup)
+@pytest.mark.parametrize("cols, zero_rows", [(70, [0, 11, 12, 24]), (70, range(25)), (63, []),
+                                             (64, [24]), (65, [0]), (128, [])],
+                         ids=["zero-rows", "zero-matrix", "63", "64", "65", "128"])
+def test_sparse_and_dense_views_agree(cols, zero_rows):
+    dense = np.random.default_rng(cols).integers(0, 2, size=(25, cols), dtype=np.uint8)
+    dense[list(zero_rows)] = 0
+    m = BinMatrix.from_dense(dense)
+    indptr, indices = m.csr()
+    assert indptr.dtype == indices.dtype == np.int64
+    assert indptr.size == 26 and indptr[0] == 0 and indptr[-1] == indices.size == dense.sum()
+    for i in range(25):
+        assert np.array_equal(indices[indptr[i] : indptr[i + 1]], np.flatnonzero(m.to_dense()[i]))
 
 
 def test_vector_ops():
