@@ -289,8 +289,8 @@ def test_sparse_and_dense_views_agree(cols, zero_rows):
     indptr, indices = m.csr()
     assert indptr.dtype == indices.dtype == np.int64
     assert indptr.size == 26 and indptr[0] == 0 and indptr[-1] == indices.size == dense.sum()
-    for i in range(25):
-        assert np.array_equal(indices[indptr[i] : indptr[i + 1]], np.flatnonzero(m.to_dense()[i]))
+    for i, row in enumerate(m.to_dense()):
+        assert np.array_equal(indices[indptr[i] : indptr[i + 1]], np.flatnonzero(row))
 
 
 def test_vector_ops():
