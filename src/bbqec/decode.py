@@ -98,6 +98,7 @@ class BPConfig:
 
     max_iters: int = 10000
     scale: float = 1.0
+    memory: float = 0.1
 
     def __post_init__(self):
         # BP stops at the cap when its iteration count equals it: never, for a fraction or inf
@@ -106,6 +107,8 @@ class BPConfig:
         self.max_iters = int(self.max_iters)
         if not 0 < self.scale <= 1:
             raise ValueError("scale must lie in (0, 1]")
+        if not 0 <= self.memory < 1:
+            raise ValueError("memory must lie in [0, 1)")
 
 
 @dataclass
@@ -419,8 +422,10 @@ def bp_marginals_batch(
     ss = np.cumsum(deg) - deg
     syn = np.concatenate(syndromes)
     prior_llr = np.concatenate([dec.prior_llr for dec in decs])
+    held = (1 - cfg.memory) * prior_llr  # the prior's share of each total
 
     c2v = np.zeros(edge_var.size)
+    llr_total = prior_llr.copy()  # M(0), the memory of the first iteration
     llr_edge = np.take(prior_llr, edge_var)
     mags = np.empty(edge_var.size)
     out: list = [None] * len(decs)
@@ -445,7 +450,9 @@ def bp_marginals_batch(
         c2v = np.repeat(min1, deg)
         c2v[first] = min2
         np.negative(c2v, out=c2v, where=neg)
-        llr_total = prior_llr + np.bincount(edge_var, weights=c2v, minlength=prior_llr.size)
+        llr_total *= cfg.memory
+        llr_total += held
+        llr_total += np.bincount(edge_var, weights=c2v, minlength=prior_llr.size)
         np.take(llr_total, edge_var, out=llr_edge, mode="clip")
         # converged: the hard decision reproduces the syndrome on every check
         wrong = np.bitwise_xor.reduceat((llr_edge < 0).view(np.uint8), ss) != syn
@@ -467,7 +474,7 @@ def bp_marginals_batch(
 # Distance upper bounds
 # ---------------------------------------------------------------------------
 
-_DISTANCE_BP = BPConfig(max_iters=300, scale=0.625)
+_DISTANCE_BP = BPConfig(max_iters=300, scale=0.625, memory=0.0)
 _DISTANCE_OSD = OSDConfig(sweep_depth=30)
 _REDUCE_PASSES = 8  # sweeps of single-row moves in reduce_weight_modulo_rows
 _DESCENT_PAIRS = 400  # rows whose pairs descend_modulo_rows scans

@@ -21,7 +21,7 @@ def test_run_failure_flags_match_direct_decodes(model, capsys, monkeypatch):
             "--shots", str(SHOTS), "--seed", str(SEED), "--bp-iters", "100"]
     assert cli.main(argv) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["config"]["bp"] == {"max_iters": 100, "scale": 1.0}
+    assert report["config"]["bp"] == {"max_iters": 100, "scale": 1.0, "memory": 0.1}
     assert report["config"]["sample_batch"] == BATCH
 
     batch = sample_circuit_noise(model.circuit, model.p, SHOTS, SEED, model.basis)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 from itertools import combinations, count
 from types import SimpleNamespace
@@ -30,10 +31,14 @@ from bbqec.noise import sample_circuit_noise
 SIDES = ("x", "z")
 
 # SHA-256 over BP's (q, hard decision, converged, iterations) on each
-# side of the six GOLDEN_FAULTS shots, BP cap 100.  It changes with any change to
-# the min-sum arithmetic or its stopping rule; such a change must be
-# deliberate and stated.
-BP_SHA = "23228903f154825579d2b9f7d512b7132039f0e6b366285214841c8a3710afb8"
+# side of the six GOLDEN_FAULTS shots, BP cap 100 and the default memory
+# 0.1.  It changes with any change to the min-sum arithmetic or its
+# stopping rule; such a change must be deliberate and stated.
+BP_SHA = "51976204fdf171ff752d37241af53beb69972028090c73afc9a26c52813854ab"
+
+# The same digest without the memory term, BPConfig(max_iters=100, memory=0.0):
+# BP_SHA's value before memory BP, so that memory 0 is pinned as exact.
+BP_NO_MEMORY_SHA = "23228903f154825579d2b9f7d512b7132039f0e6b366285214841c8a3710afb8"
 
 # SHA-256 over osd_postprocess(syndrome, q) on the same shots, with q
 # from bp_marginals; it changes with any change to OSD's column order,
@@ -113,16 +118,26 @@ def golden_shots(model):
                                 forced_faults=GOLDEN_FAULTS, fault_table=model.fault_table)
 
 
-def test_bp_marginals_golden(golden_shots, sides):
+def _bp_digest(shots, model, bp: BPConfig) -> str:
     h = hashlib.sha256()
     for side in SIDES:
-        dec = sides[side][0]
-        for syndrome in getattr(golden_shots, f"{side}_syndromes"):
+        sm = getattr(model, side)
+        dec = BPOSDDecoder(sm.matrix, sm.priors, bp=bp)
+        for syndrome in getattr(shots, f"{side}_syndromes"):
             q, hard, converged, iters = dec.bp_marginals(syndrome)
             h.update(q.tobytes())
             h.update(hard.tobytes())
             h.update(f"{converged} {iters}".encode())
-    assert h.hexdigest() == BP_SHA
+    return h.hexdigest()
+
+
+def test_bp_marginals_golden(golden_shots, model):
+    assert _bp_digest(golden_shots, model, BPConfig(max_iters=100)) == BP_SHA
+
+
+def test_bp_marginals_golden_without_memory(golden_shots, model):
+    bp = BPConfig(max_iters=100, memory=0.0)
+    assert _bp_digest(golden_shots, model, bp) == BP_NO_MEMORY_SHA
 
 
 def test_osd_postprocess_golden(golden_shots, sides):
@@ -272,6 +287,21 @@ def test_coset_update_falls_back_outside_the_index_order(monkeypatch):
         assert _arrays(got) == _arrays(BPOSDDecoder._reduce(dec, syndrome_in, q_in))
         calls.clear()
     assert dec._reduce(syndrome, rises)[1][0] == 40
+
+
+def test_memory_converges_where_plain_min_sum_runs_to_its_cap(model):
+    # one bb72/6 shot at p = 0.003, once seed 11's shot 262, forced as GOLDEN_FAULTS are
+    shot = sample_circuit_noise(model.circuit, model.p, 0, 0, model.basis,
+                                forced_faults=[[7890, 14449, 15009, 15521, 19517, 20970,
+                                                22736, 24910]],
+                                fault_table=model.fault_table)
+    syndrome, sm = shot.x_syndromes[0], model.x
+    outs = [BPOSDDecoder(sm.matrix, sm.priors, bp=BPConfig(max_iters=100, memory=memory),
+                         logical=sm.logical).decode(syndrome) for memory in (0.0, 0.1)]
+    assert (outs[0].converged, outs[0].iterations) == (False, 100)
+    assert outs[1].converged
+    assert sm.matrix.mul_vec(outs[1].xi).to_bits().tobytes() == syndrome.tobytes()
+    assert np.array_equal(outs[1].logical.to_bits(), shot.logical_x[0])
 
 
 def test_osd_runs_only_where_bp_fails(model, sides, monkeypatch):
@@ -473,6 +503,15 @@ def test_bp_config_rejects_a_scale_outside_the_unit_interval():
     assert BPConfig().scale == 1.0 and BPConfig(scale=1e-3).scale == 1e-3
 
 
+def test_bp_config_rejects_a_memory_outside_the_half_open_unit_interval():
+    # at memory 1 a variable's total keeps no share of its prior
+    for bad in (-1e-12, -0.5, 1.0, 2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="memory"):
+            BPConfig(memory=bad)
+    assert BPConfig().memory == 0.1 and BPConfig(memory=0.0).memory == 0.0
+    assert decode._DISTANCE_BP.memory == 0.0
+
+
 def test_configs_reject_a_fractional_count():
     # BP stops when its iteration count equals the cap, which 7.5 never does, so
     # such a cap bounds nothing: on a random 12 x 24 matrix BP ran 5,658 iterations
@@ -586,9 +625,10 @@ def _bp_bytes(result) -> tuple:
 def test_bp_batch_equals_lone_runs(mixed_problems):
     by_config: dict[tuple, list[int]] = {}
     for i, (dec, _) in enumerate(mixed_problems):
-        by_config.setdefault((dec.bp_cfg.max_iters, dec.bp_cfg.scale), []).append(i)
+        by_config.setdefault(dataclasses.astuple(dec.bp_cfg), []).append(i)
     # the cap-100 stack stops problem 4 at once and problem 1 later
-    assert by_config[100, 1.0] == [1, 4, 5] and len(by_config) == 4
+    assert by_config[dataclasses.astuple(BPConfig(max_iters=100))] == [1, 4, 5]
+    assert len(by_config) == 4
     batch = [None] * len(mixed_problems)
     for group in by_config.values():
         for i, r in zip(group, bp_marginals_batch([mixed_problems[i] for i in group])):
@@ -599,11 +639,13 @@ def test_bp_batch_equals_lone_runs(mixed_problems):
     assert outcomes[0] == (False, 300) and outcomes[2] == (False, 7)
     assert outcomes[1][0] and 1 < outcomes[1][1] < 100
     assert outcomes[4] == (True, 1)
-    # problems whose caps or scales differ never share a stack
-    rescaled = copy.copy(mixed_problems[1][0])
+    # problems whose caps, scales or memories differ never share a stack
+    rescaled, forgetful = copy.copy(mixed_problems[1][0]), copy.copy(mixed_problems[1][0])
     rescaled.bp_cfg = BPConfig(max_iters=100, scale=0.625)
+    forgetful.bp_cfg = BPConfig(max_iters=100, memory=0.0)
     for pair in (mixed_problems[:2], mixed_problems[1:3],
-                 [mixed_problems[1], (rescaled, mixed_problems[1][1])]):
+                 [mixed_problems[1], (rescaled, mixed_problems[1][1])],
+                 [mixed_problems[1], (forgetful, mixed_problems[1][1])]):
         with pytest.raises(ValueError, match="one BPConfig"):
             bp_marginals_batch(pair)
 
@@ -632,8 +674,9 @@ def _min_sum_reference(dec, syndrome):
     Each check sends each edge the smallest clipped |v2c| of its other
     edges (0 if there are none), scaled, and negated when the syndrome
     bit and the signs of those other edges have odd parity; each
-    variable adds its messages from 0.0 in check order, then adds its
-    prior.  BP stops when the hard decision reproduces the syndrome,
+    variable adds its messages from 0.0 in check order, then adds them
+    to (1 - memory) times its prior plus memory times its previous total,
+    the prior at the first iteration.  BP stops when the hard decision reproduces the syndrome,
     when every |LLR| has reached q's clip of 500, or at its cap.
     Returns BP's (q, hard, converged, iterations) and whether any |v2c|
     exceeded the 1e30 clip.
@@ -642,6 +685,8 @@ def _min_sum_reference(dec, syndrome):
     n = D.shape[1]
     checks = [np.flatnonzero(row).tolist() for row in D]
     llr = [float(x) for x in dec.prior_llr]
+    gamma = dec.bp_cfg.memory
+    held = [(1 - gamma) * x for x in llr]
     c2v = {(c, v): 0.0 for c, vs in enumerate(checks) for v in vs}
     saturated = False
     for it in count(1):
@@ -656,7 +701,7 @@ def _min_sum_reference(dec, syndrome):
         sums = [0.0] * n
         for (c, v), m in c2v.items():  # check-major: each variable's terms in check order
             sums[v] += m
-        llr = [float(p) + x for p, x in zip(dec.prior_llr, sums)]
+        llr = [h + gamma * m + x for h, m, x in zip(held, llr, sums)]
         hard = np.array([x < 0 for x in llr], dtype=np.uint8)
         converged = np.array_equal(D @ hard % 2, syndrome)
         at_clip = min(abs(x) for x in llr) >= 500
@@ -665,14 +710,14 @@ def _min_sum_reference(dec, syndrome):
             return (q, hard, converged, it), saturated
 
 
-def _problem(dense, priors, syndrome, max_iters, scale=1.0):
+def _problem(dense, priors, syndrome, max_iters, scale=1.0, memory=0.1):
     dec = BPOSDDecoder(BinMatrix.from_dense(np.array(dense, dtype=np.uint8)),
-                       np.array(priors, dtype=float), bp=BPConfig(max_iters, scale))
+                       np.array(priors, dtype=float), bp=BPConfig(max_iters, scale, memory))
     return dec, np.array(syndrome, dtype=np.uint8)
 
 
 @st.composite
-def min_sum_problems(draw, max_iters, scale, rows, cols):
+def min_sum_problems(draw, max_iters, scale, memory, rows, cols):
     """A small rows x cols (decoder, syndrome): rows of weight 1 and up,
     and priors often equal."""
     supports = draw(st.lists(st.sets(st.integers(0, cols - 1), min_size=1), min_size=rows,
@@ -681,16 +726,20 @@ def min_sum_problems(draw, max_iters, scale, rows, cols):
     prior = st.sampled_from([0.01, 0.1, 0.25, 0.5]) | st.floats(1e-6, 0.5)
     priors = draw(st.lists(prior, min_size=cols, max_size=cols))
     syndrome = [draw(st.integers(0, 1)) for _ in supports]
-    return _problem(dense, priors, syndrome, max_iters, scale)
+    return _problem(dense, priors, syndrome, max_iters, scale, memory)
 
 
 @st.composite
 def min_sum_stacks(draw):
-    """One to four small problems sharing a shape, a BP cap and the shot
-    or the distance-trial scale."""
-    max_iters, scale = draw(st.integers(1, 30)), draw(st.sampled_from([1.0, 0.625]))
+    """One to four small problems sharing a shape, a BP cap and the shot or
+    the distance-trial (scale, memory), or either scale with a random memory."""
+    max_iters = draw(st.integers(1, 30))
+    scale, memory = draw(st.sampled_from([(1.0, 0.1), (0.625, 0.0)])
+                         | st.tuples(st.sampled_from([1.0, 0.625]),
+                                     st.floats(0, 1, exclude_max=True)))
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
-    return draw(st.lists(min_sum_problems(max_iters, scale, rows, cols), min_size=1, max_size=4))
+    return draw(st.lists(min_sum_problems(max_iters, scale, memory, rows, cols),
+                         min_size=1, max_size=4))
 
 
 def _assert_kernel_matches_reference(problems):
