@@ -392,12 +392,12 @@ def bp_marginals_batch(
     edges, clipped at 1e30, scaled by ``BPConfig.scale`` and negated
     when the check's syndrome bit and the signs of those other edges
     have odd parity; a check of degree 1 sends 0.  Each variable's
-    total is gamma times its previous total plus (1 - gamma) times its
-    prior, folded once per stack, plus its messages, gamma being
-    ``BPConfig.memory``; the total starts at the prior, and an edge's
-    v2c is its variable's total less that edge's c2v.  At gamma = 0 the
-    memory term is a signed zero, so the totals are plain min-sum's bit
-    for bit.  The arithmetic runs
+    total is gamma (``BPConfig.memory``) times its previous total, plus
+    (1 - gamma) times its prior, folded once per stack, plus its
+    messages; it starts at the prior, and an edge's v2c is its
+    variable's total less that edge's c2v.  At gamma = 0 the memory term
+    is a signed zero, so the totals are plain min-sum's bit for bit.
+    The arithmetic runs
     per check where it can, with three exact rewrites of the per-edge
     form:
 
@@ -421,9 +421,9 @@ def bp_marginals_batch(
     iterations could still flip a sign.  In every circuit-distance
     trial checked it fires with all LLRs positive, near iteration 45 on
     bb72/6, 60 on bb144/12 and 78 on bb288/18, instead of at their cap
-    of 300.  It never fired in the shot decodes checked, ``bbqec run``
-    on bb72/6 at p = 0.004 and on bb144/12 at p = 0.005 with BP caps of
-    100 and of the default 10000: there the smallest |LLR| of a side
+    of 300.  Without memory, it never fired in the shot decodes checked,
+    ``bbqec run`` on bb72/6 at p = 0.004 and on bb144/12 at p = 0.005
+    with BP caps of 100 and of 10000: there the smallest |LLR| of a side
     that ran to 10000 never exceeded 5.5 at any iteration.  In the
     code-level coset trials checked, at their cap of 300, it never
     exceeded 17.  The prior LLR of a variable without edges also stays
