@@ -675,9 +675,10 @@ def _min_sum_reference(dec, syndrome):
     edges (0 if there are none), scaled, and negated when the syndrome
     bit and the signs of those other edges have odd parity; each
     variable adds its messages from 0.0 in check order, then adds them
-    to (1 - memory) times its prior plus memory times its previous total,
-    the prior at the first iteration.  BP stops when the hard decision reproduces the syndrome,
-    when every |LLR| has reached q's clip of 500, or at its cap.
+    to (1 - memory) times its prior plus memory times its previous total
+    (the prior at the first iteration).  BP stops when the hard decision
+    reproduces the syndrome, when every |LLR| has reached q's clip of
+    500, or at its cap.
     Returns BP's (q, hard, converged, iterations) and whether any |v2c|
     exceeded the 1e30 clip.
     """
