@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -60,7 +60,7 @@ class Monomial:
         return self.a * self.m + self.b
 
     def order(self) -> int:
-        return _lcm(self.l // math.gcd(self.a, self.l), self.m // math.gcd(self.b, self.m))
+        return math.lcm(self.l // math.gcd(self.a, self.l), self.m // math.gcd(self.b, self.m))
 
     def is_one(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -74,10 +74,6 @@ class Monomial:
         if self.b:
             out += f"y{self.b}" if self.b != 1 else "y"
         return out
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 _TERM_RE = re.compile(r"^(?:1|(?:x(\d*))?(?:y(\d*))?)$")
@@ -250,7 +246,7 @@ class CodeConstructionError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class BBCode:
     """A bivariate bicycle code QC(A, B) with cached analyses.
 
@@ -658,5 +654,4 @@ def catalog_code(name: str) -> BBCode:
     code = build_code(l, m, a, b)
     if code.k != k:
         raise CodeConstructionError(f"catalog {name}: k={code.k}, expected {k}")
-    code.distance_upper = d
-    return code
+    return replace(code, distance_upper=d)

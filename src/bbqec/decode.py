@@ -1,73 +1,22 @@
 """BP-OSD decoding and distance estimation.
 
-The decoder treats an arbitrary binary matrix D with per-column priors
-as a classical linear code with noiseless syndromes: belief propagation
-(normalized min-sum with memory, flooding schedule) estimates per-column
-posterior marginals.  It stops in one of three ways: converged, once its hard
-decision reproduces the syndrome; saturated, once every column's |LLR|
-has reached the clip through which its marginal is computed, so that
-the marginals depend only on the LLRs' signs; or at its iteration cap.
-:func:`bp_marginals_batch` states where saturation was seen to fire.
-Only when BP does not converge does ordered-statistics post-processing
-solve the syndrome on the most likely information set and sweep single
-and paired flips of the excluded columns to lower the solution weight
-(Panteleev-Kalachev, arXiv:1904.02703; Roffe et al., arXiv:2005.07016).
+The decoder treats a binary matrix D with per-column priors as a
+classical linear code with noiseless syndromes.  Belief propagation
+(normalized min-sum with memory, flooding schedule) estimates each
+column's marginal; where it does not converge, ordered-statistics
+post-processing solves the syndrome on the most likely information set
+and sweeps flips of the excluded columns (Panteleev-Kalachev,
+arXiv:1904.02703; Roffe et al., arXiv:2005.07016).  The same machinery
+bounds code and circuit distance from above: minimize a solution's
+weight subject to anticommuting with a random logical operator.
 
-Shot decodes run memory min-sum (Mueller et al., *Improved belief
-propagation is sufficient for real-time decoding of quantum memory*,
-2025).  At iteration t each variable's total LLR is (1 - gamma) times
-its prior LLR, plus gamma times its total at t - 1 (its prior at t = 1),
-plus its check messages, with gamma = ``BPConfig.memory``; the check
-messages and the stops are plain min-sum's, which gamma = 0 gives byte
-for byte.  Shots keep 0.1: on 600 bb144/12 sides at p = 0.001 (seed 7,
-cap 100) the mean iteration count fell from 9.7 to 6.9, and all 600
-converged, against 599 at 0.  The value was set by decode quality, not
-speed.  In a sweep (seed 7, cap 100), bb72/6 at p = 0.004 failed 108 of
-1000 shots at 0 and 109, 102, 98, 108, 125 and 142 at 0.05-0.3 in steps
-of 0.05; bb144/12 at p = 0.005 failed 35 of 200 at 0 and 28, 34, 42, 51
-and 63 at 0.05-0.25.  So 0.1 is the largest value at which neither point
-failed more shots than at 0.  The distance trials keep 0
-(``_DISTANCE_BP``): with memory the code-level coset trials find other
-witnesses, and ``find_basis_polynomials`` other bases.
+Each rule has one home:
 
-There is one min-sum loop, :func:`bp_marginals_batch`, which runs a
-stack of independent problems with one ``BPConfig`` side by side on
-their concatenated edges; a lone decode is a stack of one.  Only the
-code-level coset searches stack: their problems (about 460 edges each
-on bb144) are bound by per-call overhead, so :func:`coset_minimum_trials`
-runs up to ``_BATCH_EDGES`` edges of them in one set of array passes,
-about a third of their lone BP time.  Shots and circuit-distance trials,
-bound by their passes over tens of thousands of edges, decode alone:
-stacked shots took 2.9 against 2.6 ms a side on bb144/12.  A stacked
-result is byte-identical to a lone run.
-
-An iteration is a fixed set of full passes over the edges, so its cost
-is their count; :func:`bp_marginals_batch` keeps it low by computing the
-minima, clip, scale and sign of each check once per check rather than
-once per edge.  Each of those rewrites is exact, so messages, marginals
-and iteration counts are those of the plain per-edge rule.
-
-OSD weighs solutions in integer units.  Each log weight log(1/prior) is
-rounded to an integer-valued float64 at a scale, set by the decoder's
-column count and largest weight, that keeps any solution's weight below
-2**53; every weight is then exact under any summation order, so no BLAS
-thread count or block shape can change a decode.  Equal priors, as in
-the distance trials, give every column weight 1, and OSD then scores
-flips by popcount on the packed reduced rows.
-
-The trials on one matrix share its elimination.  ``BinMatrix.rref``
-caches its default-order result, whose R is shared and never written
-to.  A coset problem's OSD, whose matrix is that matrix with one extra
-row eta, adds eta's row to the cached RREF instead of eliminating the
-whole matrix, whenever BP leaves the columns in index order, the
-cache's order.  Saturated BP does so in every circuit-distance trial
-checked.  The update is exact: under a fixed column order the RREF of
-a row space is unique, so it gives the full elimination's output byte
-for byte.  Shot decodes never take it.
-
-The same machinery doubles as a randomized upper bound on code and
-circuit distance: minimize a solution weight subject to anticommuting
-with a random logical operator.
+- BP's messages, memory, stops and stacking: :func:`bp_marginals_batch`;
+- the scales and memories of shots and distance trials: :class:`BPConfig`;
+- OSD's integer and unit weights: :class:`BPOSDDecoder`;
+- OSD's column order, sweep and tie rule: ``BPOSDDecoder.osd_postprocess``;
+- the coset problem and its cached-RREF update: :class:`_CosetDecoder`.
 """
 
 from __future__ import annotations
@@ -85,7 +34,7 @@ from .gf2 import WORD, BinMatrix, BinVector, int_rows, nwords, unpack_bits
 
 PRIOR_FLOOR = 1e-12
 # Flip sets OSD's sweep scores per product (_flip_weights); bounds the
-# float64 copy that the product makes of its 0/1 operand.
+# float64 copy that the product makes of its 0/1 operand, under 4 MB at rank 930.
 _FLIP_BLOCK = 512
 
 
@@ -95,23 +44,18 @@ class DecodingError(RuntimeError):
 
 @dataclass
 class BPConfig:
-    """Min-sum belief propagation settings.
+    """Min-sum belief propagation settings; :func:`bp_marginals_batch` uses them.
 
-    BP stops at ``max_iters`` unless it converges first, or saturates:
-    every |LLR| at ``_LLR_CLIP`` (see :func:`bp_marginals_batch`).
-
-    ``scale`` normalizes the check-to-variable messages.  Shot decodes
-    keep the default 1.0: without memory, BP on bb144/12 at p = 0.001
-    converged on 99.7% of sides, against 68% with 0.625 and a raw final
-    readout block.  The distance trials (``_DISTANCE_BP``) keep 0.625:
-    at 1.0 the code-level trials' witnesses change, and with them the
-    bases ``find_basis_polynomials`` picks.  The circuit-level trials'
-    do not: on 60 bb144/12 trials BP saturated at iteration 60 at 0.625
-    and at 23-193 at 1.0, 40 and 38 ms a trial.
-
-    ``memory`` is memory min-sum's gamma (see the module docstring).
-    Shot decodes keep the default 0.1; the distance trials keep 0,
-    plain min-sum, for the same reason as their scale.
+    ``max_iters`` caps the iterations, ``scale`` normalizes the
+    check-to-variable messages, and ``memory`` is memory min-sum's gamma.
+    Shot decodes keep scale 1.0, because without memory BP on bb144/12 at
+    p = 0.001 converged on 99.7% of sides against 68% at 0.625 with a raw
+    final readout block.  Shot decodes keep gamma = 0.1, the largest value
+    in a sweep at which no driver point failed more shots than at 0
+    (``BENCH_memorybp.json``).  The distance trials (``_DISTANCE_BP``)
+    keep scale 0.625, because at 1.0 the code-level coset trials find
+    other witnesses, and ``find_basis_polynomials`` other bases.  They
+    keep gamma = 0, plain min-sum, for the same reason.
 
     Raises:
         ValueError: max_iters not a whole number >= 1, scale outside (0, 1],
@@ -167,13 +111,22 @@ class BPOSDDecoder:
     Immutable after construction; decode calls are pure functions of
     the syndrome, so instances can be shared across worker threads.
     Every check of D has an edge: D needs at least one row, and each
-    row at least one 1.  Every matrix the package decodes meets this: the
-    detector matrices, and a code's check matrix with a nonzero row eta
-    appended (:func:`coset_minimum_trials`).
+    row at least one 1, as the detector matrices and a code's check
+    matrix with a nonzero row eta appended (:class:`_CosetDecoder`)
+    have.  Priors of exactly 0 and 1 are moved ``PRIOR_FLOOR`` inside.
+
+    OSD weighs solutions in integer units.  Each log weight log(1/prior)
+    is rounded to an integer-valued float64 at a scale, set by the column
+    count and the largest weight, at which any solution's weight, a sum
+    of at most cols + 2 of them, stays below 2**53.  Every weight is then
+    exact under any summation order, so no BLAS thread count or block
+    shape can change a decode, and OSD's tie rule holds exactly.  Equal
+    priors, as in the distance trials, give every column weight 1, and
+    OSD then scores flips by popcount on the packed reduced rows.
 
     Raises:
-        ValueError: D has no rows or an all-zero row, or the priors are
-            not finite or do not match D's column count.
+        ValueError: D has no rows or an all-zero row, or the priors lie
+            outside [0, 1] (NaN included) or do not match D's column count.
     """
 
     def __init__(
@@ -188,16 +141,12 @@ class BPOSDDecoder:
         priors = np.asarray(priors, dtype=np.float64)
         if priors.shape != (matrix.cols,):
             raise ValueError("priors length must equal the column count")
-        if not np.isfinite(priors).all():
-            raise ValueError("priors must be finite")
+        if not ((priors >= 0) & (priors <= 1)).all():
+            raise ValueError("priors must be finite and lie in [0, 1]")
         priors = np.clip(priors, PRIOR_FLOOR, 1 - PRIOR_FLOOR)
         self.bp_cfg = bp or BPConfig()
         self.osd_cfg = osd or OSDConfig()
         self.logical = logical
-        # equal priors weigh every column alike, so each weighs 1 and OSD
-        # counts bits; other log weights log(1/prior) are rounded to
-        # integers at a scale where any solution's weight, a sum of at most
-        # cols + 2 of them, stays below 2**53 and so is exact in any order
         self.unit_weights = bool((priors == priors[:1]).all())
         if self.unit_weights:
             self.log_weights = np.ones(matrix.cols)
@@ -217,16 +166,7 @@ class BPOSDDecoder:
     # -- belief propagation ------------------------------------------------
 
     def bp_marginals(self, syndrome: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool, int]:
-        """Run min-sum BP; returns (q, hard_decision, converged, iterations).
-
-        q[j] estimates Pr[xi_j = 1]; converged means the hard decision
-        reproduced the syndrome exactly at some iteration.  BP also
-        stops, unconverged, at the first iteration where every |LLR| has
-        reached ``_LLR_CLIP`` (q is then fixed by the LLRs' signs), or
-        at its cap.  This is :func:`bp_marginals_batch` on a stack of one,
-        the way shot decodes and circuit-distance trials run: stacking
-        them gains nothing (see the module docstring).
-        """
+        """(q, hard decision, converged, iterations): :func:`bp_marginals_batch` of one."""
         return bp_marginals_batch([(self, syndrome)])[0]
 
     def _syndrome_of(self, bits: np.ndarray) -> np.ndarray:
@@ -247,12 +187,7 @@ class BPOSDDecoder:
         and in pairs (among the ``sweep_depth`` most likely) and the
         lightest solution wins; among equal weights, order-0 beats
         singles, singles beat pairs, and within each the first in sweep
-        order wins.
-
-        Every candidate is weighed by :meth:`_flip_weights` in the
-        decoder's integer log weights, so each weight is exact and the
-        tie rule holds exactly: no summation order, BLAS thread count or
-        block shape can change the answer.
+        order wins.  Weights are exact (see :class:`BPOSDDecoder`).
 
         Raises:
             DecodingError: syndrome not in the column space.
@@ -294,8 +229,12 @@ class BPOSDDecoder:
         R, pivot_cols = self.matrix.append_col(syndrome).rref(pivot_order=np.append(order, n))
         if pivot_cols[-1] == n:
             raise DecodingError("syndrome is not in the column space of D")
-        rank = len(pivot_cols)
-        red_t = BinMatrix(rank, n + 1, R.words[:rank]).transpose().words
+        return self._reduced(R.words[: len(pivot_cols)], pivot_cols, order)
+
+    def _reduced(self, rows: np.ndarray, pivot_cols, order: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The tail of both ``_reduce``: their output from the reduced pivot rows."""
+        n = self.matrix.cols
+        red_t = BinMatrix(len(pivot_cols), n + 1, rows).transpose().words
         pivots = np.array(pivot_cols, dtype=np.int64)
         is_pivot = np.zeros(n, dtype=bool)
         is_pivot[pivots] = True
@@ -307,11 +246,8 @@ class BPOSDDecoder:
         ``flips`` has width 0 (the order-0 solution), 1 or 2.  Flipping a
         row's columns sets the pivot bits to row n of ``red_t`` (the
         reduced syndrome) XOR those columns' rows.  Rows are gathered
-        ``_FLIP_BLOCK`` flip sets at a time.  Unit weights are scored by
-        popcount, other weights by one product of the unpacked pivot bits
-        with the pivot weights, whose float64 copy of its 0/1 operand
-        stays under 4 MB at rank 930.  The weights are integers below
-        2**53, so either sum is exact.
+        ``_FLIP_BLOCK`` flip sets at a time and weighed by popcount or by
+        a product with the pivot weights (see :class:`BPOSDDecoder`).
         """
         n, lw = red_t.shape[0] - 1, self.log_weights
         lw_piv, weights = lw[pivots], np.empty(len(flips))
@@ -358,9 +294,7 @@ class BPOSDDecoder:
 # so a stack's working set stays under 10 MB.
 _BATCH_EDGES = 1 << 17
 
-# q is computed from the LLRs clipped at this magnitude, where it is
-# 1/(1 + e^500) = 7.1e-218 or 1 minus that; a problem whose every |LLR|
-# has reached it stops (see bp_marginals_batch).
+# BP's |LLR| clip: q stays 7.1e-218 from 0 and 1, and the saturation stop (bp_marginals_batch).
 _LLR_CLIP = 500.0
 
 
@@ -370,64 +304,70 @@ def bp_marginals_batch(
     """Min-sum BP on independent (decoder, syndrome) problems side by side.
 
     Returns each problem's (q, hard_decision, converged, iterations), in
-    input order, byte for byte what a lone run of that problem returns
-    (see :meth:`BPOSDDecoder.bp_marginals`).  The problems share one
-    ``BPConfig`` and one shape, rows x cols; each keeps its own matrix,
-    priors and syndrome, and every check of every matrix has an edge
-    (see :class:`BPOSDDecoder`).  The stack holds at least one problem,
-    and the caller bounds its edges: all of them are held at once.
+    input order; q[j] = 1 / (1 + e^LLR_j), the LLR clipped at
+    ``_LLR_CLIP``, estimates Pr[xi_j = 1].
 
-    The problems' edges are concatenated, problem after problem, each in
-    its decoder's check-major order, with problem k's variable ids
-    offset by k * cols.  Every step of an iteration is then
-    elementwise, a reduction over one check's edges, or a per-variable
-    sum that ``np.bincount`` adds in edge order, so each variable's sum
-    takes the same terms in the same order as in a lone run, and no
-    problem's messages depend on another's.  That is why the results
-    are byte-identical.  The stack never shrinks: a stopped problem
-    iterates on until the last one stops, and its result is the one
-    taken at its own stop.
+    **Messages.**  Each check sends every edge the smallest |v2c| among
+    its other edges, clipped at 1e30, scaled by ``BPConfig.scale`` and
+    negated when the check's syndrome bit and the signs of those other
+    edges have odd parity; a check of degree 1 sends 0.  An edge's v2c is
+    its variable's total less that edge's c2v.
 
-    Each check sends every edge the smallest |v2c| among its other
-    edges, clipped at 1e30, scaled by ``BPConfig.scale`` and negated
-    when the check's syndrome bit and the signs of those other edges
-    have odd parity; a check of degree 1 sends 0.  Each variable's
-    total is gamma (``BPConfig.memory``) times its previous total, plus
-    (1 - gamma) times its prior, folded once per stack, plus its
-    messages; it starts at the prior, and an edge's v2c is its
-    variable's total less that edge's c2v.  At gamma = 0 the memory term
-    is a signed zero, so the totals are plain min-sum's bit for bit.
-    The arithmetic runs
-    per check where it can, with three exact rewrites of the per-edge
-    form:
+    **Memory** (Mueller et al., *Improved belief propagation is
+    sufficient for real-time decoding of quantum memory*, 2025).  Each
+    variable's total at iteration t is gamma = ``BPConfig.memory`` times
+    its total at t - 1 (its prior at t = 1), plus (1 - gamma) times its
+    prior, plus its check messages.  At gamma = 0 the memory term is a
+    signed zero, so the totals are plain min-sum's bit for bit.
+
+    **Cost.**  An iteration is a fixed set of full passes over the edges,
+    so the arithmetic runs per check where it can, by three rewrites of
+    the per-edge rule that keep every message bit for bit:
 
     - Only the first edge holding the check's smallest magnitude min1
       gets the smallest of the others, min2; every other edge gets min1.
       When the minimum is shared, min2 equals min1, so the rule is that
       of a unique minimum.
-    - The minimum commutes with the clip, so clipping min1 and min2
-      gives what clipping every |v2c| gives.  Every |c2v| is then at most
-      the scale times 1e30, and every v2c stays finite.
-    - The scaled minima are negated per check where the parity of all
-      its edges' signs and its syndrome bit is odd, repeated onto the
-      edges, and negated again where the edge's own v2c is negative.
-      Negation is exact, so two of them equal one negation by the
-      parity of the other edges, zeros included.
+    - The minimum commutes with the clip, so clipping min1 and min2 gives
+      what clipping every |v2c| gives; every |c2v| is then at most the
+      scale times 1e30, and every v2c stays finite.
+    - The scaled minima are negated per check where the parity of all its
+      edges' signs and its syndrome bit is odd, repeated onto the edges,
+      and negated again where the edge's own v2c is negative: two exact
+      negations equal one by the parity of the other edges, zeros included.
 
-    A problem stops when it converges, at the cap, or, unconverged, at
-    the first iteration where every one of its variables has |LLR| at
-    least ``_LLR_CLIP``: its q, computed through that clip, is then
-    fixed by the LLRs' signs.  This third stop is not exact: later
-    iterations could still flip a sign.  In every circuit-distance
-    trial checked it fires with all LLRs positive, near iteration 45 on
-    bb72/6, 60 on bb144/12 and 78 on bb288/18, instead of at their cap
-    of 300.  Without memory, it never fired in the shot decodes checked,
-    ``bbqec run`` on bb72/6 at p = 0.004 and on bb144/12 at p = 0.005
-    with BP caps of 100 and of 10000: there the smallest |LLR| of a side
-    that ran to 10000 never exceeded 5.5 at any iteration.  In the
-    code-level coset trials checked, at their cap of 300, it never
-    exceeded 17.  The prior LLR of a variable without edges also stays
-    below the clip.
+    **Stops.**  A problem stops at the first iteration where its hard
+    decision reproduces the syndrome (converged), at ``BPConfig.max_iters``,
+    or, unconverged, once every |LLR| is at least ``_LLR_CLIP`` (saturated):
+    q is then fixed by the LLRs' signs, though later iterations could
+    still flip one, so this stop is not exact.  In every circuit-distance trial
+    checked it fires with all LLRs positive, so that q is one value on
+    every column, near iteration 45 on bb72/6, 60 on bb144/12 and 78 on
+    bb288/18, instead of at their cap of 300.  It never fires in a shot
+    decode checked, at gamma = 0.1 or 0: every unconverged side ran to
+    the cap in seed-7 runs of 400 bb72/6 sides at p = 0.003
+    (``test_shot_decodes_never_stop_saturated``), 600 at p = 0.004 and
+    80 bb144/12 sides at p = 0.005, at cap 100, and of 120 bb72/6 sides
+    at p = 0.004 at cap 10**4.  Without memory, the smallest |LLR| of a
+    side that ran to 10**4 never exceeded 5.5; in the code-level coset
+    trials, at their cap of 300, it never exceeded 17.  The prior LLR of
+    a variable without edges also stays below the clip.
+
+    **Stacking.**  The one or more problems share one ``BPConfig`` and
+    one shape, rows x cols, and the caller bounds their edges, all held
+    at once.  The edges are concatenated, problem after problem, each in
+    its decoder's check-major order, with problem k's variable ids offset
+    by k * cols.  Every step is then elementwise, a reduction over one
+    check's edges, or a per-variable sum that ``np.bincount`` adds in edge
+    order, so each variable's sum takes a lone run's terms in its order,
+    and each result is byte for byte a lone run's; a stopped problem
+    iterates on until the last one stops, its result taken at its own
+    stop.  Only the code-level coset trials stack
+    (:func:`coset_minimum_trials`): their problems, about 460 edges each
+    on bb144, are bound by per-call overhead, and a stack takes about a
+    third of their lone BP time.  Shots and circuit-distance trials,
+    bound by their passes over tens of thousands of edges, run alone:
+    stacked shots took 2.9 against 2.6 ms a side on bb144/12.
 
     Raises:
         ValueError: a syndrome's length differs from its matrix's row
@@ -482,10 +422,8 @@ def bp_marginals_batch(
         llr_total += held
         llr_total += np.bincount(edge_var, weights=c2v, minlength=prior_llr.size)
         np.take(llr_total, edge_var, out=llr_edge, mode="clip")
-        # converged: the hard decision reproduces the syndrome on every check
         wrong = np.bitwise_xor.reduceat((llr_edge < 0).view(np.uint8), ss) != syn
         converged = ~wrong.reshape(len(decs), -1).any(axis=1)
-        # saturated: q, clipped at _LLR_CLIP, no longer depends on the LLRs' sizes
         saturated = np.abs(llr_total).reshape(len(decs), -1).min(axis=1) >= _LLR_CLIP
         stop = (converged | saturated | (it == cfg.max_iters)) & ~done
         for k in np.flatnonzero(stop):
@@ -602,13 +540,13 @@ def _random_kernel_logical(
 
 
 class _CosetDecoder(BPOSDDecoder):
-    """The decoder of one coset problem: xi in ker kernel_mat with eta . xi = 1.
+    """The coset problem: the lightest xi with kernel_mat xi = 0 and eta . xi = 1.
 
-    Its matrix is [kernel_mat; eta] and its syndrome e_last; every
-    column has prior 0.01, and so log weight 1.  OSD's elimination starts
-    from kernel_mat's cached RREF where it can (:meth:`_reduce`), so the
-    trials on one matrix eliminate it once, and its edges extend
-    kernel_mat's cached ``csr`` view (``BinMatrix.append_row``).
+    Its matrix is [kernel_mat; eta], whose edges extend kernel_mat's
+    cached ``csr`` view (``BinMatrix.append_row``), and its ``syndrome``
+    is e_last.  Every column has prior 0.01, and so weight 1 (see
+    :class:`BPOSDDecoder`); OSD starts from kernel_mat's cached RREF
+    where it can (:meth:`_reduce`).
     """
 
     def __init__(self, kernel_mat: BinMatrix, eta: BinVector):
@@ -616,27 +554,30 @@ class _CosetDecoder(BPOSDDecoder):
         super().__init__(stacked, np.full(stacked.cols, 0.01), bp=_DISTANCE_BP,
                          osd=_DISTANCE_OSD)
         self.kernel_mat, self.eta = kernel_mat, eta
+        self.syndrome = np.zeros(stacked.rows, dtype=np.uint8)
+        self.syndrome[-1] = 1
 
     def _reduce(self, syndrome: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:
-        """OSD's elimination, as one row added to kernel_mat's RREF.
+        """OSD's elimination, as one row added to kernel_mat's cached RREF.
 
-        The update needs the syndrome e_last and the index order: q must
-        never rise along the columns, so that ``argsort(-q, stable)`` is
-        0..n-1, the order in which ``rref`` caches its result.  In the
-        circuit-distance trials BP saturates and q is one value on every
-        column, so every trial takes it.  Any other input, every shot
-        decode among them, runs :meth:`BPOSDDecoder._reduce`.
+        ``BinMatrix.rref`` caches its default-order result, shared and
+        never written to.  The update needs the syndrome e_last and the
+        cache's index order: q must never rise along the columns, so that
+        ``argsort(-q, stable)`` is 0..n-1.  Every circuit-distance trial
+        checked takes it (its q is one value: see
+        :func:`bp_marginals_batch`), so the trials on one matrix eliminate
+        it once.  Any other input, every shot decode among them, runs
+        :meth:`BPOSDDecoder._reduce`.
 
-        eta is reduced by the RREF rows at its pivot bits, and the first
-        set column of the result is the new pivot.  The new row, with
-        syndrome bit 1, is XORed into the rows set at that column, which
-        puts their syndrome bits at 1, and inserted in pivot order.  The
-        result is the RREF of [kernel_mat; eta | e_last] under the index
-        order: its rows are the one basis of that row space with an
-        identity at its pivot columns, and with the syndrome in the
-        column space every row of the full elimination below them is
-        zero.  So red_t, pivots and nonpivot equal that elimination's
-        byte for byte.
+        eta, reduced by the RREF rows at its pivot bits, is the new row,
+        and its first set column the new pivot.  The row, with syndrome
+        bit 1, is XORed into the rows set at that column, which puts their
+        syndrome bits at 1, and inserted in pivot order.  The result is
+        the RREF of [kernel_mat; eta | e_last] under the index order, the
+        one basis of that row space with an identity at its pivot columns;
+        with the syndrome in the column space every row of the full
+        elimination below it is zero.  So the output equals that
+        elimination's byte for byte.
 
         Raises:
             DecodingError: eta lies in the row space of kernel_mat, so
@@ -662,19 +603,7 @@ class _CosetDecoder(BPOSDDecoder):
         hit = np.flatnonzero(W[:, k] & np.uint64(low))
         hit = hit[hit != at]
         W[hit] ^= W[at]
-        red_t = BinMatrix(rank + 1, n + 1, W).transpose().words
-        pivots = np.insert(np.array(kernel_pivots, dtype=np.int64), at, col)
-        is_pivot = np.zeros(n, dtype=bool)
-        is_pivot[pivots] = True
-        return red_t, pivots, np.flatnonzero(~is_pivot)
-
-
-def _coset_problem(kernel_mat: BinMatrix, eta: BinVector) -> tuple[BPOSDDecoder, np.ndarray]:
-    """Decoder and syndrome of |xi| minimization with kernel_mat xi = 0, eta . xi = 1."""
-    dec = _CosetDecoder(kernel_mat, eta)
-    syndrome = np.zeros(dec.matrix.rows, dtype=np.uint8)
-    syndrome[-1] = 1
-    return dec, syndrome
+        return self._reduced(W, np.insert(kernel_pivots, at, col), np.arange(n))
 
 
 def coset_minimum_trials(
@@ -688,11 +617,9 @@ def coset_minimum_trials(
     is xi descended modulo the rows of ``dual``.  Only the choice of eta
     draws from ``rng``, and every eta is drawn, in trial order, before
     BP runs; so the trials are those of one-at-a-time runs on the same
-    stream.  BP runs for the etas side by side
-    (:func:`bp_marginals_batch`), in stacks of consecutive trials that
-    fit in ``_BATCH_EDGES`` edges even with the heaviest eta, so only
-    one stack's decoders exist at once; each decode then finishes from
-    its own marginals.
+    stream.  BP runs in stacks (:func:`bp_marginals_batch`) of
+    consecutive trials that fit in ``_BATCH_EDGES`` edges even with the
+    heaviest eta, so only one stack's decoders exist at once.
     """
     kernel_basis = BinMatrix.from_rows(dual.nullspace_basis())
     etas = [reduce_weight_modulo_rows(_random_kernel_logical(rng, kernel_basis, kernel_mat),
@@ -703,9 +630,9 @@ def coset_minimum_trials(
     heaviest = max((kernel_mat.nnz + eta.weight for eta in etas), default=1)
     per_stack = max(1, _BATCH_EDGES // heaviest)
     for lo in range(0, trials, per_stack):
-        problems = [_coset_problem(kernel_mat, eta) for eta in etas[lo : lo + per_stack]]
-        marginals = bp_marginals_batch(problems)
-        xis += [dec.decode(syndrome, m).xi for (dec, syndrome), m in zip(problems, marginals)]
+        decs = [_CosetDecoder(kernel_mat, eta) for eta in etas[lo : lo + per_stack]]
+        marginals = bp_marginals_batch([(dec, dec.syndrome) for dec in decs])
+        xis += [dec.decode(dec.syndrome, m).xi for dec, m in zip(decs, marginals)]
     return [(eta, xi, descend_modulo_rows(xi, dual)) for eta, xi in zip(etas, xis)]
 
 
@@ -761,13 +688,7 @@ def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> Dist
     of L and a random subset of the rows of R; any xi in ker R with
     eta . xi = 1 is an undetectable fault set with nontrivial logical
     action, so its weight bounds the circuit distance for this type.
-
-    BP saturates in these trials with every LLR positive (see
-    :func:`bp_marginals_batch`), so q is one value on every column: OSD
-    ranks the columns in index order and only eta differs between
-    trials.  That is the order of R's cached RREF, so OSD adds eta's row
-    to it (``_CosetDecoder._reduce``) instead of eliminating [R; eta]: R
-    is eliminated once per model, not once per trial.
+    OSD adds eta's row to R's cached RREF (``_CosetDecoder._reduce``).
 
     Raises:
         ValueError: trials < 1, or L has no rows, so that no eta has a
@@ -790,10 +711,8 @@ def circuit_distance_upper_bound(side_model, trials: int, seed: int = 0) -> Dist
         coeff_d = rng.integers(0, 2, R.rows, dtype=np.uint8)
         eta = BinVector(R.cols, np.bitwise_xor.reduce(L.words[coeff_l == 1], axis=0)
                         ^ np.bitwise_xor.reduce(R.words[coeff_d == 1], axis=0))
-        # one trial at a time: a detector model's trial is bound by its
-        # passes over tens of thousands of edges, which a stack does not cut
-        dec, syndrome = _coset_problem(R, eta)
-        return eta, dec.decode(syndrome).xi
+        dec = _CosetDecoder(R, eta)  # alone, not stacked: see bp_marginals_batch
+        return eta, dec.decode(dec.syndrome).xi
 
     return _lightest_witness(R, (trial() for _ in range(trials)),
                              "an undetectable logical fault set")

@@ -562,7 +562,12 @@ def sample_circuit_noise(
 
     With ``forced_faults`` the randomness is bypassed and scenario j
     applies exactly the fault ids listed in ``forced_faults[j]``.
+
+    Raises:
+        ValueError: shots or first_shot below 0, or p outside [0, 1].
     """
+    if shots < 0 or first_shot < 0:
+        raise ValueError("shots and first_shot must be >= 0")
     table = fault_table or build_fault_table(circ)
     if forced_faults is None:
         if not 0 <= p <= 1:

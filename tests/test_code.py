@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,9 @@ def test_poly_algebra_matches_matrix_algebra():
 def test_catalog_parameters(name, n, k):
     code = catalog_code(name)
     assert (code.n, code.k) == (n, k)
+    assert code.distance_upper == CODE_CATALOG[name][5]
+    with pytest.raises(dataclasses.FrozenInstanceError):  # immutable after construction
+        code.distance_upper = None
 
 
 def test_build_code_rejections():

@@ -161,18 +161,35 @@ def test_circuit_distance_bp_stops_once_every_llr_is_clipped(model, monkeypatch)
     # the first coset problem of DCIRC_SHA's trials: every |LLR| passes
     # q's clip well before the cap, and q is then one value on every column
     problems = []
-    build = decode._coset_problem
 
-    def recorded(kernel_mat, eta):
-        problems.append(build(kernel_mat, eta))
-        return problems[-1]
+    class Recorded(decode._CosetDecoder):
+        def __init__(self, kernel_mat, eta):
+            super().__init__(kernel_mat, eta)
+            problems.append(self)
 
-    monkeypatch.setattr(decode, "_coset_problem", recorded)
+    monkeypatch.setattr(decode, "_CosetDecoder", Recorded)
     circuit_distance_upper_bound(model.z, trials=1, seed=3)
-    dec, syndrome = problems[0]
-    q, _, converged, iters = dec.bp_marginals(syndrome)
+    dec = problems[0]
+    q, _, converged, iters = dec.bp_marginals(dec.syndrome)
     assert not converged and iters < decode._DISTANCE_BP.max_iters
     assert np.unique(q).size == 1
+
+
+def test_shot_decodes_never_stop_saturated(model):
+    # the saturation stop is the distance trials' (bp_marginals_batch): every
+    # shot side that BP leaves unconverged runs to its cap, with memory or without
+    batch = sample_circuit_noise(model.circuit, model.p, 200, 7, model.basis,
+                                 fault_table=model.fault_table)
+    for memory in (0.1, 0.0):
+        capped = 0
+        for side in SIDES:
+            sm = getattr(model, side)
+            dec = BPOSDDecoder(sm.matrix, sm.priors, bp=BPConfig(max_iters=100, memory=memory))
+            for syndrome in getattr(batch, f"{side}_syndromes"):
+                _, _, converged, iters = dec.bp_marginals(syndrome)
+                assert converged or iters == 100
+                capped += not converged
+        assert capped > 0
 
 
 def _no_elimination(*args, **kwargs):
@@ -204,18 +221,18 @@ def test_coset_update_equals_the_elimination_on_circuit_trials(model, side, monk
         coeff = rng.integers(0, 2, LD.rows, dtype=np.uint8)
         coeff[0] = 1  # a nonzero logical part
         eta = BinMatrix.from_dense(coeff).mul_mat(LD).row(0)
-        dec, syndrome = decode._coset_problem(D, eta)
-        q = dec.bp_marginals(syndrome)[0]
+        dec = decode._CosetDecoder(D, eta)
+        q = dec.bp_marginals(dec.syndrome)[0]
         assert np.unique(q).size == 1
-        _assert_update_equals_elimination(dec, syndrome, q, monkeypatch)
+        _assert_update_equals_elimination(dec, dec.syndrome, q, monkeypatch)
     # a row of D has no logical part: no solution, on either path
-    dec, syndrome = decode._coset_problem(D, D.row(5))
+    dec = decode._CosetDecoder(D, D.row(5))
     q = np.full(D.cols, 0.5)
     with monkeypatch.context() as m, pytest.raises(DecodingError):
         m.setattr(BinMatrix, "append_col", _no_elimination)
-        dec._reduce(syndrome, q)
+        dec._reduce(dec.syndrome, q)
     with pytest.raises(DecodingError):
-        BPOSDDecoder._reduce(dec, syndrome, q)
+        BPOSDDecoder._reduce(dec, dec.syndrome, q)
 
 
 def test_coset_update_equals_the_elimination_on_random_matrices(monkeypatch):
@@ -249,16 +266,17 @@ def test_coset_update_equals_the_elimination_on_random_matrices(monkeypatch):
             eta[later] ^= rng.integers(0, 2, later.size)
             places.add("before" if not pivots or c < pivots[0]
                        else "after" if c > pivots[-1] else "between")
-        dec, syndrome = decode._coset_problem(kernel_mat, BinVector.from_bits(eta))
+        dec = decode._CosetDecoder(kernel_mat, BinVector.from_bits(eta))
         if not free.size:  # eta in the row space: no solution, on either path
             with monkeypatch.context() as m, pytest.raises(DecodingError):
                 m.setattr(BinMatrix, "append_col", _no_elimination)
-                dec._reduce(syndrome, q)
+                dec._reduce(dec.syndrome, q)
             with pytest.raises(DecodingError):
-                BPOSDDecoder._reduce(dec, syndrome, q)
+                BPOSDDecoder._reduce(dec, dec.syndrome, q)
             places.add("row space")
             continue
-        assert _assert_update_equals_elimination(dec, syndrome, q, monkeypatch)[1].size == len(pivots) + 1
+        got = _assert_update_equals_elimination(dec, dec.syndrome, q, monkeypatch)
+        assert got[1].size == len(pivots) + 1
     assert places == {"before", "between", "after", "row space"}
 
 
@@ -266,7 +284,8 @@ def test_coset_update_falls_back_outside_the_index_order(monkeypatch):
     code = catalog_code("bb72")
     kernel_basis = BinMatrix.from_rows(code.hx.nullspace_basis())
     eta = decode._random_kernel_logical(np.random.default_rng(3), kernel_basis, code.hz)
-    dec, syndrome = decode._coset_problem(code.hz, eta)
+    dec = decode._CosetDecoder(code.hz, eta)
+    syndrome = dec.syndrome
     calls = []
     append_col = BinMatrix.append_col
 
@@ -346,11 +365,12 @@ def test_unit_weight_flips_are_scored_by_popcount(model):
     kernel_basis = BinMatrix.from_rows(code.hx.nullspace_basis())
     rng = np.random.default_rng(4)
     etas = [decode._random_kernel_logical(rng, kernel_basis, code.hz) for _ in range(2)]
-    problems = [decode._coset_problem(code.hz, eta) for eta in etas]
+    decs = [decode._CosetDecoder(code.hz, eta) for eta in etas]
     # and so has a circuit-distance trial's
     eta = model.z.logical.to_dense()[0] ^ model.z.matrix.to_dense()[3]
-    problems.append(decode._coset_problem(model.z.matrix, BinVector.from_bits(eta)))
-    for dec, syndrome in problems:
+    decs.append(decode._CosetDecoder(model.z.matrix, BinVector.from_bits(eta)))
+    for dec in decs:
+        syndrome = dec.syndrome
         assert dec.unit_weights
         q = dec.bp_marginals(syndrome)[0]
         red_t, pivots, nonpivot = dec._reduce(syndrome, q)
@@ -433,6 +453,10 @@ def test_decoder_rejects_non_finite_priors_and_weights():
     D = BinMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="priors must be finite"):
+            BPOSDDecoder(D, np.array([0.1, bad, 0.1]))
+    # a prior outside [0, 1] is no probability, and is not clipped into the interval
+    for bad in (1.7, -0.3, 1 + 1e-15, -1e-300):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
             BPOSDDecoder(D, np.array([0.1, bad, 0.1]))
     # a prior of 0 or 1 is floored, and its log weight stays finite
     assert np.isfinite(BPOSDDecoder(D, np.array([0.0, 1.0, 0.5])).log_weights).all()
@@ -605,10 +629,11 @@ def mixed_problems(model, sides):
     code = catalog_code("bb72")
     kernel_basis = BinMatrix.from_rows(code.hx.nullspace_basis())
     eta = decode._random_kernel_logical(np.random.default_rng(2), kernel_basis, code.hz)
+    coset = decode._CosetDecoder(code.hz, eta)
     tied = BPOSDDecoder(BinMatrix.from_dense([[1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 0, 1]]),
                         np.full(4, 0.2))
     return [
-        decode._coset_problem(code.hz, eta),  # tied priors, runs to its cap of 300
+        (coset, coset.syndrome),  # tied priors, runs to its cap of 300
         (dec, D[:, cols[:3]].sum(axis=1) % 2),  # converges early
         (capped, D[:, cols].sum(axis=1) % 2),  # stops at its cap of 7
         (tied, np.array([1, 0, 1], dtype=np.uint8)),

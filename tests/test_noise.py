@@ -301,6 +301,16 @@ def test_forced_single_faults_reproduce_provenance(model):
         assert sm.readout_matrix is sm.readout_matrix  # built once per model
 
 
+@pytest.mark.parametrize("side", ["x", "z"])
+def test_readout_matrix_shares_the_model_matrix_rref(model, side):
+    # the final-block fold is an invertible row operation, and the RREF of a
+    # row space under one column order is unique
+    sm = getattr(model, side)
+    (r, r_pivots), (d, d_pivots) = sm.readout_matrix.rref(), sm.matrix.rref()
+    assert list(r_pivots) == list(d_pivots)
+    assert (r.rows, r.cols) == (d.rows, d.cols) and r.words.tobytes() == d.words.tobytes()
+
+
 def test_forced_multi_fault_is_xor_of_singles(model):
     rng = np.random.default_rng(1)
     f, g = (int(x) for x in rng.choice(model.fault_table.count, size=2, replace=False))
@@ -337,6 +347,17 @@ def test_probability_outside_unit_interval_rejected(model, p):
         noise.build_detector_model(model.circuit, p, model.basis)
     with pytest.raises(ValueError, match="p must be a probability"):
         sample(model, 1, 0, p=p)
+
+
+def test_negative_shot_count_or_index_rejected(model, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a shot was drawn")
+
+    monkeypatch.setattr(noise.FaultTable, "draw", no_draw)
+    for shots, first_shot in ((-3, 0), (1, -1), (0, -1)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            sample(model, shots, 0, first_shot=first_shot, fault_table=model.fault_table)
+    assert forced(model, [[0], []]).shots == 2  # shots=0 with forced faults stays valid
 
 
 def test_zero_noise_flips_nothing(model):
