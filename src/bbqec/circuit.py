@@ -123,32 +123,45 @@ def layer_gates(code: BBCode, layer: CNOTLayer) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass
 class Step:
-    """One depth-1 slice of the compiled circuit."""
+    """One operation layer of a round: a CNOT layer, or one-qubit operations."""
 
     kind: str  # "cnot" | "init" | "meas" | "idle"
-    round_id: int
     qubits: np.ndarray  # measured/initialized/idle qubits, or CNOT controls
     targets: np.ndarray | None = None  # CNOT targets
     basis: str | None = None  # "X" or "Z" for init/meas
-    meas_slot: int | None = None  # index into the measurement record
 
 
 @dataclass
 class ScheduledCircuit:
-    """A full syndrome-measurement circuit for ``n_cycles`` cycles.
+    """A circuit as its list of depth-1 rounds, each a list of steps.
 
-    Round 0 holds the Z-ancilla initialization that precedes the first
-    cycle (total depth 8*N_c + 1); the last cycle omits its trailing
-    re-initialization.  Rounds are depth-1: within any round every
-    qubit is touched by at most one operation.  A round is a run of
-    consecutive steps that share a round id.  ``operands`` and
-    ``frame_plan`` are derived from the steps on first use, so the steps
-    must not change after that.
+    A syndrome-measurement circuit for ``n_cycles`` cycles starts with
+    round 0, the Z-ancilla initialization that precedes the first cycle
+    (total depth 8*N_c + 1); the last cycle omits its trailing
+    re-initialization.  Within any round every qubit is touched by at
+    most one operation, which is checked here, once.  ``steps``,
+    ``operands`` and ``frame_plan`` are derived from the rounds on first
+    use, so the rounds must not change after that.
+
+    Raises:
+        ValueError: a round touches some qubit twice.
     """
 
     code: BBCode
     n_cycles: int
-    steps: list[Step] = field(default_factory=list, repr=False)
+    rounds: list[list[Step]] = field(repr=False)
+
+    def __post_init__(self):
+        for r, rnd in enumerate(self.rounds):
+            touched = np.concatenate(
+                [q for s in rnd for q in (s.qubits, s.targets) if q is not None])
+            if len(np.unique(touched)) != len(touched):
+                raise ValueError(f"round {r}: a qubit is touched twice")
+
+    @cached_property
+    def steps(self) -> list[Step]:
+        """Every step, in round order; a fault's step is an index into this list."""
+        return [step for rnd in self.rounds for step in rnd]
 
     @cached_property
     def operands(self) -> np.ndarray:
@@ -180,61 +193,25 @@ def build_sm_circuit(
     if problems:
         raise ValueError("invalid schedule: " + "; ".join(problems))
 
-    lm = code.lm
-    circ = ScheduledCircuit(code=code, n_cycles=n_cycles)
-    reg = {r: REG_OFFSET[r] * lm + np.arange(lm) for r in REGISTERS}
-
-    def add(step: Step):
-        circ.steps.append(step)
-
-    # round 0: bring up the Z ancillas for the first cycle
-    add(Step(kind="init", round_id=0, qubits=reg["Z"], basis="Z"))
-
+    reg = {r: REG_OFFSET[r] * code.lm + np.arange(code.lm) for r in REGISTERS}
+    rounds = [[Step("init", reg["Z"], basis="Z")]]  # round 0: the first cycle's Z ancillas
     for t in range(1, n_cycles + 1):
-        base = (t - 1) * 8
-        for r in range(1, 8):
-            rid = base + r
-            layers = schedule.rounds[r - 1]
-            for layer in layers:
-                ctrl, tgt = layer_gates(code, layer)
-                add(Step(kind="cnot", round_id=rid, qubits=ctrl, targets=tgt))
+        for r, layers in enumerate(schedule.rounds, start=1):
+            rnd = [Step("cnot", *layer_gates(code, layer)) for layer in layers]
             if r == 1:
-                add(Step(kind="init", round_id=rid, qubits=reg["X"], basis="X"))
+                rnd.append(Step("init", reg["X"], basis="X"))
             if r == 7:
-                add(Step(kind="meas", round_id=rid, qubits=reg["Z"], basis="Z", meas_slot=t - 1))
+                rnd.append(Step("meas", reg["Z"], basis="Z"))
             # a data register no layer of the round touches idles: in
             # rounds 1 and 7 the lone layer's family decides which
             busy = {name for layer in layers for name in layer.registers()}
-            for name in sorted({"L", "R"} - busy):
-                add(Step(kind="idle", round_id=rid, qubits=reg[name]))
-        rid = base + 8
-        add(Step(kind="meas", round_id=rid, qubits=reg["X"], basis="X", meas_slot=t - 1))
+            rnd += [Step("idle", reg[name]) for name in sorted({"L", "R"} - busy)]
+            rounds.append(rnd)
+        rnd = [Step("meas", reg["X"], basis="X")]
         if t < n_cycles:
-            add(Step(kind="init", round_id=rid, qubits=reg["Z"], basis="Z"))
-        add(Step(kind="idle", round_id=rid, qubits=reg["L"]))
-        add(Step(kind="idle", round_id=rid, qubits=reg["R"]))
-
-    _check_round_disjointness(circ)
-    return circ
-
-
-def _round_runs(steps: list[Step]) -> list[range]:
-    """The runs of consecutive steps that share a round id.
-
-    Automorphism gadgets restart their round ids, so equal ids that are
-    not adjacent belong to different rounds.
-    """
-    cuts = [i for i in range(1, len(steps)) if steps[i].round_id != steps[i - 1].round_id]
-    bounds = [0, *cuts, len(steps)]
-    return [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-
-
-def _check_round_disjointness(circ: ScheduledCircuit) -> None:
-    for run in _round_runs(circ.steps):
-        steps = circ.steps[run.start : run.stop]
-        allq = np.concatenate([q for s in steps for q in (s.qubits, s.targets) if q is not None])
-        if len(np.unique(allq)) != len(allq):
-            raise ValueError(f"round {steps[0].round_id}: a qubit is touched twice")
+            rnd.append(Step("init", reg["Z"], basis="Z"))
+        rounds.append(rnd + [Step("idle", reg["L"]), Step("idle", reg["R"])])
+    return ScheduledCircuit(code, n_cycles, rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +273,11 @@ def _fast_schedule_valid(
     x_seq[i] acts in round i+2; z_seq[i] in round i+1, so z_seq[i] and
     x_seq[i-1] share a round (registers disjoint by the family rule).
     """
-    l, m = code.l, code.m
+    table = translation_table(code.l, code.m)
 
     def mul(terms: set[int], t: Monomial) -> set[int]:
-        return {((e // m + t.a) % l) * m + (e % m + t.b) % m for e in terms}
+        row = table[t.index]
+        return {row[e] for e in terms}
 
     sa: set[int] = set()  # A-terms written into q(L) so far
     sb: set[int] = set()  # B-terms written into q(R) so far
@@ -398,25 +376,25 @@ class FramePlan:
     The steps of one round touch disjoint qubits, so they commute, and
     each step's faults act only on that step's own operands: a round's
     CNOT layers are one XOR, its initializations one reset, its
-    measurements one read, and its faults can all follow them.
-
-    Raises:
-        ValueError: a round touches some qubit twice.
+    measurements one read, and its faults can all follow them.  A
+    measurement's record rows follow those of the earlier measurements
+    of its basis.
     """
 
     def __init__(self, circ: ScheduledCircuit):
-        _check_round_disjointness(circ)
         lm = circ.code.lm
         nq, n_records = 4 * lm, circ.n_cycles * lm
+        sizes = [len(rnd) for rnd in circ.rounds]
         self.rounds: list[RoundOps] = []
-        self.round_of_step = np.zeros(len(circ.steps), dtype=np.int64)
+        self.round_of_step = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
         self.record_row = np.full(len(circ.steps), -1, dtype=np.int64)  # first, meas steps only
-        for r, run in enumerate(_round_runs(circ.steps)):
-            self.round_of_step[run.start : run.stop] = r
+        # MeasZ reads the X frame into the first half of the records,
+        # MeasX the Z frame into the second
+        next_row = {"Z": 0, "X": n_records}
+        for rnd, start in zip(circ.rounds, np.cumsum([0, *sizes]).tolist()):
             parts: dict[str, list[np.ndarray]] = {
                 "dst": [], "src": [], "reset": [], "reads": [], "records": []}
-            for sidx in run:
-                step = circ.steps[sidx]
+            for sidx, step in enumerate(rnd, start):
                 q = step.qubits
                 if step.kind == "cnot":
                     # X frames copy from control to target, Z frames back
@@ -425,11 +403,9 @@ class FramePlan:
                 elif step.kind == "init":
                     parts["reset"] += [q, nq + q]
                 elif step.kind == "meas":
-                    # MeasZ reads the X frame into the first half of the
-                    # records, MeasX the Z frame into the second
-                    x_basis = step.basis == "X"
-                    self.record_row[sidx] = step.meas_slot * lm + x_basis * n_records
-                    parts["reads"].append(q + x_basis * nq)
+                    self.record_row[sidx] = next_row[step.basis]
+                    next_row[step.basis] += len(q)
+                    parts["reads"].append(q + (step.basis == "X") * nq)
                     parts["records"].append(self.record_row[sidx] + np.arange(len(q)))
             self.rounds.append(RoundOps(**{
                 name: np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
@@ -510,11 +486,11 @@ def propagate_frames(
 
 @dataclass
 class AutomorphismCircuit:
-    """A depth-4 CNOT gadget shifting both data blocks by one monomial."""
+    """A gadget of six rounds, CNOT depth 4, shifting both data blocks by one monomial."""
 
     code: BBCode
     shift: Monomial
-    steps: list[Step] = field(default_factory=list, repr=False)
+    rounds: list[list[Step]] = field(repr=False)
 
 
 def build_automorphism_circuit(code: BBCode, kind: str, j: int, k: int) -> AutomorphismCircuit:
@@ -522,7 +498,8 @@ def build_automorphism_circuit(code: BBCode, kind: str, j: int, k: int) -> Autom
 
     A-type: s = A_j A_k^T; the q(L) block cycles through q(X) while the
     q(R) block cycles through q(Z).  B-type mirrors this with s =
-    B_j B_k^T, moving q(L) through q(Z) and q(R) through q(X).  Blank
+    B_j B_k^T, moving q(L) through q(Z) and q(R) through q(X).  The two
+    moves touch disjoint registers and share all six rounds.  Blank
     targets are re-initialized before every move so errors never
     propagate between data qubits.
 
@@ -534,47 +511,29 @@ def build_automorphism_circuit(code: BBCode, kind: str, j: int, k: int) -> Autom
     if j == k:
         raise ValueError("j == k is the identity automorphism; no circuit needed")
     lm = code.lm
-    idx = np.arange(lm)
     poly = code.a_poly if kind == "A" else code.b_poly
     tj, tk = poly.term(j), poly.term(k)
-    circ = AutomorphismCircuit(code=code, shift=tj * tk.T)
-
-    L = REG_OFFSET["L"] * lm + idx
-    R = REG_OFFSET["R"] * lm + idx
-    X = REG_OFFSET["X"] * lm + idx
-    Z = REG_OFFSET["Z"] * lm + idx
-
     table = translation_table(code.l, code.m)
 
-    def shifted(reg0: int, t: Monomial) -> np.ndarray:
-        return reg0 * lm + table[t.index]
+    def shifted(reg: str, t: Monomial) -> np.ndarray:
+        return REG_OFFSET[reg] * lm + table[t.index]
 
-    Lr, Rr, Xr, Zr = (REG_OFFSET[r] for r in ("L", "R", "X", "Z"))
+    X, Z = (REG_OFFSET[r] * lm + np.arange(lm) for r in ("X", "Z"))
     if kind == "A":
         # q(L, A_k a) -> q(X, a) -> q(L, A_j a);  q(R, A_j^T g) -> q(Z, g) -> q(R, A_k^T g)
-        moves = [
-            (shifted(Lr, tk), X, shifted(Lr, tj)),
-            (shifted(Rr, tj.T), Z, shifted(Rr, tk.T)),
-        ]
+        moves = [(shifted("L", tk), X, shifted("L", tj)),
+                 (shifted("R", tj.T), Z, shifted("R", tk.T))]
     else:
         # q(L, B_j^T g) -> q(Z, g) -> q(L, B_k^T g);  q(R, B_k b) -> q(X, b) -> q(R, B_j b)
-        moves = [
-            (shifted(Lr, tj.T), Z, shifted(Lr, tk.T)),
-            (shifted(Rr, tk), X, shifted(Rr, tj)),
-        ]
+        moves = [(shifted("L", tj.T), Z, shifted("L", tk.T)),
+                 (shifted("R", tk), X, shifted("R", tj))]
 
-    def add(kind_, rid, qubits, targets=None, basis=None):
-        circ.steps.append(Step(kind=kind_, round_id=rid, qubits=qubits,
-                               targets=targets, basis=basis))
+    def move(src: np.ndarray, anc: np.ndarray, dst: np.ndarray) -> tuple[Step, ...]:
+        return (Step("init", anc, basis="Z"), Step("cnot", src, anc), Step("cnot", anc, src),
+                Step("init", dst, basis="Z"), Step("cnot", anc, dst), Step("cnot", dst, anc))
 
-    for src, anc, dst in moves:
-        add("init", 0, anc, basis="Z")
-        add("cnot", 1, src, anc)
-        add("cnot", 2, anc, src)
-        add("init", 3, dst, basis="Z")
-        add("cnot", 4, anc, dst)
-        add("cnot", 5, dst, anc)
-    return circ
+    rounds = [list(steps) for steps in zip(*(move(*m) for m in moves))]
+    return AutomorphismCircuit(code, tj * tk.T, rounds)
 
 
 def automorphism_data_permutation(circ: AutomorphismCircuit) -> np.ndarray:
@@ -592,11 +551,11 @@ def automorphism_data_permutation(circ: AutomorphismCircuit) -> np.ndarray:
     """
     n = 2 * circ.code.lm
     data = np.arange(n)
-    # step 0 initializes an ancilla block and leaves the data alone, so
-    # a flip injected right after it is a flip on the gadget's input
+    # round 0 initializes the ancilla blocks and leaves the data alone, so
+    # a flip injected right after its step 0 is a flip on the gadget's input
     injections = (np.zeros(2 * n, dtype=np.int64), np.tile(data, 2), np.repeat([0, 1], n),
                   np.arange(2 * n))
-    probe = ScheduledCircuit(code=circ.code, n_cycles=0, steps=circ.steps)
+    probe = ScheduledCircuit(code=circ.code, n_cycles=0, rounds=circ.rounds)
     res = propagate_frames(probe, 2 * n, injections)
     dense_x, dense_z = (
         unpack_bits(fin, 2 * n)[:, scen]

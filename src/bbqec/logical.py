@@ -315,12 +315,16 @@ def find_basis_polynomials(code: BBCode) -> list[LogicalBasis]:
 
     Candidate (f, g, h) triples are ranked by max(|f|, |g|+|h|), ties by
     their places in the f and (g, h) pools.  Triples that fail the span
-    condition or admit no label selection are skipped; the first triple
-    whose basis passes ``validate`` is returned.
+    condition or admit no label selection are skipped, and the first
+    labelled triple's basis is returned.  That basis passes ``validate``
+    by construction (f solves f*B = 0 and (g, h) lies in ker HZ, the
+    cross pairings vanish, and the primed block reuses K = f*h), so a
+    failed validation is a bug and is raised, not skipped.
 
     Raises:
-        BasisSearchError: k < 2 or nothing found (never observed for
-        the stock catalog).
+        BasisSearchError: k < 2, nothing found (never observed for the
+        stock catalog), or the first labelled triple's basis fails
+        ``validate``.
     """
     if code.k < 2:
         raise BasisSearchError("need k >= 2")
@@ -339,10 +343,7 @@ def find_basis_polynomials(code: BBCode) -> list[LogicalBasis]:
         if labels is None:
             continue
         basis = LogicalBasis(f=f, g=g, h=h, n_labels=labels[0], m_labels=labels[1])
-        try:
-            basis.validate(code)
-        except BasisSearchError:
-            continue
+        basis.validate(code)
         return [basis]
     raise BasisSearchError("no valid (f, g, h) triple found")
 
@@ -533,7 +534,7 @@ def plan_duality_swaps(code: BBCode) -> DualitySwapPlan:
 @dataclass
 class PlaneComponentReport:
     sizes: list[int]
-    kinds: list[str]  # per component: "pair", "path", "ring", "hairy-ring", "other"
+    kinds: list[str]  # per component: isolated, pair, path, tree, ring, hairy-ring, other
 
 
 @dataclass

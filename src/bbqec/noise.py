@@ -561,13 +561,17 @@ def sample_circuit_noise(
     counts, gives each faulty operation its class, in the same order.
 
     With ``forced_faults`` the randomness is bypassed and scenario j
-    applies exactly the fault ids listed in ``forced_faults[j]``.
+    applies exactly the fault ids listed in ``forced_faults[j]``; shots
+    is then 0 or the number of scenarios.
 
     Raises:
-        ValueError: shots or first_shot below 0, or p outside [0, 1].
+        ValueError: shots or first_shot below 0, p outside [0, 1], or
+        forced_faults given with shots neither 0 nor len(forced_faults).
     """
     if shots < 0 or first_shot < 0:
         raise ValueError("shots and first_shot must be >= 0")
+    if forced_faults is not None and shots not in (0, len(forced_faults)):
+        raise ValueError("with forced_faults, shots must be 0 or len(forced_faults)")
     table = fault_table or build_fault_table(circ)
     if forced_faults is None:
         if not 0 <= p <= 1:

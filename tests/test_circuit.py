@@ -1,8 +1,7 @@
-"""Syndrome-cycle schedules of bb144, the automorphism check of bb72, and the
-frame walk's round check."""
+"""Syndrome-cycle schedules of bb144, the automorphism gadgets and their check,
+and a circuit's round check."""
 
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from bbqec.circuit import (
     build_automorphism_circuit,
     build_sm_circuit,
     enumerate_schedules,
-    propagate_frames,
     shift_permutation,
     verify_automorphism,
     verify_sm_circuit,
@@ -56,8 +54,7 @@ def test_every_bb144_schedule_builds_a_circuit(bb144_schedules):
     for schedule in bb144_schedules:
         circ = build_sm_circuit(code, 1, schedule)
         for rid in range(1, 8):
-            steps = [s for s in circ.steps if s.round_id == rid]
-            touched = np.concatenate([q for s in steps for q in (s.qubits, s.targets)
+            touched = np.concatenate([q for s in circ.rounds[rid] for q in (s.qubits, s.targets)
                                       if q is not None])
             assert np.array_equal(np.sort(touched), everyone), (schedule, rid)
         families.add((schedule.rounds[0][0].family, schedule.rounds[6][0].family))
@@ -73,14 +70,16 @@ def test_each_cycle_runs_one_cnot_per_tanner_edge_in_seven_rounds(name, cycles):
     degree = Counter(v for edge in edges for v in edge)
     assert len(degree) == 4 * code.lm and set(degree.values()) == {6}
     circ = build_sm_circuit(code, cycles)
+    assert len(circ.rounds) == 8 * cycles + 1
     per_cycle = [[] for _ in range(cycles)]
-    for step in circ.steps:
-        if step.kind == "cnot":
-            cycle, rnd = divmod(step.round_id - 1, 8)
-            assert rnd < 7, step.round_id  # round 8 of a cycle holds no CNOT
-            # check qubits (registers X, Z) have higher ids than data qubits (L, R)
-            pairs = zip(step.qubits, step.targets)
-            per_cycle[cycle] += [(int(max(a, b)), int(min(a, b))) for a, b in pairs]
+    for rid, rnd in enumerate(circ.rounds):
+        for step in rnd:
+            if step.kind == "cnot":
+                cycle, r = divmod(rid - 1, 8)
+                assert r < 7, rid  # round 8 of a cycle holds no CNOT
+                # check qubits (registers X, Z) have higher ids than data qubits (L, R)
+                pairs = zip(step.qubits, step.targets)
+                per_cycle[cycle] += [(int(max(a, b)), int(min(a, b))) for a, b in pairs]
     for cnots in per_cycle:
         assert sorted(cnots) == sorted(edges)
 
@@ -116,12 +115,21 @@ def test_verify_automorphism_rejects_a_data_swap(model):
     assert not verify_automorphism(model.circuit.code, data_permutation=perm)
 
 
-def test_frame_walk_rejects_a_round_that_touches_a_qubit_twice(model):
+def test_a_circuit_rejects_a_round_that_touches_a_qubit_twice(model):
     circ = model.circuit
-    # step 0 initializes q(Z) and step 1 is a CNOT layer into q(Z); in
-    # one round they touch each q(Z) qubit twice
-    steps = [circ.steps[0], replace(circ.steps[1], round_id=circ.steps[0].round_id),
-             *circ.steps[2:]]
-    merged = ScheduledCircuit(code=circ.code, n_cycles=circ.n_cycles, steps=steps)
-    with pytest.raises(ValueError, match="touched twice"):
-        propagate_frames(merged, 1)
+    # round 0 initializes q(Z) and round 1 holds a CNOT layer into q(Z);
+    # merged into one round they touch each q(Z) qubit twice
+    rounds = [circ.rounds[0] + circ.rounds[1], *circ.rounds[2:]]
+    with pytest.raises(ValueError, match="round 0: a qubit is touched twice"):
+        ScheduledCircuit(circ.code, circ.n_cycles, rounds)
+
+
+@pytest.mark.parametrize("name", ["bb72", "bb144"])
+def test_automorphism_gadgets_run_at_cnot_depth_four(name):
+    """Each gadget's two moves share six rounds, four of them CNOT rounds."""
+    code = catalog_code(name)
+    for kind, j, k in GADGETS:
+        gadget = build_automorphism_circuit(code, kind, j, k)
+        assert len(gadget.rounds) == 6, (kind, j, k)
+        assert sum(any(s.kind == "cnot" for s in rnd) for rnd in gadget.rounds) == 4, (kind, j, k)
+        ScheduledCircuit(code, 0, gadget.rounds)  # no round touches a qubit twice

@@ -84,6 +84,37 @@ def test_ancilla_plane_components(model):
         assert system.added_qubits == ADDED_QUBITS[target], target
 
 
+def test_plane_components_classify_into_seven_kinds():
+    # one hand-built component per kind, each listed from its smallest vertex
+    edges = [
+        (1, 2),  # pair
+        (3, 4), (4, 5),  # path
+        (6, 7), (6, 8), (6, 9),  # tree: a star
+        (10, 11), (11, 12), (12, 10),  # ring
+        (13, 14), (14, 15), (15, 13), (15, 16),  # hairy-ring: a triangle with a tail
+        (17, 18), (17, 19), (17, 20), (18, 19), (18, 20), (19, 20),  # other: K4
+    ]
+    report = logical._classify_components(set(range(21)), edges)
+    assert report.sizes == [1, 2, 3, 4, 3, 4, 4]
+    assert report.kinds == ["isolated", "pair", "path", "tree", "ring", "hairy-ring", "other"]
+
+
+def test_basis_search_raises_a_failed_validation(monkeypatch):
+    class Marked(BasisSearchError):
+        pass
+
+    calls = []
+
+    def failing_validate(self, code):
+        calls.append(self)
+        raise Marked("marked validation failure")
+
+    monkeypatch.setattr(logical.LogicalBasis, "validate", failing_validate)
+    with pytest.raises(Marked, match="marked validation failure"):
+        find_basis_polynomials(catalog_code("bb72"))
+    assert len(calls) == 1
+
+
 def test_validate_rejects_a_broken_basis(model):
     code, basis = model.circuit.code, model.basis
     basis.validate(code)

@@ -360,6 +360,14 @@ def test_negative_shot_count_or_index_rejected(model, monkeypatch):
     assert forced(model, [[0], []]).shots == 2  # shots=0 with forced faults stays valid
 
 
+def test_forced_faults_need_zero_or_one_shot_per_scenario(model):
+    for shots, scenarios in ((5, [[3]]), (1, [[0], []]), (3, [[0], []])):
+        with pytest.raises(ValueError, match="shots must be 0 or len"):
+            sample(model, shots, 0, forced_faults=scenarios, fault_table=model.fault_table)
+    batch = sample(model, 2, 0, forced_faults=[[0], []], fault_table=model.fault_table)
+    assert batch.shots == 2
+
+
 def test_zero_noise_flips_nothing(model):
     batch = sample(model, 10, 3, p=0.0)
     assert not any(getattr(batch, name).any() for name in FIELDS)
