@@ -139,9 +139,9 @@ class ScheduledCircuit:
     round 0, the Z-ancilla initialization that precedes the first cycle
     (total depth 8*N_c + 1); the last cycle omits its trailing
     re-initialization.  Within any round every qubit is touched by at
-    most one operation, which is checked here, once.  ``steps``,
-    ``operands`` and ``frame_plan`` are derived from the rounds on first
-    use, so the rounds must not change after that.
+    most one operation, which is checked here, once.  ``steps`` is
+    derived from the rounds when built, ``operands`` and ``frame_plan``
+    on first use, so the rounds must not change after that.
 
     Raises:
         ValueError: a round touches some qubit twice.
@@ -150,6 +150,8 @@ class ScheduledCircuit:
     code: BBCode
     n_cycles: int
     rounds: list[list[Step]] = field(repr=False)
+    # every step in round order; a fault's step is an index into this list
+    steps: list[Step] = field(init=False, repr=False)
 
     def __post_init__(self):
         for r, rnd in enumerate(self.rounds):
@@ -157,11 +159,7 @@ class ScheduledCircuit:
                 [q for s in rnd for q in (s.qubits, s.targets) if q is not None])
             if len(np.unique(touched)) != len(touched):
                 raise ValueError(f"round {r}: a qubit is touched twice")
-
-    @cached_property
-    def steps(self) -> list[Step]:
-        """Every step, in round order; a fault's step is an index into this list."""
-        return [step for rnd in self.rounds for step in rnd]
+        self.steps = [step for rnd in self.rounds for step in rnd]
 
     @cached_property
     def operands(self) -> np.ndarray:
