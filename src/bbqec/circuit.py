@@ -139,12 +139,16 @@ class ScheduledCircuit:
     round 0, the Z-ancilla initialization that precedes the first cycle
     (total depth 8*N_c + 1); the last cycle omits its trailing
     re-initialization.  Within any round every qubit is touched by at
-    most one operation, which is checked here, once.  ``steps`` is
-    derived from the rounds when built, ``operands`` and ``frame_plan``
-    on first use, so the rounds must not change after that.
+    most one operation, and a measured qubit is initialized again before
+    any later step touches it; both are checked here, once, in one walk.
+    The second makes a measurement fault exactly a flip of the measured
+    frame (see ``noise``).  ``steps`` is derived from the rounds when
+    built, ``operands`` and ``frame_plan`` on first use, so the rounds
+    must not change after that.
 
     Raises:
-        ValueError: a round touches some qubit twice.
+        ValueError: a round has no steps, touches some qubit twice, or
+            touches a measured qubit that was not initialized again.
     """
 
     code: BBCode
@@ -154,11 +158,23 @@ class ScheduledCircuit:
     steps: list[Step] = field(init=False, repr=False)
 
     def __post_init__(self):
+        measured = np.zeros(4 * self.code.lm, dtype=bool)  # and not initialized since
         for r, rnd in enumerate(self.rounds):
+            if not rnd:
+                raise ValueError(f"round {r} has no steps")
             touched = np.concatenate(
                 [q for s in rnd for q in (s.qubits, s.targets) if q is not None])
             if len(np.unique(touched)) != len(touched):
                 raise ValueError(f"round {r}: a qubit is touched twice")
+            # the round's steps touch disjoint qubits, so their order is moot
+            for s in rnd:
+                if s.kind == "init":
+                    measured[s.qubits] = False
+                elif any(q is not None and measured[q].any() for q in (s.qubits, s.targets)):
+                    raise ValueError(
+                        f"round {r}: a measured qubit is touched before it is initialized again")
+                if s.kind == "meas":
+                    measured[s.qubits] = True
         self.steps = [step for rnd in self.rounds for step in rnd]
 
     @cached_property
@@ -374,25 +390,24 @@ class FramePlan:
     The steps of one round touch disjoint qubits, so they commute, and
     each step's faults act only on that step's own operands: a round's
     CNOT layers are one XOR, its initializations one reset, its
-    measurements one read, and its faults can all follow them.  A
-    measurement's record rows follow those of the earlier measurements
-    of its basis.
+    measurements one read, and its faults can all come between the
+    reset and the read.  A measurement's record rows follow those of the
+    earlier measurements of its basis.
     """
 
     def __init__(self, circ: ScheduledCircuit):
         lm = circ.code.lm
-        nq, n_records = 4 * lm, circ.n_cycles * lm
+        nq = 4 * lm
         sizes = [len(rnd) for rnd in circ.rounds]
         self.rounds: list[RoundOps] = []
         self.round_of_step = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        self.record_row = np.full(len(circ.steps), -1, dtype=np.int64)  # first, meas steps only
         # MeasZ reads the X frame into the first half of the records,
         # MeasX the Z frame into the second
-        next_row = {"Z": 0, "X": n_records}
-        for rnd, start in zip(circ.rounds, np.cumsum([0, *sizes]).tolist()):
+        next_row = {"Z": 0, "X": circ.n_cycles * lm}
+        for rnd in circ.rounds:
             parts: dict[str, list[np.ndarray]] = {
                 "dst": [], "src": [], "reset": [], "reads": [], "records": []}
-            for sidx, step in enumerate(rnd, start):
+            for step in rnd:
                 q = step.qubits
                 if step.kind == "cnot":
                     # X frames copy from control to target, Z frames back
@@ -401,42 +416,33 @@ class FramePlan:
                 elif step.kind == "init":
                     parts["reset"] += [q, nq + q]
                 elif step.kind == "meas":
-                    self.record_row[sidx] = next_row[step.basis]
-                    next_row[step.basis] += len(q)
                     parts["reads"].append(q + (step.basis == "X") * nq)
-                    parts["records"].append(self.record_row[sidx] + np.arange(len(q)))
+                    parts["records"].append(next_row[step.basis] + np.arange(len(q)))
+                    next_row[step.basis] += len(q)
             self.rounds.append(RoundOps(**{
                 name: np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
                 for name, rows in parts.items()}))
 
 
-def _xor_at(target: np.ndarray, rows: np.ndarray, words: np.ndarray, masks: np.ndarray) -> None:
-    """XOR ``masks[i]`` into word ``words[i]`` of row ``rows[i]`` of target.
-
-    A 1-D target is a one-word batch's column, and its words are all 0.
-    """
-    np.bitwise_xor.at(target, rows if target.ndim == 1 else (rows, words), masks)
-
-
 def propagate_frames(
     circ: ScheduledCircuit,
     batch: int,
-    injections: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
-    meas_flips: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    injections: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> FrameResult:
     """Propagate X/Z Pauli frames through the circuit for many scenarios.
 
     ``injections = (steps, qubits, xz, scenarios)`` flips frame bit
     ``xz[i]`` (0 for X, 1 for Z) of ``qubits[i]`` in scenario
-    ``scenarios[i]`` right after step ``steps[i]``; ``meas_flips =
-    (steps, positions, scenarios)`` flips the outcome of step
-    ``steps[i]``'s ``positions[i]``-th measurement.  Flips may come in
-    any order, and a flip listed twice cancels.
+    ``scenarios[i]`` at step ``steps[i]``.  Flips may come in any order,
+    and a flip listed twice cancels.
 
-    The walk goes a round at a time (``FramePlan``) and starts at the
-    first round with an injection, since every frame is zero before it.
-    A one-word batch walks 1-D views of the frames and records, on which
-    a fancy-indexed XOR costs about half as much.
+    The walk goes a round at a time (``FramePlan``): each round applies
+    its CNOT layers and initializations, then injects its flips, then
+    reads its measurements.  So a flip at a measurement step is read by
+    that measurement, and a flip at any other step follows it.  The walk
+    starts at the first round with an injection, since every frame is
+    zero before it.  A one-word batch walks 1-D views of the frames and
+    records, on which a fancy-indexed XOR costs about half as much.
     """
     plan = circ.frame_plan
     lm = circ.code.lm
@@ -446,7 +452,7 @@ def propagate_frames(
     records = np.zeros((2 * n_records, W), dtype=np.uint64)
     fr, rec = (frames[:, 0], records[:, 0]) if W == 1 else (frames, records)
 
-    if injections is not None and len(injections[0]):
+    if len(injections[0]):
         steps, qubits, xz, scenarios = (np.asarray(a, dtype=np.int64) for a in injections)
         rnd = plan.round_of_step[steps]
         order = np.argsort(rnd, kind="stable")
@@ -459,14 +465,12 @@ def propagate_frames(
                 fr[ops.dst] ^= fr[ops.src]
             if ops.reset.size:
                 fr[ops.reset] = 0
-            if ops.reads.size:
-                rec[ops.records] = fr[ops.reads]
             lo, hi = bounds[r], bounds[r + 1]
             if lo < hi:
-                _xor_at(fr, rows[lo:hi], words[lo:hi], masks[lo:hi])
-    if meas_flips is not None and len(meas_flips[0]):
-        steps, positions, scenarios = (np.asarray(a, dtype=np.int64) for a in meas_flips)
-        _xor_at(rec, plan.record_row[steps] + positions, *bit_masks(scenarios))
+                np.bitwise_xor.at(fr, rows[lo:hi] if W == 1 else (rows[lo:hi], words[lo:hi]),
+                                  masks[lo:hi])
+            if ops.reads.size:
+                rec[ops.records] = fr[ops.reads]
 
     return FrameResult(
         batch=batch,

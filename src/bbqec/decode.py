@@ -30,7 +30,7 @@ from itertools import combinations, count
 import numpy as np
 
 from .code import BBCode
-from .gf2 import WORD, BinMatrix, BinVector, int_rows, nwords, unpack_bits
+from .gf2 import BinMatrix, BinVector, bit_masks, int_rows, nwords, unpack_bits
 
 PRIOR_FLOOR = 1e-12
 # Flip sets OSD's sweep scores per product (_flip_weights); bounds the
@@ -593,14 +593,14 @@ class _CosetDecoder(BPOSDDecoder):
         new = self.kernel_mat.row_residue(self.eta)
         if not new.any():
             raise DecodingError("syndrome is not in the column space of D")
-        k = int(np.flatnonzero(new)[0])
-        low = int(new[k]) & -int(new[k])
-        col = k * WORD + low.bit_length() - 1  # the new pivot
+        col = int(BinVector(n, new).support[0])  # the new pivot
         at = bisect_left(kernel_pivots, col)  # its row, in pivot order
         W = np.zeros((rank + 1, nwords(n + 1)), dtype=np.uint64)
         W[:, : new.size] = np.insert(rows, at, new, axis=0)
-        W[at, n // WORD] |= np.uint64(1) << np.uint64(n % WORD)
-        hit = np.flatnonzero(W[:, k] & np.uint64(low))
+        word, mask = bit_masks(n)
+        W[at, word] |= mask
+        word, mask = bit_masks(col)
+        hit = np.flatnonzero(W[:, word] & mask)
         hit = hit[hit != at]
         W[hit] ^= W[at]
         return self._reduced(W, np.insert(kernel_pivots, at, col), np.arange(n))

@@ -4,15 +4,21 @@ Every operation of the syndrome-measurement circuit fails independently with
 probability p: a faulty CNOT applies one of 15 two-qubit Paulis after
 the gate (p/15 each), a faulty idle one of X/Y/Z (p/3), a faulty
 initialization prepares the orthogonal state and a faulty measurement
-flips its outcome (p each).
+flips its outcome (p each).  Every fault is read as a Pauli-frame flip:
+a faulty MeasZ flips its qubit's X frame just before the reading, and a
+faulty MeasX its Z frame.  That is exact, because only that measurement
+reads the flip: the circuit initializes every measured qubit again
+before any later step touches it (``ScheduledCircuit`` checks this), and
+it measures only ancillas, which the final data error leaves out.
 
 Each single fault has an integer id.  The faults of step s hold the ids
 ``offsets[s]`` to ``offsets[s + 1] - 1``, and fault
 ``offsets[s] + g * n_classes + c`` is class c on operation g of that
 step: CNOT steps have 15 classes (``CNOT_CLASSES``), idle steps 3
 (``IDLE_CLASSES``), init and meas steps 1.  ``FaultTable.frame_flips``
-turns (fault id, scenario) pairs into Pauli-frame flips; enumeration,
-forced faults and sampling all go through it.  A sampled shot draws
+turns (fault id, scenario) pairs into Pauli-frame flips, the one kind of
+flip ``propagate_frames`` takes; enumeration, forced faults and sampling
+all go through it.  A sampled shot draws
 which operations fail from one uniform per operation of the circuit,
 then one uniform class per faulty operation (``sample_circuit_noise``
 states the stream).
@@ -69,26 +75,26 @@ CNOT_CLASSES = [(c, t) for c in range(4) for t in range(4)][1:]  # 15, II exclud
 IDLE_CLASSES = [1, 2, 3]  # X, Y, Z
 
 # What each fault class flips, one row per class, by a step's (kind,
-# basis).  The columns are the first operand's X and Z frame bits, the
-# second operand's, then the measured outcome.  A CNOT's operands are
-# its control and its target; other steps have one.
+# basis).  The columns are the first operand's X and Z frame bits, then
+# the second operand's.  A CNOT's operands are its control and its
+# target; other steps have one.
 _CLASS_FLIPS = {
-    ("cnot", None): [[_X_PART[c], _Z_PART[c], _X_PART[t], _Z_PART[t], 0]
+    ("cnot", None): [[_X_PART[c], _Z_PART[c], _X_PART[t], _Z_PART[t]]
                      for c, t in CNOT_CLASSES],
-    ("idle", None): [[_X_PART[c], _Z_PART[c], 0, 0, 0] for c in IDLE_CLASSES],
+    ("idle", None): [[_X_PART[c], _Z_PART[c], 0, 0] for c in IDLE_CLASSES],
     # a faulty init prepares |1> (an X flip) for InitZ and |-> (a Z flip) for InitX
-    ("init", "Z"): [[1, 0, 0, 0, 0]],
-    ("init", "X"): [[0, 1, 0, 0, 0]],
-    # a faulty measurement flips its outcome and no frame bit
-    ("meas", "Z"): [[0, 0, 0, 0, 1]],
-    ("meas", "X"): [[0, 0, 0, 0, 1]],
+    ("init", "Z"): [[1, 0, 0, 0]],
+    ("init", "X"): [[0, 1, 0, 0]],
+    # a faulty measurement flips the frame it reads, an X flip for MeasZ
+    # and a Z flip for MeasX, before the reading
+    ("meas", "Z"): [[1, 0, 0, 0]],
+    ("meas", "X"): [[0, 1, 0, 0]],
 }
 # the blocks above stacked; each block's index, class count and first row
 _FLIPS = np.array(list(chain.from_iterable(_CLASS_FLIPS.values())), dtype=bool)
 _BLOCK = {key: i for i, key in enumerate(_CLASS_FLIPS)}
 _N_CLASSES = np.array([len(rows) for rows in _CLASS_FLIPS.values()])
 _FIRST_CLASS = np.cumsum(_N_CLASSES) - _N_CLASSES
-_OUTCOME = 4  # the column of a measured outcome
 
 
 @dataclass
@@ -100,7 +106,9 @@ class FaultTable:
     operation, class) order.  Operation g of step s is also operation
     ``op_start[s] + g`` of the circuit (``ScheduledCircuit.operands``).
     ``frame_flips`` is the one place that maps a fault to the frame bits
-    it flips.
+    it flips.  A measurement fault flips the frame its measurement reads,
+    which equals flipping the outcome, since that frame is reset before
+    anything else reads it (module doc).
     """
 
     circuit: ScheduledCircuit
@@ -121,8 +129,9 @@ class FaultTable:
         """Apply fault ``faults[i]`` in scenario ``scenarios[i]``, for every i.
 
         A fault may appear in several scenarios, or twice in one, where
-        the two copies cancel.  Returns ``(injections, meas_flips)`` in
-        ``propagate_frames`` form.
+        the two copies cancel.  Returns the injections ``(steps, qubits,
+        xz, scenarios)`` in ``propagate_frames`` form, grouped by fault in
+        input order.
 
         Raises:
             ValueError: a fault id outside the table.
@@ -136,13 +145,9 @@ class FaultTable:
         step = np.searchsorted(self.offsets, faults, side="right") - 1
         gate, cls = np.divmod(faults - self.offsets[step], self.n_classes[step])
         hit, column = np.nonzero(_FLIPS[self.first_class[step] + cls])
-        step, gate, scen = step[hit], gate[hit], scenarios[hit]
-        outcome = column == _OUTCOME
-        frame = ~outcome
-        op = self.op_start[step[frame]] + gate[frame]
-        operand = self.circuit.operands[column[frame] // 2, op]
-        return ((step[frame], operand, column[frame] % 2, scen[frame]),
-                (step[outcome], gate[outcome], scen[outcome]))
+        step = step[hit]
+        operand = self.circuit.operands[column // 2, self.op_start[step] + gate[hit]]
+        return step, operand, column % 2, scenarios[hit]
 
     def draw(self, p: float, bitgen: np.random.BitGenerator) -> np.ndarray:
         """One shot's fault ids, by ``sample_circuit_noise``'s stream contract.
@@ -217,53 +222,36 @@ def enumerate_faults(
     """Each side's signatures of faults ``lo`` to ``hi - 1``, from one batched run.
 
     Propagation and ``side_rows`` are linear over GF(2), so a fault's
-    signature is the XOR of the signatures of its frame flips: its
-    (step, qubit, X or Z) injections and (step, position) outcome flips
-    from ``FaultTable.frame_flips``.  Each distinct flip of the chunk is
-    one scenario of the run, so a chunk propagates at most as many
-    scenarios as it has faults.  On each side, faults whose flips with a
-    nonzero signature there form the same set share one signature (a
-    CNOT's 15 classes give at most 4 such sets a side), so only the
-    distinct sets are XORed.
+    signature is the XOR of the signatures of its frame flips, the
+    (step, qubit, X or Z) injections of ``FaultTable.frame_flips``.
+    Each distinct flip of the chunk is one scenario of the run, so a
+    chunk propagates at most as many scenarios as it has faults.  On
+    each side, faults whose flips with a nonzero signature there form
+    the same set share one signature (a CNOT's 15 classes give at most 4
+    such sets a side), so only the distinct sets are XORed.
 
     Returns each side's ``(signatures, rows)``: the distinct sets'
     signatures, detector flips then logical flips packed into words one
     row each, and each fault's row among them.
     """
-    injections, outcomes, fault, flip = _distinct_flips(table, lo, hi)
-    n_flips = len(injections[0]) + len(outcomes[0])
-    res = propagate_frames(table.circuit, n_flips, injections, outcomes)
+    ids = np.arange(lo, hi)
+    steps, qubits, xz, fault = table.frame_flips(ids, ids - lo)
+    # a flip is keyed by its step and frame row, as propagate_frames numbers the rows
+    nq = 4 * table.circuit.code.lm
+    keys, flip = np.unique((steps * 2 + xz) * nq + qubits, return_inverse=True)
+    n_flips = len(keys)
+    step_xz, qubit = np.divmod(keys, nq)
+    res = propagate_frames(table.circuit, n_flips,
+                           (step_xz // 2, qubit, step_xz % 2, np.arange(n_flips)))
+    # (fault, flip) pairs sorted by fault, then flip, as _flip_sets takes them
+    order = np.argsort(fault * n_flips + flip, kind="stable")
+    fault, flip = fault[order], flip[order]
     sides = {}
     for side, (detectors, logicals) in side_rows(res, table.circuit.code, basis).items():
         stacked = np.vstack([detectors, logicals])
         signatures = BinMatrix(len(stacked), n_flips, stacked).transpose().words
         sides[side] = _flip_sets(signatures, fault, flip, hi - lo)
     return sides
-
-
-def _distinct_flips(table: FaultTable, lo: int, hi: int):
-    """The distinct frame flips of faults ``lo`` to ``hi - 1``, one scenario each.
-
-    Returns ``(injections, meas_flips, fault, flip)``: the flips in
-    ``propagate_frames`` form, where scenario i is flip i and the
-    injections come first, then every (fault, flip) pair, faults
-    counted from ``lo``, sorted by fault, then flip.
-    """
-    ids = np.arange(lo, hi)
-    (steps, qubits, xz, fault), (m_steps, positions, m_fault) = table.frame_flips(ids, ids - lo)
-    # an injection is keyed by its step and frame row, as propagate_frames
-    # numbers the rows; an outcome by its step and position, both below 4lm
-    nq = 4 * table.circuit.code.lm
-    inj, inj_flip = np.unique((steps * 2 + xz) * nq + qubits, return_inverse=True)
-    out, out_flip = np.unique(m_steps * nq + positions, return_inverse=True)
-    n_inj, n_flips = len(inj), len(inj) + len(out)
-    step_xz, qubit = np.divmod(inj, nq)
-    fault = np.concatenate([fault, m_fault])
-    flip = np.concatenate([inj_flip, n_inj + out_flip])
-    order = np.argsort(fault * n_flips + flip, kind="stable")
-    return ((step_xz // 2, qubit, step_xz % 2, np.arange(n_inj)),
-            (out // nq, out % nq, np.arange(n_inj, n_flips)),
-            fault[order], flip[order])
 
 
 def _flip_sets(
@@ -582,7 +570,7 @@ def sample_circuit_noise(
     shots = len(shot_faults)
     faults = np.fromiter(chain.from_iterable(shot_faults), dtype=np.int64)
     scenarios = np.repeat(np.arange(shots), [len(f) for f in shot_faults])
-    res = propagate_frames(circ, shots, *table.frame_flips(faults, scenarios))
+    res = propagate_frames(circ, shots, table.frame_flips(faults, scenarios))
     rows = side_rows(res, circ.code, basis)
     (x_det, x_log), (z_det, z_log) = rows["X"], rows["Z"]
 

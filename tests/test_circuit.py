@@ -1,6 +1,7 @@
 """Syndrome-cycle schedules of bb144, the automorphism gadgets and their check,
-and a circuit's round check."""
+a circuit's round checks, and the input checks of the circuit builders."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from bbqec.circuit import (
     CANONICAL_SCHEDULE,
     Schedule,
     ScheduledCircuit,
+    automorphism_data_permutation,
     build_automorphism_circuit,
     build_sm_circuit,
     enumerate_schedules,
@@ -133,3 +135,86 @@ def test_automorphism_gadgets_run_at_cnot_depth_four(name):
         assert len(gadget.rounds) == 6, (kind, j, k)
         assert sum(any(s.kind == "cnot" for s in rnd) for rnd in gadget.rounds) == 4, (kind, j, k)
         ScheduledCircuit(code, 0, gadget.rounds)  # no round touches a qubit twice
+
+
+@pytest.mark.parametrize("empty", [0, 3])
+def test_a_circuit_rejects_a_round_without_steps(empty):
+    code = catalog_code("bb72")
+    rounds = [list(rnd) for rnd in build_sm_circuit(code, 1).rounds[:3]]
+    rounds.insert(empty, [])
+    with pytest.raises(ValueError, match=f"round {empty} has no steps"):
+        ScheduledCircuit(code, 1, rounds)
+    with pytest.raises(ValueError, match="round 0 has no steps"):
+        ScheduledCircuit(code, 1, [[]])
+
+
+def test_a_circuit_rejects_a_measured_qubit_touched_before_it_is_initialized():
+    # round 7 measures q(Z) and round 8 initializes it again before round
+    # 9's Z-side layer: without that initialization, a measurement fault
+    # read as a frame flip would reach the next cycle
+    code = catalog_code("bb72")
+    rounds = [list(rnd) for rnd in build_sm_circuit(code, 2).rounds]
+    assert [s.basis for s in rounds[8] if s.kind == "init"] == ["Z"]
+    rounds[8] = [s for s in rounds[8] if s.kind != "init"]
+    with pytest.raises(ValueError, match="round 9: a measured qubit is touched before it is"):
+        ScheduledCircuit(code, 2, rounds)
+
+
+def moved_layers(moves):
+    """The canonical schedule with the layers at (round, slot) moved to
+    the end of another round, rounds counted from 1, in the order given."""
+    rounds = [list(rnd) for rnd in CANONICAL_SCHEDULE.rounds]
+    for (r, slot), to in moves:
+        rounds[to - 1].append(rounds[r - 1].pop(slot))
+    return Schedule(tuple(tuple(rnd) for rnd in rounds))
+
+
+@pytest.mark.parametrize("moves, problem", [
+    # X:A2 joins X:A3 in round 7
+    ([((2, 0), 7)], "round 7: more than one layer per ancilla side"),
+    # X:A2 and X:B2 trade rounds, so rounds 2 and 3 each mix A and B
+    ([((2, 0), 3), ((3, 0), 2)],
+     "round 2: layers overlap on a data register; round 3: layers overlap on a data register"),
+    # X:A3 moves from round 7 to round 1
+    ([((7, 0), 1)], "round 1 is taken by the X-ancilla initialization"),
+])
+def test_schedule_packing_rules(moves, problem):
+    schedule = moved_layers(moves)
+    assert "; ".join(schedule.structural_problems()) == problem
+    assert verify_sm_circuit(schedule, catalog_code("bb72")) is False
+    with pytest.raises(ValueError, match=f"invalid schedule: {problem}"):
+        build_sm_circuit(catalog_code("bb72"), 1, schedule)
+
+
+@pytest.mark.parametrize("cycles", [0, -1])
+def test_sm_circuit_needs_a_cycle(cycles):
+    with pytest.raises(ValueError, match="need at least one syndrome cycle"):
+        build_sm_circuit(catalog_code("bb72"), cycles)
+
+
+@pytest.mark.parametrize("kind, j, k, message", [
+    ("C", 1, 2, "kind must be 'A' or 'B'"),
+    ("a", 1, 2, "kind must be 'A' or 'B'"),
+    ("A", 2, 2, "j == k is the identity automorphism"),
+    ("B", 3, 3, "j == k is the identity automorphism"),
+])
+def test_automorphism_circuit_rejects_bad_arguments(kind, j, k, message):
+    with pytest.raises(ValueError, match=message):
+        build_automorphism_circuit(catalog_code("bb72"), kind, j, k)
+
+
+@pytest.mark.parametrize("drop, message", [
+    # round 4's second step is the q(R) move's CNOT from q(Z) into its
+    # target, so that move loses its data
+    (4, "gadget does not implement a data permutation"),
+    # the last round's second step carries the Z frames from q(Z) onto the
+    # q(R) move's target; the X frames still permute, but not the Z frames
+    (5, "X and Z frames disagree on the permutation"),
+])
+def test_data_permutation_rejects_a_broken_gadget(drop, message):
+    gadget = build_automorphism_circuit(catalog_code("bb72"), "A", 1, 2)
+    rounds = [list(rnd) for rnd in gadget.rounds]
+    assert len(rounds[drop]) == 2
+    rounds[drop] = rounds[drop][:1]
+    with pytest.raises(ValueError, match=message):
+        automorphism_data_permutation(dataclasses.replace(gadget, rounds=rounds))

@@ -154,6 +154,47 @@ def test_wheel_check_sees_two_cycles_joined():
     assert report.problems == ["expected two cycles of length 12, got [24]"]
 
 
+def half_a_less_one_edge(code):
+    return thickness_decomposition(code).edges_a[:-1]
+
+
+def term_edges(code, term):
+    return [e for e in code.tanner_edges() if e[2].rstrip("T") == term]
+
+
+def half_a_plus_b1(code):
+    # the B1 edges join three of bb72's wheels into one component
+    return thickness_decomposition(code).edges_a + term_edges(code, "B1")
+
+
+def half_a_with_b1_for_a3(code):
+    # every degree stays 3, but B1 edges are radial, not cycle edges
+    kept = [e for e in thickness_decomposition(code).edges_a if e[2].rstrip("T") != "A3"]
+    return kept + term_edges(code, "B1")
+
+
+@pytest.mark.parametrize("mutant, problem", [
+    (half_a_less_one_edge, "vertex of degree != 3"),
+    (half_a_plus_b1, "component size 72 != 4p = 24"),
+    (half_a_with_b1_for_a3, "cycle-edge degree != 2 inside a component"),
+])
+def test_wheel_check_rejects_a_wrong_half(mutant, problem):
+    code = catalog_code("bb72")
+    edges = mutant(code)
+    report = _verify_wheels(code, edges, (code.a_poly.term(3), code.a_poly.term(2)), "A")
+    assert not report.ok
+    assert problem in report.problems
+
+
+def test_toric_embedding_rejects_ratios_that_miss_the_group():
+    # with j = i the first ratio is 1, so the grid covers only <B_g B_h^T>
+    code = catalog_code("bb72")
+    layout = toric_layout(code)
+    assert verify_toric_embedding(code, layout)
+    with pytest.raises(CodeConstructionError, match="layout ratios do not enumerate the group"):
+        verify_toric_embedding(code, dataclasses.replace(layout, j=layout.i))
+
+
 def test_toric_layout_found_and_verified():
     for name in CODE_CATALOG:
         code = catalog_code(name)

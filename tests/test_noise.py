@@ -11,13 +11,15 @@ import pytest
 
 from bbqec import noise
 from bbqec.circuit import (
+    FrameResult,
     automorphism_data_permutation,
     build_automorphism_circuit,
+    build_sm_circuit,
     propagate_frames,
     shift_permutation,
 )
 from bbqec.code import catalog_code
-from bbqec.gf2 import BinMatrix, unpack_bits
+from bbqec.gf2 import BinMatrix, bit_masks, nwords, unpack_bits
 from bbqec.noise import _SignatureMerge, dump_side_model, sample_circuit_noise
 
 FIELDS = ("x_syndromes", "z_syndromes", "logical_x", "logical_z")
@@ -37,7 +39,7 @@ def arrays(model, batch) -> dict[str, np.ndarray]:
     """The batch's fields, then what its fault ids, propagated again, give:
     each check's measured outcomes and the final X and Z data errors."""
     flips = model.fault_table.frame_flips(batch.faults, batch.fault_shots)
-    res = propagate_frames(model.circuit, batch.shots, *flips)
+    res = propagate_frames(model.circuit, batch.shots, flips)
     nc, lm, _ = res.z_check_outcomes.shape
 
     def unp(words):
@@ -86,14 +88,11 @@ def test_model144_golden(model144):
 def distinct_flips(table, chunks) -> list[int]:
     """How many distinct frame flips the faults of each (lo, hi) chunk apply."""
     ids = np.arange(table.count)
-    counts = [0] * len(chunks)
-    # each kind of flip comes as its key arrays, then the faults, ascending
-    for *keys, faults in table.frame_flips(ids, ids):
-        flips = list(zip(*(key.tolist() for key in keys)))
-        bounds = np.searchsorted(faults, [lo for lo, _ in chunks] + [table.count])
-        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            counts[i] += len(set(flips[a:b]))
-    return counts
+    # the flips come as their key arrays, then the faults, ascending
+    *keys, faults = table.frame_flips(ids, ids)
+    flips = list(zip(*(key.tolist() for key in keys)))
+    bounds = np.searchsorted(faults, [lo for lo, _ in chunks] + [table.count])
+    return [len(set(flips[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def model_digest(model) -> tuple:
@@ -151,7 +150,7 @@ def test_model_matches_per_fault_propagation(model):
     one scenario each, and the signatures merged by ``np.unique``."""
     table = model.fault_table
     ids = np.arange(table.count)
-    res = propagate_frames(model.circuit, table.count, *table.frame_flips(ids, ids))
+    res = propagate_frames(model.circuit, table.count, table.frame_flips(ids, ids))
     priors = table.priors(model.p)
     for side, (detectors, logicals) in noise.side_rows(res, model.circuit.code, model.basis).items():
         sm = getattr(model, side.lower())
@@ -164,6 +163,38 @@ def test_model_matches_per_fault_propagation(model):
         assert sm.priors.tobytes() == merged_priors.tobytes()
         assert len(sm.provenance) == len(provenance)
         assert all(np.array_equal(p, q) for p, q in zip(sm.provenance, provenance))
+
+
+def test_measurement_faults_flip_their_outcomes(bases):
+    """Each measurement fault of bb72 with 2 cycles, which the model reads as a
+    flip of the measured frame, has the columns of a flip of its outcome alone:
+    ``side_rows`` of a noiseless run with only that fault's record bit set."""
+    code, basis = catalog_code("bb72"), bases["bb72"][0]
+    circ = build_sm_circuit(code, 2)
+    model = noise.build_detector_model(circ, 0.003, basis)
+    faults = []  # (fault id, basis, cycle, position)
+    cycles = {"Z": 0, "X": 0}
+    for s, step in enumerate(circ.steps):
+        if step.kind == "meas":
+            first = model.fault_table.offsets[s]
+            faults += [(first + g, step.basis, cycles[step.basis], g)
+                       for g in range(len(step.qubits))]
+            cycles[step.basis] += 1
+    assert cycles == {"Z": 2, "X": 2} and len(faults) == 4 * code.lm
+    n, W = len(faults), nwords(len(faults))
+    records = {b: np.zeros((circ.n_cycles, code.lm, W), dtype=np.uint64) for b in "ZX"}
+    for scenario, (_, b, cycle, g) in enumerate(faults):
+        word, mask = bit_masks(scenario)
+        records[b][cycle, g, word] |= mask
+    data = np.zeros((2 * code.lm, W), dtype=np.uint64)
+    res = FrameResult(n, records["Z"], records["X"], data, data.copy())
+    ids = [f for f, *_ in faults]
+    for side, (detectors, logicals) in noise.side_rows(res, code, basis).items():
+        sm = getattr(model, side.lower())
+        dense = np.vstack([sm.matrix.to_dense(), sm.logical.to_dense()])
+        columns = np.hstack([dense, np.zeros((len(dense), 1), np.uint8)])  # -1 reads zeros
+        want = unpack_bits(np.vstack([detectors, logicals]), n)
+        assert np.array_equal(columns[:, sm.fault_column[ids]], want), side
 
 
 def test_model144_build_memory_bound(model144):
