@@ -140,15 +140,16 @@ class ScheduledCircuit:
     (total depth 8*N_c + 1); the last cycle omits its trailing
     re-initialization.  Within any round every qubit is touched by at
     most one operation, and a measured qubit is initialized again before
-    any later step touches it; both are checked here, once, in one walk.
-    The second makes a measurement fault exactly a flip of the measured
-    frame (see ``noise``).  ``steps`` is derived from the rounds when
-    built, ``operands`` and ``frame_plan`` on first use, so the rounds
-    must not change after that.
+    any later step touches it, a data qubit also by the end; one walk
+    checks all three, once.  The last two make a measurement fault exactly
+    a flip of the measured frame (see ``noise``).  ``steps`` is derived
+    from the rounds when built, ``operands`` and ``frame_plan`` on first
+    use, so the rounds must not change after that.
 
     Raises:
         ValueError: a round has no steps, touches some qubit twice, or
-            touches a measured qubit that was not initialized again.
+            touches a measured qubit that was not initialized again, or a
+            measured data qubit is not initialized again by the end.
     """
 
     code: BBCode
@@ -175,6 +176,9 @@ class ScheduledCircuit:
                         f"round {r}: a measured qubit is touched before it is initialized again")
                 if s.kind == "meas":
                     measured[s.qubits] = True
+        # registers L and R, the data qubits, come first
+        if measured[: 2 * self.code.lm].any():
+            raise ValueError("a measured data qubit is not initialized again by the end")
         self.steps = [step for rnd in self.rounds for step in rnd]
 
     @cached_property

@@ -240,12 +240,10 @@ def _family_span_ok(code: BBCode, f: BivariatePoly, g: BivariatePoly, h: Bivaria
 
 def _pairing_matrix(code: BBCode, f: BivariatePoly, h: BivariatePoly) -> np.ndarray:
     """K[i, j] = 1 iff X_bar(mono_i) anticommutes with Z_bar(mono_j)."""
-    lm = code.lm
     coeffs = (f * h).to_vector().to_bits()
     table = translation_table(code.l, code.m)
-    ia, ib = np.divmod(np.arange(lm), code.m)
-    inv = ((code.l - ia) % code.l) * code.m + (code.m - ib) % code.m
-    return coeffs[table[inv]]
+    # row t's identity entry is t's group inverse
+    return coeffs[table[np.argmax(table == 0, axis=1)]]
 
 
 def select_qubit_labels(
@@ -355,13 +353,9 @@ def find_basis_polynomials(code: BBCode) -> list[LogicalBasis]:
 
 def zx_duality_permutation(code: BBCode) -> np.ndarray:
     """The data permutation q(L, a) <-> q(R, a^T) as an index map."""
-    lm = code.lm
-    perm = np.zeros(code.n, dtype=np.int64)
-    for i in range(lm):
-        ti = monomial_from_index(i, code.l, code.m).T.index
-        perm[i] = lm + ti
-        perm[lm + i] = ti
-    return perm
+    # a^T is a's group inverse, the column of row a's identity entry
+    transposed = np.argmax(translation_table(code.l, code.m) == 0, axis=1)
+    return np.concatenate([code.lm + transposed, transposed])
 
 
 def zx_duality_check(code: BBCode, permutation: np.ndarray | None = None) -> bool:

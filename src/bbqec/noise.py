@@ -8,8 +8,8 @@ flips its outcome (p each).  Every fault is read as a Pauli-frame flip:
 a faulty MeasZ flips its qubit's X frame just before the reading, and a
 faulty MeasX its Z frame.  That is exact, because only that measurement
 reads the flip: the circuit initializes every measured qubit again
-before any later step touches it (``ScheduledCircuit`` checks this), and
-it measures only ancillas, which the final data error leaves out.
+before any later step touches it, and a measured data qubit, which the
+final data error reads, also before the end (``ScheduledCircuit`` checks).
 
 Each single fault has an integer id.  The faults of step s hold the ids
 ``offsets[s]`` to ``offsets[s + 1] - 1``, and fault
@@ -39,20 +39,21 @@ allocated.  A fault's signature is its detector flips then its logical
 flips, packed into words.  Propagation is linear over GF(2), so a
 fault's signature is the XOR of the signatures of its frame flips, and
 a chunk propagates each of its distinct flips once, as one scenario
-(all of bb144's 169,344 faults with 12 cycles use 51,840 flips).  On
-each side, faults whose flips with a nonzero signature there form the
-same set share one signature, so only the distinct sets are XORed and
-merged.  Each side merges them into a running set of distinct
-signatures, so between chunks it keeps only that set and one column
-index per fault.  At the end the set is sorted once: the columns follow
-the signatures in unsigned lexicographic order of their words, word 0
-first, and the all-zero signature, which sorts first, is dropped.  A
-column's prior is its faults' priors summed in fault-id order.  The
-model's record of the faults is ``SideModel.fault_column``, each fault
-id's column (-1 for a dropped fault), which turns a shot's fault ids
-into its error vector; ``provenance``, each column's fault ids, is its
-inverse.  None of this depends on where the chunks end, so the model
-is the same for any chunk size.
+(all of bb144's 169,344 faults with 12 cycles use 51,840 flips).  X and
+Z frames never mix and a side reads only one of them, so it sees at
+most one flip per operand of a fault, a pair; faults with the same pair
+share one signature, so only the distinct pairs are XORed and merged.
+Each side merges them into a running set of distinct signatures, so
+between chunks it keeps only that set and one column index per fault.
+At the end the set is sorted once: the columns follow the signatures in
+unsigned lexicographic order of their words, word 0 first, and the
+all-zero signature, which sorts first, is dropped.  A column's prior is
+its faults' priors summed in fault-id order.  The model's record of the
+faults is ``SideModel.fault_column``, each fault id's column (-1 for a
+dropped fault), which turns a shot's fault ids into its error vector;
+``provenance``, each column's fault ids, is its inverse.  None of this
+depends on where the chunks end, so the model is the same for any chunk
+size.
 """
 
 from __future__ import annotations
@@ -131,7 +132,9 @@ class FaultTable:
         A fault may appear in several scenarios, or twice in one, where
         the two copies cancel.  Returns the injections ``(steps, qubits,
         xz, scenarios)`` in ``propagate_frames`` form, grouped by fault in
-        input order.
+        input order, each fault's in ``_CLASS_FLIPS`` column order (the
+        first operand's X then Z flip, then the second's): ``_flip_pairs``
+        relies on that order.
 
         Raises:
             ValueError: a fault id outside the table.
@@ -226,11 +229,11 @@ def enumerate_faults(
     (step, qubit, X or Z) injections of ``FaultTable.frame_flips``.
     Each distinct flip of the chunk is one scenario of the run, so a
     chunk propagates at most as many scenarios as it has faults.  On
-    each side, faults whose flips with a nonzero signature there form
-    the same set share one signature (a CNOT's 15 classes give at most 4
-    such sets a side), so only the distinct sets are XORed.
+    each side, faults with the same pair of seen flips (``_flip_pairs``)
+    share one signature, and a CNOT's 15 classes give at most 4 such
+    pairs, so only the distinct pairs are XORed.
 
-    Returns each side's ``(signatures, rows)``: the distinct sets'
+    Returns each side's ``(signatures, rows)``: the distinct pairs'
     signatures, detector flips then logical flips packed into words one
     row each, and each fault's row among them.
     """
@@ -243,49 +246,42 @@ def enumerate_faults(
     step_xz, qubit = np.divmod(keys, nq)
     res = propagate_frames(table.circuit, n_flips,
                            (step_xz // 2, qubit, step_xz % 2, np.arange(n_flips)))
-    # (fault, flip) pairs sorted by fault, then flip, as _flip_sets takes them
-    order = np.argsort(fault * n_flips + flip, kind="stable")
-    fault, flip = fault[order], flip[order]
     sides = {}
     for side, (detectors, logicals) in side_rows(res, table.circuit.code, basis).items():
         stacked = np.vstack([detectors, logicals])
         signatures = BinMatrix(len(stacked), n_flips, stacked).transpose().words
-        sides[side] = _flip_sets(signatures, fault, flip, hi - lo)
+        sides[side] = _flip_pairs(signatures, fault, flip, hi - lo)
     return sides
 
 
-def _flip_sets(
+def _flip_pairs(
     signatures: np.ndarray, fault: np.ndarray, flip: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One side's distinct flip sets of ``count`` faults and their signatures.
+    """One side's distinct flip pairs of ``count`` faults and their signatures.
 
     Fault ``fault[i]`` applies flip ``flip[i]``, whose signature is row
-    ``flip[i]`` of ``signatures``; pairs come sorted by fault, then flip.
-    A fault's set holds its flips with a nonzero signature, so faults
-    that differ only in flips this side cannot see share a set.  Returns
-    each distinct set's signature, the XOR of its flips' rows, and each
-    fault's set.
+    ``flip[i]`` of ``signatures``, each fault's flips together, as
+    ``FaultTable.frame_flips`` lists them.  A side sees at most one flip
+    per operand (module doc): a fault's flips with a nonzero signature
+    fill its two slots in order, and an empty slot reads the appended
+    zero row.  Returns each distinct pair's signature, the XOR of its
+    two rows, and each fault's pair.
+
+    Raises:
+        ValueError: a fault shows the side more than two flips.
     """
     seen = signatures.any(axis=1)[flip]
     fault, flip = fault[seen], flip[seen]
-    per_fault = np.bincount(fault, minlength=count)
-    slot = np.arange(len(fault)) - np.repeat(np.cumsum(per_fault) - per_fault, per_fault)
-    sets = np.full((count, max(1, per_fault.max(initial=0))), -1)
-    sets[fault, slot] = flip
-    # number the distinct sets in sorted order
-    order = np.lexsort(sets.T[::-1])
-    ranked = sets[order]
-    new = np.ones(count, dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    fault_set = np.empty(count, dtype=np.int64)
-    fault_set[order] = np.cumsum(new) - 1
-    # a padding slot, -1, reads the appended zero row
+    second = np.diff(fault, prepend=-1) == 0  # its fault has a seen flip before it
+    if (second[1:] & second[:-1]).any():
+        raise ValueError("a fault shows one side more than two frame flips")
+    zero = len(signatures)
+    slots = np.full((2, count), zero)
+    slots[second.astype(np.int64), fault] = flip
+    keys, pair = np.unique(slots[0] * (zero + 1) + slots[1], return_inverse=True)
+    first, last = np.divmod(keys, zero + 1)
     padded = np.vstack([signatures, np.zeros_like(signatures[:1])])
-    distinct = ranked[new].T
-    xored = padded[distinct[0]]
-    for column in distinct[1:]:
-        xored ^= padded[column]
-    return xored, fault_set
+    return padded[first] ^ padded[last], pair
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +372,12 @@ def _chunk_faults(table: FaultTable) -> int:
     per fault.  Per fault, then: one flip's X and Z frames of 4lm
     qubits, its two sides' N_c * lm check records, each side's
     (N_c + 1) * lm detector rows and k logical rows, and each side's
-    signature words; plus sixteen int64 words for the fault's flip pairs
-    and its set on each side.  A CNOT chunk holds far less: its 15
-    classes share an operation's four flips.  The chunks the budget
-    allows are then evened out, so the last one is not a sliver.
+    signature words; plus sixteen int64 words: the fault's id and
+    scenario, its flip's four ``frame_flips`` arrays, that flip's key
+    and index, and on each side its pair's two slots, key and row.  A
+    CNOT chunk holds far less: its 15 classes share an operation's four
+    flips.  The chunks the budget allows are then evened out, so the
+    last one is not a sliver.
     """
     circ = table.circuit
     lm, k = circ.code.lm, circ.code.k
@@ -457,8 +455,8 @@ def build_detector_model(
     Each chunk is one ``enumerate_faults`` call on ``_chunk_faults``
     consecutive fault ids, sized from ``_CHUNK_BYTES``.  It propagates
     the chunk's distinct frame flips once each and, by linearity over
-    GF(2), XORs each side's distinct sets of flips that side sees into
-    signatures; each fault's column is its set's.  The sets are merged
+    GF(2), XORs each side's distinct pairs of flips that side sees into
+    signatures; each fault's column is its pair's.  The pairs are merged
     into each side's running set of distinct signatures and then
     released.  The model is the same for any chunk size, byte for byte:
     a fault's column depends only on its signature and the sorted
@@ -553,13 +551,16 @@ def sample_circuit_noise(
     is then 0 or the number of scenarios.
 
     Raises:
-        ValueError: shots or first_shot below 0, p outside [0, 1], or
-        forced_faults given with shots neither 0 nor len(forced_faults).
+        ValueError: shots or first_shot below 0, p outside [0, 1],
+        forced_faults given with shots neither 0 nor len(forced_faults),
+        or a fault_table built for another circuit.
     """
     if shots < 0 or first_shot < 0:
         raise ValueError("shots and first_shot must be >= 0")
     if forced_faults is not None and shots not in (0, len(forced_faults)):
         raise ValueError("with forced_faults, shots must be 0 or len(forced_faults)")
+    if fault_table is not None and fault_table.circuit is not circ:
+        raise ValueError("fault_table was built for another circuit")
     table = fault_table or build_fault_table(circ)
     if forced_faults is None:
         if not 0 <= p <= 1:

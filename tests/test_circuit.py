@@ -11,6 +11,7 @@ from bbqec.circuit import (
     CANONICAL_SCHEDULE,
     Schedule,
     ScheduledCircuit,
+    Step,
     automorphism_data_permutation,
     build_automorphism_circuit,
     build_sm_circuit,
@@ -158,6 +159,17 @@ def test_a_circuit_rejects_a_measured_qubit_touched_before_it_is_initialized():
     rounds[8] = [s for s in rounds[8] if s.kind != "init"]
     with pytest.raises(ValueError, match="round 9: a measured qubit is touched before it is"):
         ScheduledCircuit(code, 2, rounds)
+
+
+def test_a_circuit_rejects_a_measured_data_qubit_left_uninitialized():
+    # the final data frames hold q(L) and q(R), so a measurement fault on a
+    # data qubit read as a frame flip would reach the final data error
+    # unless the qubit is initialized again by the end
+    code = catalog_code("bb72")
+    measure = Step("meas", np.arange(code.lm), basis="Z")  # q(L)
+    with pytest.raises(ValueError, match="a measured data qubit is not initialized again"):
+        ScheduledCircuit(code, 1, [[measure]])
+    ScheduledCircuit(code, 1, [[measure], [Step("init", measure.qubits, basis="Z")]])
 
 
 def moved_layers(moves):

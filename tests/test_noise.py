@@ -18,7 +18,7 @@ from bbqec.circuit import (
     propagate_frames,
     shift_permutation,
 )
-from bbqec.code import catalog_code
+from bbqec.code import catalog_code, translation_table
 from bbqec.gf2 import BinMatrix, bit_masks, nwords, unpack_bits
 from bbqec.noise import _SignatureMerge, dump_side_model, sample_circuit_noise
 
@@ -195,6 +195,68 @@ def test_measurement_faults_flip_their_outcomes(bases):
         columns = np.hstack([dense, np.zeros((len(dense), 1), np.uint8)])  # -1 reads zeros
         want = unpack_bits(np.vstack([detectors, logicals]), n)
         assert np.array_equal(columns[:, sm.fault_column[ids]], want), side
+
+
+def test_frame_flips_list_each_fault_together_in_column_order():
+    """What the model build's flip pairs read: every fault of bb72 with 2
+    cycles lists its flips together, in fault-id order, and in the column
+    order of ``_CLASS_FLIPS``: the first operand's X and Z, then the second's."""
+    circ = build_sm_circuit(catalog_code("bb72"), 2)
+    table = noise.build_fault_table(circ)
+    assert {(step.kind, step.basis) for step in circ.steps} == set(noise._CLASS_FLIPS)
+    want = []  # each fault's (step, qubit, X or Z) flips
+    for s, step in enumerate(circ.steps):
+        operands = [step.qubits] if step.targets is None else [step.qubits, step.targets]
+        for g in range(len(step.qubits)):
+            want += [[(s, int(operands[col // 2][g]), col % 2) for col in np.flatnonzero(row)]
+                     for row in noise._CLASS_FLIPS[step.kind, step.basis]]
+    assert len(want) == table.count
+    ids = np.arange(table.count)
+    steps, qubits, xz, fault = table.frame_flips(ids, ids)
+    assert np.array_equal(fault, np.repeat(ids, [len(flips) for flips in want]))
+    assert list(zip(steps.tolist(), qubits.tolist(), xz.tolist())) == sum(want, [])
+
+
+def test_flip_pairs_drop_unseen_flips_and_reject_a_third():
+    # flips 0 to 3 have signatures 1, 0, 2 and 4: this side cannot see flip 1
+    signatures = np.array([[1], [0], [2], [4]], dtype=np.uint64)
+    xored, pair = noise._flip_pairs(signatures, np.array([0, 0, 0, 1, 2]),
+                                    np.array([0, 1, 2, 1, 3]), 4)
+    assert xored[pair].ravel().tolist() == [1 ^ 2, 0, 4, 0]
+    with pytest.raises(ValueError, match="more than two frame flips"):
+        noise._flip_pairs(signatures, np.array([0, 0, 0]), np.array([0, 2, 3]), 1)
+
+
+@pytest.mark.parametrize("side", ["x", "z"])
+def test_model_commutes_with_the_group_translations(model, side):
+    """The circuit runs the same gates in every unit cell.  So each translation
+    of the code's group, applied to every detector block's checks, maps the
+    (column, prior) pairs onto themselves, and the logical rows read through
+    that column map lie in the row space of [D; L]: a translated logical is
+    a logical."""
+    sm = getattr(model, side)
+    code = model.circuit.code
+    table = translation_table(code.l, code.m)
+    base = sm.matrix.stack(sm.logical)
+    rank = base.rank()
+    rows = np.arange(sm.n_detector_rows)
+    block, check = np.divmod(rows, code.lm)
+
+    def sorted_columns(words):
+        columns = BinMatrix(sm.n_detector_rows, sm.n_columns, words).transpose().words
+        order = np.lexsort(columns.T[::-1])
+        return columns[order], order
+
+    want, want_order = sorted_columns(sm.matrix.words)
+    for t in range(code.lm):
+        got, order = sorted_columns(sm.matrix.words[block * code.lm + table[t, check]])
+        assert np.array_equal(got, want), t
+        # the translate of column order[i] has the detectors of column want_order[i]
+        image = np.empty_like(order)
+        image[order] = want_order
+        np.testing.assert_allclose(sm.priors[image], sm.priors, rtol=1e-12)
+        translated = BinMatrix.from_dense(sm.logical.to_dense()[:, image])
+        assert base.stack(translated).rank() == rank, t
 
 
 def test_model144_build_memory_bound(model144):
@@ -397,6 +459,13 @@ def test_forced_faults_need_zero_or_one_shot_per_scenario(model):
             sample(model, shots, 0, forced_faults=scenarios, fault_table=model.fault_table)
     batch = sample(model, 2, 0, forced_faults=[[0], []], fault_table=model.fault_table)
     assert batch.shots == 2
+
+
+def test_sampling_rejects_a_fault_table_of_another_circuit(model):
+    twin = build_sm_circuit(model.circuit.code, model.circuit.n_cycles)
+    with pytest.raises(ValueError, match="built for another circuit"):
+        sample_circuit_noise(twin, model.p, 1, 0, model.basis, fault_table=model.fault_table)
+    sample_circuit_noise(twin, model.p, 1, 0, model.basis)
 
 
 def test_zero_noise_flips_nothing(model):
